@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -35,6 +36,20 @@ class ConfigError(ValueError):
     pass
 
 
+# top-level keys each search-running command reads
+TRANSFER_KEYS = ("n", "grid", "seed", "phi", "space", "exponents", "a", "a_family",
+                 "search", "window", "out")
+OPNORM_KEYS = ("n", "grid", "seed", "family", "phi", "space", "exponents", "a",
+               "search", "window", "out")
+
+
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                          f"allowed: {', '.join(sorted(allowed))}")
+
+
 # named Phi fixtures (d = 2n)
 def _phi_fixture(name: str, n: int) -> bumps.BumpProfile:
     if name == "tensor-0.4":
@@ -53,9 +68,12 @@ def _load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        cfg = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
 
 
 def _grid_from(cfg: dict, args) -> grid.GridSpec:
@@ -119,32 +137,43 @@ def _family_from(cfg: dict, n: int, seed: int) -> list[symbols.LatticeCoefficien
 
 def _search_from(cfg: dict, seed: int) -> transference.SearchParams:
     s = cfg.get("search", {})
-    defaults = transference.SearchParams()
-    return transference.SearchParams(
-        starts=int(s.get("starts", defaults.starts)),
-        steps=int(s.get("steps", defaults.steps)),
-        initial_step=float(s.get("initial_step", defaults.initial_step)),
-        shrink=float(s.get("shrink", defaults.shrink)),
-        min_step=float(s.get("min_step", defaults.min_step)),
-        seed=int(s.get("seed", seed)),
-        mode_margin=int(s.get("mode_margin", defaults.mode_margin)),
-        support_margin=int(s.get("support_margin", defaults.support_margin)),
-        random_pool=int(s.get("random_pool", defaults.random_pool)),
-        torus_points=int(s.get("torus_points", defaults.torus_points)),
-        stability_bound=float(s.get("stability_bound", defaults.stability_bound)))
+    if not isinstance(s, dict):
+        raise ConfigError("'search' must be an object")
+    defaults = transference.SearchParams(seed=seed)
+    names = [f.name for f in dataclasses.fields(defaults)]
+    _check_keys(s, names, "search")
+    values = {}
+    for name in names:
+        default = getattr(defaults, name)
+        try:
+            values[name] = type(default)(s.get(name, default))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"search {name}: expected a number, got {s[name]!r}") from e
+    try:
+        return transference.SearchParams(**values)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _exponent(v) -> float:
+    """One exponent from a config: a positive number, or "inf" (or null)."""
+    try:
+        return norms.check_exponent(math.inf if v in ("inf", None) else float(v))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad exponent {v!r}: expected a positive number or \"inf\"") from e
+
+
+def _exponent_tuple(ex) -> norms.ExponentTuple:
+    if not isinstance(ex, list) or len(ex) != 6:
+        raise ConfigError("'exponents' must be a list of six entries [p1,p2,p,q1,q2,q]")
+    return norms.ExponentTuple(*(_exponent(v) for v in ex))
 
 
 def _exponents_from(cfg: dict) -> norms.ExponentTuple:
     ex = cfg.get("exponents")
     if ex is None:
         raise ConfigError("config needs 'exponents': [p1,p2,p,q1,q2,q]")
-    vals = [math.inf if v in ("inf", None) else float(v) for v in ex]
-    if len(vals) != 6:
-        raise ConfigError("'exponents' must have six entries")
-    try:
-        return norms.ExponentTuple(*vals)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return _exponent_tuple(ex)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -227,6 +256,7 @@ def cmd_decompose(args) -> int:
 def cmd_opnorm(args) -> int:
     t0 = time.time()
     cfg = _load_config(args.config)
+    _check_keys(cfg, OPNORM_KEYS, "opnorm config")
     spec = _grid_from(cfg, args)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
     a = _coeffs_from(cfg, spec.n, seed)
@@ -261,6 +291,7 @@ def cmd_opnorm(args) -> int:
 def cmd_transfer(args) -> int:
     t0 = time.time()
     cfg = _load_config(args.config)
+    _check_keys(cfg, TRANSFER_KEYS, "transfer config")
     spec = _grid_from(cfg, args)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
     phi = _phi_from(cfg, spec.n)
@@ -316,7 +347,7 @@ def cmd_scaling(args) -> int:
                     "min_q_modulus": fam.min_q_modulus, "slopes": {}}
     rows = [["space", "exponent", "eps", "norm"]]
     for q in sc.get("amalgam_q", [1.0, 2.0, "inf"]):
-        qv = math.inf if q == "inf" else float(q)
+        qv = _exponent(q)
         fit = scalinglab.amalgam_scaling_slope(fam, 2.0, qv)
         report["slopes"][f"amalgam_q{q}"] = {
             "slope": fit.slope, "expected": 0.0 if math.isinf(qv) else fam.n / qv,
@@ -324,7 +355,7 @@ def cmd_scaling(args) -> int:
         for e, nv in zip(fit.epsilons, fit.norms):
             rows.append(["amalgam", f"q={q}", e, nv])
     for p in sc.get("wiener_p", [1.0, 2.0, "inf"]):
-        pv = math.inf if p == "inf" else float(p)
+        pv = _exponent(p)
         fit = scalinglab.wiener_scaling_slope(fam, pv, 2.0, kappa)
         report["slopes"][f"wiener_p{p}"] = {
             "slope": fit.slope, "expected": 0.0 if math.isinf(pv) else fam.n / pv,
@@ -336,8 +367,10 @@ def cmd_scaling(args) -> int:
     # necessity verdicts for configured exponent tuples
     verdicts = []
     for tup in sc.get("verdicts", []):
-        ex = norms.ExponentTuple(*[math.inf if v == "inf" else float(v) for v in tup["exponents"]])
-        space = tup["space"]
+        space = tup.get("space") if isinstance(tup, dict) else None
+        if space not in ("amalgam", "wiener"):
+            raise ConfigError(f"verdict {tup!r} needs 'space': 'amalgam' or 'wiener'")
+        ex = _exponent_tuple(tup.get("exponents"))
         if space == "amalgam":
             s1 = scalinglab.amalgam_scaling_slope(fam, 2.0, ex.q1).slope
             s2 = scalinglab.amalgam_scaling_slope(fam, 2.0, ex.q2).slope
@@ -473,9 +506,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="latticebump",
         description="lattice bump bilinear multiplier experiments")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint for array backends (results are "
-                             "deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("synth", cmd_synth), ("decompose", cmd_decompose),
                      ("opnorm", cmd_opnorm), ("transfer", cmd_transfer),

@@ -71,18 +71,29 @@ class ExponentTuple:
         return 1 / self.p1 + 1 / self.p2 >= 1 / self.p - 1e-12
 
 
-def _power_norm(vals: np.ndarray, p: float, weight: float = 1.0) -> float:
-    """(weight * sum |vals|^p)^(1/p), max for p = inf; scale-stable."""
-    mags = np.abs(np.asarray(vals, dtype=complex)).ravel()
-    if mags.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(np.max(mags))
-    peak = float(np.max(mags))
-    if peak == 0.0:
-        return 0.0
-    return peak * float(weight ** (1.0 / p)) * float(
-        np.sum((mags / peak) ** p) ** (1.0 / p))
+def _power_norm(vals: np.ndarray, p: float, weight: float = 1.0, axis: int | None = None):
+    """(weight * sum |vals|^p)^(1/p), max for p = inf; scale-stable.
+
+    With ``axis=None`` the sum runs over every entry and the result is a float;
+    with an integer axis it runs along that axis and the result is an array
+    (zero slices give 0).  Each slice is computed as
+    peak * weight^(1/p) * (sum (|vals| / peak)^p)^(1/p).  The final root of a
+    float result is numpy's scalar power and that of an array is its array
+    power, which may differ from it in the last bit.
+    """
+    mags = np.abs(np.asarray(vals, dtype=complex))
+    if axis is None:
+        mags = mags.ravel()
+        if mags.size == 0:
+            return 0.0
+    red = -1 if axis is None else axis
+    peak = mags.max(axis=red, keepdims=True)
+    norm = peak.squeeze(red)
+    if not math.isinf(p):
+        mags /= np.where(peak == 0.0, 1.0, peak)  # in place: one temporary
+        mags **= p
+        norm = norm * weight ** (1.0 / p) * mags.sum(axis=red) ** (1.0 / p)
+    return float(norm) if axis is None else norm
 
 
 def lp_norm(f: GridFunction, p: float, region=None) -> float:
@@ -107,8 +118,6 @@ def lp_norm(f: GridFunction, p: float, region=None) -> float:
             # drop the left one
             mask &= ((x > lo[j] + 1e-12) & (x <= hi[j] + 1e-12)).reshape(sh)
         vals = vals[mask]
-    if math.isinf(p):
-        return _power_norm(vals, p)
     return _power_norm(vals, p, weight=spec.h**spec.n)
 
 
@@ -126,10 +135,7 @@ def lp_norm_torus(F: TrigPolynomial, p: float, points_per_axis: int = 256) -> fl
     u = np.arange(points_per_axis) / points_per_axis
     axes = [u.reshape([points_per_axis if k == j else 1 for k in range(F.n)])
             for j in range(F.n)]
-    vals = F.evaluate(*axes)
-    if math.isinf(p):
-        return _power_norm(vals, p)
-    return _power_norm(vals, p, weight=points_per_axis ** (-F.n))
+    return _power_norm(F.evaluate(*axes), p, weight=points_per_axis ** (-F.n))
 
 
 def _cube_blocks(f: GridFunction) -> np.ndarray:
@@ -180,16 +186,7 @@ def amalgam_norm(f: GridFunction, p: float, q: float,
                           stacklevel=2)
     spec = f.spec
     blocks = _cube_blocks(f).reshape(spec.L**spec.n, spec.s**spec.n)
-    w = spec.h**spec.n
-    if math.isinf(p):
-        cube_norms = np.max(np.abs(blocks), axis=1) if blocks.size else np.zeros(0)
-    else:
-        # scale-stable per-cube power sums
-        peak = np.max(np.abs(blocks), axis=1, keepdims=True)
-        safe = np.where(peak == 0.0, 1.0, peak)
-        cube_norms = (peak[:, 0] * (w ** (1 / p))
-                      * np.sum((np.abs(blocks) / safe) ** p, axis=1) ** (1 / p))
-    return lq_seq_norm(cube_norms, q)
+    return lq_seq_norm(_power_norm(blocks, p, weight=spec.h**spec.n, axis=1), q)
 
 
 def _frequency_support_box(F: np.ndarray, spec, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -251,13 +248,7 @@ def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,
     bands, stack = wiener_band_values(f, kappa, offset=offset, support_tol=support_tol)
     if not bands:
         return 0.0
-    mags = np.abs(stack)
-    if math.isinf(q):
-        pooled = np.max(mags, axis=0)
-    else:
-        peak = np.max(mags, axis=0, keepdims=True)
-        safe = np.where(peak == 0.0, 1.0, peak)
-        pooled = peak[0] * np.sum((mags / safe) ** q, axis=0) ** (1 / q)
+    pooled = _power_norm(stack, q, axis=0)
     return lp_norm(GridFunction(f.spec, "space", pooled.astype(complex)), p)
 
 

@@ -20,7 +20,7 @@ asserted, only family-wise ratio stability against a configured bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -280,8 +280,21 @@ class SearchParams:
 
     Start 0 is the all-ones vector on the support projections of a, start 1
     the all-ones vector on the inflated candidate box; remaining starts are
-    seeded complex gaussians (seed + start index).  The ratio's denominators
-    are renormalized after every accepted step.
+    seeded complex gaussians (seed + start index).  Exactly ``starts`` starts
+    run.  Each sweep tries the steps v[i] += step * max|v| * delta,
+    delta in (1, -1, i, -i), coordinate by coordinate and accepts, per
+    coordinate, the first that raises the ratio by more than a relative
+    1e-12; a sweep without an accepted step multiplies ``step`` by ``shrink``
+    and the start ends after ``steps`` sweeps or once ``step < min_step``.
+    The steps of a pass are screened together by rank-one updates, and only
+    those that may be accepted are scored exactly (see
+    ``_coordinate_ascent``), so every accepted step, and with it the result,
+    is that of scoring each step exactly in turn.
+
+    Invalid values raise ``ValueError``: every field must be finite,
+    ``starts`` and ``torus_points`` at least 1, ``steps``, ``random_pool``
+    and the margins at least 0, ``0 < shrink < 1``, ``initial_step > 0`` and
+    ``min_step > 0``.
     """
 
     starts: int = 32
@@ -295,6 +308,21 @@ class SearchParams:
     random_pool: int = 6
     torus_points: int = 256
     stability_bound: float = 10.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"search {f.name} must be finite, got {value}")
+        for name, lowest in (("starts", 1), ("torus_points", 1), ("steps", 0),
+                             ("random_pool", 0), ("mode_margin", 0), ("support_margin", 0)):
+            if getattr(self, name) < lowest:
+                raise ValueError(f"search {name} must be >= {lowest}, got {getattr(self, name)}")
+        if not 0.0 < self.shrink < 1.0:
+            raise ValueError(f"search shrink must lie in (0, 1), got {self.shrink}")
+        for name in ("initial_step", "min_step"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"search {name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -316,8 +344,116 @@ def _index_box(points: set[tuple[int, ...]], n: int, margin: int) -> list[tuple[
     return [tuple(int(c) for c in p) for p in np.stack([g.ravel() for g in grids], axis=-1)]
 
 
-def _coordinate_ascent(ratio_fn, vecs: list[np.ndarray], rng: np.random.Generator,
+# Relative slack for the rounding of the norm evaluations themselves (moduli,
+# powers, pairwise sums of at most 256^n terms, roots): below 4e-14 over both
+# paths for exponents >= 1; for exponents below 1 the per-candidate bound of
+# ``_Screen`` is far wider.  That bound covers the rounding of the rank-one
+# updates, which near zeros of the values grows without limit when an
+# exponent is below 1 (3e-11 relative seen for p = 0.5 on T_period, against
+# 7e-15 at most for exponents >= 1).  A wider margin only re-scores more
+# near-stagnant candidates: 1e-11 re-scores 2.4 times as many on the
+# benchmark's README-sized searches.
+SCREEN_MARGIN = 1e-13
+_DELTAS = (1.0, -1.0, 1j, -1j)
+
+
+def _norm_bounds(norm, delta, p, measure):
+    """Bounds (lo, hi) on a quasi-norm whose values each differ by at most
+    ``delta`` from those that gave ``norm`` (Minkowski for p >= 1, the
+    p-triangle inequality below); ``measure`` is the values' total weight."""
+    e = delta if math.isinf(p) else delta * measure ** (1.0 / p)
+    if p >= 1.0:
+        return norm - e, norm + e
+    return np.maximum(norm ** p - e ** p, 0.0) ** (1.0 / p), (norm ** p + e ** p) ** (1.0 / p)
+
+
+class _Screen:
+    """Approximate model ratios of every single-coordinate step at once.
+
+    The model ratio is ||(A v1 v2) Eo||_p / (||v1 E1||_p1 ||v2 E2||_p2): ``A``
+    is the dense (outs, box1, box2) tensor of the coefficient triples and E1,
+    E2, Eo map coefficients to the values the norms see (identity for S_a,
+    torus phases for T_period).  While a pass moves vector v the other vector
+    is fixed, so the output is linear in v: the step v + t*delta*e_i changes
+    the input values by t*delta*E[i] and the output values by t*delta*D[i],
+    with D = K^T Eo and K the tensor contracted with the fixed vector.  One call
+    scores a block of coordinates, four deltas each, with the axis-aware
+    ``_power_norm``.  Blocks start at 2^14 candidate values (one call covers
+    a small problem) or one coordinate, and double up to the size of E_v, so
+    that little is scored past the next accepted step and no temporary
+    outgrows max(E_v, 2^14 values).
+
+    Each score comes with an upper bound on the exact ratio.  Both paths sum
+    products whose moduli add up to at most (||v||_1 + t) on the input side
+    and sum |A| |v1| |v2| on the output side (|E| = 1), so each value differs
+    between the paths by at most ``gain`` times that; ``_norm_bounds`` turns
+    this into bounds on the norms, and SCREEN_MARGIN covers the rest.
+    """
+
+    def __init__(self, triples, E1, E2, Eo, exponents, weight):
+        A = np.zeros((Eo.shape[0], E1.shape[0], E2.shape[0]), dtype=complex)
+        for oi, a1, a2, av in triples:  # (out, i1, i2, value)
+            A[oi, a1, a2] += av
+        self.A, self.E, self.Eo = A, (E1, E2), Eo
+        self.exponents, self.weight = exponents, weight
+        self.deltas = np.array(_DELTAS)[:, None]
+        # two paths, complex arithmetic, one term per chained product
+        self.gain = 4 * np.finfo(float).eps * (np.count_nonzero(A) + sum(A.shape) + 4)
+
+    def begin(self, vecs, vi):
+        """Fix the other vector for a pass over vector ``vi``."""
+        other = vecs[1 - vi]
+        K = self.A @ other if vi == 0 else other @ self.A  # (outs, len(vecs[vi]))
+        self.D = K.T @ self.Eo
+        self.Ev, self.p = self.E[vi], self.exponents[vi]
+        self.n_other = _power_norm(other @ self.E[1 - vi], self.exponents[1 - vi], self.weight)
+        absA, absO = np.abs(self.A), np.abs(other)
+        self.kabs = (absA @ absO if vi == 0 else absO @ absA).sum(axis=0)
+        width = 4 * max(self.Ev.shape[1], self.D.shape[1])  # values per coordinate
+        self.first = max(1, (1 << 14) // width)
+        self.most = max(self.first, self.Ev.size // width)
+
+    def blocks(self, v, i0, t):
+        """Yield (first coordinate, scores, upper bounds), both of shape (b, 4),
+        over the coordinates i0, i0 + 1, ... of the moving vector v."""
+        y, yo = v @ self.Ev, v @ self.D
+        steps = t * self.deltas
+        absv = np.abs(v)
+        d_in = self.gain * (float(np.sum(absv)) + t)
+        d_fixed = self.gain * float(absv @ self.kabs)
+        b0, size = i0, self.first
+        while b0 < v.size:
+            b1 = min(b0 + size, v.size)
+            n_in = _power_norm(y + steps * self.Ev[b0:b1, None, :], self.p, self.weight, axis=-1)
+            n_out = _power_norm(yo + steps * self.D[b0:b1, None, :], self.exponents[2],
+                                self.weight, axis=-1)
+            den = n_in * self.n_other
+            scores = np.divide(n_out, den, out=np.zeros_like(n_out), where=den > 0)
+            d_out = d_fixed + self.gain * t * self.kabs[b0:b1, None]
+            in_lo = _norm_bounds(n_in, d_in, self.p, self.weight * self.Ev.shape[1])[0]
+            out_hi = _norm_bounds(n_out, d_out, self.exponents[2], self.weight * self.D.shape[1])[1]
+            den = in_lo * self.n_other * (1.0 - SCREEN_MARGIN)
+            yield b0, scores, np.divide(out_hi, den, out=np.full(den.shape, np.inf), where=den > 0)
+            b0, size = b1, min(2 * size, self.most)
+
+
+def _coordinate_ascent(ratio_fn, screen: _Screen, vecs: list[np.ndarray],
                        params: SearchParams) -> tuple[float, list[np.ndarray], list[float]]:
+    """Greedy first-improvement coordinate ascent on ``ratio_fn``.
+
+    The search is defined one candidate at a time: in the order (vector,
+    coordinate, delta), the step v[i] += step * max|v| * delta is accepted
+    when its exact ratio beats best * (1 + 1e-12), and the pass goes on with
+    the next coordinate.  Here the candidates are screened instead: at the
+    start of each vector pass and after each accepted step, ``screen`` scores
+    the remaining candidates of the pass in vectorised blocks, each with an
+    upper bound on its exact ratio.  Walking them in the same order, only
+    candidates whose bound reaches the acceptance threshold are re-scored with
+    the exact ``ratio_fn``, which alone accepts a step or sets ``best``.  A
+    skipped candidate's exact ratio lies below the threshold, so the
+    one-at-a-time search would have rejected it too: accepted steps, history
+    and vectors are those of that search, bit for bit.
+    """
     best = ratio_fn(vecs)
     history = [best]
     step = params.initial_step
@@ -326,17 +462,26 @@ def _coordinate_ascent(ratio_fn, vecs: list[np.ndarray], rng: np.random.Generato
         for vi in range(len(vecs)):
             v = vecs[vi]
             scale = max(float(np.max(np.abs(v))), 1e-12)
-            for i in range(v.size):
-                for delta in (1.0, -1.0, 1j, -1j):
-                    cand = v.copy()
-                    cand.flat[i] += step * scale * delta
-                    val = ratio_fn(vecs[:vi] + [cand] + vecs[vi + 1:])
-                    if val > best * (1.0 + 1e-12):
-                        vecs[vi] = cand
-                        v = cand
-                        best = val
-                        improved = True
+            screen.begin(vecs, vi)
+            i0 = 0
+            while i0 < v.size:
+                nxt = v.size  # where the next screen starts
+                for b0, _scores, upper in screen.blocks(v, i0, step * scale):
+                    # NaN bounds are re-scored too
+                    for k in np.flatnonzero(~(upper <= best * (1.0 + 1e-12))):
+                        i, d = divmod(int(k), len(_DELTAS))
+                        cand = v.copy()
+                        cand.flat[b0 + i] += step * scale * _DELTAS[d]
+                        val = ratio_fn(vecs[:vi] + [cand] + vecs[vi + 1:])
+                        if val > best * (1.0 + 1e-12):
+                            vecs[vi] = v = cand
+                            best = val
+                            improved = True
+                            nxt = b0 + i + 1
+                            break
+                    if nxt < v.size:
                         break
+                i0 = nxt
         history.append(best)
         if not improved:
             step *= params.shrink
@@ -348,24 +493,25 @@ def _coordinate_ascent(ratio_fn, vecs: list[np.ndarray], rng: np.random.Generato
     return best, vecs, history
 
 
-def _starts(box1, box2, supp1, supp2, rng_seed: int, params: SearchParams):
-    """Deterministic indicator starts plus seeded random starts."""
+def _starts(box1, box2, supp1, supp2, params: SearchParams):
+    """Exactly ``params.starts`` starts: the support indicators, the all-ones
+    vectors, then seeded random vectors."""
     ind1 = np.array([1.0 + 0j if m in supp1 else 0.0 for m in box1])
     ind2 = np.array([1.0 + 0j if m in supp2 else 0.0 for m in box2])
     yield [ind1, ind2]
-    yield [np.ones(len(box1), complex), np.ones(len(box2), complex)]
-    for k in range(max(params.starts - 2, 0)):
-        rng = np.random.default_rng(rng_seed + k)
+    if params.starts > 1:
+        yield [np.ones(len(box1), complex), np.ones(len(box2), complex)]
+    for k in range(params.starts - 2):
+        rng = np.random.default_rng(params.seed + k)
         v1 = rng.standard_normal(len(box1)) + 1j * rng.standard_normal(len(box1))
         v2 = rng.standard_normal(len(box2)) + 1j * rng.standard_normal(len(box2))
         yield [v1, v2]
 
 
-def _search(ratio_fn, box1, box2, supp1, supp2, params: SearchParams):
+def _search(ratio_fn, screen: _Screen, box1, box2, supp1, supp2, params: SearchParams):
     best_val, best_vecs, best_hist = -1.0, None, []
-    for si, vecs in enumerate(_starts(box1, box2, supp1, supp2, params.seed, params)):
-        rng = np.random.default_rng(params.seed + si)
-        val, out, hist = _coordinate_ascent(ratio_fn, [v.copy() for v in vecs], rng, params)
+    for vecs in _starts(box1, box2, supp1, supp2, params):
+        val, out, hist = _coordinate_ascent(ratio_fn, screen, [v.copy() for v in vecs], params)
         if val > best_val:
             best_val, best_vecs, best_hist = val, out, hist
     return best_val, best_vecs, best_hist
@@ -404,7 +550,9 @@ def estimate_norm_S(a: LatticeCoefficients, q1: float, q2: float, q: float,
             out[oi] += av * b1[a1] * b2[a2]
         return _power_norm(out, q) / (n1 * n2)
 
-    val, vecs, hist = _search(ratio, box1, box2, supp1, supp2, params)
+    screen = _Screen(triples, np.eye(len(box1)), np.eye(len(box2)), np.eye(len(outs)),
+                     (q1, q2, q), 1.0)
+    val, vecs, hist = _search(ratio, screen, box1, box2, supp1, supp2, params)
     witness = {
         "b1": {str(m): [vecs[0][i].real, vecs[0][i].imag] for m, i in i1.items()
                if abs(vecs[0][i]) > 0},
@@ -449,23 +597,21 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
         return np.exp(2j * np.pi * dots).T  # (modes, P^n)
 
     E1, E2, Eo = phase_matrix(box1), phase_matrix(box2), phase_matrix(outs)
-    w = float(P) ** (-n)
-
-    def tnorm(vals: np.ndarray, ex: float) -> float:
-        return _power_norm(vals, ex) if math.isinf(ex) else _power_norm(vals, ex, weight=w)
+    w = float(P) ** (-n)  # unused by the sup norm
 
     def ratio(vecs) -> float:
         c1, c2 = vecs
-        n1 = tnorm(c1 @ E1, p1)
-        n2 = tnorm(c2 @ E2, p2)
+        n1 = _power_norm(c1 @ E1, p1, w)
+        n2 = _power_norm(c2 @ E2, p2, w)
         if n1 == 0.0 or n2 == 0.0:
             return 0.0
         oc = np.zeros(len(outs), dtype=complex)
         for oi, a1, a2, av in triples:
             oc[oi] += av * c1[a1] * c2[a2]
-        return tnorm(oc @ Eo, p) / (n1 * n2)
+        return _power_norm(oc @ Eo, p, w) / (n1 * n2)
 
-    val, vecs, hist = _search(ratio, box1, box2, supp1, supp2, params)
+    screen = _Screen(triples, E1, E2, Eo, (p1, p2, p), w)
+    val, vecs, hist = _search(ratio, screen, box1, box2, supp1, supp2, params)
     witness = {
         "F1": {str(m): [vecs[0][i].real, vecs[0][i].imag] for m, i in i1.items()
                if abs(vecs[0][i]) > 0},

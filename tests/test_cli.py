@@ -162,3 +162,56 @@ def test_selftest_seed_changes_nothing(capsys):
     assert names1 == names2
     assert all("PASS" in l for l in out1.splitlines()[:-1])
     assert all("PASS" in l for l in out2.splitlines()[:-1])
+
+
+_TRANSFER = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4", "space": "amalgam",
+             "exponents": [2, 2, 2, 2, 2, 2], "a": {"entries": [[[0], [0], 1.0, 0.0]]},
+             "search": {"starts": 2, "steps": 2, "random_pool": 1}}
+
+
+def _exit_code(tmp_path, capsys, command, doc):
+    code = main([command, "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    return code
+
+
+def test_transfer_non_numeric_exponent_is_config_error(tmp_path, capsys):
+    doc = dict(_TRANSFER, exponents=["x", 2, 2, 2, 2, 2])
+    assert _exit_code(tmp_path, capsys, "transfer", doc) == 2
+
+
+def test_scaling_zero_verdict_exponent_is_config_error(tmp_path, capsys):
+    doc = {"n": 1, "scaling": {"epsilons": [0.5, 0.25, 0.125], "amalgam_q": [2.0],
+                               "wiener_p": [2.0],
+                               "verdicts": [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0]}]}}
+    assert _exit_code(tmp_path, capsys, "scaling", doc) == 2
+
+
+def test_transfer_misspelt_top_level_key_is_config_error(tmp_path, capsys):
+    doc = dict(_TRANSFER)
+    doc["serach"] = doc.pop("search")
+    assert _exit_code(tmp_path, capsys, "transfer", doc) == 2
+
+
+def test_opnorm_unknown_top_level_key_is_config_error(tmp_path, capsys):
+    doc = {"n": 1, "family": "S", "a": {"entries": [[[0], [0], 1.0, 0.0]]},
+           "exponents": [2, 2, 2, 2, 2, 2], "famliy": "S"}
+    assert _exit_code(tmp_path, capsys, "opnorm", doc) == 2
+
+
+@pytest.mark.parametrize("search", [
+    {"strats": 4}, {"starts": 0}, {"steps": -1}, {"torus_points": 0}, {"min_step": "nan"},
+    {"shrink": 1.5}, {"initial_step": 0}, {"starts": "many"}, {"stability_bound": "inf"},
+], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+def test_bad_search_block_is_config_error(tmp_path, capsys, search):
+    doc = dict(_TRANSFER, search=search)
+    assert _exit_code(tmp_path, capsys, "transfer", doc) == 2
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "selftest"])
+    assert exc.value.code == 2

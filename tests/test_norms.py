@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from latticebump.bumps import bump_eval_axes, make_bump, make_window
 from latticebump.grid import freq_function, idft, make_grid, space_function
-from latticebump.norms import (ExponentTuple, TailBudgetWarning, amalgam_norm,
+from latticebump.norms import (ExponentTuple, _power_norm, TailBudgetWarning, amalgam_norm,
                                bernstein_scaling_check, lp_norm, lp_norm_torus,
                                lq_seq_norm, mixed_norm_check, wiener_norm)
 from latticebump.operators import trig_poly_from_dict
@@ -212,3 +212,25 @@ def test_exponent_tuple_hypotheses():
     assert not ExponentTuple(math.inf, math.inf, 1, 2, 2, 2).wiener_hypothesis()
     with pytest.raises(ValueError):
         ExponentTuple(0, 2, 2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("weight", [1.0, 0.37])
+def test_power_norm_axis_rows_match_flat_calls(p, weight):
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((5, 4, 33)) + 1j * rng.standard_normal((5, 4, 33))
+    vals[1, 2] = 0.0          # a zero row
+    vals[3] *= 1e-300         # tiny magnitudes stay in range
+    rows = _power_norm(vals, p, weight, axis=-1)
+    flat = np.array([[_power_norm(r, p, weight) for r in block] for block in vals])
+    assert rows.shape == (5, 4) and rows[1, 2] == 0.0
+    if p in (1.0, math.inf):
+        # everything up to the root is shared, and these roots are exact
+        assert rows.tobytes() == flat.tobytes()
+    else:
+        # a float result takes numpy's scalar power for the root, an array its
+        # array power; the two can differ in the last bit
+        np.testing.assert_array_max_ulp(rows, flat, maxulp=1)
+    # a leading axis (the Wiener band axis) sums in another order
+    cols = _power_norm(np.moveaxis(vals, -1, 0), p, weight, axis=0)
+    np.testing.assert_allclose(cols, rows, rtol=1e-14, atol=0)

@@ -11,8 +11,10 @@ from latticebump.operators import (Sequence, apply_S, apply_T_period, apply_T_si
                                    sequence_from_dict, trig_poly_from_dict)
 from latticebump.symbols import (lattice_delta, lattice_from_dict,
                                  random_lattice_coefficients, synth_sigma)
-from latticebump.transference import (AMALGAM_CITATION, ExponentHypothesisError,
-                                      SearchParams, build_amalgam_witness,
+from latticebump import transference
+from latticebump.transference import (AMALGAM_CITATION, SCREEN_MARGIN,
+                                      ExponentHypothesisError,
+                                      SearchParams, _starts, build_amalgam_witness,
                                       build_wiener_witness, estimate_norm_S,
                                       estimate_norm_T_aPhi,
                                       estimate_norm_T_period,
@@ -261,6 +263,96 @@ def test_estimate_T_period_reproducible_across_seeds():
             for s in (42, 43, 44)]
     spread = max(vals) / min(vals)
     assert spread <= 1.02
+
+
+def _screened(screen, v, i0, t):
+    """Scores and upper bounds of the screen over the coordinates i0.. of v."""
+    got = list(screen.blocks(v, i0, t))
+    return (np.concatenate([g[1] for g in got]) if got else np.zeros((0, 4)),
+            np.concatenate([g[2] for g in got]) if got else np.zeros((0, 4)))
+
+
+def _reference_ascent(ratio_fn, screen, vecs, params, seen):
+    """The search's definition: one candidate at a time, each scored exactly.
+    Also records (exact, screened, upper bound) for every candidate scored."""
+    best = ratio_fn(vecs)
+    history = [best]
+    step = params.initial_step
+    for _ in range(params.steps):
+        improved = False
+        for vi in range(len(vecs)):
+            v = vecs[vi]
+            scale = max(float(np.max(np.abs(v))), 1e-12)
+            screen.begin(vecs, vi)
+            i0, (scores, upper) = 0, _screened(screen, v, 0, step * scale)
+            for i in range(v.size):
+                for d, delta in enumerate((1.0, -1.0, 1j, -1j)):
+                    cand = v.copy()
+                    cand.flat[i] += step * scale * delta
+                    val = ratio_fn(vecs[:vi] + [cand] + vecs[vi + 1:])
+                    seen.append((val, scores[i - i0, d], upper[i - i0, d]))
+                    if val > best * (1.0 + 1e-12):
+                        vecs[vi] = cand
+                        v = cand
+                        best = val
+                        improved = True
+                        i0, (scores, upper) = i + 1, _screened(screen, v, i + 1, step * scale)
+                        break
+        history.append(best)
+        if not improved:
+            step *= params.shrink
+            if step < params.min_step:
+                break
+    peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
+    vecs = [v / peak for v in vecs]
+    return best, vecs, history
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("ex", [0.5, 1.0, 2.0, math.inf, (2.0, 1.0, 2.0), (0.5, 2.0, 1.0),
+                                (math.inf, 2.0, 1.0)], ids=str)
+@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
+                         ids=["S", "T_period"])
+def test_screened_search_matches_reference(monkeypatch, estimate, ex, n):
+    # screen-and-confirm must keep the one-at-a-time trajectory bit for bit
+    ex = ex if isinstance(ex, tuple) else (ex,) * 3
+    a = random_lattice_coefficients(n, 1, 9 if n == 1 else 4, seed=90 + n)
+    params = (SearchParams(starts=3, steps=25) if n == 1
+              else SearchParams(starts=2, steps=4, torus_points=64))
+    fast = estimate(a, *ex, params)
+    seen = []
+    monkeypatch.setattr(transference, "_coordinate_ascent",
+                        lambda r, s, v, p: _reference_ascent(r, s, v, p, seen))
+    ref = estimate(a, *ex, params)
+    assert fast.value == ref.value
+    assert fast.trace["history"] == ref.trace["history"]
+    assert [v.tobytes() for v in fast.trace["vectors"]] == \
+        [v.tobytes() for v in ref.trace["vectors"]]
+    assert fast.witness == ref.witness
+    exact, scores, upper = (np.array(c) for c in zip(*seen))
+    # the bound that decides what is re-scored holds on every candidate
+    assert np.all(exact <= upper)
+    if min(ex) >= 1:
+        # rounding alone: far below the margin (below 1 the error near zeros
+        # of the values is unbounded, so only the per-candidate bound holds)
+        assert np.max(np.abs(scores - exact) / exact) <= SCREEN_MARGIN / 10
+
+
+@pytest.mark.parametrize("starts", [1, 2, 3, 5])
+def test_starts_yields_exactly_the_configured_count(starts):
+    box = [(m,) for m in range(-2, 3)]
+    got = list(_starts(box, box, {(0,)}, {(0,)}, SearchParams(starts=starts)))
+    assert len(got) == starts
+
+
+@pytest.mark.parametrize("bad", [
+    {"starts": 0}, {"steps": -1}, {"torus_points": 0}, {"shrink": 0.0}, {"shrink": 1.0},
+    {"initial_step": 0.0}, {"min_step": 0.0}, {"min_step": math.nan},
+    {"stability_bound": math.inf}, {"random_pool": -1}, {"mode_margin": -1},
+], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+def test_search_params_reject_invalid(bad):
+    with pytest.raises(ValueError):
+        SearchParams(**bad)
 
 
 def test_estimate_T_aPhi_zero(spec, phi04, theta):

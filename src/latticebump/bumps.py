@@ -465,18 +465,12 @@ def make_theta_pair(phi: BumpProfile, xi0, eps: float, spec: GridSpec,
             scale = (1.0 + safety) / m_raw
             th1 = th1.scaled(scale)
             rule = _g_rule(phi, th1, th2, spec)
-            g = GridFunction(spec, "space", rule(spec.space_points())
-                             if n == 1 else _tensor_eval(rule, spec))
+            g = GridFunction(spec, "space", rule(spec.space_points()))
             m = float(np.min(np.abs(rule(_q_probe(spec)))))
             return ThetaPair(theta1=th1, theta2=th2, g=g, m=m,
                              xi0=xi0, eps=current, g_eval=rule)
         current *= 0.5
     raise ValueError(f"no rescaling achieves min_Q|g| >= 1 after {max_halvings} halvings")
-
-
-def _tensor_eval(rule, spec: GridSpec) -> np.ndarray:
-    # separable rule broadcasts over open meshgrids directly
-    return rule(spec.space_points())
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,29 @@ class ConfigError(ValueError):
     pass
 
 
-# top-level keys each search-running command reads
-TRANSFER_KEYS = ("n", "grid", "seed", "phi", "space", "exponents", "a", "a_family",
-                 "search", "window", "out")
-OPNORM_KEYS = ("n", "grid", "seed", "family", "phi", "space", "exponents", "a",
-               "search", "window", "out")
+# the keys each config object may hold: a command's top level, or a nested
+# block; any other key is a config error, so a misspelt key never runs on
+# defaults
+KEYS = {
+    "synth": ("n", "grid", "seed", "phi", "a", "cm", "out"),
+    "decompose": ("n", "phi", "cm", "out"),
+    "opnorm": ("n", "grid", "seed", "family", "phi", "space", "exponents", "a",
+               "search", "window", "out"),
+    "transfer": ("n", "grid", "seed", "phi", "space", "exponents", "a", "a_family",
+                 "search", "window", "out"),
+    "scaling": ("n", "seed", "scaling", "window", "out"),
+    "grid": ("L", "s"),
+    "phi": ("d", "kind", "center", "radius", "amplitude", "inner"),
+    "a": ("entries", "random"),
+    "a.random": ("radius", "count", "seed"),
+    "a_family": ("members", "radius", "count", "seed"),
+    "cm": ("M", "K"),
+    "search": tuple(f.name for f in dataclasses.fields(transference.SearchParams)),
+    "window": ("outer",),
+    "scaling block": ("epsilons", "box_factor", "s", "xi0", "base_radius", "amalgam_q",
+                      "wiener_p", "verdicts"),
+    "verdict": ("space", "exponents"),
+}
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -48,6 +66,33 @@ def _check_keys(section: dict, allowed, where: str) -> None:
     if unknown:
         raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
                           f"allowed: {', '.join(sorted(allowed))}")
+
+
+def _section(doc: dict, key: str, where: str | None = None) -> dict | None:
+    """``doc[key]`` (None if absent) as an object with only ``KEYS[where or key]``."""
+    where = where or key
+    sec = doc.get(key)
+    if sec is None:
+        return None
+    if not isinstance(sec, dict):
+        raise ConfigError(f"'{where}' must be an object")
+    _check_keys(sec, KEYS[where], where)
+    return sec
+
+
+def _integer(v, where: str) -> int:
+    """One integer from a config; a non-integral number is an error, not truncated."""
+    try:
+        if isinstance(v, float) and not v.is_integer():
+            raise ValueError
+        return int(v)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{where}: expected an integer, got {v!r}") from e
+
+
+def _integers(block: dict, where: str, **defaults) -> list[int]:
+    """The integer fields named in ``defaults``, in that order."""
+    return [_integer(block.get(k, v), f"{where} {k}") for k, v in defaults.items()]
 
 
 # named Phi fixtures (d = 2n)
@@ -61,7 +106,9 @@ def _phi_fixture(name: str, n: int) -> bumps.BumpProfile:
     raise ConfigError(f"unknown Phi fixture {name!r}")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args) -> dict:
+    """The config object at ``args.config``, with only the command's top-level keys."""
+    path = args.config
     if path is None:
         raise ConfigError("--config PATH is required for this command")
     p = Path(path)
@@ -73,19 +120,24 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _check_keys(cfg, KEYS[args.command], f"{args.command} config")
     return cfg
 
 
+def _seed(cfg: dict, args) -> int:
+    return args.seed if args.seed is not None else _integer(cfg.get("seed", 42), "seed")
+
+
 def _grid_from(cfg: dict, args) -> grid.GridSpec:
-    n = int(cfg.get("n", 1))
+    n = _integer(cfg.get("n", 1), "n")
+    g = _section(cfg, "grid") or {}
     if args.grid:
         try:
             L, s = (int(v) for v in args.grid.split(","))
         except ValueError as e:
             raise ConfigError(f"--grid expects L,s got {args.grid!r}") from e
     else:
-        g = cfg.get("grid", {})
-        L, s = int(g.get("L", 8)), int(g.get("s", 32))
+        L, s = _integers(g, "grid", L=8, s=32)
     try:
         return grid.make_grid(n, L, s)
     except ValueError as e:
@@ -98,8 +150,12 @@ def _phi_from(cfg: dict, n: int) -> bumps.BumpProfile:
         raise ConfigError("config needs a 'phi' fixture")
     if isinstance(spec, str):
         return _phi_fixture(spec, n)
+    if not isinstance(spec, dict):
+        raise ConfigError("'phi' must be a fixture name or a profile object")
     if "fixture" in spec:
+        _check_keys(spec, ("fixture",), "phi")
         return _phi_fixture(spec["fixture"], n)
+    _check_keys(spec, KEYS["phi"], "phi")
     try:
         return bumps.profile_from_json(json.dumps(spec))
     except (KeyError, ValueError) as e:
@@ -107,7 +163,7 @@ def _phi_from(cfg: dict, n: int) -> bumps.BumpProfile:
 
 
 def _coeffs_from(cfg: dict, n: int, seed: int) -> symbols.LatticeCoefficients:
-    a = cfg.get("a")
+    a = _section(cfg, "a")
     if a is None:
         raise ConfigError("config needs an 'a' section")
     if "entries" in a:
@@ -117,38 +173,51 @@ def _coeffs_from(cfg: dict, n: int, seed: int) -> symbols.LatticeCoefficients:
             entries[(tuple(int(c) for c in np.atleast_1d(m1)),
                      tuple(int(c) for c in np.atleast_1d(m2)))] = complex(re, im)
         return symbols.LatticeCoefficients(n, entries)
-    if "random" in a:
-        r = a["random"]
+    r = _section(a, "random", "a.random")
+    if r is not None:
         return symbols.random_lattice_coefficients(
-            n, int(r.get("radius", 1)), int(r.get("count", 9)),
-            int(r.get("seed", seed)))
+            n, *_integers(r, "a.random", radius=1, count=9, seed=seed))
     raise ConfigError("'a' needs 'entries' or 'random'")
 
 
 def _family_from(cfg: dict, n: int, seed: int) -> list[symbols.LatticeCoefficients]:
-    fam = cfg.get("a_family")
+    fam = _section(cfg, "a_family")
     if fam is None:
         return [_coeffs_from(cfg, n, seed)]
-    base = int(fam.get("seed", seed))
-    return [symbols.random_lattice_coefficients(n, int(fam.get("radius", 1)),
-                                                int(fam.get("count", 9)), base + i)
-            for i in range(int(fam.get("members", 20)))]
+    radius, count, base, members = _integers(fam, "a_family", radius=1, count=9,
+                                             seed=seed, members=20)
+    return [symbols.random_lattice_coefficients(n, radius, count, base + i)
+            for i in range(members)]
+
+
+def _cm_from(cfg: dict) -> tuple[int, float | None]:
+    """(M, K) of the decomposition; K None picks the default period."""
+    cm = _section(cfg, "cm") or {}
+    return _integer(cm.get("M", 16), "cm M"), cm.get("K")
+
+
+def _window_from(cfg: dict, n: int) -> bumps.Window:
+    outer = (_section(cfg, "window") or {}).get("outer", 0.6)
+    try:
+        return bumps.make_window(n, float(outer))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"window outer: {e}") from e
 
 
 def _search_from(cfg: dict, seed: int) -> transference.SearchParams:
-    s = cfg.get("search", {})
-    if not isinstance(s, dict):
-        raise ConfigError("'search' must be an object")
+    s = _section(cfg, "search") or {}
     defaults = transference.SearchParams(seed=seed)
-    names = [f.name for f in dataclasses.fields(defaults)]
-    _check_keys(s, names, "search")
     values = {}
-    for name in names:
+    for name in KEYS["search"]:
         default = getattr(defaults, name)
+        v = s.get(name, default)
+        if isinstance(default, int):
+            values[name] = _integer(v, f"search {name}")
+            continue
         try:
-            values[name] = type(default)(s.get(name, default))
+            values[name] = float(v)
         except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"search {name}: expected a number, got {s[name]!r}") from e
+            raise ConfigError(f"search {name}: expected a number, got {v!r}") from e
     try:
         return transference.SearchParams(**values)
     except ValueError as e:
@@ -195,9 +264,9 @@ def _finish(out: Path, report: dict, t0: float) -> None:
 
 def cmd_synth(args) -> int:
     t0 = time.time()
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec = _grid_from(cfg, args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+    seed = _seed(cfg, args)
     phi = _phi_from(cfg, spec.n)
     a = _coeffs_from(cfg, spec.n, seed)
     out = Path(args.out or cfg.get("out", "synth-out"))
@@ -205,8 +274,7 @@ def cmd_synth(args) -> int:
 
     sigma = symbols.synth_sigma(a, phi, spec)
     sigma.save(out / "sigma")
-    M = int(cfg.get("cm", {}).get("M", 16))
-    K = cfg.get("cm", {}).get("K")
+    M, K = _cm_from(cfg)
     d = symbols.cm_decompose(phi, K=K, M=M)
     (out / "cm.json").write_text(d.to_json())
 
@@ -233,11 +301,10 @@ def cmd_synth(args) -> int:
 
 def cmd_decompose(args) -> int:
     t0 = time.time()
-    cfg = _load_config(args.config)
-    n = int(cfg.get("n", 1))
+    cfg = _load_config(args)
+    n = _integer(cfg.get("n", 1), "n")
     phi = _phi_from(cfg, n)
-    M = int(cfg.get("cm", {}).get("M", 16))
-    K = cfg.get("cm", {}).get("K")
+    M, K = _cm_from(cfg)
     out = Path(args.out or cfg.get("out", "decompose-out"))
     d = symbols.cm_decompose(phi, K=K, M=M)
     out.mkdir(parents=True, exist_ok=True)
@@ -255,10 +322,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_opnorm(args) -> int:
     t0 = time.time()
-    cfg = _load_config(args.config)
-    _check_keys(cfg, OPNORM_KEYS, "opnorm config")
+    cfg = _load_config(args)
     spec = _grid_from(cfg, args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+    seed = _seed(cfg, args)
     a = _coeffs_from(cfg, spec.n, seed)
     ex = _exponents_from(cfg)
     params = _search_from(cfg, seed)
@@ -277,7 +343,7 @@ def cmd_opnorm(args) -> int:
                               "no witness-pool estimation possible")
         theta = bumps.make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
         space = cfg.get("space", "amalgam")
-        kappa = bumps.make_window(spec.n, float(cfg.get("window", {}).get("outer", 0.6)))
+        kappa = _window_from(cfg, spec.n)
         est = transference.estimate_norm_T_aPhi(a, phi, ex, space, theta, spec,
                                                 kappa=kappa, params=params)
     else:
@@ -290,10 +356,9 @@ def cmd_opnorm(args) -> int:
 
 def cmd_transfer(args) -> int:
     t0 = time.time()
-    cfg = _load_config(args.config)
-    _check_keys(cfg, TRANSFER_KEYS, "transfer config")
+    cfg = _load_config(args)
     spec = _grid_from(cfg, args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+    seed = _seed(cfg, args)
     phi = _phi_from(cfg, spec.n)
     ex = _exponents_from(cfg)
     space = cfg.get("space", "amalgam")
@@ -305,7 +370,7 @@ def cmd_transfer(args) -> int:
     if not cb.holds:
         raise ConfigError("Phi fixture fails condition (B)")
     theta = bumps.make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
-    kappa = bumps.make_window(spec.n, float(cfg.get("window", {}).get("outer", 0.6)))
+    kappa = _window_from(cfg, spec.n)
     report = transference.transference_report(family, phi, ex, space, theta,
                                               spec, kappa=kappa, params=params)
     _write_csv(out / "ratios.csv", report.csv_rows())
@@ -325,20 +390,28 @@ def cmd_transfer(args) -> int:
 
 def cmd_scaling(args) -> int:
     t0 = time.time()
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
-    sc = cfg.get("scaling", {})
+    cfg = _load_config(args)
+    seed = _seed(cfg, args)
+    sc = _section(cfg, "scaling", "scaling block") or {}
+    verdict_specs = []
+    for tup in sc.get("verdicts", []):
+        space = tup.get("space") if isinstance(tup, dict) else None
+        if space not in ("amalgam", "wiener"):
+            raise ConfigError(f"verdict {tup!r} needs 'space': 'amalgam' or 'wiener'")
+        _check_keys(tup, KEYS["verdict"], "verdict")
+        verdict_specs.append((space, _exponent_tuple(tup.get("exponents"))))
     eps = tuple(float(e) for e in sc.get("epsilons", (0.5, 0.25, 0.125)))
     if len(eps) < 3:
         raise ConfigError("regression needs at least 3 epsilons")
     try:
         fam = scalinglab.make_scaling_family(
-            xi0=sc.get("xi0", 0.0), epsilons=eps, n=int(cfg.get("n", 1)),
-            s=int(sc.get("s", 8)), box_factor=float(sc.get("box_factor", 192.0)),
+            xi0=sc.get("xi0", 0.0), epsilons=eps, n=_integer(cfg.get("n", 1), "n"),
+            s=_integer(sc.get("s", 8), "scaling s"),
+            box_factor=float(sc.get("box_factor", 192.0)),
             base_radius=float(sc.get("base_radius", 0.3)))
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    kappa = bumps.make_window(fam.n, float(cfg.get("window", {}).get("outer", 0.6)))
+    kappa = _window_from(cfg, fam.n)
     out = Path(args.out or cfg.get("out", "scaling-out"))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -366,11 +439,7 @@ def cmd_scaling(args) -> int:
 
     # necessity verdicts for configured exponent tuples
     verdicts = []
-    for tup in sc.get("verdicts", []):
-        space = tup.get("space") if isinstance(tup, dict) else None
-        if space not in ("amalgam", "wiener"):
-            raise ConfigError(f"verdict {tup!r} needs 'space': 'amalgam' or 'wiener'")
-        ex = _exponent_tuple(tup.get("exponents"))
+    for space, ex in verdict_specs:
         if space == "amalgam":
             s1 = scalinglab.amalgam_scaling_slope(fam, 2.0, ex.q1).slope
             s2 = scalinglab.amalgam_scaling_slope(fam, 2.0, ex.q2).slope

@@ -112,9 +112,10 @@ class GridFunction:
 
 
 def _as_int_tuple(v, n: int) -> tuple[int, ...]:
+    """A point of Z^n as a tuple of n ints; scalars are accepted for n = 1."""
     t = tuple(int(c) for c in np.atleast_1d(v))
     if len(t) != n:
-        raise ValueError(f"expected {n} components, got {t}")
+        raise ValueError(f"point must have {n} components, got {v!r}")
     return t
 
 

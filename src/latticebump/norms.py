@@ -110,13 +110,10 @@ def lp_norm(f: GridFunction, p: float, region=None) -> float:
     if region is not None:
         lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in region)
         mask = np.ones(spec.shape, dtype=bool)
-        x = spec.axis_x()
-        for j in range(spec.n):
-            sh = [1] * spec.n
-            sh[j] = spec.N
+        for j, x in enumerate(spec.space_points()):
             # half-open (lo, hi]: keep the right endpoint under float fuzz,
             # drop the left one
-            mask &= ((x > lo[j] + 1e-12) & (x <= hi[j] + 1e-12)).reshape(sh)
+            mask &= (x > lo[j] + 1e-12) & (x <= hi[j] + 1e-12)
         vals = vals[mask]
     return _power_norm(vals, p, weight=spec.h**spec.n)
 

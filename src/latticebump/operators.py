@@ -2,7 +2,8 @@
 
 * ``apply_T_sigma``   -- bilinear multiplier on the grid, the slow reference:
   T(x) = (1/L)^(2n) sum_{xi1,xi2} sigma fhat1 fhat2 e^{2pi i x.(xi1+xi2)},
-  evaluated by grouping the double sum over the output frequency zeta = xi1+xi2.
+  evaluated by grouping the double sum over the output frequency zeta = xi1+xi2
+  (``_grouped_sum``, shared with the scaling products of scalinglab).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
   the truncated tensor-product decomposition (band projections only).
 * ``apply_T_period``  -- periodic bilinear operator on trig polynomials,
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bumps import BumpProfile, Window, bump_eval_axes, window_eval_axes
-from .grid import GridFunction, GridSpec, dft, idft
+from .grid import GridFunction, GridSpec, _as_int_tuple, dft, idft
 from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid
 
 __all__ = [
@@ -44,13 +45,6 @@ __all__ = [
 
 class AliasingWarning(UserWarning):
     """Bilinear output frequencies left the box and were folded."""
-
-
-def _key(mu, n: int) -> tuple[int, ...]:
-    t = tuple(int(c) for c in np.atleast_1d(mu))
-    if len(t) != n:
-        raise ValueError(f"lattice point must have {n} components, got {mu!r}")
-    return t
 
 
 @dataclass
@@ -94,11 +88,11 @@ class Sequence:
 
 
 def sequence_from_dict(n: int, entries: dict) -> Sequence:
-    return Sequence(n, {_key(k, n): complex(v) for k, v in entries.items()})
+    return Sequence(n, {_as_int_tuple(k, n): complex(v) for k, v in entries.items()})
 
 
 def trig_poly_from_dict(n: int, coeffs: dict) -> TrigPolynomial:
-    return TrigPolynomial(n, {_key(k, n): complex(v) for k, v in coeffs.items()})
+    return TrigPolynomial(n, {_as_int_tuple(k, n): complex(v) for k, v in coeffs.items()})
 
 
 def apply_S(a: LatticeCoefficients, b1: Sequence, b2: Sequence) -> Sequence:
@@ -128,49 +122,59 @@ def apply_T_period(a: LatticeCoefficients, F1: TrigPolynomial,
     return TrigPolynomial(a.n, s.entries)
 
 
-def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction,
-                  alias_tol: float = 1e-12) -> GridFunction:
-    """Slow reference path for the bilinear multiplier.
+def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec,
+                 alias_tol: float = 1e-12) -> np.ndarray:
+    """Space samples of (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)}.
 
-    Cost O(N^(2n)): forms the weighted tensor sigma * fhat1 (x) fhat2 and
-    accumulates it over the output frequency zeta = xi1 + xi2.
+    The double sum runs over the support pairs only: ``sigma_at(r, c)`` gives
+    the symbol at the C-order flat frequency indices r (of xi1) and c (of
+    xi2), broadcast to one row per nonzero F1 entry and one column per nonzero
+    F2 entry.  Exact zeros only add +-0 to the sequential bincount sums, so
+    skipping them changes no bit.  Output frequencies are grouped per axis
+    modulo the box; the folded share of the mass is checked against
+    ``alias_tol``.
     """
-    spec = sigma.spec
-    if f1.spec != spec or f2.spec != spec:
-        raise ValueError("grid spec mismatch")
-    if f1.side != "space" or f2.side != "space":
-        raise ValueError("inputs must be space-side GridFunctions")
     n, N = spec.n, spec.N
-    F1 = dft(f1).samples
-    F2 = dft(f2).samples
+    i1 = np.flatnonzero(F1 != 0)
+    i2 = np.flatnonzero(F2 != 0)
+    W = (sigma_at(i1[:, None], i2[None, :])
+         * np.outer(F1.ravel()[i1], F2.ravel()[i2]) * spec.dxi ** (2 * n))
 
-    outer = np.multiply.outer(F1, F2)  # axes: xi1 (n) then xi2 (n)
-    W = sigma.samples * outer * spec.dxi ** (2 * n)
-
-    idx1 = [np.arange(N).reshape([-1 if k == j else 1 for k in range(2 * n)])
-            for j in range(n)]
-    idx2 = [np.arange(N).reshape([-1 if k == n + j else 1 for k in range(2 * n)])
-            for j in range(n)]
     flat_idx = 0
     outside = np.zeros(W.shape, dtype=bool)
-    for j in range(n):
-        m = idx1[j] + idx2[j]  # in [0, 2N-2], frequency (m - N)/L
-        folded = (m - N // 2) % N
-        outside = outside | np.broadcast_to((m < N // 2) | (m >= N + N // 2), W.shape)
-        flat_idx = flat_idx * N + folded
-    flat_idx = np.broadcast_to(flat_idx, W.shape).ravel()
-    out_flat = (np.bincount(flat_idx, weights=W.real.ravel(), minlength=N**n)
-                + 1j * np.bincount(flat_idx, weights=W.imag.ravel(), minlength=N**n))
+    for u1, u2 in zip(np.unravel_index(i1, spec.shape), np.unravel_index(i2, spec.shape)):
+        m = u1[:, None] + u2[None, :]  # in [0, 2N-2], frequency (m - N)/L
+        outside |= (m < N // 2) | (m >= N + N // 2)
+        flat_idx = flat_idx * N + (m - N // 2) % N
+    flat_idx = flat_idx.ravel()
+    G = (np.bincount(flat_idx, weights=W.real.ravel(), minlength=N**n)
+         + 1j * np.bincount(flat_idx, weights=W.imag.ravel(), minlength=N**n))
 
     total = float(np.sum(np.abs(W)))
     if total > 0:
         frac = float(np.sum(np.abs(W[outside]))) / total
         if frac > alias_tol:
             warnings.warn(f"bilinear output folded {frac:.2e} of its mass back "
-                          f"into the frequency box", AliasingWarning, stacklevel=2)
+                          f"into the frequency box", AliasingWarning, stacklevel=3)
 
-    G = out_flat.reshape((N,) * n)
-    samples = N**n * np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(G)))
+    return N**n * np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(G.reshape(spec.shape))))
+
+
+def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction,
+                  alias_tol: float = 1e-12) -> GridFunction:
+    """Slow reference path for the bilinear multiplier.
+
+    Cost O(N^(2n)) at most: the grouped double sum over the support pairs of
+    the two input spectra, with the symbol gathered at those pairs.
+    """
+    spec = sigma.spec
+    if f1.spec != spec or f2.spec != spec:
+        raise ValueError("grid spec mismatch")
+    if f1.side != "space" or f2.side != "space":
+        raise ValueError("inputs must be space-side GridFunctions")
+    S = sigma.samples.reshape(spec.N**spec.n, spec.N**spec.n)
+    samples = _grouped_sum(lambda r, c: S[r, c], dft(f1).samples, dft(f2).samples,
+                           spec, alias_tol)
     return GridFunction(spec, "space", samples)
 
 
@@ -261,51 +265,39 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
     mus2 = sorted({m2 for (_m1, m2) in a.entries})
     ks = np.arange(-M, M + 1)
     kcount = (2 * M + 1) ** n
+    sp_axes = tuple(range(1, n + 1))
 
     # per-axis phase matrix, cached across calls on the same grid
     P_ax = _phase_matrix(N, spec.L, M, K)
 
-    def band_stack_1d(fhat: np.ndarray, cuts: dict, mus) -> dict:
-        """All (mu, k) band projections in one batched inverse transform."""
-        arr = np.empty((len(mus), 2 * M + 1, N), dtype=complex)
-        for i, mu in enumerate(mus):
-            np.multiply(P_ax, (cuts[mu] * fhat)[None, :], out=arr[i])
-            arr[i] *= np.exp(-2j * np.pi * ks * mu[0] / K)[:, None]
-        proj = spec.s * np.fft.fftshift(
-            np.fft.ifft(np.fft.ifftshift(arr, axes=2), axis=2), axes=2)
-        return {mu: proj[i] for i, mu in enumerate(mus)}
-
-    def band_stack_nd(fhat: np.ndarray, cuts: dict, mus) -> dict:
+    def band_stack(f: GridFunction, mus) -> dict:
         """Per mu: stack over k-multi-indices (C-order flattened to match
-        coeffs.reshape) of idft(phi_k(. - mu) * fhat)."""
+        coeffs.reshape) of idft(phi_k(. - mu) * fhat), shape (kcount, N**n)."""
+        fhat = dft(f).samples
+        cuts = _cutoff_translates(d, spec, mus)
         out = {}
         for mu in mus:
-            base = cuts[mu] * fhat  # (N,)*n
-            arr = np.empty((kcount,) + spec.shape, dtype=complex)
-            for flat in range(kcount):
-                kidx = np.unravel_index(flat, (2 * M + 1,) * n)
-                phase = 1.0
-                for ax_i, ki in enumerate(kidx):
-                    sh = [1] * n
-                    sh[ax_i] = N
-                    phase = phase * (P_ax[ki] *
-                                     np.exp(-2j * np.pi * ks[ki] * mu[ax_i] / K)).reshape(sh)
-                arr[flat] = phase * base
-            sp_axes = tuple(range(1, n + 1))
+            # phi_k(xi - mu) / phi(xi - mu) = prod_j P_ax[k_j] e^{-2pi i k_j mu_j / K},
+            # axis j's factor spread over (2M+1,)^n + (N,)^n at axes j and n + j
+            phase = 1.0
+            for j in range(n):
+                fac = P_ax * np.exp(-2j * np.pi * ks * mu[j] / K)[:, None]
+                phase = phase * np.expand_dims(
+                    fac, tuple(ax for ax in range(2 * n) if ax not in (j, n + j)))
+            arr = (phase * (cuts[mu] * fhat)).reshape((kcount,) + spec.shape)
             proj = spec.s**n * np.fft.fftshift(
                 np.fft.ifftn(np.fft.ifftshift(arr, axes=sp_axes), axes=sp_axes),
                 axes=sp_axes)
             out[mu] = proj.reshape(kcount, N**n)
         return out
 
-    band_stack = band_stack_1d if n == 1 else band_stack_nd
-    G1 = band_stack(dft(f1).samples, _cutoff_translates(d, spec, mus1), mus1)
-    G2 = band_stack(dft(f2).samples, _cutoff_translates(d, spec, mus2), mus2)
+    G1 = band_stack(f1, mus1)
+    G2 = band_stack(f2, mus2)
 
     B = d.coeffs.reshape(kcount, kcount)
     # pre-contract the coefficient tensor into side 2 once per mu2
     C2 = {mu: B @ G2[mu] for mu in mus2}
     acc = np.zeros(N**n, dtype=complex)
     for (m1, m2), val in sorted(a.items()):  # fixed order keeps reductions bit-stable
-        acc += val * (G1[m1].reshape(kcount, -1) * C2[m2].reshape(kcount, -1)).sum(axis=0)
+        acc += val * (G1[m1] * C2[m2]).sum(axis=0)
     return GridFunction(spec, "space", acc.reshape(spec.shape))

@@ -25,6 +25,7 @@ from .bumps import BumpProfile, Window, make_bump, _axis_factor
 from .grid import GridFunction, GridSpec, idft, make_grid
 from .norms import (amalgam_norm, check_exponent, ExponentTuple, loglog_slope,
                     lp_norm, wiener_norm)
+from .operators import _grouped_sum
 from .transference import AMALGAM_CITATION, WIENER_CITATION
 
 __all__ = [
@@ -98,12 +99,9 @@ class ScalingFamily:
         """Frequency samples eps^{-n} phihat(eps^{-1}(xi - xi0))."""
         spec = self.specs[eps]
         prof = self.scaled_profile(eps)
-        xi = spec.axis_xi()
         out = np.full(spec.shape, eps ** (-self.n) * prof.amplitude, dtype=complex)
-        for j in range(self.n):
-            sh = [1] * self.n
-            sh[j] = spec.N
-            out = out * _axis_factor(prof, j, xi).reshape(sh)
+        for j, xi in enumerate(spec.freq_points()):
+            out = out * _axis_factor(prof, j, xi)
         return GridFunction(spec, "frequency", out)
 
     def f(self, eps: float) -> GridFunction:
@@ -220,25 +218,6 @@ def wiener_scaling_slope(fam: ScalingFamily, p: float, q: float,
                     norms=tuple(norms))
 
 
-def _product_samples(sigma_fn, f1h: GridFunction, f2h: GridFunction) -> np.ndarray:
-    """T_sigma(f1, f2) for compactly supported frequency samples, by direct
-    summation over the support nodes (exact; avoids forming the full symbol)."""
-    spec = f1h.spec
-    if spec.n != 1:
-        raise ValueError("product scaling is implemented for n = 1")
-    xi = spec.axis_xi()
-    i1 = np.nonzero(np.abs(f1h.samples) > 0)[0]
-    i2 = np.nonzero(np.abs(f2h.samples) > 0)[0]
-    u, v = xi[i1], xi[i2]
-    W = (np.asarray(sigma_fn(u[:, None], v[None, :]), dtype=complex)
-         * np.outer(f1h.samples[i1], f2h.samples[i2]) * spec.dxi ** 2)
-    zsum = i1[:, None] + i2[None, :]
-    folded = (zsum - spec.N // 2) % spec.N
-    G = np.zeros(spec.N, dtype=complex)
-    np.add.at(G, folded.ravel(), W.ravel())
-    return spec.N * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(G)))
-
-
 def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
                              space: str, p: float, q: float,
                              kappa: Window | None = None) -> ProductScaling:
@@ -272,7 +251,10 @@ def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
     for e in fam1.epsilons:
         spec = fam1.specs[e]
         f1h, f2h = fam1.f_hat(e), fam2.f_hat(e)
-        T = GridFunction(spec, "space", _product_samples(sigma_fn, f1h, f2h))
+        xi = spec.axis_xi()
+        T = GridFunction(spec, "space", _grouped_sum(
+            lambda r, c: np.asarray(sigma_fn(xi[r], xi[c]), dtype=complex),
+            f1h.samples, f2h.samples, spec))
         if space == "amalgam":
             norms.append(amalgam_norm(T, p, q))
         else:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bumps import BumpProfile, _axis_factor, bump_eval_axes, make_plateau
-from .grid import GridSpec
+from .grid import GridSpec, _as_int_tuple
 
 __all__ = [
     "LatticeCoefficients",
@@ -35,13 +35,6 @@ __all__ = [
     "cm_reconstruct",
     "sigma_from_cm",
 ]
-
-
-def _key(mu, n: int) -> tuple[int, ...]:
-    t = tuple(int(c) for c in np.atleast_1d(mu))
-    if len(t) != n:
-        raise ValueError(f"lattice point must have {n} components, got {mu!r}")
-    return t
 
 
 @dataclass
@@ -71,7 +64,7 @@ class LatticeCoefficients:
         return LatticeCoefficients(self.n, {k: c * v for k, v in self.entries.items()})
 
     def shifted(self, nu1, nu2) -> "LatticeCoefficients":
-        nu1, nu2 = _key(nu1, self.n), _key(nu2, self.n)
+        nu1, nu2 = _as_int_tuple(nu1, self.n), _as_int_tuple(nu2, self.n)
         return LatticeCoefficients(self.n, {
             (tuple(a + b for a, b in zip(m1, nu1)), tuple(a + b for a, b in zip(m2, nu2))): v
             for (m1, m2), v in self.entries.items()})
@@ -89,15 +82,15 @@ def lattice_from_dict(n: int, entries: dict) -> LatticeCoefficients:
     """Normalize {(mu1, mu2): value} keys; scalars allowed for n = 1."""
     norm = {}
     for (m1, m2), v in entries.items():
-        norm[(_key(m1, n), _key(m2, n))] = complex(v)
+        norm[(_as_int_tuple(m1, n), _as_int_tuple(m2, n))] = complex(v)
     return LatticeCoefficients(n, norm)
 
 
 def lattice_delta(n: int, mu1=None, mu2=None, value: complex = 1.0) -> LatticeCoefficients:
     """Single-entry coefficients, default at the origin."""
     z = (0,) * n
-    m1 = _key(mu1, n) if mu1 is not None else z
-    m2 = _key(mu2, n) if mu2 is not None else z
+    m1 = _as_int_tuple(mu1, n) if mu1 is not None else z
+    m2 = _as_int_tuple(mu2, n) if mu2 is not None else z
     return LatticeCoefficients(n, {(m1, m2): complex(value)})
 
 
@@ -366,16 +359,7 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
     N, n = spec.N, spec.n
     xi = spec.axis_xi()
     ks = np.arange(-d.M, d.M + 1)
-    if n == 1:
-        out = np.zeros((N, N), dtype=complex)
-        for (m1, m2), val in a.items():
-            u = xi - m1[0]
-            v = xi - m2[0]
-            e1 = np.exp(2j * np.pi * np.outer(u, ks) / d.K) * _axis_factor(d.cutoff, 0, u)[:, None]
-            e2 = np.exp(2j * np.pi * np.outer(v, ks) / d.K) * _axis_factor(d.cutoff, 0, v)[:, None]
-            out += val * (e1 @ d.coeffs @ e2.T)
-        return SymbolGrid(spec, out)
-    # general n: contract one cutoff-weighted phase matrix per coefficient axis
+    # contract one cutoff-weighted phase matrix per coefficient axis
     out = np.zeros((N,) * (2 * n), dtype=complex)
     for (m1, m2), val in a.items():
         series = d.coeffs

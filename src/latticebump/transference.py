@@ -96,14 +96,9 @@ class WitnessPair:
 def _witness_fhat(coeffs: dict, theta: BumpProfile, spec: GridSpec) -> np.ndarray:
     """Samples of sum_nu c(nu) theta(xi - nu) on the frequency grid."""
     out = np.zeros(spec.shape, dtype=complex)
-    xi = spec.axis_xi()
+    xi = spec.freq_points()
     for nu, c in coeffs.items():
-        axes = []
-        for j in range(spec.n):
-            sh = [1] * spec.n
-            sh[j] = spec.N
-            axes.append((xi - nu[j]).reshape(sh))
-        out += c * bump_eval_axes(theta, axes)
+        out += c * bump_eval_axes(theta, [ax - nu[j] for j, ax in enumerate(xi)])
     return out
 
 
@@ -191,13 +186,9 @@ def _trig_values(tp: TrigPolynomial, spec: GridSpec) -> np.ndarray:
 
 
 def _q_mask(spec: GridSpec) -> np.ndarray:
-    x = spec.axis_x()
-    line = (x > -0.5) & (x <= 0.5)
     mask = np.ones(spec.shape, dtype=bool)
-    for j in range(spec.n):
-        sh = [1] * spec.n
-        sh[j] = spec.N
-        mask &= line.reshape(sh)
+    for x in spec.space_points():
+        mask &= (x > -0.5) & (x <= 0.5)
     return mask
 
 
@@ -626,16 +617,6 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
                                "boxes": [box1, box2]})
 
 
-def _trig_from_vec(n: int, box, vec: np.ndarray) -> TrigPolynomial:
-    return TrigPolynomial(n, {m: complex(vec[i]) for i, m in enumerate(box)
-                              if abs(vec[i]) > 0})
-
-
-def _seq_from_vec(n: int, box, vec: np.ndarray) -> Sequence:
-    return Sequence(n, {m: complex(vec[i]) for i, m in enumerate(box)
-                        if abs(vec[i]) > 0})
-
-
 def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
                          exponents: ExponentTuple, space: str,
                          theta: ThetaPair, spec: GridSpec,
@@ -717,11 +698,8 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
 
     # pool (ii): random band-limited functions
     mask = np.ones(spec.shape, dtype=bool)
-    xi = spec.axis_xi()
-    for j in range(n):
-        sh = [1] * n
-        sh[j] = spec.N
-        mask &= (np.abs(xi) < spec.s / 4).reshape(sh)
+    for xi in spec.freq_points():
+        mask &= np.abs(xi) < spec.s / 4
     for k in range(params.random_pool):
         rng_k = np.random.default_rng(params.seed + 1000 + k)
         fs = []

@@ -215,3 +215,70 @@ def test_threads_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "selftest"])
     assert exc.value.code == 2
+
+
+_SCALING = {"n": 1, "scaling": {"epsilons": [0.5, 0.25, 0.125], "amalgam_q": [2.0],
+                                "wiener_p": [2.0]}}
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the key at ``path`` (a tuple) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    sec = doc
+    for key in path[:-1]:
+        sec = sec.setdefault(key, {})
+    sec[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("scaling", _with(_SCALING, ("scaling", "verdict"),
+                      [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]}])),
+    ("scaling", _with(_SCALING, ("scalnig",), {})),
+    ("scaling", _with(_SCALING, ("scaling", "verdicts"),
+                      [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 1], "gap": 1}])),
+    ("scaling", _with(_SCALING, ("window", "outr"), 0.7)),
+    ("transfer", _with(_TRANSFER, ("window", "outr"), 0.7)),
+    ("transfer", _with(_TRANSFER, ("grid", "S"), 32)),
+    ("transfer", dict(_TRANSFER, a={"random": {"count": 4, "raduis": 1}})),
+    ("transfer", dict(_TRANSFER, a_family={"members": 1, "cuont": 4})),
+    ("synth", {"n": 1, "phi": "tensor-0.4", "a": {"entries": [[[0], [0], 1, 0]]},
+               "cm": {"m": 8}}),
+    ("decompose", {"n": 1, "phi": "tensor-0.4", "cm": {"M": 8}, "outt": "x"}),
+], ids=["scaling-verdict", "scaling-top", "scaling-verdict-key", "scaling-window",
+        "transfer-window", "transfer-grid", "transfer-a-random", "transfer-a-family",
+        "synth-cm", "decompose-top"])
+def test_unknown_key_in_any_block_is_config_error(tmp_path, capsys, command, doc):
+    assert _exit_code(tmp_path, capsys, command, doc) == 2
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("transfer", _with(_TRANSFER, ("search", "starts"), 2.9)),
+    ("transfer", _with(_TRANSFER, ("grid", "L"), 8.7)),
+    ("transfer", _with(_TRANSFER, ("n",), 1.5)),
+    ("transfer", _with(_TRANSFER, ("seed",), 4.2)),
+    ("transfer", dict(_TRANSFER, a={"random": {"count": 4.5}})),
+    ("transfer", dict(_TRANSFER, a_family={"members": 1.5})),
+    ("synth", {"n": 1, "phi": "tensor-0.4", "a": {"entries": [[[0], [0], 1, 0]]},
+               "cm": {"M": 8.5}}),
+    ("scaling", _with(_SCALING, ("scaling", "s"), 8.5)),
+], ids=["search-starts", "grid-L", "n", "seed", "a-random-count", "a-family-members",
+        "cm-M", "scaling-s"])
+def test_non_integral_integer_field_is_config_error(tmp_path, capsys, command, doc):
+    assert _exit_code(tmp_path, capsys, command, doc) == 2
+
+
+def test_integral_float_is_accepted_as_integer(tmp_path, capsys):
+    doc = _with(_with(_TRANSFER, ("search", "starts"), 2.0), ("grid", "L"), 8.0)
+    assert _exit_code(tmp_path, capsys, "transfer", doc) == 0
+
+
+def test_readme_configs_pass_validation(tmp_path, capsys):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [json.loads(b.split("```")[0]) for b in text.split("```json")[1:]]
+    transfer = next(b for b in blocks if "a_family" in b)
+    scaling = next(b for b in blocks if "scaling" in b)
+    assert _exit_code(tmp_path, capsys, "scaling", scaling) == 0
+    # the transfer example at one member and a short search: the same keys
+    small = _with(_with(transfer, ("a_family", "members"), 1), ("search", "steps"), 2)
+    assert _exit_code(tmp_path, capsys, "transfer", small) == 0

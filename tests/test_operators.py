@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latticebump.bumps import bump_eval_axes, make_bump, make_plateau, make_window
-from latticebump.grid import dft, freq_function, idft, make_grid, space_function
-from latticebump.operators import (AliasingWarning, apply_S, apply_T_aPhi_fast,
+from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_plateau,
+                               make_theta_pair, make_window)
+from latticebump.grid import GridFunction, dft, freq_function, idft, make_grid, space_function
+from latticebump.operators import (AliasingWarning, TrigPolynomial, _cutoff_translates,
+                                   _phase_matrix, apply_S, apply_T_aPhi_fast,
                                    apply_T_period, apply_T_sigma,
                                    apply_linear_mult, band_project,
                                    sequence_from_dict, trig_poly_from_dict)
 from latticebump.symbols import (cm_decompose, lattice_delta, lattice_from_dict,
                                  random_lattice_coefficients, synth_sigma,
                                  SymbolGrid)
+from latticebump.transference import build_amalgam_witness
 
 
 def _band_limited(spec, seed, frac=4.0):
@@ -143,6 +146,127 @@ def test_T_sigma_warns_on_aliasing(spec):
     f = _band_limited(spec, 14, frac=1.5)  # too wide: products fold
     with pytest.warns(AliasingWarning):
         apply_T_sigma(one, f, f)
+
+
+def _dense_T_sigma(sigma, f1, f2, alias_tol=1e-12):
+    """Reference oracle: the grouped double sum over the full dense
+    sigma * fhat1 (x) fhat2 tensor, every grid pair included."""
+    spec = sigma.spec
+    n, N = spec.n, spec.N
+    outer = np.multiply.outer(dft(f1).samples, dft(f2).samples)
+    W = sigma.samples * outer * spec.dxi ** (2 * n)
+    idx1 = [np.arange(N).reshape([-1 if k == j else 1 for k in range(2 * n)])
+            for j in range(n)]
+    idx2 = [np.arange(N).reshape([-1 if k == n + j else 1 for k in range(2 * n)])
+            for j in range(n)]
+    flat_idx = 0
+    outside = np.zeros(W.shape, dtype=bool)
+    for j in range(n):
+        m = idx1[j] + idx2[j]
+        outside = outside | np.broadcast_to((m < N // 2) | (m >= N + N // 2), W.shape)
+        flat_idx = flat_idx * N + (m - N // 2) % N
+    flat_idx = np.broadcast_to(flat_idx, W.shape).ravel()
+    out_flat = (np.bincount(flat_idx, weights=W.real.ravel(), minlength=N**n)
+                + 1j * np.bincount(flat_idx, weights=W.imag.ravel(), minlength=N**n))
+    frac = float(np.sum(np.abs(W[outside]))) / float(np.sum(np.abs(W)))
+    if frac > alias_tol:
+        warnings.warn("folded", AliasingWarning)
+    G = out_flat.reshape((N,) * n)
+    return N**n * np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(G)))
+
+
+def _witness_inputs(n, L, s, seed):
+    spec = make_grid(n, L, s)
+    phi = make_bump(2 * n, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    theta = make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    rng = np.random.default_rng(seed)
+    modes = [tuple(m) for m in np.ndindex(*(3,) * n)]
+    F1, F2 = (TrigPolynomial(n, {tuple(c - 1 for c in m): complex(*rng.standard_normal(2))
+                                 for m in modes}) for _ in range(2))
+    w = build_amalgam_witness(F1, F2, theta, spec)
+    a = random_lattice_coefficients(n, 1, 9, seed=seed)
+    return spec, phi, a, w.f1, w.f2
+
+
+def _bilinear_cases(spec, phi04):
+    a = random_lattice_coefficients(1, 1, 9, seed=40)
+    yield synth_sigma(a, phi04, spec), _band_limited(spec, 41), _band_limited(spec, 42)
+    sp1, phi1, a1, f1, f2 = _witness_inputs(1, 8, 32, 43)
+    yield synth_sigma(a1, phi1, sp1), f1, f2
+    # exact-zero spectra: the support-pair sum skips the zero rows and columns
+    sp1, phi1, a1, f1, f2 = _witness_inputs(1, 8, 32, 44)
+    Fz = dft(f1).samples * (np.abs(sp1.axis_xi()) < 1.0)
+    yield synth_sigma(a1, phi1, sp1), idft(GridFunction(sp1, "frequency", Fz)), f2
+    sp2, phi2, a2, g1, g2 = _witness_inputs(2, 4, 8, 45)
+    yield synth_sigma(a2, phi2, sp2), g1, g2
+
+
+def test_T_sigma_equals_dense_reference_bitwise(spec, phi04):
+    for sigma, f1, f2 in _bilinear_cases(spec, phi04):
+        assert np.array_equal(apply_T_sigma(sigma, f1, f2).samples,
+                              _dense_T_sigma(sigma, f1, f2))
+
+
+def test_T_sigma_equals_dense_reference_when_aliasing(spec):
+    one = SymbolGrid(spec, np.ones((spec.N, spec.N), complex))
+    f = _band_limited(spec, 14, frac=1.5)
+    with pytest.warns(AliasingWarning):
+        ref = _dense_T_sigma(one, f, f)
+    with pytest.warns(AliasingWarning):
+        out = apply_T_sigma(one, f, f).samples
+    assert np.array_equal(out, ref)
+
+
+def _loop_fast(a, d, f1, f2):
+    """Reference oracle for apply_T_aPhi_fast: each (mu, k) band projection
+    built one multi-index k at a time."""
+    spec = f1.spec
+    n, N, M, K = spec.n, spec.N, d.M, d.K
+    ks = np.arange(-M, M + 1)
+    kcount = (2 * M + 1) ** n
+    P_ax = _phase_matrix(N, spec.L, M, K)
+    sp_axes = tuple(range(1, n + 1))
+
+    def stack(f, mus):
+        cuts = _cutoff_translates(d, spec, mus)
+        out = {}
+        for mu in mus:
+            base = cuts[mu] * dft(f).samples
+            arr = np.empty((kcount,) + spec.shape, dtype=complex)
+            for flat in range(kcount):
+                phase = 1.0
+                for ax, ki in enumerate(np.unravel_index(flat, (2 * M + 1,) * n)):
+                    sh = [1] * n
+                    sh[ax] = N
+                    phase = phase * (P_ax[ki] * np.exp(-2j * np.pi * ks[ki] * mu[ax] / K)
+                                     ).reshape(sh)
+                arr[flat] = phase * base
+            proj = spec.s**n * np.fft.fftshift(
+                np.fft.ifftn(np.fft.ifftshift(arr, axes=sp_axes), axes=sp_axes), axes=sp_axes)
+            out[mu] = proj.reshape(kcount, N**n)
+        return out
+
+    mus1 = sorted({m1 for m1, _ in a.entries})
+    mus2 = sorted({m2 for _, m2 in a.entries})
+    G1, G2 = stack(f1, mus1), stack(f2, mus2)
+    B = d.coeffs.reshape(kcount, kcount)
+    C2 = {mu: B @ G2[mu] for mu in mus2}
+    acc = np.zeros(N**n, dtype=complex)
+    for (m1, m2), val in sorted(a.items()):
+        acc += val * (G1[m1] * C2[m2]).sum(axis=0)
+    return acc.reshape(spec.shape)
+
+
+@pytest.mark.parametrize("n, L, s, M", [(1, 8, 32, 16), (2, 4, 8, 4)])
+def test_fast_path_equals_loop_reference(n, L, s, M):
+    spec, phi, a, f1, f2 = _witness_inputs(n, L, s, 46)
+    d = cm_decompose(phi, M=M)
+    fast = apply_T_aPhi_fast(a, d, f1, f2).samples
+    ref = _loop_fast(a, d, f1, f2)
+    assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+    if n == 2:
+        assert np.array_equal(fast, ref)
 
 
 def test_T_sigma_rejects_mismatched_grids(spec, phi04):

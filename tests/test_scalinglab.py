@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from latticebump.bumps import make_window
-from latticebump.norms import ExponentTuple, lp_norm, wiener_norm
+from latticebump.grid import GridFunction
+from latticebump.norms import ExponentTuple, amalgam_norm, lp_norm, wiener_norm
+from latticebump.operators import AliasingWarning
 from latticebump.scalinglab import (amalgam_scaling_slope,
                                     bilinear_product_scaling,
                                     make_scaling_family, necessity_verdict,
@@ -136,6 +138,40 @@ def test_product_scaling_degenerate_symbol(fam):
     ps = bilinear_product_scaling(fam, fam, vanish, "amalgam", 2.0, 2.0)
     assert ps.degenerate
     assert ps.slope is None
+
+
+def _product_samples(sigma_fn, f1h, f2h):
+    """Reference oracle (n = 1): T_sigma(f1, f2) by direct summation over the
+    support nodes, folded with np.add.at."""
+    spec = f1h.spec
+    xi = spec.axis_xi()
+    i1 = np.nonzero(np.abs(f1h.samples) > 0)[0]
+    i2 = np.nonzero(np.abs(f2h.samples) > 0)[0]
+    W = (np.asarray(sigma_fn(xi[i1][:, None], xi[i2][None, :]), dtype=complex)
+         * np.outer(f1h.samples[i1], f2h.samples[i2]) * spec.dxi ** 2)
+    folded = (i1[:, None] + i2[None, :] - spec.N // 2) % spec.N
+    G = np.zeros(spec.N, dtype=complex)
+    np.add.at(G, folded.ravel(), W.ravel())
+    return spec.N * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(G)))
+
+
+@pytest.mark.parametrize("sigma_fn", [ONE, lambda u, v: np.exp(-(u - v) ** 2) + 0.5j * u],
+                         ids=["one", "smooth"])
+def test_product_scaling_equals_support_sum_reference(sigma_fn):
+    # the benchmark's ladder: eps 1/2 ... 1/64 at a grid-aligned xi0
+    fam = make_scaling_family(xi0=0.75, epsilons=[2.0 ** -j for j in range(1, 7)])
+    ps = bilinear_product_scaling(fam, fam, sigma_fn, "amalgam", 2.0, 1.0)
+    ref = [amalgam_norm(GridFunction(fam.specs[e], "space",
+                                     _product_samples(sigma_fn, fam.f_hat(e), fam.f_hat(e))),
+                        2.0, 1.0) for e in fam.epsilons]
+    assert ps.norms == tuple(ref)
+
+
+def test_product_scaling_warns_when_output_folds():
+    # 2 * xi0 = 5 lies outside the s = 8 frequency box [-4, 4)
+    fam = make_scaling_family(xi0=2.5, s=8)
+    with pytest.warns(AliasingWarning):
+        bilinear_product_scaling(fam, fam, ONE, "amalgam", 2.0, 2.0)
 
 
 def test_product_scaling_rejects_mismatched_families(fam):

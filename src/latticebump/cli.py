@@ -90,6 +90,17 @@ def _integer(v, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {v!r}") from e
 
 
+def _number(v, where: str) -> float:
+    """One finite number from a config."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}") from e
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
+    return x
+
+
 def _integers(block: dict, where: str, **defaults) -> list[int]:
     """The integer fields named in ``defaults``, in that order."""
     return [_integer(block.get(k, v), f"{where} {k}") for k, v in defaults.items()]
@@ -162,16 +173,28 @@ def _phi_from(cfg: dict, n: int) -> bumps.BumpProfile:
         raise ConfigError(f"bad phi profile: {e}") from e
 
 
+def _multi_index(m, n: int) -> tuple[int, ...]:
+    """A lattice point of Z^n: a list of n integers (a bare integer if n = 1)."""
+    m = m if isinstance(m, list) else [m]
+    if len(m) != n:
+        raise ConfigError(f"a.entries index {m!r}: expected {n} integer(s)")
+    return tuple(_integer(c, "a.entries index") for c in m)
+
+
 def _coeffs_from(cfg: dict, n: int, seed: int) -> symbols.LatticeCoefficients:
     a = _section(cfg, "a")
     if a is None:
         raise ConfigError("config needs an 'a' section")
     if "entries" in a:
+        if not isinstance(a["entries"], list):
+            raise ConfigError("a.entries must be a list of [m1, m2, re, im] rows")
         entries = {}
         for row in a["entries"]:
+            if not isinstance(row, list) or len(row) != 4:
+                raise ConfigError(f"a.entries row {row!r}: expected [m1, m2, re, im]")
             m1, m2, re, im = row
-            entries[(tuple(int(c) for c in np.atleast_1d(m1)),
-                     tuple(int(c) for c in np.atleast_1d(m2)))] = complex(re, im)
+            entries[(_multi_index(m1, n), _multi_index(m2, n))] = complex(
+                _number(re, "a.entries re"), _number(im, "a.entries im"))
         return symbols.LatticeCoefficients(n, entries)
     r = _section(a, "random", "a.random")
     if r is not None:
@@ -190,17 +213,22 @@ def _family_from(cfg: dict, n: int, seed: int) -> list[symbols.LatticeCoefficien
             for i in range(members)]
 
 
-def _cm_from(cfg: dict) -> tuple[int, float | None]:
-    """(M, K) of the decomposition; K None picks the default period."""
+def _cm_from(cfg: dict, phi: bumps.BumpProfile) -> symbols.CMDecomposition:
+    """The decomposition of Phi the ``cm`` block asks for (no K: the default period)."""
     cm = _section(cfg, "cm") or {}
-    return _integer(cm.get("M", 16), "cm M"), cm.get("K")
+    M, K = _integer(cm.get("M", 16), "cm M"), cm.get("K")
+    K = None if K is None else _number(K, "cm K")
+    try:
+        return symbols.cm_decompose(phi, K=K, M=M)
+    except ValueError as e:
+        raise ConfigError(f"cm: {e}") from e
 
 
 def _window_from(cfg: dict, n: int) -> bumps.Window:
-    outer = (_section(cfg, "window") or {}).get("outer", 0.6)
+    outer = _number((_section(cfg, "window") or {}).get("outer", 0.6), "window outer")
     try:
-        return bumps.make_window(n, float(outer))
-    except (TypeError, ValueError) as e:
+        return bumps.make_window(n, outer)
+    except ValueError as e:
         raise ConfigError(f"window outer: {e}") from e
 
 
@@ -211,13 +239,7 @@ def _search_from(cfg: dict, seed: int) -> transference.SearchParams:
     for name in KEYS["search"]:
         default = getattr(defaults, name)
         v = s.get(name, default)
-        if isinstance(default, int):
-            values[name] = _integer(v, f"search {name}")
-            continue
-        try:
-            values[name] = float(v)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"search {name}: expected a number, got {v!r}") from e
+        values[name] = (_integer if isinstance(default, int) else _number)(v, f"search {name}")
     try:
         return transference.SearchParams(**values)
     except ValueError as e:
@@ -274,15 +296,14 @@ def cmd_synth(args) -> int:
 
     sigma = symbols.synth_sigma(a, phi, spec)
     sigma.save(out / "sigma")
-    M, K = _cm_from(cfg)
-    d = symbols.cm_decompose(phi, K=K, M=M)
+    d = _cm_from(cfg, phi)
     (out / "cm.json").write_text(d.to_json())
 
     # reconstruction error ladder over truncations up to M
     probe = np.linspace(-max(phi.radius), max(phi.radius), 33)
     rows = [["M", "sup_error", "center_error", "tail_bound"]]
-    for m in sorted({max(M // 4, 1), max(M // 2, 1), M}):
-        dm = symbols.cm_decompose(phi, K=K, M=m)
+    for m in sorted({max(d.M // 4, 1), max(d.M // 2, 1), d.M}):
+        dm = symbols.cm_decompose(phi, K=d.K, M=m)
         if spec.n == 1:
             rec = symbols.cm_reconstruct(dm, probe[:, None], probe[None, :])
             exact = bumps.bump_eval_axes(phi, [probe[:, None], probe[None, :]])
@@ -294,7 +315,7 @@ def cmd_synth(args) -> int:
         rows.append([m, sup_err, float(center), dm.tail])
     _write_csv(out / "recon_error.csv", rows)
     _finish(out, {"command": "synth", "grid": {"n": spec.n, "L": spec.L, "s": spec.s},
-                  "entries": len(a), "cm_M": M, "cm_tail": d.tail, "seed": seed},
+                  "entries": len(a), "cm_M": d.M, "cm_tail": d.tail, "seed": seed},
             t0)
     return EXIT_OK
 
@@ -304,9 +325,9 @@ def cmd_decompose(args) -> int:
     cfg = _load_config(args)
     n = _integer(cfg.get("n", 1), "n")
     phi = _phi_from(cfg, n)
-    M, K = _cm_from(cfg)
+    d = _cm_from(cfg, phi)
+    M = d.M
     out = Path(args.out or cfg.get("out", "decompose-out"))
-    d = symbols.cm_decompose(phi, K=K, M=M)
     out.mkdir(parents=True, exist_ok=True)
     (out / "cm.json").write_text(d.to_json())
     rows = [["k1", "k2", "abs_b"]]
@@ -400,15 +421,21 @@ def cmd_scaling(args) -> int:
             raise ConfigError(f"verdict {tup!r} needs 'space': 'amalgam' or 'wiener'")
         _check_keys(tup, KEYS["verdict"], "verdict")
         verdict_specs.append((space, _exponent_tuple(tup.get("exponents"))))
-    eps = tuple(float(e) for e in sc.get("epsilons", (0.5, 0.25, 0.125)))
+    eps = sc.get("epsilons", [0.5, 0.25, 0.125])
+    if not isinstance(eps, list):
+        raise ConfigError("scaling epsilons must be a list of numbers")
+    eps = tuple(_number(e, "scaling epsilons") for e in eps)
     if len(eps) < 3:
         raise ConfigError("regression needs at least 3 epsilons")
+    xi0 = sc.get("xi0", 0.0)
+    xi0 = ([_number(c, "scaling xi0") for c in xi0] if isinstance(xi0, list)
+           else _number(xi0, "scaling xi0"))
     try:
         fam = scalinglab.make_scaling_family(
-            xi0=sc.get("xi0", 0.0), epsilons=eps, n=_integer(cfg.get("n", 1), "n"),
+            xi0=xi0, epsilons=eps, n=_integer(cfg.get("n", 1), "n"),
             s=_integer(sc.get("s", 8), "scaling s"),
-            box_factor=float(sc.get("box_factor", 192.0)),
-            base_radius=float(sc.get("base_radius", 0.3)))
+            box_factor=_number(sc.get("box_factor", 192.0), "scaling box_factor"),
+            base_radius=_number(sc.get("base_radius", 0.3), "scaling base_radius"))
     except ValueError as e:
         raise ConfigError(str(e)) from e
     kappa = _window_from(cfg, fam.n)

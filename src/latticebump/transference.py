@@ -277,10 +277,12 @@ class SearchParams:
     coordinate, the first that raises the ratio by more than a relative
     1e-12; a sweep without an accepted step multiplies ``step`` by ``shrink``
     and the start ends after ``steps`` sweeps or once ``step < min_step``.
-    The steps of a pass are screened together by rank-one updates, and only
-    those that may be accepted are scored exactly (see
-    ``_coordinate_ascent``), so every accepted step, and with it the result,
-    is that of scoring each step exactly in turn.
+    The starts run in lockstep, sweep by sweep: the steps of a vector pass
+    are screened together by rank-one updates, for as many starts per call
+    as the screen's value budget (max(E_v.size, 2^14) values) holds, and
+    only those that may be accepted are scored exactly (see ``_search``).
+    Every accepted step, and with it the result, is that of running the
+    starts one at a time and scoring each step exactly in turn.
 
     Invalid values raise ``ValueError``: every field must be finite,
     ``starts`` and ``torus_points`` at least 1, ``steps``, ``random_pool``
@@ -359,7 +361,8 @@ def _norm_bounds(norm, delta, p, measure):
 
 
 class _Screen:
-    """Approximate model ratios of every single-coordinate step at once.
+    """Approximate model ratios of every single-coordinate step, for a group
+    of starts at once.
 
     The model ratio is ||(A v1 v2) Eo||_p / (||v1 E1||_p1 ||v2 E2||_p2): ``A``
     is the dense (outs, box1, box2) tensor of the coefficient triples and E1,
@@ -367,121 +370,131 @@ class _Screen:
     torus phases for T_period).  While a pass moves vector v the other vector
     is fixed, so the output is linear in v: the step v + t*delta*e_i changes
     the input values by t*delta*E[i] and the output values by t*delta*D[i],
-    with D = K^T Eo and K the tensor contracted with the fixed vector.  One call
-    scores a block of coordinates, four deltas each, with the axis-aware
-    ``_power_norm``.  Blocks start at 2^14 candidate values (one call covers
-    a small problem) or one coordinate, and double up to the size of E_v, so
-    that little is scored past the next accepted step and no temporary
-    outgrows max(E_v, 2^14 values).
+    with D = K^T Eo and K the tensor contracted with the fixed vector.
+    ``begin`` sets up D, the fixed vector's norm and the moduli sums below for
+    every start of a group; ``bounds`` scores the coordinates asked of each
+    start, four deltas each, with one call of the axis-aware ``_power_norm``
+    per side.
+
+    A call holds at most ``most`` coordinates, so that no temporary outgrows
+    max(E_v.size, 2^14) values (or one coordinate, if that is larger).  A
+    group has as many starts as fit whole into one call, at least one.  After
+    each accepted step a start asks for ``first`` coordinates (2^14 values, or
+    one coordinate), then twice as many on each later call, up to ``most``,
+    so that little is scored past its next accepted step.
 
     Each score comes with an upper bound on the exact ratio.  Both paths sum
-    products whose moduli add up to at most (||v||_1 + t) on the input side
-    and sum |A| |v1| |v2| on the output side (|E| = 1), so each value differs
-    between the paths by at most ``gain`` times that; ``_norm_bounds`` turns
-    this into bounds on the norms, and SCREEN_MARGIN covers the rest.
+    products whose moduli add up to at most (||v||_1 + t) on the input side,
+    ||other||_1 for the fixed vector and sum |A| |v1| |v2| on the output side
+    (|E| = 1), so each value differs between the paths by at most ``gain``
+    times that; ``_norm_bounds`` turns this into bounds on the norms, and
+    SCREEN_MARGIN covers the rest.
     """
 
     def __init__(self, triples, E1, E2, Eo, exponents, weight):
         A = np.zeros((Eo.shape[0], E1.shape[0], E2.shape[0]), dtype=complex)
         for oi, a1, a2, av in triples:  # (out, i1, i2, value)
             A[oi, a1, a2] += av
-        self.A, self.E, self.Eo = A, (E1, E2), Eo
+        # per moving vector: A with axes (moving, out, fixed), and sum_out |A|
+        self.Av = (A.transpose(1, 0, 2), A.transpose(2, 0, 1))
+        self.Sv = tuple(np.abs(Av).sum(axis=1) for Av in self.Av)
+        self.E, self.Eo = (E1, E2), Eo
         self.exponents, self.weight = exponents, weight
-        self.deltas = np.array(_DELTAS)[:, None]
+        self.deltas = np.array(_DELTAS)
         # two paths, complex arithmetic, one term per chained product
         self.gain = 4 * np.finfo(float).eps * (np.count_nonzero(A) + sum(A.shape) + 4)
+        self.first, self.most, self.group = [], [], []
+        for E in self.E:
+            width = 4 * max(E.shape[1], Eo.shape[1])  # values per coordinate
+            first = max(1, (1 << 14) // width)
+            most = max(first, E.size // width)
+            self.first.append(first)
+            self.most.append(most)
+            self.group.append(max(1, most // E.shape[0]))
 
-    def begin(self, vecs, vi):
-        """Fix the other vector for a pass over vector ``vi``."""
-        other = vecs[1 - vi]
-        K = self.A @ other if vi == 0 else other @ self.A  # (outs, len(vecs[vi]))
-        self.D = K.T @ self.Eo
+    def begin(self, others: np.ndarray, vi: int) -> None:
+        """Fix the other vector of each start of a group (the rows of
+        ``others``) for a pass over vector ``vi``."""
+        Kt = (self.Av[vi] @ others.T).transpose(2, 0, 1)  # (starts, len(v), outs)
+        self.D = Kt @ self.Eo
         self.Ev, self.p = self.E[vi], self.exponents[vi]
-        self.n_other = _power_norm(other @ self.E[1 - vi], self.exponents[1 - vi], self.weight)
-        absA, absO = np.abs(self.A), np.abs(other)
-        self.kabs = (absA @ absO if vi == 0 else absO @ absA).sum(axis=0)
-        width = 4 * max(self.Ev.shape[1], self.D.shape[1])  # values per coordinate
-        self.first = max(1, (1 << 14) // width)
-        self.most = max(self.first, self.Ev.size // width)
+        E, p = self.E[1 - vi], self.exponents[1 - vi]
+        absO = np.abs(others)
+        self.n_other = _power_norm(others @ E, p, self.weight, axis=-1)
+        self.other_lo = _norm_bounds(self.n_other, self.gain * absO.sum(axis=1), p,
+                                     self.weight * E.shape[1])[0]
+        self.kabs = absO @ self.Sv[vi].T  # (starts, len(v))
 
-    def blocks(self, v, i0, t):
-        """Yield (first coordinate, scores, upper bounds), both of shape (b, 4),
-        over the coordinates i0, i0 + 1, ... of the moving vector v."""
-        y, yo = v @ self.Ev, v @ self.D
-        steps = t * self.deltas
-        absv = np.abs(v)
-        d_in = self.gain * (float(np.sum(absv)) + t)
-        d_fixed = self.gain * float(absv @ self.kabs)
-        b0, size = i0, self.first
-        while b0 < v.size:
-            b1 = min(b0 + size, v.size)
-            n_in = _power_norm(y + steps * self.Ev[b0:b1, None, :], self.p, self.weight, axis=-1)
-            n_out = _power_norm(yo + steps * self.D[b0:b1, None, :], self.exponents[2],
-                                self.weight, axis=-1)
-            den = n_in * self.n_other
-            scores = np.divide(n_out, den, out=np.zeros_like(n_out), where=den > 0)
-            d_out = d_fixed + self.gain * t * self.kabs[b0:b1, None]
-            in_lo = _norm_bounds(n_in, d_in, self.p, self.weight * self.Ev.shape[1])[0]
-            out_hi = _norm_bounds(n_out, d_out, self.exponents[2], self.weight * self.D.shape[1])[1]
-            den = in_lo * self.n_other * (1.0 - SCREEN_MARGIN)
-            yield b0, scores, np.divide(out_hi, den, out=np.full(den.shape, np.inf), where=den > 0)
-            b0, size = b1, min(2 * size, self.most)
+    def bounds(self, V: np.ndarray, t: np.ndarray, i0: np.ndarray, i1: np.ndarray):
+        """Start and coordinate of each row, and the scores and upper bounds,
+        of shape (rows, 4), of the steps of length ``t[k]`` of start k of the
+        group (moving vector ``V[k]``) at its coordinates i0[k], ..., i1[k] - 1,
+        start by start."""
+        counts = i1 - i0
+        ks = np.repeat(np.arange(len(V)), counts)
+        cs = np.arange(ks.size) + np.repeat(i0 - (np.cumsum(counts) - counts), counts)
+        y, yo = V @ self.Ev, (V[:, None, :] @ self.D)[:, 0]
+        absV = np.abs(V)
+        d_in = self.gain * (absV.sum(axis=1) + t)
+        d_out = self.gain * ((absV * self.kabs).sum(axis=1)[ks] + t[ks] * self.kabs[ks, cs])
+        steps = (t[ks, None] * self.deltas)[:, :, None]
+
+        def stepped_norms(base, rows, p):  # one (rows, 4, values) temporary
+            vals = steps * rows[:, None, :]
+            vals += base[ks, None, :]
+            return _power_norm(vals, p, self.weight, axis=-1)
+
+        n_in = stepped_norms(y, self.Ev[cs], self.p)
+        n_out = stepped_norms(yo, self.D[ks, cs], self.exponents[2])
+        den = n_in * self.n_other[ks, None]
+        scores = np.divide(n_out, den, out=np.zeros_like(n_out), where=den > 0)
+        in_lo = _norm_bounds(n_in, d_in[ks, None], self.p, self.weight * self.Ev.shape[1])[0]
+        out_hi = _norm_bounds(n_out, d_out[:, None], self.exponents[2],
+                              self.weight * self.D.shape[2])[1]
+        den = in_lo * self.other_lo[ks, None] * (1.0 - SCREEN_MARGIN)
+        return ks, cs, scores, np.divide(out_hi, den, out=np.full(den.shape, np.inf),
+                                         where=den > 0)
 
 
-def _coordinate_ascent(ratio_fn, screen: _Screen, vecs: list[np.ndarray],
-                       params: SearchParams) -> tuple[float, list[np.ndarray], list[float]]:
-    """Greedy first-improvement coordinate ascent on ``ratio_fn``.
+class _Run:
+    """One start of the search: its vectors, best ratio, history and step."""
 
-    The search is defined one candidate at a time: in the order (vector,
-    coordinate, delta), the step v[i] += step * max|v| * delta is accepted
-    when its exact ratio beats best * (1 + 1e-12), and the pass goes on with
-    the next coordinate.  Here the candidates are screened instead: at the
-    start of each vector pass and after each accepted step, ``screen`` scores
-    the remaining candidates of the pass in vectorised blocks, each with an
-    upper bound on its exact ratio.  Walking them in the same order, only
-    candidates whose bound reaches the acceptance threshold are re-scored with
-    the exact ``ratio_fn``, which alone accepts a step or sets ``best``.  A
-    skipped candidate's exact ratio lies below the threshold, so the
-    one-at-a-time search would have rejected it too: accepted steps, history
-    and vectors are those of that search, bit for bit.
-    """
-    best = ratio_fn(vecs)
-    history = [best]
-    step = params.initial_step
-    for _ in range(params.steps):
-        improved = False
-        for vi in range(len(vecs)):
-            v = vecs[vi]
-            scale = max(float(np.max(np.abs(v))), 1e-12)
-            screen.begin(vecs, vi)
-            i0 = 0
-            while i0 < v.size:
-                nxt = v.size  # where the next screen starts
-                for b0, _scores, upper in screen.blocks(v, i0, step * scale):
-                    # NaN bounds are re-scored too
-                    for k in np.flatnonzero(~(upper <= best * (1.0 + 1e-12))):
-                        i, d = divmod(int(k), len(_DELTAS))
-                        cand = v.copy()
-                        cand.flat[b0 + i] += step * scale * _DELTAS[d]
-                        val = ratio_fn(vecs[:vi] + [cand] + vecs[vi + 1:])
-                        if val > best * (1.0 + 1e-12):
-                            vecs[vi] = v = cand
-                            best = val
-                            improved = True
-                            nxt = b0 + i + 1
-                            break
-                    if nxt < v.size:
-                        break
-                i0 = nxt
-        history.append(best)
-        if not improved:
-            step *= params.shrink
-            if step < params.min_step:
-                break
-    # renormalize the stored witness once more for a well-scaled record
-    peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
-    vecs = [v / peak for v in vecs]
-    return best, vecs, history
+    def __init__(self, vecs: list[np.ndarray], best: float, step: float):
+        self.vecs, self.best, self.history, self.step = vecs, best, [best], step
+        self.improved = False
+
+
+def _vector_pass(ratio_fn, screen: _Screen, group: list[_Run], vi: int) -> None:
+    """One pass over vector ``vi`` of every start in ``group``: each round
+    screens the next coordinates of every start still walking its pass in one
+    ``screen.bounds`` call, then each start confirms its own candidates in
+    (coordinate, delta) order; an accepted step ends the start's round."""
+    screen.begin(np.array([run.vecs[1 - vi] for run in group]), vi)
+    size, first, most = len(group[0].vecs[vi]), screen.first[vi], screen.most[vi]
+    ts = [run.step * max(float(np.max(np.abs(run.vecs[vi]))), 1e-12) for run in group]
+    i0 = np.zeros(len(group), dtype=int)
+    block = np.full(len(group), first)
+    while np.any(i0 < size):
+        i1 = np.minimum(i0 + block, size)
+        ks, cs, _scores, upper = screen.bounds(np.array([run.vecs[vi] for run in group]),
+                                               np.array(ts), i0, i1)
+        i0, block = i1, np.minimum(2 * block, most)
+        threshold = np.array([run.best for run in group]) * (1.0 + 1e-12)
+        moved = set()
+        for j in np.flatnonzero(~(upper <= threshold[ks, None])):  # NaN bounds too
+            r, d = divmod(int(j), len(_DELTAS))
+            k, i = int(ks[r]), int(cs[r])
+            if k in moved:
+                continue
+            run = group[k]
+            cand = run.vecs[vi].copy()
+            cand.flat[i] += ts[k] * _DELTAS[d]
+            vecs = run.vecs[:vi] + [cand] + run.vecs[vi + 1:]
+            val = ratio_fn(vecs)
+            if val > run.best * (1.0 + 1e-12):
+                run.vecs, run.best, run.improved = vecs, val, True
+                i0[k], block[k] = i + 1, first
+                moved.add(k)
 
 
 def _starts(box1, box2, supp1, supp2, params: SearchParams):
@@ -500,12 +513,43 @@ def _starts(box1, box2, supp1, supp2, params: SearchParams):
 
 
 def _search(ratio_fn, screen: _Screen, box1, box2, supp1, supp2, params: SearchParams):
-    best_val, best_vecs, best_hist = -1.0, None, []
-    for vecs in _starts(box1, box2, supp1, supp2, params):
-        val, out, hist = _coordinate_ascent(ratio_fn, screen, [v.copy() for v in vecs], params)
-        if val > best_val:
-            best_val, best_vecs, best_hist = val, out, hist
-    return best_val, best_vecs, best_hist
+    """Greedy first-improvement coordinate ascent on ``ratio_fn`` from each of
+    the ``_starts``; returns (ratio, peak-normalised vectors, history) of the
+    best start (the first of equals).
+
+    Each start's search is defined one candidate at a time: in the order
+    (vector, coordinate, delta), the step v[i] += step * max|v| * delta is
+    accepted when its exact ratio beats best * (1 + 1e-12), and the pass goes
+    on with the next coordinate.  The starts run in lockstep instead, sweep by
+    sweep and vector pass by vector pass, in groups that share the screen's
+    set-up and calls (``_vector_pass``); a start leaves once its step falls
+    below ``min_step``.  The screen only chooses which candidates are scored
+    exactly: a skipped candidate's exact ratio lies below its start's
+    threshold, so that search would have rejected it too.  Accepted steps,
+    histories and vectors are those of running the starts one at a time, bit
+    for bit.
+    """
+    runs = [_Run(vecs, ratio_fn(vecs), params.initial_step)
+            for vecs in _starts(box1, box2, supp1, supp2, params)]
+    live = runs
+    for _ in range(params.steps):
+        if not live:
+            break
+        for run in live:
+            run.improved = False
+        for vi in range(2):
+            g = screen.group[vi]
+            for k in range(0, len(live), g):
+                _vector_pass(ratio_fn, screen, live[k:k + g], vi)
+        for run in live:
+            run.history.append(run.best)
+            if not run.improved:
+                run.step *= params.shrink
+        live = [run for run in live if run.improved or run.step >= params.min_step]
+    win = max(runs, key=lambda run: run.best)
+    # renormalize the stored witness for a well-scaled record
+    peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in win.vecs])))), 1e-300)
+    return win.best, [v / peak for v in win.vecs], win.history
 
 
 def estimate_norm_S(a: LatticeCoefficients, q1: float, q2: float, q: float,
@@ -585,7 +629,9 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
 
     def phase_matrix(modes):
         dots = pts @ np.asarray(modes, dtype=float).T  # (P^n, len(modes))
-        return np.exp(2j * np.pi * dots).T  # (modes, P^n)
+        phases = np.multiply(2j * np.pi, dots, out=np.empty(dots.shape, dtype=complex))
+        del dots  # one complex buffer at the peak, not three arrays
+        return np.exp(phases, out=phases).T  # (modes, P^n)
 
     E1, E2, Eo = phase_matrix(box1), phase_matrix(box2), phase_matrix(outs)
     w = float(P) ** (-n)  # unused by the sup norm

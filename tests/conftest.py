@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from latticebump.bumps import check_condition_B, make_bump, make_theta_pair, make_window
-from latticebump.grid import make_grid
+# One BLAS thread, as in the benchmark: small products under threaded BLAS
+# time bimodally (3 ms or 48 ms for the same fast-path call), which the
+# wall-clock tests would see.  Set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from latticebump.bumps import check_condition_B, make_bump, make_theta_pair, make_window  # noqa: E402
+from latticebump.grid import make_grid  # noqa: E402
 
 # frozen oracle: integral of exp(-1/(1-t^2)) over [-1, 1], adaptive quadrature
 BUMP_INTEGRAL = 0.4439938161680793

@@ -282,3 +282,22 @@ def test_readme_configs_pass_validation(tmp_path, capsys):
     # the transfer example at one member and a short search: the same keys
     small = _with(_with(transfer, ("a_family", "members"), 1), ("search", "steps"), 2)
     assert _exit_code(tmp_path, capsys, "transfer", small) == 0
+
+
+_SYNTH = {"n": 1, "phi": "tensor-0.4", "a": {"entries": [[[0], [0], 1.0, 0.0]]},
+          "cm": {"M": 8}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("scaling", _with(_SCALING, ("scaling", "epsilons"), ["x", 0.25, 0.125])),
+    ("synth", _with(_SYNTH, ("a", "entries"), [[[0], [0], 1.0]])),
+    ("synth", _with(_SYNTH, ("a", "entries"), [[[0], [0], "x", 0.0]])),
+    ("synth", _with(_SYNTH, ("a", "entries"), [[[0, 0], [0], 1.0, 0.0]])),
+    ("synth", _with(_SYNTH, ("a", "entries"), [[[0.5], [0], 1.0, 0.0]])),
+    ("synth", _with(_SYNTH, ("cm", "K"), "nan")),
+    ("synth", _with(_SYNTH, ("cm", "K"), float("nan"))),
+    ("synth", _with(_SYNTH, ("cm", "K"), 1.0)),
+], ids=["epsilons-x", "entry-three-items", "entry-re-x", "entry-index-length",
+        "entry-index-non-integral", "cm-K-nan-string", "cm-K-NaN", "cm-K-too-small"])
+def test_bad_float_field_or_entry_row_is_config_error(tmp_path, capsys, command, doc):
+    assert _exit_code(tmp_path, capsys, command, doc) == 2

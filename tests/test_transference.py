@@ -266,15 +266,19 @@ def test_estimate_T_period_reproducible_across_seeds():
 
 
 def _screened(screen, v, i0, t):
-    """Scores and upper bounds of the screen over the coordinates i0.. of v."""
-    got = list(screen.blocks(v, i0, t))
-    return (np.concatenate([g[1] for g in got]) if got else np.zeros((0, 4)),
-            np.concatenate([g[2] for g in got]) if got else np.zeros((0, 4)))
+    """Scores and upper bounds of the screen over the coordinates i0.. of v,
+    for a group of one start."""
+    if i0 == v.size:
+        return np.zeros((0, 4)), np.zeros((0, 4))
+    _ks, _cs, scores, upper = screen.bounds(v[None, :], np.array([t]), np.array([i0]),
+                                            np.array([v.size]))
+    return scores, upper
 
 
 def _reference_ascent(ratio_fn, screen, vecs, params, seen):
-    """The search's definition: one candidate at a time, each scored exactly.
-    Also records (exact, screened, upper bound) for every candidate scored."""
+    """The search's definition for one start: one candidate at a time, each
+    scored exactly.  Also records (exact, screened, upper bound) for every
+    candidate scored."""
     best = ratio_fn(vecs)
     history = [best]
     step = params.initial_step
@@ -283,7 +287,7 @@ def _reference_ascent(ratio_fn, screen, vecs, params, seen):
         for vi in range(len(vecs)):
             v = vecs[vi]
             scale = max(float(np.max(np.abs(v))), 1e-12)
-            screen.begin(vecs, vi)
+            screen.begin(np.array([vecs[1 - vi]]), vi)
             i0, (scores, upper) = 0, _screened(screen, v, 0, step * scale)
             for i in range(v.size):
                 for d, delta in enumerate((1.0, -1.0, 1j, -1j)):
@@ -308,21 +312,26 @@ def _reference_ascent(ratio_fn, screen, vecs, params, seen):
     return best, vecs, history
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("ex", [0.5, 1.0, 2.0, math.inf, (2.0, 1.0, 2.0), (0.5, 2.0, 1.0),
-                                (math.inf, 2.0, 1.0)], ids=str)
-@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
-                         ids=["S", "T_period"])
-def test_screened_search_matches_reference(monkeypatch, estimate, ex, n):
-    # screen-and-confirm must keep the one-at-a-time trajectory bit for bit
-    ex = ex if isinstance(ex, tuple) else (ex,) * 3
-    a = random_lattice_coefficients(n, 1, 9 if n == 1 else 4, seed=90 + n)
-    params = (SearchParams(starts=3, steps=25) if n == 1
-              else SearchParams(starts=2, steps=4, torus_points=64))
+def _reference_search(seen, sweeps):
+    """A stand-in for ``transference._search`` that runs the starts one at a
+    time with ``_reference_ascent`` and records each start's sweep count."""
+    def search(ratio_fn, screen, box1, box2, supp1, supp2, params):
+        best_val, best_vecs, best_hist = -1.0, None, []
+        for vecs in _starts(box1, box2, supp1, supp2, params):
+            val, out, hist = _reference_ascent(ratio_fn, screen, vecs, params, seen)
+            sweeps.append(len(hist) - 1)
+            if val > best_val:
+                best_val, best_vecs, best_hist = val, out, hist
+        return best_val, best_vecs, best_hist
+    return search
+
+
+def _assert_matches_reference(monkeypatch, estimate, ex, a, params):
+    """The lockstep search against the one-at-a-time reference; returns the
+    reference's sweep count per start."""
     fast = estimate(a, *ex, params)
-    seen = []
-    monkeypatch.setattr(transference, "_coordinate_ascent",
-                        lambda r, s, v, p: _reference_ascent(r, s, v, p, seen))
+    seen, sweeps = [], []
+    monkeypatch.setattr(transference, "_search", _reference_search(seen, sweeps))
     ref = estimate(a, *ex, params)
     assert fast.value == ref.value
     assert fast.trace["history"] == ref.trace["history"]
@@ -336,6 +345,60 @@ def test_screened_search_matches_reference(monkeypatch, estimate, ex, n):
         # rounding alone: far below the margin (below 1 the error near zeros
         # of the values is unbounded, so only the per-candidate bound holds)
         assert np.max(np.abs(scores - exact) / exact) <= SCREEN_MARGIN / 10
+    return sweeps
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("ex", [0.5, 1.0, 2.0, math.inf, (2.0, 1.0, 2.0), (0.5, 2.0, 1.0),
+                                (math.inf, 2.0, 1.0)], ids=str)
+@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
+                         ids=["S", "T_period"])
+def test_screened_search_matches_reference(monkeypatch, estimate, ex, n):
+    # screened lockstep search must keep the one-at-a-time trajectory bit for bit
+    ex = ex if isinstance(ex, tuple) else (ex,) * 3
+    a = random_lattice_coefficients(n, 1, 9 if n == 1 else 4, seed=90 + n)
+    params = (SearchParams(starts=3, steps=25) if n == 1
+              else SearchParams(starts=2, steps=4, torus_points=64))
+    _assert_matches_reference(monkeypatch, estimate, ex, a, params)
+
+
+@pytest.mark.parametrize("estimate, n, ex, count, params", [
+    (estimate_norm_S, 1, math.inf, 9, SearchParams(starts=5, steps=40, min_step=1e-3)),
+    (estimate_norm_T_period, 1, 1.0, 9, SearchParams(starts=5, steps=40, min_step=1e-2)),
+    (estimate_norm_S, 2, math.inf, 4, SearchParams(starts=5, steps=40, min_step=1e-3)),
+    (estimate_norm_T_period, 2, 0.5, 3,
+     SearchParams(starts=5, steps=40, min_step=5e-2, torus_points=16)),
+], ids=["S-1", "T_period-1", "S-2", "T_period-2"])
+def test_lockstep_starts_leaving_at_different_sweeps(monkeypatch, estimate, n, ex, count,
+                                                     params):
+    # starts that leave the lockstep early must not disturb those still running
+    a = random_lattice_coefficients(n, 1, count, seed=90 + n)
+    sweeps = _assert_matches_reference(monkeypatch, estimate, (ex,) * 3, a, params)
+    assert len(sweeps) == params.starts and len(set(sweeps)) > 1
+
+
+def test_screen_calls_stay_within_the_value_budget(monkeypatch):
+    # no screen call may hold more than max(E_v.size, 2^14) candidate values,
+    # however many starts run
+    a = random_lattice_coefficients(2, 1, 9, seed=5)
+    params = SearchParams(starts=8, steps=3, torus_points=64)
+    budget, sizes = [], []
+    begin, power = transference._Screen.begin, transference._power_norm
+
+    def spy_begin(self, others, vi):
+        budget.append(max(self.E[vi].size, 1 << 14))
+        return begin(self, others, vi)
+
+    def spy_power(vals, p, weight=1.0, axis=None):
+        if axis is not None:
+            sizes.append((np.size(vals), budget[-1]))
+        return power(vals, p, weight, axis)
+
+    monkeypatch.setattr(transference._Screen, "begin", spy_begin)
+    monkeypatch.setattr(transference, "_power_norm", spy_power)
+    estimate_norm_T_period(a, 2.0, 2.0, 2.0, params)
+    assert len(sizes) > 2 * len(budget)
+    assert all(size <= limit for size, limit in sizes)
 
 
 @pytest.mark.parametrize("starts", [1, 2, 3, 5])

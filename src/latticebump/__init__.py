@@ -6,8 +6,8 @@ amalgam and Wiener amalgam quasi-norms, exact witness factorizations, and
 scaling-family necessity experiments.
 """
 
-from .grid import (GridFunction, GridSpec, dft, idft, make_grid, poisson_check,
-                   space_function, freq_function)
+from .grid import (BudgetError, GridFunction, GridSpec, dft, idft, make_grid,
+                   poisson_check, space_function, freq_function)
 from .bumps import (BumpProfile, ConditionBResult, ThetaPair, Window,
                     bump_eval, bump_eval_axes, check_condition_B, make_bump,
                     make_plateau, make_theta_pair, make_window,

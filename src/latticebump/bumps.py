@@ -180,7 +180,6 @@ class Window:
     """Partition-of-unity window kappa = base / sum_k base(. - k)."""
 
     base: BumpProfile
-    normalized: bool = True
 
     @property
     def d(self) -> int:
@@ -230,7 +229,7 @@ def window_eval_axes(w: Window, axes: list[np.ndarray], shift=None) -> np.ndarra
     if shift is None:
         shift = (0.0,) * w.d
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    out = np.asarray(w.base.amplitude, dtype=complex) if not w.normalized else 1.0 + 0j
+    out = 1.0 + 0j
     for j, u in enumerate(axes):
         out = out * _window_axis(w, j, np.asarray(u, dtype=float) - shift[j])
     return out

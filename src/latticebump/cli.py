@@ -232,6 +232,15 @@ def _window_from(cfg: dict, n: int) -> bumps.Window:
         raise ConfigError(f"window outer: {e}") from e
 
 
+def _theta_from(phi: bumps.BumpProfile, spec: grid.GridSpec):
+    """The condition-(B) result of Phi and the theta pair built on its witness."""
+    cb = bumps.check_condition_B(phi)
+    if not cb.holds:
+        raise ConfigError("Phi fixture fails condition (B); "
+                          "no witness-pool estimation possible")
+    return cb, bumps.make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+
+
 def _search_from(cfg: dict, seed: int) -> transference.SearchParams:
     s = _section(cfg, "search") or {}
     defaults = transference.SearchParams(seed=seed)
@@ -358,11 +367,7 @@ def cmd_opnorm(args) -> int:
         est = transference.estimate_norm_T_period(a, ex.p1, ex.p2, ex.p, params)
     elif family == "T_aPhi":
         phi = _phi_from(cfg, spec.n)
-        cb = bumps.check_condition_B(phi)
-        if not cb.holds:
-            raise ConfigError("Phi fixture fails condition (B); "
-                              "no witness-pool estimation possible")
-        theta = bumps.make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+        _cb, theta = _theta_from(phi, spec)
         space = cfg.get("space", "amalgam")
         kappa = _window_from(cfg, spec.n)
         est = transference.estimate_norm_T_aPhi(a, phi, ex, space, theta, spec,
@@ -387,10 +392,7 @@ def cmd_transfer(args) -> int:
     family = _family_from(cfg, spec.n, seed)
     out = Path(args.out or cfg.get("out", "transfer-out"))
 
-    cb = bumps.check_condition_B(phi)
-    if not cb.holds:
-        raise ConfigError("Phi fixture fails condition (B)")
-    theta = bumps.make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    cb, theta = _theta_from(phi, spec)
     kappa = _window_from(cfg, spec.n)
     report = transference.transference_report(family, phi, ex, space, theta,
                                               spec, kappa=kappa, params=params)
@@ -445,41 +447,37 @@ def cmd_scaling(args) -> int:
     report: dict = {"command": "scaling", "seed": seed,
                     "tail_fraction": fam.tail_fraction,
                     "min_q_modulus": fam.min_q_modulus, "slopes": {}}
+
+    # each space scales in one exponent (amalgam q, Wiener p); the other is 2
+    def pq(space, r):
+        return (2.0, r) if space == "amalgam" else (r, 2.0)
+
+    def slope_fit(space, r):
+        if space == "amalgam":
+            return scalinglab.amalgam_scaling_slope(fam, *pq(space, r))
+        return scalinglab.wiener_scaling_slope(fam, *pq(space, r), kappa)
+
     rows = [["space", "exponent", "eps", "norm"]]
-    for q in sc.get("amalgam_q", [1.0, 2.0, "inf"]):
-        qv = _exponent(q)
-        fit = scalinglab.amalgam_scaling_slope(fam, 2.0, qv)
-        report["slopes"][f"amalgam_q{q}"] = {
-            "slope": fit.slope, "expected": 0.0 if math.isinf(qv) else fam.n / qv,
-            "r_squared": fit.r_squared}
-        for e, nv in zip(fit.epsilons, fit.norms):
-            rows.append(["amalgam", f"q={q}", e, nv])
-    for p in sc.get("wiener_p", [1.0, 2.0, "inf"]):
-        pv = _exponent(p)
-        fit = scalinglab.wiener_scaling_slope(fam, pv, 2.0, kappa)
-        report["slopes"][f"wiener_p{p}"] = {
-            "slope": fit.slope, "expected": 0.0 if math.isinf(pv) else fam.n / pv,
-            "r_squared": fit.r_squared}
-        for e, nv in zip(fit.epsilons, fit.norms):
-            rows.append(["wiener", f"p={p}", e, nv])
+    for space, key, name in (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p")):
+        for r in sc.get(key, [1.0, 2.0, "inf"]):
+            rv = _exponent(r)
+            fit = slope_fit(space, rv)
+            report["slopes"][f"{key}{r}"] = {
+                "slope": fit.slope, "expected": 0.0 if math.isinf(rv) else fam.n / rv,
+                "r_squared": fit.r_squared}
+            for e, nv in zip(fit.epsilons, fit.norms):
+                rows.append([space, f"{name}={r}", e, nv])
     _write_csv(out / "norms.csv", rows)
 
     # necessity verdicts for configured exponent tuples
     verdicts = []
     for space, ex in verdict_specs:
-        if space == "amalgam":
-            s1 = scalinglab.amalgam_scaling_slope(fam, 2.0, ex.q1).slope
-            s2 = scalinglab.amalgam_scaling_slope(fam, 2.0, ex.q2).slope
-            ps = scalinglab.bilinear_product_scaling(
-                fam, fam, lambda u, v: np.ones(np.broadcast(u, v).shape),
-                "amalgam", 2.0, ex.q)
-        else:
-            s1 = scalinglab.wiener_scaling_slope(fam, ex.p1, 2.0, kappa).slope
-            s2 = scalinglab.wiener_scaling_slope(fam, ex.p2, 2.0, kappa).slope
-            ps = scalinglab.bilinear_product_scaling(
-                fam, fam, lambda u, v: np.ones(np.broadcast(u, v).shape),
-                "wiener", ex.p, 2.0, kappa=kappa)
-        v = scalinglab.necessity_verdict(ex, space, (s1, s2), ps.slope)
+        r1, r2, r = (ex.q1, ex.q2, ex.q) if space == "amalgam" else (ex.p1, ex.p2, ex.p)
+        slopes = (slope_fit(space, r1).slope, slope_fit(space, r2).slope)
+        ps = scalinglab.bilinear_product_scaling(
+            fam, fam, lambda u, v: np.ones(np.broadcast(u, v).shape), space, *pq(space, r),
+            kappa=kappa)
+        v = scalinglab.necessity_verdict(ex, space, slopes, ps.slope)
         verdicts.append({"space": space, "status": v.status, "gap": v.gap,
                          "citation": v.citation, "output_slope": v.output_slope,
                          "input_slopes": list(v.input_slopes)})
@@ -624,7 +622,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, grid.BudgetError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except transference.ExponentHypothesisError as e:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BudgetError",
     "GridSpec",
     "GridFunction",
     "make_grid",
@@ -29,7 +30,11 @@ __all__ = [
     "poisson_check",
 ]
 
-MAX_POINTS = 2**24  # memory budget for N^n
+MAX_POINTS = 2**24  # memory budget for N^n grids and N^(2n) symbols
+
+
+class BudgetError(ValueError):
+    """A grid or symbol would hold more than MAX_POINTS values."""
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,6 @@ class GridFunction:
                 f"samples shape {self.samples.shape} does not match grid {self.spec.shape}"
             )
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.spec, self.side, self.samples.copy())
-
 
 def _as_int_tuple(v, n: int) -> tuple[int, ...]:
     """A point of Z^n as a tuple of n ints; scalars are accepted for n = 1."""
@@ -128,7 +130,7 @@ def make_grid(n: int, L: int, s: int) -> GridSpec:
     if s <= 0:
         raise ValueError(f"samples per unit s must be a positive integer, got {s}")
     if (L * s) ** n > MAX_POINTS:
-        raise ValueError(f"grid with {(L * s) ** n} points exceeds budget {MAX_POINTS}")
+        raise BudgetError(f"grid with {(L * s) ** n} points exceeds budget {MAX_POINTS}")
     return GridSpec(n=int(n), L=int(L), s=int(s))
 
 

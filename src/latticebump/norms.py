@@ -35,6 +35,10 @@ __all__ = [
     "loglog_slope",
 ]
 
+# spectrum entries above this fraction of the peak count as support when the
+# Wiener norm picks its covering bands
+SUPPORT_TOL = 1e-13
+
 
 class TailBudgetWarning(UserWarning):
     """Mass near the box boundary exceeded the experiment's tail budget."""
@@ -186,12 +190,12 @@ def amalgam_norm(f: GridFunction, p: float, q: float,
     return lq_seq_norm(_power_norm(blocks, p, weight=spec.h**spec.n, axis=1), q)
 
 
-def _frequency_support_box(F: np.ndarray, spec, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _frequency_support_box(F: np.ndarray, spec) -> tuple[np.ndarray, np.ndarray] | None:
     mags = np.abs(F)
     peak = mags.max()
     if peak == 0.0:
         return None
-    mask = mags > tol * peak
+    mask = mags > SUPPORT_TOL * peak
     xi = spec.axis_xi()
     lo, hi = [], []
     for j in range(spec.n):
@@ -203,13 +207,12 @@ def _frequency_support_box(F: np.ndarray, spec, tol: float) -> tuple[np.ndarray,
     return np.asarray(lo), np.asarray(hi)
 
 
-def wiener_band_values(f: GridFunction, kappa: Window, offset=None,
-                       support_tol: float = 1e-13):
+def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
     """Band projections kappa(D - k - offset) f for the minimal covering set of
     bands; returns (band indices, stacked space samples)."""
     spec = f.spec
     F = dft(f).samples
-    box = _frequency_support_box(F, spec, support_tol)
+    box = _frequency_support_box(F, spec)
     if box is None:
         return [], np.zeros((0,) + spec.shape, dtype=complex)
     lo, hi = box
@@ -235,14 +238,14 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None,
 
 
 def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,
-                offset=None, support_tol: float = 1e-13) -> float:
+                offset=None) -> float:
     """Wiener amalgam quasi-norm: pointwise l^q over band projections, then L^p.
 
     ``offset`` shifts the band lattice to offset + Z^n (grid-aligned), matching
     witnesses whose frequency support is centered off the integer lattice.
     """
     p, q = check_exponent(p), check_exponent(q)
-    bands, stack = wiener_band_values(f, kappa, offset=offset, support_tol=support_tol)
+    bands, stack = wiener_band_values(f, kappa, offset=offset)
     if not bands:
         return 0.0
     pooled = _power_norm(stack, q, axis=0)

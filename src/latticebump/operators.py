@@ -54,9 +54,6 @@ class TrigPolynomial:
     n: int
     coeffs: dict[tuple[int, ...], complex]
 
-    def modes(self) -> list[tuple[int, ...]]:
-        return sorted(self.coeffs)
-
     def evaluate(self, *axes) -> np.ndarray:
         """Evaluate on the tensor grid of per-axis coordinate arrays."""
         if len(axes) != self.n:
@@ -69,9 +66,6 @@ class TrigPolynomial:
             out = out + c * phase
         return out if not np.isscalar(out) else np.asarray(out)
 
-    def mode_radius(self) -> int:
-        return max((max(abs(c) for c in mu) for mu in self.coeffs), default=0)
-
 
 @dataclass
 class Sequence:
@@ -79,9 +73,6 @@ class Sequence:
 
     n: int
     entries: dict[tuple[int, ...], complex]
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.entries)
 
     def drop_zeros(self, tol: float = 0.0) -> "Sequence":
         return Sequence(self.n, {k: v for k, v in self.entries.items() if abs(v) > tol})

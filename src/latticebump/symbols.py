@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bumps import BumpProfile, _axis_factor, bump_eval_axes, make_plateau
-from .grid import GridSpec, _as_int_tuple
+from .grid import MAX_POINTS, BudgetError, GridSpec, _as_int_tuple
 
 __all__ = [
     "LatticeCoefficients",
@@ -30,6 +30,7 @@ __all__ = [
     "lattice_delta",
     "lattice_from_dict",
     "random_lattice_coefficients",
+    "check_symbol_budget",
     "synth_sigma",
     "cm_decompose",
     "cm_reconstruct",
@@ -178,9 +179,17 @@ def _shifted_axes(spec: GridSpec, shift: tuple[int, ...] | tuple[float, ...]) ->
     return axes
 
 
+def check_symbol_budget(spec: GridSpec) -> None:
+    """Raise BudgetError if the (N,)*(2n) symbol grid exceeds MAX_POINTS values."""
+    if spec.N ** (2 * spec.n) > MAX_POINTS:
+        raise BudgetError(f"symbol grid with {spec.N ** (2 * spec.n)} values exceeds "
+                          f"budget {MAX_POINTS}")
+
+
 def synth_sigma(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> SymbolGrid:
     """Sample sigma_{a,Phi} exactly at the frequency grid points."""
     _check_supports(a, phi, spec)
+    check_symbol_budget(spec)
     out = np.zeros((spec.N,) * (2 * spec.n), dtype=complex)
     for (m1, m2), val in a.items():
         axes = _shifted_axes(spec, m1 + m2)
@@ -356,6 +365,7 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
     """
     if spec.n != d.n:
         raise ValueError("dimension mismatch between decomposition and grid")
+    check_symbol_budget(spec)
     N, n = spec.N, spec.n
     xi = spec.axis_xi()
     ks = np.arange(-d.M, d.M + 1)

@@ -15,10 +15,16 @@ symbol), so the residuals isolate implementation errors rather than quadrature
 gaps.  Operator norms are reported as lower bounds found by seeded multi-start
 coordinate ascent on normalized ratios; the theorems' constants are never
 asserted, only family-wise ratio stability against a configured bound.
+
+One estimator serves both models, since T_period_a acts on trig polynomials
+as S_a acts on their coefficients: S_a is the case whose synthesis is the
+identity (the norms see the coefficients), T_period the case whose synthesis
+is the torus phases (the norms see trig-polynomial values at torus points).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -30,7 +36,7 @@ from .norms import (_power_norm, amalgam_norm, check_exponent, ExponentTuple,
                     lp_norm, lq_seq_norm, wiener_norm)
 from .operators import (Sequence, TrigPolynomial, apply_S, apply_T_period,
                         apply_T_sigma, band_project)
-from .symbols import LatticeCoefficients, synth_sigma
+from .symbols import LatticeCoefficients, check_symbol_budget, synth_sigma
 
 __all__ = [
     "ExponentHypothesisError",
@@ -552,80 +558,77 @@ def _search(ratio_fn, screen: _Screen, box1, box2, supp1, supp2, params: SearchP
     return win.best, [v / peak for v in win.vecs], win.history
 
 
-def estimate_norm_S(a: LatticeCoefficients, q1: float, q2: float, q: float,
-                    params: SearchParams | None = None) -> NormEstimate:
-    """Lower bound on the sequence-model norm l^q1 x l^q2 -> l^q.
+def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synthesis,
+                    weight: float, family: str, keys: tuple[str, str],
+                    params: SearchParams) -> NormEstimate:
+    """Lower bound on the norm of a model operator of ``a``: the largest
+    ratio ||(A v1 v2) Eo||_p / (||v1 E1||_p1 ||v2 E2||_p2) the search finds.
 
-    Internally normalizes a by its sup norm, so scaling a scales the estimate
-    exactly (the search path is invariant under a -> c a)."""
-    q1, q2, q = check_exponent(q1), check_exponent(q2), check_exponent(q)
-    params = params or SearchParams()
+    The coefficient vectors v1, v2 live on the support boxes of a widened by
+    ``margin``, the output on the sums m1 + m2 of ``pairs(box1, box2)``;
+    ``synthesis(modes)`` maps coefficients on ``modes`` to the values a norm
+    sees, each value of weight ``weight``.  The search runs on a / sup|a|,
+    so scaling a scales the estimate exactly.  The witness holds the nonzero
+    entries of the best vectors under ``keys``.
+    """
+    p1, p2, p = (check_exponent(x) for x in exponents)
     if len(a) == 0:
         raise ValueError("empty coefficient array")
     anorm = a.sup_norm()
     supp1 = {m1 for (m1, _m2) in a.entries}
     supp2 = {m2 for (_m1, m2) in a.entries}
-    box1 = _index_box(supp1, a.n, params.support_margin)
-    box2 = _index_box(supp2, a.n, params.support_margin)
+    box1 = _index_box(supp1, a.n, margin)
+    box2 = _index_box(supp2, a.n, margin)
     i1 = {m: i for i, m in enumerate(box1)}
     i2 = {m: i for i, m in enumerate(box2)}
-    outs = sorted({tuple(x + y for x, y in zip(m1, m2)) for (m1, m2) in a.entries
-                   if m1 in i1 and m2 in i2})
+    outs = sorted({tuple(x + y for x, y in zip(m1, m2)) for m1, m2 in pairs(box1, box2)})
     io = {m: i for i, m in enumerate(outs)}
     triples = [(io[tuple(x + y for x, y in zip(m1, m2))], i1[m1], i2[m2], v / anorm)
                for (m1, m2), v in a.entries.items()]
+    E1, E2, Eo = synthesis(box1), synthesis(box2), synthesis(outs)
 
     def ratio(vecs) -> float:
-        b1, b2 = vecs
-        n1, n2 = _power_norm(b1, q1), _power_norm(b2, q2)
+        v1, v2 = vecs
+        n1 = _power_norm(v1 @ E1, p1, weight)
+        n2 = _power_norm(v2 @ E2, p2, weight)
         if n1 == 0.0 or n2 == 0.0:
             return 0.0
         out = np.zeros(len(outs), dtype=complex)
         for oi, a1, a2, av in triples:
-            out[oi] += av * b1[a1] * b2[a2]
-        return _power_norm(out, q) / (n1 * n2)
+            out[oi] += av * v1[a1] * v2[a2]
+        return _power_norm(out @ Eo, p, weight) / (n1 * n2)
 
-    screen = _Screen(triples, np.eye(len(box1)), np.eye(len(box2)), np.eye(len(outs)),
-                     (q1, q2, q), 1.0)
+    screen = _Screen(triples, E1, E2, Eo, (p1, p2, p), weight)
     val, vecs, hist = _search(ratio, screen, box1, box2, supp1, supp2, params)
-    witness = {
-        "b1": {str(m): [vecs[0][i].real, vecs[0][i].imag] for m, i in i1.items()
-               if abs(vecs[0][i]) > 0},
-        "b2": {str(m): [vecs[1][i].real, vecs[1][i].imag] for m, i in i2.items()
-               if abs(vecs[1][i]) > 0},
-    }
+    witness = {key: {str(m): [v[i].real, v[i].imag] for m, i in index.items() if abs(v[i]) > 0}
+               for key, v, index in zip(keys, vecs, (i1, i2))}
     return NormEstimate(value=anorm * val, witness=witness,
                         trace={"seed": params.seed, "iterations": len(hist),
                                "history": [anorm * h for h in hist],
-                               "family": "S", "exponents": [q1, q2, q],
-                               "vectors": [vecs[0], vecs[1]],
-                               "boxes": [box1, box2]})
+                               "family": family, "exponents": [p1, p2, p],
+                               "vectors": vecs, "boxes": [box1, box2]})
+
+
+def estimate_norm_S(a: LatticeCoefficients, q1: float, q2: float, q: float,
+                    params: SearchParams | None = None) -> NormEstimate:
+    """Lower bound on the sequence-model norm l^q1 x l^q2 -> l^q: the model
+    estimator with the identity as synthesis, outputs on the sums a reaches."""
+    params = params or SearchParams()
+    return _estimate_model(a, (q1, q2, q), margin=params.support_margin,
+                           pairs=lambda _box1, _box2: a.entries,
+                           synthesis=lambda modes: np.eye(len(modes), dtype=complex),
+                           weight=1.0, family="S", keys=("b1", "b2"), params=params)
 
 
 def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: float,
                            params: SearchParams | None = None) -> NormEstimate:
-    """Lower bound on the periodic-model norm L^p1 x L^p2 -> L^p (torus norms
-    from exact trig-polynomial values on a >= 256^n grid)."""
-    p1, p2, p = check_exponent(p1), check_exponent(p2), check_exponent(p)
+    """Lower bound on the periodic-model norm L^p1 x L^p2 -> L^p: the model
+    estimator with exact trig-polynomial values at the torus_points^n torus
+    points as synthesis, outputs on every sum of the two mode boxes."""
     params = params or SearchParams()
-    if len(a) == 0:
-        raise ValueError("empty coefficient array")
-    anorm = a.sup_norm()
-    n = a.n
     P = params.torus_points
-    supp1 = {m1 for (m1, _m2) in a.entries}
-    supp2 = {m2 for (_m1, m2) in a.entries}
-    box1 = _index_box(supp1, n, params.mode_margin)
-    box2 = _index_box(supp2, n, params.mode_margin)
-    i1 = {m: i for i, m in enumerate(box1)}
-    i2 = {m: i for i, m in enumerate(box2)}
-    outs = sorted({tuple(x + y for x, y in zip(m1, m2)) for m1 in box1 for m2 in box2})
-    io = {m: i for i, m in enumerate(outs)}
-    triples = [(io[tuple(x + y for x, y in zip(m1, m2))], i1[m1], i2[m2], v / anorm)
-               for (m1, m2), v in a.entries.items() if m1 in i1 and m2 in i2]
-
     u = np.arange(P) / P
-    pts = np.stack([g.ravel() for g in np.meshgrid(*(u,) * n, indexing="ij")], axis=-1)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*(u,) * a.n, indexing="ij")], axis=-1)
 
     def phase_matrix(modes):
         dots = pts @ np.asarray(modes, dtype=float).T  # (P^n, len(modes))
@@ -633,34 +636,9 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
         del dots  # one complex buffer at the peak, not three arrays
         return np.exp(phases, out=phases).T  # (modes, P^n)
 
-    E1, E2, Eo = phase_matrix(box1), phase_matrix(box2), phase_matrix(outs)
-    w = float(P) ** (-n)  # unused by the sup norm
-
-    def ratio(vecs) -> float:
-        c1, c2 = vecs
-        n1 = _power_norm(c1 @ E1, p1, w)
-        n2 = _power_norm(c2 @ E2, p2, w)
-        if n1 == 0.0 or n2 == 0.0:
-            return 0.0
-        oc = np.zeros(len(outs), dtype=complex)
-        for oi, a1, a2, av in triples:
-            oc[oi] += av * c1[a1] * c2[a2]
-        return _power_norm(oc @ Eo, p, w) / (n1 * n2)
-
-    screen = _Screen(triples, E1, E2, Eo, (p1, p2, p), w)
-    val, vecs, hist = _search(ratio, screen, box1, box2, supp1, supp2, params)
-    witness = {
-        "F1": {str(m): [vecs[0][i].real, vecs[0][i].imag] for m, i in i1.items()
-               if abs(vecs[0][i]) > 0},
-        "F2": {str(m): [vecs[1][i].real, vecs[1][i].imag] for m, i in i2.items()
-               if abs(vecs[1][i]) > 0},
-    }
-    return NormEstimate(value=anorm * val, witness=witness,
-                        trace={"seed": params.seed, "iterations": len(hist),
-                               "history": [anorm * h for h in hist],
-                               "family": "T_period", "exponents": [p1, p2, p],
-                               "vectors": [vecs[0], vecs[1]],
-                               "boxes": [box1, box2]})
+    return _estimate_model(a, (p1, p2, p), margin=params.mode_margin, pairs=itertools.product,
+                           synthesis=phase_matrix, weight=float(P) ** (-a.n),
+                           family="T_period", keys=("F1", "F2"), params=params)
 
 
 def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
@@ -825,6 +803,7 @@ def transference_report(a_family: list[LatticeCoefficients], phi: BumpProfile,
                 f"violate 1/p <= 1/p1 + 1/p2", WIENER_CITATION)
     else:
         raise ValueError("space must be 'amalgam' or 'wiener'")
+    check_symbol_budget(spec)  # before the model searches, not at the first symbol
 
     rows = []
     for a in a_family:

@@ -190,6 +190,20 @@ def test_scaling_zero_verdict_exponent_is_config_error(tmp_path, capsys):
     assert _exit_code(tmp_path, capsys, "scaling", doc) == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "transfer"])
+def test_symbol_over_the_memory_budget_is_config_error(tmp_path, capsys, command):
+    # n = 2 on a 256^2 grid is a valid grid, but its symbol would hold
+    # N^(2n) = 2^32 complex values (68.7 GB): refused before it is allocated
+    doc = dict(_TRANSFER, n=2, a={"entries": [[[0, 0], [0, 0], 1.0, 0.0]]})
+    if command == "synth":
+        doc = {k: doc[k] for k in ("n", "phi", "a")}
+    code = main([command, "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(tmp_path / "o"), "--grid", "8,32"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "symbol grid" in err and len(err.strip().splitlines()) == 1
+
+
 def test_transfer_misspelt_top_level_key_is_config_error(tmp_path, capsys):
     doc = dict(_TRANSFER)
     doc["serach"] = doc.pop("search")

@@ -401,6 +401,44 @@ def test_screen_calls_stay_within_the_value_budget(monkeypatch):
     assert all(size <= limit for size, limit in sizes)
 
 
+def _screen_of(monkeypatch, estimate, a, ex, params):
+    """The screen an estimator hands to ``_search`` (the search itself is skipped)."""
+    got = []
+
+    def capture(ratio_fn, screen, box1, box2, supp1, supp2, params):
+        got.append(screen)
+        return 0.0, [np.zeros(len(box1)), np.zeros(len(box2))], [0.0]
+
+    monkeypatch.setattr(transference, "_search", capture)
+    estimate(a, *ex, params)
+    return got[0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("ex", [(2.0, 0.5, 1.0), (math.inf, 1.0, 2.0)], ids=str)
+@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
+                         ids=["S", "T_period"])
+def test_screen_bounds_the_fixed_vector_norm_from_below(monkeypatch, estimate, ex, n):
+    # other_lo lies below the fixed vector's norm as the exact ratio computes it
+    # (and strictly below the screen's own batched norm), and every upper bound
+    # allows for the fixed vector's norm being as low as other_lo
+    a = random_lattice_coefficients(n, 1, 9 if n == 1 else 4, seed=70 + n)
+    screen = _screen_of(monkeypatch, estimate, a, ex, SearchParams(torus_points=16))
+    rng = np.random.default_rng(n)
+    for vi in range(2):
+        sizes = screen.E[vi].shape[0], screen.E[1 - vi].shape[0]
+        others = rng.standard_normal((3, sizes[1])) + 1j * rng.standard_normal((3, sizes[1]))
+        screen.begin(others, vi)
+        exact = [transference._power_norm(o @ screen.E[1 - vi], ex[1 - vi], screen.weight)
+                 for o in others]
+        assert np.all(screen.other_lo <= exact)
+        assert np.all(screen.other_lo < screen.n_other)
+        V = rng.standard_normal((3, sizes[0])) + 1j * rng.standard_normal((3, sizes[0]))
+        ks, _cs, scores, upper = screen.bounds(V, np.full(3, 0.1), np.zeros(3, dtype=int),
+                                               np.full(3, sizes[0]))
+        assert np.all(upper >= scores * (screen.n_other / screen.other_lo)[ks, None])
+
+
 @pytest.mark.parametrize("starts", [1, 2, 3, 5])
 def test_starts_yields_exactly_the_configured_count(starts):
     box = [(m,) for m in range(-2, 3)]

@@ -254,6 +254,9 @@ def window_eval(w: Window, x, shift=None) -> np.ndarray | complex:
 # ---------------------------------------------------------------------------
 
 
+_NON_SEPARABLE = "unsupported profile kind: radial-exp support in d>=2 is not the support box"
+
+
 @dataclass(frozen=True)
 class ConditionBResult:
     holds: bool
@@ -310,8 +313,7 @@ def check_condition_B(phi: BumpProfile) -> ConditionBResult:
     is an ellipsoid, not the box, so the box geometry is not exact for it.
     """
     if not phi.separable:
-        raise ValueError("unsupported profile kind: radial-exp support in d>=2 "
-                         "is not the support box")
+        raise ValueError(_NON_SEPARABLE)
     per_axis = []
     for j in range(phi.d):
         lo = phi.center[j] - phi.radius[j]
@@ -361,6 +363,12 @@ class ThetaPair:
         return tuple(self.xi0[j] + self.xi0[n + j] for j in range(n))
 
 
+# make_theta_pair: relative margin of min_Q |g| over 1, and how many times eps
+# is halved before it gives up on a g that vanishes on Q
+THETA_SAFETY = 1e-6
+THETA_HALVINGS = 4
+
+
 def _axis_nodes(spec: GridSpec, center: float, radius: float) -> np.ndarray:
     """Frequency-grid nodes within distance < radius of center (1D)."""
     xi = spec.axis_xi()
@@ -371,47 +379,29 @@ def _g_rule(phi: BumpProfile, th1: BumpProfile, th2: BumpProfile,
             spec: GridSpec) -> Callable[[list[np.ndarray]], np.ndarray]:
     """Riemann rule for g on the grid's frequency nodes, evaluable anywhere.
 
-    Separable profiles factor axis-by-axis, so g is a product of per-axis
-    double sums; the non-separable (radial Phi, n=1) case falls back to a
-    dense node-pair sum.
+    Phi is separable (``make_theta_pair`` checks it), so g is a product of
+    per-axis double sums.
     """
     n = spec.n
     w = spec.dxi ** (2 * n)
-    if phi.separable:
-        axis_data = []
-        for j in range(n):
-            u = _axis_nodes(spec, th1.center[j], th1.radius[j])
-            v = _axis_nodes(spec, th2.center[j], th2.radius[j])
-            a = _axis_factor(phi, j, u) * _axis_factor(th1, j, u)
-            bfac = _axis_factor(phi, n + j, v) * _axis_factor(th2, j, v)
-            axis_data.append((u, v, a, bfac))
-        amp = phi.amplitude * th1.amplitude * th2.amplitude
-
-        def evaluate(axes: list[np.ndarray]) -> np.ndarray:
-            out = amp * w
-            for j, x in enumerate(axes):
-                u, v, a, bfac = axis_data[j]
-                x = np.asarray(x, dtype=float)
-                e1 = np.exp(2j * np.pi * np.multiply.outer(x, u))
-                e2 = np.exp(2j * np.pi * np.multiply.outer(x, v))
-                out = out * ((e1 @ a) * (e2 @ bfac))
-            return out
-
-        return evaluate
-
-    if n != 1:
-        raise ValueError("non-separable Phi is only supported for n = 1")
-    u = _axis_nodes(spec, th1.center[0], th1.radius[0])
-    v = _axis_nodes(spec, th2.center[0], th2.radius[0])
-    wmat = (bump_eval_axes(phi, [u[:, None], v[None, :]])
-            * (_axis_factor(th1, 0, u) * th1.amplitude)[:, None]
-            * (_axis_factor(th2, 0, v) * th2.amplitude)[None, :])
+    axis_data = []
+    for j in range(n):
+        u = _axis_nodes(spec, th1.center[j], th1.radius[j])
+        v = _axis_nodes(spec, th2.center[j], th2.radius[j])
+        a = _axis_factor(phi, j, u) * _axis_factor(th1, j, u)
+        bfac = _axis_factor(phi, n + j, v) * _axis_factor(th2, j, v)
+        axis_data.append((u, v, a, bfac))
+    amp = phi.amplitude * th1.amplitude * th2.amplitude
 
     def evaluate(axes: list[np.ndarray]) -> np.ndarray:
-        x = np.asarray(axes[0], dtype=float)
-        e1 = np.exp(2j * np.pi * np.multiply.outer(x, u))
-        e2 = np.exp(2j * np.pi * np.multiply.outer(x, v))
-        return w * np.einsum("xi,ij,xj->x", e1, wmat, e2, optimize=True)
+        out = amp * w
+        for j, x in enumerate(axes):
+            u, v, a, bfac = axis_data[j]
+            x = np.asarray(x, dtype=float)
+            e1 = np.exp(2j * np.pi * np.multiply.outer(x, u))
+            e2 = np.exp(2j * np.pi * np.multiply.outer(x, v))
+            out = out * ((e1 @ a) * (e2 @ bfac))
+        return out
 
     return evaluate
 
@@ -424,22 +414,25 @@ def _q_probe(spec: GridSpec, per_axis: int = 129) -> list[np.ndarray]:
     return [np.unique(np.concatenate([dense, own]))] * spec.n
 
 
-def make_theta_pair(phi: BumpProfile, xi0, eps: float, spec: GridSpec,
-                    safety: float = 1e-6, max_halvings: int = 4) -> ThetaPair:
+def make_theta_pair(phi: BumpProfile, xi0, eps: float, spec: GridSpec) -> ThetaPair:
     """Build theta_1, theta_2 around the condition-(B) witness and the kernel g.
 
     theta_j is a tensor-exp bump of radius eps at xi0_j; theta_1 is rescaled by
-    a single real factor so that min over Q of |g| is at least 1 (with a small
-    safety margin).  If g vanishes somewhere on Q, eps is halved and the
-    construction retried, up to ``max_halvings`` times.
+    a single real factor so that min over Q of |g| is at least 1 + THETA_SAFETY.
+    If g vanishes somewhere on Q, eps is halved and the construction retried,
+    up to THETA_HALVINGS times.
 
-    xi0 must lie on the frequency grid (multiples of 1/L per axis) so the
-    translate algebra downstream is exact index arithmetic.
+    Phi must be separable, as condition (B) needs (the same error as
+    ``check_condition_B`` otherwise).  xi0 must lie on the frequency grid
+    (multiples of 1/L per axis) so the translate algebra downstream is exact
+    index arithmetic.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if phi.d % 2 != 0 or phi.d != 2 * spec.n:
         raise ValueError(f"Phi must live on R^(2n) with n={spec.n}, got d={phi.d}")
+    if not phi.separable:
+        raise ValueError(_NON_SEPARABLE)
     n = spec.n
     xi0 = tuple(float(c) for c in np.atleast_1d(np.asarray(xi0, dtype=float)))
     if len(xi0) != 2 * n:
@@ -452,7 +445,7 @@ def make_theta_pair(phi: BumpProfile, xi0, eps: float, spec: GridSpec,
 
     slack = translate_slack(phi, xi0)
     current = float(eps)
-    for _ in range(max_halvings + 1):
+    for _ in range(THETA_HALVINGS + 1):
         if 2.0 * current > slack + 1e-12:
             raise ValueError(
                 f"2*eps={2 * current} exceeds the translate slack {slack} at xi0={xi0}")
@@ -461,7 +454,7 @@ def make_theta_pair(phi: BumpProfile, xi0, eps: float, spec: GridSpec,
         rule = _g_rule(phi, th1, th2, spec)
         m_raw = float(np.min(np.abs(rule(_q_probe(spec)))))
         if m_raw > 1e-250:
-            scale = (1.0 + safety) / m_raw
+            scale = (1.0 + THETA_SAFETY) / m_raw
             th1 = th1.scaled(scale)
             rule = _g_rule(phi, th1, th2, spec)
             g = GridFunction(spec, "space", rule(spec.space_points()))
@@ -469,7 +462,7 @@ def make_theta_pair(phi: BumpProfile, xi0, eps: float, spec: GridSpec,
             return ThetaPair(theta1=th1, theta2=th2, g=g, m=m,
                              xi0=xi0, eps=current, g_eval=rule)
         current *= 0.5
-    raise ValueError(f"no rescaling achieves min_Q|g| >= 1 after {max_halvings} halvings")
+    raise ValueError(f"no rescaling achieves min_Q|g| >= 1 after {THETA_HALVINGS} halvings")
 
 
 # ---------------------------------------------------------------------------

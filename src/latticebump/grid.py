@@ -154,8 +154,9 @@ def _centered_fftn(a: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(a)))
 
 
-def _centered_ifftn(a: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(a)))
+def _centered_ifftn(a: np.ndarray, axes=None) -> np.ndarray:
+    """Inverse FFT over ``axes`` (all by default) of centred-order samples."""
+    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(a, axes=axes), axes=axes), axes=axes)
 
 
 def dft(f: GridFunction) -> GridFunction:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Window
-from .grid import GridFunction, dft
+from .grid import GridFunction, _centered_ifftn, dft
 from .operators import TrigPolynomial, _multiplier_samples
 
 __all__ = [
@@ -227,14 +227,11 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
                              "the frequency box")
     grids = np.meshgrid(*ranges, indexing="ij")
     bands = [tuple(int(c) for c in mu) for mu in np.stack([g.ravel() for g in grids], axis=-1)]
-    sp_axes = tuple(range(1, spec.n + 1))
     pieces = np.empty((len(bands),) + spec.shape, dtype=complex)
     for i, mu in enumerate(bands):
         mult = _multiplier_samples(kappa, spec, shift=np.asarray(mu, dtype=float) + off)
         pieces[i] = mult * F
-    stack = spec.s**spec.n * np.fft.fftshift(
-        np.fft.ifftn(np.fft.ifftshift(pieces, axes=sp_axes), axes=sp_axes), axes=sp_axes)
-    return bands, stack
+    return bands, spec.s**spec.n * _centered_ifftn(pieces, axes=tuple(range(1, spec.n + 1)))
 
 
 def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bumps import BumpProfile, Window, bump_eval_axes, window_eval_axes
-from .grid import GridFunction, GridSpec, _as_int_tuple, dft, idft
+from .grid import GridFunction, GridSpec, _as_int_tuple, _centered_ifftn, dft, idft
 from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
 
 class AliasingWarning(UserWarning):
     """Bilinear output frequencies left the box and were folded."""
+
+
+ALIAS_TOL = 1e-12  # folded share of the bilinear mass above which AliasingWarning fires
 
 
 @dataclass
@@ -113,8 +116,7 @@ def apply_T_period(a: LatticeCoefficients, F1: TrigPolynomial,
     return TrigPolynomial(a.n, s.entries)
 
 
-def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec,
-                 alias_tol: float = 1e-12) -> np.ndarray:
+def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Space samples of (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)}.
 
     The double sum runs over the support pairs only: ``sigma_at(r, c)`` gives
@@ -123,7 +125,7 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec,
     F2 entry.  Exact zeros only add +-0 to the sequential bincount sums, so
     skipping them changes no bit.  Output frequencies are grouped per axis
     modulo the box; the folded share of the mass is checked against
-    ``alias_tol``.
+    ALIAS_TOL.
     """
     n, N = spec.n, spec.N
     i1 = np.flatnonzero(F1 != 0)
@@ -144,15 +146,14 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec,
     total = float(np.sum(np.abs(W)))
     if total > 0:
         frac = float(np.sum(np.abs(W[outside]))) / total
-        if frac > alias_tol:
+        if frac > ALIAS_TOL:
             warnings.warn(f"bilinear output folded {frac:.2e} of its mass back "
                           f"into the frequency box", AliasingWarning, stacklevel=3)
 
-    return N**n * np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(G.reshape(spec.shape))))
+    return N**n * _centered_ifftn(G.reshape(spec.shape))
 
 
-def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction,
-                  alias_tol: float = 1e-12) -> GridFunction:
+def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """Slow reference path for the bilinear multiplier.
 
     Cost O(N^(2n)) at most: the grouped double sum over the support pairs of
@@ -164,8 +165,7 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction,
     if f1.side != "space" or f2.side != "space":
         raise ValueError("inputs must be space-side GridFunctions")
     S = sigma.samples.reshape(spec.N**spec.n, spec.N**spec.n)
-    samples = _grouped_sum(lambda r, c: S[r, c], dft(f1).samples, dft(f2).samples,
-                           spec, alias_tol)
+    samples = _grouped_sum(lambda r, c: S[r, c], dft(f1).samples, dft(f2).samples, spec)
     return GridFunction(spec, "space", samples)
 
 
@@ -276,10 +276,7 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
                 phase = phase * np.expand_dims(
                     fac, tuple(ax for ax in range(2 * n) if ax not in (j, n + j)))
             arr = (phase * (cuts[mu] * fhat)).reshape((kcount,) + spec.shape)
-            proj = spec.s**n * np.fft.fftshift(
-                np.fft.ifftn(np.fft.ifftshift(arr, axes=sp_axes), axes=sp_axes),
-                axes=sp_axes)
-            out[mu] = proj.reshape(kcount, N**n)
+            out[mu] = (spec.s**n * _centered_ifftn(arr, axes=sp_axes)).reshape(kcount, N**n)
         return out
 
     G1 = band_stack(f1, mus1)

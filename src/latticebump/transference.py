@@ -271,6 +271,18 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
 # ---------------------------------------------------------------------------
 
 
+# Step schedule of the coordinate ascent: the first step, relative to the
+# largest coefficient of the moving vector; the factor a sweep without an
+# accepted step multiplies it by; and the step below which a start ends.
+INITIAL_STEP = 0.5
+SHRINK = 0.7
+MIN_STEP = 1e-9
+# Index boxes of the model searches: the support box of a widened by this
+# many modes per side, for S_a and for T_period.
+SUPPORT_MARGIN = 2
+MODE_MARGIN = 1
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Multi-start coordinate-ascent configuration.
@@ -281,30 +293,25 @@ class SearchParams:
     run.  Each sweep tries the steps v[i] += step * max|v| * delta,
     delta in (1, -1, i, -i), coordinate by coordinate and accepts, per
     coordinate, the first that raises the ratio by more than a relative
-    1e-12; a sweep without an accepted step multiplies ``step`` by ``shrink``
-    and the start ends after ``steps`` sweeps or once ``step < min_step``.
+    1e-12; the step starts at INITIAL_STEP, a sweep without an accepted step
+    multiplies it by SHRINK, and the start ends after ``steps`` sweeps or
+    once the step falls below MIN_STEP.
     The starts run in lockstep, sweep by sweep: the steps of a vector pass
     are screened together by rank-one updates, for as many starts per call
     as the screen's value budget (max(E_v.size, 2^14) values) holds, and
     only those that may be accepted are scored exactly (see ``_search``).
     Every accepted step, and with it the result, is that of running the
     starts one at a time and scoring each step exactly in turn.
+    ``torus_points`` per axis sample the T_period norms; ``stability_bound``
+    bounds the ratio spread of a ``transference_report`` family.
 
     Invalid values raise ``ValueError``: every field must be finite,
-    ``starts`` and ``torus_points`` at least 1, ``steps``, ``random_pool``
-    and the margins at least 0, ``0 < shrink < 1``, ``initial_step > 0`` and
-    ``min_step > 0``.
+    ``starts`` and ``torus_points`` at least 1 and ``steps`` at least 0.
     """
 
     starts: int = 32
     steps: int = 200
-    initial_step: float = 0.5
-    shrink: float = 0.7
-    min_step: float = 1e-9
     seed: int = 42
-    mode_margin: int = 1
-    support_margin: int = 2
-    random_pool: int = 6
     torus_points: int = 256
     stability_bound: float = 10.0
 
@@ -313,15 +320,9 @@ class SearchParams:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"search {f.name} must be finite, got {value}")
-        for name, lowest in (("starts", 1), ("torus_points", 1), ("steps", 0),
-                             ("random_pool", 0), ("mode_margin", 0), ("support_margin", 0)):
+        for name, lowest in (("starts", 1), ("torus_points", 1), ("steps", 0)):
             if getattr(self, name) < lowest:
                 raise ValueError(f"search {name} must be >= {lowest}, got {getattr(self, name)}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"search shrink must lie in (0, 1), got {self.shrink}")
-        for name in ("initial_step", "min_step"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"search {name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -529,13 +530,13 @@ def _search(ratio_fn, screen: _Screen, box1, box2, supp1, supp2, params: SearchP
     on with the next coordinate.  The starts run in lockstep instead, sweep by
     sweep and vector pass by vector pass, in groups that share the screen's
     set-up and calls (``_vector_pass``); a start leaves once its step falls
-    below ``min_step``.  The screen only chooses which candidates are scored
+    below MIN_STEP.  The screen only chooses which candidates are scored
     exactly: a skipped candidate's exact ratio lies below its start's
     threshold, so that search would have rejected it too.  Accepted steps,
     histories and vectors are those of running the starts one at a time, bit
     for bit.
     """
-    runs = [_Run(vecs, ratio_fn(vecs), params.initial_step)
+    runs = [_Run(vecs, ratio_fn(vecs), INITIAL_STEP)
             for vecs in _starts(box1, box2, supp1, supp2, params)]
     live = runs
     for _ in range(params.steps):
@@ -550,8 +551,8 @@ def _search(ratio_fn, screen: _Screen, box1, box2, supp1, supp2, params: SearchP
         for run in live:
             run.history.append(run.best)
             if not run.improved:
-                run.step *= params.shrink
-        live = [run for run in live if run.improved or run.step >= params.min_step]
+                run.step *= SHRINK
+        live = [run for run in live if run.improved or run.step >= MIN_STEP]
     win = max(runs, key=lambda run: run.best)
     # renormalize the stored witness for a well-scaled record
     peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in win.vecs])))), 1e-300)
@@ -614,7 +615,7 @@ def estimate_norm_S(a: LatticeCoefficients, q1: float, q2: float, q: float,
     """Lower bound on the sequence-model norm l^q1 x l^q2 -> l^q: the model
     estimator with the identity as synthesis, outputs on the sums a reaches."""
     params = params or SearchParams()
-    return _estimate_model(a, (q1, q2, q), margin=params.support_margin,
+    return _estimate_model(a, (q1, q2, q), margin=SUPPORT_MARGIN,
                            pairs=lambda _box1, _box2: a.entries,
                            synthesis=lambda modes: np.eye(len(modes), dtype=complex),
                            weight=1.0, family="S", keys=("b1", "b2"), params=params)
@@ -636,7 +637,7 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
         del dots  # one complex buffer at the peak, not three arrays
         return np.exp(phases, out=phases).T  # (modes, P^n)
 
-    return _estimate_model(a, (p1, p2, p), margin=params.mode_margin, pairs=itertools.product,
+    return _estimate_model(a, (p1, p2, p), margin=MODE_MARGIN, pairs=itertools.product,
                            synthesis=phase_matrix, weight=float(P) ** (-a.n),
                            family="T_period", keys=("F1", "F2"), params=params)
 
@@ -649,11 +650,13 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
                          model_estimate: NormEstimate | None = None) -> NormEstimate:
     """Lower bound on the continuum operator norm in the chosen space.
 
-    Candidate pools: (i) proof witnesses built from the model search's best
-    coefficients (plus deterministic indicator candidates), (ii) random
-    band-limited inputs.  Returns the best ratio, tagged with the winning
-    pool.  Norm conventions: amalgam ratios use the (L^p, l^q) grid norms;
-    Wiener ratios use windows translated to the witness frequencies.
+    The candidates are proof witnesses built from the theta pair (amalgam or
+    Wiener, by ``space``): first the one on the support indicators of a, then,
+    when ``model_estimate`` is given, the one on the model search's best
+    coefficients.  Returns the best ratio (the first of equals), tagged with
+    its pool, ``witness-indicator`` or ``witness-model``.  Norm conventions:
+    amalgam ratios use the (L^p, l^q) grid norms; Wiener ratios use windows
+    translated to the witness frequencies.
     """
     params = params or SearchParams()
     if space not in ("amalgam", "wiener"):
@@ -682,26 +685,15 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
             return 0.0
         return no / (n1 * n2)
 
-    supp1 = {m1 for (m1, _m2) in a.entries}
-    supp2 = {m2 for (_m1, m2) in a.entries}
-    candidates: list[tuple[str, dict, dict]] = []
-    ind1 = {m: 1.0 + 0j for m in supp1}
-    ind2 = {m: 1.0 + 0j for m in supp2}
-    candidates.append(("witness-indicator", ind1, ind2))
+    candidates = [("witness-indicator",
+                   dict.fromkeys({m1 for (m1, _m2) in a.entries}, 1.0 + 0j),
+                   dict.fromkeys({m2 for (_m1, m2) in a.entries}, 1.0 + 0j))]
     if model_estimate is not None and "vectors" in model_estimate.trace:
         v1, v2 = model_estimate.trace["vectors"]
         b1, b2 = model_estimate.trace["boxes"]
         candidates.append(("witness-model",
                            {m: complex(v1[i]) for i, m in enumerate(b1) if abs(v1[i]) > 0},
                            {m: complex(v2[i]) for i, m in enumerate(b2) if abs(v2[i]) > 0}))
-    rng = np.random.default_rng(params.seed)
-    box1 = _index_box(supp1, n, 1)
-    box2 = _index_box(supp2, n, 1)
-    for _ in range(2):
-        c1 = {m: complex(rng.standard_normal(), rng.standard_normal()) for m in box1}
-        c2 = {m: complex(rng.standard_normal(), rng.standard_normal()) for m in box2}
-        candidates.append(("witness-random", c1, c2))
-
     best = NormEstimate(value=-1.0, witness={}, trace={})
     for tag, c1, c2 in candidates:
         if space == "amalgam":
@@ -719,26 +711,6 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
                          "c2": {str(m): [v.real, v.imag] for m, v in c2.items()}},
                 trace={"family": "T_aPhi", "space": space, "pool": tag,
                        "seed": params.seed})
-
-    # pool (ii): random band-limited functions
-    mask = np.ones(spec.shape, dtype=bool)
-    for xi in spec.freq_points():
-        mask &= np.abs(xi) < spec.s / 4
-    for k in range(params.random_pool):
-        rng_k = np.random.default_rng(params.seed + 1000 + k)
-        fs = []
-        for _ in range(2):
-            Fh = np.zeros(spec.shape, dtype=complex)
-            vals = rng_k.standard_normal(int(mask.sum())) + 1j * rng_k.standard_normal(int(mask.sum()))
-            Fh[mask] = vals
-            fs.append(idft(GridFunction(spec, "frequency", Fh)))
-        val = op_ratio(fs[0], fs[1])
-        if val > best.value:
-            best = NormEstimate(value=val,
-                                witness={"pool": "random-band-limited", "draw": k},
-                                trace={"family": "T_aPhi", "space": space,
-                                       "pool": "random-band-limited",
-                                       "seed": params.seed + 1000 + k})
     return best
 
 

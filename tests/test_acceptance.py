@@ -35,7 +35,7 @@ from latticebump.transference import (ExponentHypothesisError, SearchParams,
 
 # recorded acceptance-run search configuration (spec defaults are heavier;
 # the ratio-stability criterion fixes its own budget, not the search depth)
-ACCEPT_SEARCH = SearchParams(starts=6, steps=40, random_pool=2)
+ACCEPT_SEARCH = SearchParams(starts=6, steps=40)
 
 RESIDUAL_FLOOR = 1e-10  # below this the residual is roundoff; refinement claims are vacuous
 

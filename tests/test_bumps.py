@@ -209,6 +209,16 @@ def test_theta_pair_rejects_bad_eps(phi04, spec):
         make_theta_pair(phi04, (0.01, 0.0), 0.1, spec)  # off-grid witness
 
 
+def test_theta_pair_rejects_non_separable_phi(spec):
+    # the error check_condition_B gives for the same Phi, not a dense fallback
+    radial = make_bump(2, "radial-exp", radius=0.4)
+    with pytest.raises(ValueError) as cond_b:
+        check_condition_B(radial)
+    with pytest.raises(ValueError) as theta:
+        make_theta_pair(radial, (0.0, 0.0), 0.1, spec)
+    assert str(theta.value) == str(cond_b.value)
+
+
 def test_profile_json_round_trip():
     for b in (make_bump(2, "tensor-exp", center=(0.5, -0.25), radius=(0.4, 0.3),
                         amplitude=2 - 1j),

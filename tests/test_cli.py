@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from latticebump.cli import main
 from latticebump.symbols import SymbolGrid, synth_sigma, lattice_from_dict
 from latticebump.bumps import make_bump
 from latticebump.grid import make_grid
+from latticebump.transference import SearchParams
 
 
 def _write(tmp_path, name, doc):
@@ -77,7 +80,7 @@ def test_transfer_small_family(tmp_path):
         "n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",
         "space": "amalgam", "exponents": [2, 2, 2, 2, 2, 2],
         "a_family": {"members": 2, "radius": 1, "count": 5, "seed": 7},
-        "search": {"starts": 3, "steps": 15, "random_pool": 1},
+        "search": {"starts": 3, "steps": 15},
     })
     out = tmp_path / "out"
     assert main(["transfer", "--config", cfg, "--out", str(out)]) == 0
@@ -104,7 +107,7 @@ def test_transfer_determinism(tmp_path):
         "n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",
         "space": "wiener", "exponents": [2, 2, 2, 2, 2, 2],
         "a": {"random": {"radius": 1, "count": 4, "seed": 3}},
-        "search": {"starts": 3, "steps": 10, "random_pool": 1},
+        "search": {"starts": 3, "steps": 10},
     })
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["transfer", "--config", cfg, "--out", str(out1), "--seed", "42"]) == 0
@@ -166,7 +169,7 @@ def test_selftest_seed_changes_nothing(capsys):
 
 _TRANSFER = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4", "space": "amalgam",
              "exponents": [2, 2, 2, 2, 2, 2], "a": {"entries": [[[0], [0], 1.0, 0.0]]},
-             "search": {"starts": 2, "steps": 2, "random_pool": 1}}
+             "search": {"starts": 2, "steps": 2}}
 
 
 def _exit_code(tmp_path, capsys, command, doc):
@@ -216,13 +219,24 @@ def test_opnorm_unknown_top_level_key_is_config_error(tmp_path, capsys):
     assert _exit_code(tmp_path, capsys, "opnorm", doc) == 2
 
 
+# misspelt keys, out-of-range values and removed keys (the step schedule,
+# the box margins, random_pool)
 @pytest.mark.parametrize("search", [
     {"strats": 4}, {"starts": 0}, {"steps": -1}, {"torus_points": 0}, {"min_step": "nan"},
     {"shrink": 1.5}, {"initial_step": 0}, {"starts": "many"}, {"stability_bound": "inf"},
+    {"random_pool": 6}, {"support_margin": 2}, {"mode_margin": 1},
 ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
 def test_bad_search_block_is_config_error(tmp_path, capsys, search):
     doc = dict(_TRANSFER, search=search)
     assert _exit_code(tmp_path, capsys, "transfer", doc) == 2
+
+
+def test_readme_search_table_lists_the_search_params():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = readme.index("| key | default | allowed | meaning |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), readme[start:])
+    assert [row.split("`")[1] for row in rows] == \
+        [f.name for f in dataclasses.fields(SearchParams)]
 
 
 def test_threads_flag_is_gone():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ def _reference_ascent(ratio_fn, screen, vecs, params, seen):
     candidate scored."""
     best = ratio_fn(vecs)
     history = [best]
-    step = params.initial_step
+    step = transference.INITIAL_STEP
     for _ in range(params.steps):
         improved = False
         for vi in range(len(vecs)):
@@ -304,8 +305,8 @@ def _reference_ascent(ratio_fn, screen, vecs, params, seen):
                         break
         history.append(best)
         if not improved:
-            step *= params.shrink
-            if step < params.min_step:
+            step *= transference.SHRINK
+            if step < transference.MIN_STEP:
                 break
     peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
     vecs = [v / peak for v in vecs]
@@ -362,16 +363,16 @@ def test_screened_search_matches_reference(monkeypatch, estimate, ex, n):
     _assert_matches_reference(monkeypatch, estimate, ex, a, params)
 
 
-@pytest.mark.parametrize("estimate, n, ex, count, params", [
-    (estimate_norm_S, 1, math.inf, 9, SearchParams(starts=5, steps=40, min_step=1e-3)),
-    (estimate_norm_T_period, 1, 1.0, 9, SearchParams(starts=5, steps=40, min_step=1e-2)),
-    (estimate_norm_S, 2, math.inf, 4, SearchParams(starts=5, steps=40, min_step=1e-3)),
-    (estimate_norm_T_period, 2, 0.5, 3,
-     SearchParams(starts=5, steps=40, min_step=5e-2, torus_points=16)),
+@pytest.mark.parametrize("estimate, n, ex, count, min_step, params", [
+    (estimate_norm_S, 1, math.inf, 9, 1e-3, SearchParams(starts=5, steps=40)),
+    (estimate_norm_T_period, 1, 1.0, 9, 1e-2, SearchParams(starts=5, steps=40)),
+    (estimate_norm_S, 2, math.inf, 4, 1e-3, SearchParams(starts=5, steps=40)),
+    (estimate_norm_T_period, 2, 0.5, 3, 5e-2, SearchParams(starts=5, steps=40, torus_points=16)),
 ], ids=["S-1", "T_period-1", "S-2", "T_period-2"])
 def test_lockstep_starts_leaving_at_different_sweeps(monkeypatch, estimate, n, ex, count,
-                                                     params):
+                                                     min_step, params):
     # starts that leave the lockstep early must not disturb those still running
+    monkeypatch.setattr(transference, "MIN_STEP", min_step)
     a = random_lattice_coefficients(n, 1, count, seed=90 + n)
     sweeps = _assert_matches_reference(monkeypatch, estimate, (ex,) * 3, a, params)
     assert len(sweeps) == params.starts and len(set(sweeps)) > 1
@@ -452,7 +453,9 @@ def test_starts_yields_exactly_the_configured_count(starts):
     {"stability_bound": math.inf}, {"random_pool": -1}, {"mode_margin": -1},
 ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
 def test_search_params_reject_invalid(bad):
-    with pytest.raises(ValueError):
+    # a removed knob (the step schedule, the margins, random_pool) is no field at all
+    known = {f.name for f in fields(SearchParams)}
+    with pytest.raises(ValueError if set(bad) <= known else TypeError):
         SearchParams(**bad)
 
 
@@ -502,9 +505,32 @@ def test_estimate_T_aPhi_pools_tagged(spec, phi04, theta, kappa):
     a = random_lattice_coefficients(1, 1, 9, seed=64)
     est = estimate_norm_T_aPhi(a, phi04, ExponentTuple(2, 2, 2, 2, 2, 2),
                                "wiener", theta, spec, kappa=kappa, params=LIGHT)
-    assert est.trace["pool"] in {"witness-indicator", "witness-model",
-                                 "witness-random", "random-band-limited"}
+    assert est.trace["pool"] in {"witness-indicator", "witness-model"}
     assert est.value > 0
+
+
+@pytest.mark.parametrize("space", ["amalgam", "wiener"])
+def test_estimate_T_aPhi_scores_the_proof_witnesses_only(monkeypatch, spec, phi04, theta,
+                                                         kappa, space):
+    # the support-indicator witness, plus the model witness when a model
+    # estimate is given: one apply_T_sigma per candidate, nothing else
+    a = random_lattice_coefficients(1, 1, 9, seed=64)
+    ex = ExponentTuple(2, 2, 2, 2, 2, 2)
+    model = (estimate_norm_T_period(a, 2, 2, 2, LIGHT) if space == "amalgam"
+             else estimate_norm_S(a, 2, 2, 2, LIGHT))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return apply_T_sigma(*args)
+
+    monkeypatch.setattr(transference, "apply_T_sigma", spy)
+    est = estimate_norm_T_aPhi(a, phi04, ex, space, theta, spec, kappa=kappa, params=LIGHT,
+                               model_estimate=model)
+    assert (len(calls), est.trace["pool"]) == (2, "witness-model")
+    calls.clear()
+    est = estimate_norm_T_aPhi(a, phi04, ex, space, theta, spec, kappa=kappa, params=LIGHT)
+    assert (len(calls), est.trace["pool"]) == (1, "witness-indicator")
 
 
 # ---------------------------------------------------------------------------

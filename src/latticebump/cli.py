@@ -370,8 +370,7 @@ def cmd_opnorm(args) -> int:
         _cb, theta = _theta_from(phi, spec)
         space = cfg.get("space", "amalgam")
         kappa = _window_from(cfg, spec.n)
-        est = transference.estimate_norm_T_aPhi(a, phi, ex, space, theta, spec,
-                                                kappa=kappa, params=params)
+        est = transference.estimate_norm_T_aPhi(a, phi, ex, space, theta, spec, kappa=kappa)
     else:
         raise ConfigError(f"unknown family {family!r} (S | T_period | T_aPhi)")
     trace = {k: v for k, v in est.trace.items() if k not in ("vectors", "boxes")}
@@ -557,6 +556,16 @@ def _selftest_checks(seed: int, window_outer: float):
     chk = transference.verify_amalgam_factorization(a, phi, wit, spec)
     yield "amalgam factorization residual", chk.residual <= 1e-6, chk.residual
     yield "pointwise domination on Q", chk.domination_margin >= 0.0, chk.domination_margin
+
+    # n = 2 on a working grid, whose 2^32-value symbol is never formed
+    spec2, phi2 = grid.make_grid(2, 8, 32), _phi_fixture("tensor-0.4", 2)
+    draw = np.random.default_rng(seed + 2).standard_normal
+    G1, G2 = (operators.TrigPolynomial(2, {(i, j): complex(*draw(2)) for i in (-1, 0, 1)
+                                           for j in (-1, 0, 1)}) for _ in range(2))
+    wit2 = transference.build_amalgam_witness(G1, G2, _theta_from(phi2, spec2)[1], spec2)
+    res2 = transference.verify_amalgam_factorization(
+        symbols.random_lattice_coefficients(2, 1, 9, seed=seed + 2), phi2, wit2, spec2).residual
+    yield "amalgam factorization (n = 2)", res2 <= 1e-6, res2
 
     kap = bumps.make_window(1, 0.6)
     ws = transference.build_wiener_witness(b1, b2, theta, spec, kap)

@@ -2,8 +2,9 @@
 
 * ``apply_T_sigma``   -- bilinear multiplier on the grid, the slow reference:
   T(x) = (1/L)^(2n) sum_{xi1,xi2} sigma fhat1 fhat2 e^{2pi i x.(xi1+xi2)},
-  evaluated by grouping the double sum over the output frequency zeta = xi1+xi2
-  (``_grouped_sum``, shared with the scaling products of scalinglab).
+  evaluated over the support pairs of the two spectra, grouped by the output
+  frequency zeta = xi1+xi2 (``_grouped_sum``; it also serves the witness path
+  of transference, which evaluates sigma at those pairs only, and scalinglab).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
   the truncated tensor-product decomposition (band projections only).
 * ``apply_T_period``  -- periodic bilinear operator on trig polynomials,
@@ -119,24 +120,25 @@ def apply_T_period(a: LatticeCoefficients, F1: TrigPolynomial,
 def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Space samples of (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)}.
 
-    The double sum runs over the support pairs only: ``sigma_at(r, c)`` gives
-    the symbol at the C-order flat frequency indices r (of xi1) and c (of
-    xi2), broadcast to one row per nonzero F1 entry and one column per nonzero
-    F2 entry.  Exact zeros only add +-0 to the sequential bincount sums, so
-    skipping them changes no bit.  Output frequencies are grouped per axis
-    modulo the box; the folded share of the mass is checked against
-    ALIAS_TOL.
+    The double sum runs over the support pairs only: ``sigma_at(idx)`` gives
+    the symbol at the 2n per-axis frequency indices ``idx`` (those of xi1,
+    then those of xi2), which broadcast to one row per nonzero F1 entry and
+    one column per nonzero F2 entry.  Exact zeros only add +-0 to the
+    sequential bincount sums, so skipping them changes no bit.  Output
+    frequencies are grouped per axis modulo the box; the folded share of the
+    mass is checked against ALIAS_TOL.
     """
     n, N = spec.n, spec.N
     i1 = np.flatnonzero(F1 != 0)
     i2 = np.flatnonzero(F2 != 0)
-    W = (sigma_at(i1[:, None], i2[None, :])
-         * np.outer(F1.ravel()[i1], F2.ravel()[i2]) * spec.dxi ** (2 * n))
+    u1 = tuple(u[:, None] for u in np.unravel_index(i1, spec.shape))
+    u2 = tuple(u[None, :] for u in np.unravel_index(i2, spec.shape))
+    W = sigma_at(u1 + u2) * np.outer(F1.ravel()[i1], F2.ravel()[i2]) * spec.dxi ** (2 * n)
 
     flat_idx = 0
     outside = np.zeros(W.shape, dtype=bool)
-    for u1, u2 in zip(np.unravel_index(i1, spec.shape), np.unravel_index(i2, spec.shape)):
-        m = u1[:, None] + u2[None, :]  # in [0, 2N-2], frequency (m - N)/L
+    for v1, v2 in zip(u1, u2):
+        m = v1 + v2  # in [0, 2N-2], frequency (m - N)/L
         outside |= (m < N // 2) | (m >= N + N // 2)
         flat_idx = flat_idx * N + (m - N // 2) % N
     flat_idx = flat_idx.ravel()
@@ -164,8 +166,8 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
         raise ValueError("grid spec mismatch")
     if f1.side != "space" or f2.side != "space":
         raise ValueError("inputs must be space-side GridFunctions")
-    S = sigma.samples.reshape(spec.N**spec.n, spec.N**spec.n)
-    samples = _grouped_sum(lambda r, c: S[r, c], dft(f1).samples, dft(f2).samples, spec)
+    samples = _grouped_sum(lambda idx: sigma.samples[idx], dft(f1).samples,
+                           dft(f2).samples, spec)
     return GridFunction(spec, "space", samples)
 
 

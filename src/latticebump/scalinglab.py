@@ -253,7 +253,7 @@ def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
         f1h, f2h = fam1.f_hat(e), fam2.f_hat(e)
         xi = spec.axis_xi()
         T = GridFunction(spec, "space", _grouped_sum(
-            lambda r, c: np.asarray(sigma_fn(xi[r], xi[c]), dtype=complex),
+            lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
             f1h.samples, f2h.samples, spec))
         if space == "amalgam":
             norms.append(amalgam_norm(T, p, q))

@@ -31,6 +31,7 @@ __all__ = [
     "lattice_from_dict",
     "random_lattice_coefficients",
     "check_symbol_budget",
+    "sigma_eval",
     "synth_sigma",
     "cm_decompose",
     "cm_reconstruct",
@@ -166,19 +167,6 @@ def _check_supports(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) ->
         raise ValueError(f"Phi support radius {max(phi.radius)} must be < L/2 = {spec.L / 2}")
 
 
-def _shifted_axes(spec: GridSpec, shift: tuple[int, ...] | tuple[float, ...]) -> list[np.ndarray]:
-    """Per-axis frequency coordinates minus the shift, shaped for broadcasting
-    over the (N,)*(2n) symbol grid."""
-    xi = spec.axis_xi()
-    d = 2 * spec.n
-    axes = []
-    for j, sh in enumerate(shift):
-        shape = [1] * d
-        shape[j] = spec.N
-        axes.append((xi - sh).reshape(shape))
-    return axes
-
-
 def check_symbol_budget(spec: GridSpec) -> None:
     """Raise BudgetError if the (N,)*(2n) symbol grid exceeds MAX_POINTS values."""
     if spec.N ** (2 * spec.n) > MAX_POINTS:
@@ -186,15 +174,21 @@ def check_symbol_budget(spec: GridSpec) -> None:
                           f"budget {MAX_POINTS}")
 
 
+def sigma_eval(a: LatticeCoefficients, phi: BumpProfile, axes: list[np.ndarray]) -> np.ndarray:
+    """sigma_{a,Phi} on 2n per-axis coordinate arrays (xi1 axes, then xi2
+    axes) that broadcast against each other; the result has their shape."""
+    out = np.zeros(np.broadcast_shapes(*(np.shape(u) for u in axes)), dtype=complex)
+    for (m1, m2), val in a.items():
+        out += val * bump_eval_axes(phi, [u - m for u, m in zip(axes, m1 + m2)])
+    return out
+
+
 def synth_sigma(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> SymbolGrid:
     """Sample sigma_{a,Phi} exactly at the frequency grid points."""
     _check_supports(a, phi, spec)
     check_symbol_budget(spec)
-    out = np.zeros((spec.N,) * (2 * spec.n), dtype=complex)
-    for (m1, m2), val in a.items():
-        axes = _shifted_axes(spec, m1 + m2)
-        out += val * bump_eval_axes(phi, axes)
-    return SymbolGrid(spec, out)
+    axes = np.meshgrid(*(spec.axis_xi(),) * (2 * spec.n), indexing="ij", sparse=True)
+    return SymbolGrid(spec, sigma_eval(a, phi, axes))
 
 
 # ---------------------------------------------------------------------------

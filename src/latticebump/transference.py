@@ -12,7 +12,9 @@ condition-(B) point:
 Both sides are computed by independent code paths over the same frequency
 Riemann rule (the symbol path never forms g; the model path never forms the
 symbol), so the residuals isolate implementation errors rather than quadrature
-gaps.  Operator norms are reported as lower bounds found by seeded multi-start
+gaps.  The symbol path evaluates sigma at the support pairs of the witnesses'
+exact spectra only, never on the N^(2n) grid, so n = 2 runs on working grids.
+Operator norms are reported as lower bounds found by seeded multi-start
 coordinate ascent on normalized ratios; the theorems' constants are never
 asserted, only family-wise ratio stability against a configured bound.
 
@@ -34,9 +36,9 @@ from .bumps import BumpProfile, ThetaPair, Window, bump_eval_axes
 from .grid import GridFunction, GridSpec, idft
 from .norms import (_power_norm, amalgam_norm, check_exponent, ExponentTuple,
                     lp_norm, lq_seq_norm, wiener_norm)
-from .operators import (Sequence, TrigPolynomial, apply_S, apply_T_period,
-                        apply_T_sigma, band_project)
-from .symbols import LatticeCoefficients, check_symbol_budget, synth_sigma
+from .operators import (Sequence, TrigPolynomial, _grouped_sum, apply_S, apply_T_period,
+                        band_project)
+from .symbols import LatticeCoefficients, _check_supports, sigma_eval
 
 __all__ = [
     "ExponentHypothesisError",
@@ -89,6 +91,8 @@ class WitnessPair:
 
     f1: GridFunction
     f2: GridFunction
+    fhat1: GridFunction  # the exact spectra that f1, f2 are the idft of
+    fhat2: GridFunction
     provenance: str  # "amalgam" | "wiener"
     g: GridFunction
     m: float
@@ -108,15 +112,19 @@ def _witness_fhat(coeffs: dict, theta: BumpProfile, spec: GridSpec) -> np.ndarra
     return out
 
 
-def _check_witness_modes(coeffs: dict, theta: BumpProfile, spec: GridSpec) -> None:
-    eps = max(theta.radius)
-    if eps >= 0.5:
-        raise ValueError(f"theta radius {eps} must be < 1/2 (translates must not overlap)")
-    for nu in coeffs:
-        for j in range(spec.n):
-            if abs(nu[j] + theta.center[j % spec.n]) + eps > spec.s / 2:
-                raise ValueError(f"mode {nu} pushes the theta ball out of the "
-                                 f"frequency box")
+def _witness(c1: dict, c2: dict, theta: ThetaPair, spec: GridSpec, **models) -> WitnessPair:
+    """fhat_j = sum_nu c_j(nu) theta_j(. - nu) and f_j = idft(fhat_j)."""
+    fhat = []
+    for coeffs, t in ((c1, theta.theta1), (c2, theta.theta2)):
+        eps = max(t.radius)
+        if eps >= 0.5:
+            raise ValueError(f"theta radius {eps} must be < 1/2 (translates must not overlap)")
+        for nu in coeffs:
+            if any(abs(nu[j] + t.center[j]) + eps > spec.s / 2 for j in range(spec.n)):
+                raise ValueError(f"mode {nu} pushes the theta ball out of the frequency box")
+        fhat.append(GridFunction(spec, "frequency", _witness_fhat(coeffs, t, spec)))
+    return WitnessPair(f1=idft(fhat[0]), f2=idft(fhat[1]), fhat1=fhat[0], fhat2=fhat[1],
+                       g=theta.g, m=theta.m, theta=theta, **models)
 
 
 def build_amalgam_witness(F1: TrigPolynomial, F2: TrigPolynomial,
@@ -124,12 +132,7 @@ def build_amalgam_witness(F1: TrigPolynomial, F2: TrigPolynomial,
     """f_j = F_j * (inverse transform of theta_j), realized frequency-side."""
     if F1.n != spec.n or F2.n != spec.n:
         raise ValueError("dimension mismatch")
-    _check_witness_modes(F1.coeffs, theta.theta1, spec)
-    _check_witness_modes(F2.coeffs, theta.theta2, spec)
-    f1 = idft(GridFunction(spec, "frequency", _witness_fhat(F1.coeffs, theta.theta1, spec)))
-    f2 = idft(GridFunction(spec, "frequency", _witness_fhat(F2.coeffs, theta.theta2, spec)))
-    return WitnessPair(f1=f1, f2=f2, provenance="amalgam", g=theta.g, m=theta.m,
-                       theta=theta, F1=F1, F2=F2)
+    return _witness(F1.coeffs, F2.coeffs, theta, spec, provenance="amalgam", F1=F1, F2=F2)
 
 
 def build_wiener_witness(b1: Sequence, b2: Sequence, theta: ThetaPair,
@@ -143,12 +146,7 @@ def build_wiener_witness(b1: Sequence, b2: Sequence, theta: ThetaPair,
         raise ValueError(
             f"window plateau {kappa.plateau_radius} is smaller than 2*eps = "
             f"{2 * theta.eps}; band projections would leak across bands")
-    _check_witness_modes(b1.entries, theta.theta1, spec)
-    _check_witness_modes(b2.entries, theta.theta2, spec)
-    f1 = idft(GridFunction(spec, "frequency", _witness_fhat(b1.entries, theta.theta1, spec)))
-    f2 = idft(GridFunction(spec, "frequency", _witness_fhat(b2.entries, theta.theta2, spec)))
-    return WitnessPair(f1=f1, f2=f2, provenance="wiener", g=theta.g, m=theta.m,
-                       theta=theta, b1=b1, b2=b2)
+    return _witness(b1.entries, b2.entries, theta, spec, provenance="wiener", b1=b1, b2=b2)
 
 
 def wiener_witness_norm_identity(w: WitnessPair, j: int, p: float, q: float,
@@ -187,6 +185,19 @@ class WienerFactorizationCheck:
     lower_bound_gap: float     # ||T||_W - ||S_a(b1,b2)||_q * ||g||_p (>= -tol)
 
 
+def _T_aPhi_witness(a: LatticeCoefficients, phi: BumpProfile, w: WitnessPair,
+                    spec: GridSpec) -> GridFunction:
+    """T_{a,Phi}(f1, f2) of a witness: the grouped sum over the support pairs
+    of its exact spectra, with sigma evaluated at those pairs only."""
+    _check_supports(a, phi, spec)
+    if w.fhat1.spec != spec:
+        raise ValueError("grid spec mismatch")
+    xi = spec.axis_xi()
+    samples = _grouped_sum(lambda idx: sigma_eval(a, phi, [xi[i] for i in idx]),
+                           w.fhat1.samples, w.fhat2.samples, spec)
+    return GridFunction(spec, "space", samples)
+
+
 def _trig_values(tp: TrigPolynomial, spec: GridSpec) -> np.ndarray:
     return np.asarray(tp.evaluate(*spec.space_points()), dtype=complex)
 
@@ -210,7 +221,7 @@ def verify_amalgam_factorization(a: LatticeCoefficients, phi: BumpProfile,
     """
     if w.provenance != "amalgam" or w.F1 is None:
         raise ValueError("witness must come from build_amalgam_witness")
-    lhs = apply_T_sigma(synth_sigma(a, phi, spec), w.f1, w.f2).samples
+    lhs = _T_aPhi_witness(a, phi, w, spec).samples
     tper = _trig_values(apply_T_period(a, w.F1, w.F2), spec)
     rhs = tper * w.g.samples
     scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
@@ -233,7 +244,7 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
     """
     if w.provenance != "wiener" or w.b1 is None:
         raise ValueError("witness must come from build_wiener_witness")
-    lhs_gf = apply_T_sigma(synth_sigma(a, phi, spec), w.f1, w.f2)
+    lhs_gf = _T_aPhi_witness(a, phi, w, spec)
     lhs = lhs_gf.samples
     sab = apply_S(a, w.b1, w.b2)
     rhs = _trig_values(TrigPolynomial(spec.n, sab.entries), spec) * w.g.samples
@@ -241,15 +252,11 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
     residual = float(np.max(np.abs(lhs - rhs)) / scale)
 
     xi0_sum = np.asarray(w.theta.xi0_sum, dtype=float)
-    x_axes = spec.space_points()
     band_res = 0.0
     coeff_rel = 0.0
     gnorm2 = float(np.sum(np.abs(w.g.samples) ** 2))
     for mu, val in sorted(sab.entries.items()):
-        phase = 1.0
-        for j, ax in enumerate(x_axes):
-            phase = phase * np.exp(2j * np.pi * mu[j] * ax)
-        profile = phase * w.g.samples
+        profile = _trig_values(TrigPolynomial(spec.n, {mu: 1.0}), spec) * w.g.samples
         band = band_project(kappa, mu, lhs_gf, offset=xi0_sum).samples
         expected = val * profile
         sc = 1.0 + np.max(np.abs(expected))
@@ -646,7 +653,6 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
                          exponents: ExponentTuple, space: str,
                          theta: ThetaPair, spec: GridSpec,
                          kappa: Window | None = None,
-                         params: SearchParams | None = None,
                          model_estimate: NormEstimate | None = None) -> NormEstimate:
     """Lower bound on the continuum operator norm in the chosen space.
 
@@ -658,7 +664,6 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
     amalgam ratios use the (L^p, l^q) grid norms; Wiener ratios use windows
     translated to the witness frequencies.
     """
-    params = params or SearchParams()
     if space not in ("amalgam", "wiener"):
         raise ValueError("space must be 'amalgam' or 'wiener'")
     if space == "wiener" and kappa is None:
@@ -666,24 +671,9 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
     if len(a) == 0:
         return NormEstimate(value=0.0, witness={}, trace={"family": "T_aPhi",
                                                           "pool": "empty"})
-    sigma = synth_sigma(a, phi, spec)
     n = spec.n
     ex = exponents
     xi0 = np.asarray(theta.xi0, dtype=float)
-
-    def op_ratio(f1: GridFunction, f2: GridFunction) -> float:
-        out = apply_T_sigma(sigma, f1, f2)
-        if space == "amalgam":
-            n1 = amalgam_norm(f1, ex.p1, ex.q1)
-            n2 = amalgam_norm(f2, ex.p2, ex.q2)
-            no = amalgam_norm(out, ex.p, ex.q)
-        else:
-            n1 = wiener_norm(f1, ex.p1, ex.q1, kappa, offset=xi0[:n])
-            n2 = wiener_norm(f2, ex.p2, ex.q2, kappa, offset=xi0[n:])
-            no = wiener_norm(out, ex.p, ex.q, kappa, offset=xi0[:n] + xi0[n:])
-        if n1 == 0.0 or n2 == 0.0:
-            return 0.0
-        return no / (n1 * n2)
 
     candidates = [("witness-indicator",
                    dict.fromkeys({m1 for (m1, _m2) in a.entries}, 1.0 + 0j),
@@ -697,20 +687,23 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
     best = NormEstimate(value=-1.0, witness={}, trace={})
     for tag, c1, c2 in candidates:
         if space == "amalgam":
-            w = build_amalgam_witness(TrigPolynomial(n, c1), TrigPolynomial(n, c2),
-                                      theta, spec)
+            w = build_amalgam_witness(TrigPolynomial(n, c1), TrigPolynomial(n, c2), theta, spec)
+            n1, n2 = amalgam_norm(w.f1, ex.p1, ex.q1), amalgam_norm(w.f2, ex.p2, ex.q2)
+            no = amalgam_norm(_T_aPhi_witness(a, phi, w, spec), ex.p, ex.q)
         else:
-            w = build_wiener_witness(Sequence(n, c1), Sequence(n, c2), theta,
-                                     spec, kappa)
-        val = op_ratio(w.f1, w.f2)
+            w = build_wiener_witness(Sequence(n, c1), Sequence(n, c2), theta, spec, kappa)
+            n1 = wiener_norm(w.f1, ex.p1, ex.q1, kappa, offset=xi0[:n])
+            n2 = wiener_norm(w.f2, ex.p2, ex.q2, kappa, offset=xi0[n:])
+            no = wiener_norm(_T_aPhi_witness(a, phi, w, spec), ex.p, ex.q, kappa,
+                             offset=xi0[:n] + xi0[n:])
+        val = 0.0 if n1 == 0.0 or n2 == 0.0 else no / (n1 * n2)
         if val > best.value:
             best = NormEstimate(
                 value=val,
                 witness={"pool": tag,
                          "c1": {str(m): [v.real, v.imag] for m, v in c1.items()},
                          "c2": {str(m): [v.real, v.imag] for m, v in c2.items()}},
-                trace={"family": "T_aPhi", "space": space, "pool": tag,
-                       "seed": params.seed})
+                trace={"family": "T_aPhi", "space": space, "pool": tag})
     return best
 
 
@@ -775,7 +768,6 @@ def transference_report(a_family: list[LatticeCoefficients], phi: BumpProfile,
                 f"violate 1/p <= 1/p1 + 1/p2", WIENER_CITATION)
     else:
         raise ValueError("space must be 'amalgam' or 'wiener'")
-    check_symbol_budget(spec)  # before the model searches, not at the first symbol
 
     rows = []
     for a in a_family:
@@ -785,7 +777,7 @@ def transference_report(a_family: list[LatticeCoefficients], phi: BumpProfile,
         else:
             model = estimate_norm_S(a, exponents.q1, exponents.q2, exponents.q, params)
         op = estimate_norm_T_aPhi(a, phi, exponents, space, theta, spec,
-                                  kappa=kappa, params=params, model_estimate=model)
+                                  kappa=kappa, model_estimate=model)
         ratio = op.value / model.value if model.value > 0 else math.inf
         rows.append({"operator_norm": op.value, "model_norm": model.value,
                      "ratio": ratio, "pool": op.trace.get("pool", ""),

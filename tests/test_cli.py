@@ -8,8 +8,9 @@ import pytest
 
 from latticebump.cli import main
 from latticebump.symbols import SymbolGrid, synth_sigma, lattice_from_dict
-from latticebump.bumps import make_bump
-from latticebump.grid import make_grid
+from latticebump.bumps import bump_eval_axes, check_condition_B, make_bump, make_theta_pair
+from latticebump.grid import freq_function, idft, make_grid
+from latticebump.norms import lp_norm
 from latticebump.transference import SearchParams
 
 
@@ -193,18 +194,38 @@ def test_scaling_zero_verdict_exponent_is_config_error(tmp_path, capsys):
     assert _exit_code(tmp_path, capsys, "scaling", doc) == 2
 
 
-@pytest.mark.parametrize("command", ["synth", "transfer"])
+@pytest.mark.parametrize("command", ["synth"])
 def test_symbol_over_the_memory_budget_is_config_error(tmp_path, capsys, command):
     # n = 2 on a 256^2 grid is a valid grid, but its symbol would hold
-    # N^(2n) = 2^32 complex values (68.7 GB): refused before it is allocated
-    doc = dict(_TRANSFER, n=2, a={"entries": [[[0, 0], [0, 0], 1.0, 0.0]]})
-    if command == "synth":
-        doc = {k: doc[k] for k in ("n", "phi", "a")}
+    # N^(2n) = 2^32 complex values (68.7 GB): synth refuses it before it is
+    # allocated
+    doc = {"n": 2, "phi": "tensor-0.4", "a": {"entries": [[[0, 0], [0, 0], 1.0, 0.0]]}}
     code = main([command, "--config", _write(tmp_path, "cfg.json", doc),
                  "--out", str(tmp_path / "o"), "--grid", "8,32"])
     err = capsys.readouterr().err
     assert code == 2
     assert "symbol grid" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("space", ["amalgam", "wiener"])
+def test_transfer_runs_n2_at_working_grid(tmp_path, space):
+    # transfer never forms that symbol, so n = 2 runs at --grid 8,32; at
+    # all-2 exponents its ratio is the n = 2 Plancherel constant
+    # ||g||_2 / (||F^-1 theta1||_2 ||F^-1 theta2||_2)
+    doc = dict(_TRANSFER, n=2, space=space, a={"random": {"radius": 1, "count": 9, "seed": 4}},
+               search={"starts": 2, "steps": 2, "torus_points": 16})
+    out = tmp_path / "o"
+    assert main(["transfer", "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(out), "--grid", "8,32"]) == 0
+    spec = make_grid(2, 8, 32)
+    phi = make_bump(4, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    theta = make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    inv = [idft(freq_function(spec, lambda *xi, t=t: bump_eval_axes(t, list(xi))))
+           for t in (theta.theta1, theta.theta2)]
+    constant = lp_norm(theta.g, 2) / (lp_norm(inv[0], 2) * lp_norm(inv[1], 2))
+    ratio = json.loads((out / "report.json").read_text())["rows"][0]["ratio"]
+    assert ratio == pytest.approx(constant, rel=1e-9)
 
 
 def test_transfer_misspelt_top_level_key_is_config_error(tmp_path, capsys):

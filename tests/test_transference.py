@@ -1,18 +1,22 @@
+import itertools
+import json
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from latticebump.bumps import make_bump, make_theta_pair, make_window
+from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
+                               make_window)
+from latticebump.cli import main
 from latticebump.grid import dft, make_grid
 from latticebump.norms import amalgam_norm, lp_norm, lp_norm_torus, lq_seq_norm, \
     wiener_norm, ExponentTuple
-from latticebump.operators import (Sequence, apply_S, apply_T_period, apply_T_sigma,
-                                   sequence_from_dict, trig_poly_from_dict)
+from latticebump.operators import (Sequence, TrigPolynomial, apply_S, apply_T_period,
+                                   apply_T_sigma, sequence_from_dict, trig_poly_from_dict)
 from latticebump.symbols import (lattice_delta, lattice_from_dict,
                                  random_lattice_coefficients, synth_sigma)
-from latticebump import transference
+from latticebump import operators, symbols, transference
 from latticebump.transference import (AMALGAM_CITATION, SCREEN_MARGIN,
                                       ExponentHypothesisError,
                                       SearchParams, _starts, build_amalgam_witness,
@@ -462,7 +466,7 @@ def test_search_params_reject_invalid(bad):
 def test_estimate_T_aPhi_zero(spec, phi04, theta):
     est = estimate_norm_T_aPhi(lattice_from_dict(1, {}), phi04,
                                ExponentTuple(2, 2, 2, 2, 2, 2), "amalgam",
-                               theta, spec, params=LIGHT)
+                               theta, spec)
     assert est.value == 0.0
 
 
@@ -491,7 +495,7 @@ def test_estimate_T_aPhi_delta_upper_bound(spec, phi04, theta):
     # estimate can never exceed sup|sigma| * (l1 mass of one spectrum factor)
     a = lattice_delta(1)
     est = estimate_norm_T_aPhi(a, phi04, ExponentTuple(2, 2, 2, 2, 2, 2),
-                               "amalgam", theta, spec, params=LIGHT)
+                               "amalgam", theta, spec)
     sig = synth_sigma(a, phi04, spec)
     # ratio-form bound: |T(f1,f2)|_2 <= sup|sigma| (dxi sum|f1hat|) ||f2||_2
     # and dxi sum |f1hat| <= sqrt(width) ||f1||_2 with width = band measure
@@ -504,7 +508,7 @@ def test_estimate_T_aPhi_delta_upper_bound(spec, phi04, theta):
 def test_estimate_T_aPhi_pools_tagged(spec, phi04, theta, kappa):
     a = random_lattice_coefficients(1, 1, 9, seed=64)
     est = estimate_norm_T_aPhi(a, phi04, ExponentTuple(2, 2, 2, 2, 2, 2),
-                               "wiener", theta, spec, kappa=kappa, params=LIGHT)
+                               "wiener", theta, spec, kappa=kappa)
     assert est.trace["pool"] in {"witness-indicator", "witness-model"}
     assert est.value > 0
 
@@ -513,23 +517,23 @@ def test_estimate_T_aPhi_pools_tagged(spec, phi04, theta, kappa):
 def test_estimate_T_aPhi_scores_the_proof_witnesses_only(monkeypatch, spec, phi04, theta,
                                                          kappa, space):
     # the support-indicator witness, plus the model witness when a model
-    # estimate is given: one apply_T_sigma per candidate, nothing else
+    # estimate is given: one symbol-path product per candidate, nothing else
     a = random_lattice_coefficients(1, 1, 9, seed=64)
     ex = ExponentTuple(2, 2, 2, 2, 2, 2)
     model = (estimate_norm_T_period(a, 2, 2, 2, LIGHT) if space == "amalgam"
              else estimate_norm_S(a, 2, 2, 2, LIGHT))
-    calls = []
+    calls, real = [], transference._T_aPhi_witness
 
     def spy(*args):
         calls.append(args)
-        return apply_T_sigma(*args)
+        return real(*args)
 
-    monkeypatch.setattr(transference, "apply_T_sigma", spy)
-    est = estimate_norm_T_aPhi(a, phi04, ex, space, theta, spec, kappa=kappa, params=LIGHT,
+    monkeypatch.setattr(transference, "_T_aPhi_witness", spy)
+    est = estimate_norm_T_aPhi(a, phi04, ex, space, theta, spec, kappa=kappa,
                                model_estimate=model)
     assert (len(calls), est.trace["pool"]) == (2, "witness-model")
     calls.clear()
-    est = estimate_norm_T_aPhi(a, phi04, ex, space, theta, spec, kappa=kappa, params=LIGHT)
+    est = estimate_norm_T_aPhi(a, phi04, ex, space, theta, spec, kappa=kappa)
     assert (len(calls), est.trace["pool"]) == (1, "witness-indicator")
 
 
@@ -595,7 +599,7 @@ def test_wiener_sweep_estimate_dominates_sequence_model(spec, phi04, theta, kapp
         a = random_lattice_coefficients(1, 1, 9, seed=seed)
         s_est = estimate_norm_S(a, ex.q1, ex.q2, ex.q, LIGHT)
         op = estimate_norm_T_aPhi(a, phi04, ex, "wiener", theta, spec,
-                                  kappa=kappa, params=LIGHT, model_estimate=s_est)
+                                  kappa=kappa, model_estimate=s_est)
         # rebuild the model witness and check the exact factorization chain
         v1, v2 = s_est.trace["vectors"]
         box1, box2 = s_est.trace["boxes"]
@@ -633,3 +637,84 @@ def test_amalgam_factorization_2d():
     chk = verify_amalgam_factorization(a, phi, w, spec2)
     assert chk.residual <= 1e-6
     assert chk.domination_margin >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the witness symbol path: sigma at the support pairs of the exact spectra
+# ---------------------------------------------------------------------------
+
+
+def _fixture(n, L, s):
+    spec_ = make_grid(n, L, s)
+    phi = make_bump(2 * n, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    return spec_, phi, make_theta_pair(phi, cb.witness, cb.slack / 4, spec_)
+
+
+def _random_modes(rng, n):
+    return {m: complex(*rng.standard_normal(2))
+            for m in itertools.product((-1, 0, 1), repeat=n)}
+
+
+@pytest.mark.parametrize("n, L, s, kind", [
+    (1, 8, 32, "tensor-exp"), (1, 8, 128, "tensor-exp"), (2, 4, 8, "tensor-exp"),
+    (1, 8, 32, "radial-exp")])
+def test_witness_symbol_path_matches_dense_oracle(n, L, s, kind):
+    spec_, phi, theta_ = _fixture(n, L, s)
+    sym = make_bump(2 * n, kind, radius=0.4)  # the theta pair needs a tensor Phi, T does not
+    rng = np.random.default_rng(97)
+    w = build_amalgam_witness(TrigPolynomial(n, _random_modes(rng, n)),
+                              TrigPolynomial(n, _random_modes(rng, n)), theta_, spec_)
+    a = random_lattice_coefficients(n, 1, 9, seed=97)
+    got = transference._T_aPhi_witness(a, sym, w, spec_).samples
+    ref = apply_T_sigma(synth_sigma(a, sym, spec_), w.f1, w.f2).samples
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the spectra keep their exact zeros: one theta ball of nodes per mode
+    # (the idft -> dft round trip would turn them into roundoff)
+    ball = np.count_nonzero(bump_eval_axes(theta_.theta1, spec_.freq_points()))
+    assert np.count_nonzero(w.fhat1.samples) == 3 ** n * ball
+    if (n, L, s) == (1, 8, 32):
+        assert (np.count_nonzero(w.fhat1.samples), w.fhat1.samples.size) == (9, 256)
+
+
+def test_witness_paths_form_no_dense_symbol(monkeypatch, tmp_path, spec, phi04, theta, kappa):
+    def refuse(*_args, **_kw):
+        raise AssertionError("the dense N^(2n) symbol path was called")
+
+    for module in (symbols, operators, transference):
+        for name in ("synth_sigma", "apply_T_sigma"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    rng = np.random.default_rng(98)
+    a = random_lattice_coefficients(1, 1, 9, seed=98)
+    w = build_amalgam_witness(_random_trig(rng), _random_trig(rng), theta, spec)
+    assert verify_amalgam_factorization(a, phi04, w, spec).residual <= 1e-6
+    ww = build_wiener_witness(_random_seq(rng, (-1, 0, 1)), _random_seq(rng, (0, 1)),
+                              theta, spec, kappa)
+    assert verify_wiener_factorization(a, phi04, ww, kappa, spec).residual <= 1e-6
+    est = estimate_norm_T_aPhi(a, phi04, ExponentTuple(2, 2, 2, 2, 2, 2), "wiener", theta,
+                               spec, kappa=kappa)
+    assert est.value > 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 1, "phi": "tensor-0.4", "exponents": [2, 2, 2, 2, 2, 2],
+                               "a": {"random": {"radius": 1, "count": 9, "seed": 98}},
+                               "search": {"starts": 2, "steps": 2}}))
+    assert main(["transfer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_witness_chains_2d_at_working_grid():
+    # make_grid(2, 8, 32): the symbol grid would hold 2^32 values, the
+    # witness spectra have 81 nonzero nodes each
+    spec2, phi, theta2 = _fixture(2, 8, 32)
+    kappa2 = make_window(2, 0.6)
+    rng = np.random.default_rng(99)
+    a = random_lattice_coefficients(2, 1, 9, seed=99)
+    w = build_amalgam_witness(TrigPolynomial(2, _random_modes(rng, 2)),
+                              TrigPolynomial(2, _random_modes(rng, 2)), theta2, spec2)
+    chk = verify_amalgam_factorization(a, phi, w, spec2)
+    assert chk.residual <= 1e-6
+    assert chk.domination_margin >= 0.0
+    ww = build_wiener_witness(Sequence(2, _random_modes(rng, 2)),
+                              Sequence(2, _random_modes(rng, 2)), theta2, spec2, kappa2)
+    wchk = verify_wiener_factorization(a, phi, ww, kappa2, spec2)
+    assert wchk.residual <= 1e-6
+    assert wchk.band_residual <= 1e-6

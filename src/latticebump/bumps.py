@@ -272,7 +272,8 @@ def _axis_free_cells(lo: float, hi: float) -> list[tuple[float, float]]:
     m in [t - hi, t - lo]; the cell decomposition by the breakpoints
     {lo + m, hi + m} makes that membership constant per cell.
     """
-    width = hi - lo
+    if hi - lo >= 2.0:  # t - 1 or t + 1 lies in [lo, hi] for every t in (lo, hi)
+        return []
     ms = np.arange(int(np.floor(lo - hi)) - 1, int(np.ceil(hi - lo)) + 2)
     pts = sorted({lo, hi} | {lo + m for m in ms} | {hi + m for m in ms})
     pts = [p for p in pts if lo <= p <= hi]

@@ -7,7 +7,9 @@ puts wall-clock metadata into a separate ``meta.json`` so reports stay
 byte-identical across reruns with the same config and seed.
 
 Exit codes: 0 pass, 2 config error, 3 exponent-hypothesis violation,
-4 assertion failure.
+4 assertion failure.  ``main`` is the one place that maps errors to them:
+every ValueError a config command raises (a ConfigError of the readers
+below, a BudgetError, or a value the library rejects) is exit 2.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import sys
@@ -81,9 +85,10 @@ def _section(doc: dict, key: str, where: str | None = None) -> dict | None:
 
 
 def _integer(v, where: str) -> int:
-    """One integer from a config; a non-integral number is an error, not truncated."""
+    """One integer from a config; a non-integral number or a boolean is an
+    error, not truncated or read as 0/1."""
     try:
-        if isinstance(v, float) and not v.is_integer():
+        if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
             raise ValueError
         return int(v)
     except (TypeError, ValueError, OverflowError) as e:
@@ -91,14 +96,27 @@ def _integer(v, where: str) -> int:
 
 
 def _number(v, where: str) -> float:
-    """One finite number from a config."""
+    """One finite number from a config (not a boolean)."""
     try:
-        x = float(v)
+        x = math.nan if isinstance(v, bool) else float(v)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{where}: expected a finite number, got {v!r}") from e
     if not math.isfinite(x):
         raise ConfigError(f"{where}: expected a finite number, got {v!r}")
     return x
+
+
+def _numbers(v, where: str) -> float | list[float]:
+    """A finite number or a list of them (one per axis) from a config."""
+    return [_number(c, where) for c in v] if isinstance(v, list) else _number(v, where)
+
+
+def _list(block: dict, key: str, default: list, where: str) -> list:
+    """``block[key]`` (``default`` if absent), which must be a list."""
+    v = block.get(key, default)
+    if not isinstance(v, list):
+        raise ConfigError(f"{where} {key} must be a list")
+    return v
 
 
 def _integers(block: dict, where: str, **defaults) -> list[int]:
@@ -119,16 +137,12 @@ def _phi_fixture(name: str, n: int) -> bumps.BumpProfile:
 
 def _load_config(args) -> dict:
     """The config object at ``args.config``, with only the command's top-level keys."""
-    path = args.config
-    if path is None:
+    if args.config is None:
         raise ConfigError("--config PATH is required for this command")
-    p = Path(path)
+    p = Path(args.config)
     if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+        raise ConfigError(f"config file not found: {args.config}")
+    cfg = json.loads(p.read_text())  # a JSONDecodeError is a ValueError: exit 2
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, KEYS[args.command], f"{args.command} config")
@@ -149,10 +163,7 @@ def _grid_from(cfg: dict, args) -> grid.GridSpec:
             raise ConfigError(f"--grid expects L,s got {args.grid!r}") from e
     else:
         L, s = _integers(g, "grid", L=8, s=32)
-    try:
-        return grid.make_grid(n, L, s)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return grid.make_grid(n, L, s)
 
 
 def _phi_from(cfg: dict, n: int) -> bumps.BumpProfile:
@@ -167,10 +178,22 @@ def _phi_from(cfg: dict, n: int) -> bumps.BumpProfile:
         _check_keys(spec, ("fixture",), "phi")
         return _phi_fixture(spec["fixture"], n)
     _check_keys(spec, KEYS["phi"], "phi")
-    try:
-        return bumps.profile_from_json(json.dumps(spec))
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad phi profile: {e}") from e
+    kind, d = spec.get("kind"), _integer(spec.get("d"), "phi d")
+    if kind not in ("tensor-exp", "radial-exp", "plateau"):
+        raise ConfigError(f"phi kind {kind!r}: expected 'tensor-exp', 'radial-exp' or 'plateau'")
+    if d != 2 * n:
+        raise ConfigError(f"phi d must be 2n = {2 * n}, got {d}")
+    pair = spec.get("amplitude")
+    amp = (complex(*(_number(c, "phi amplitude") for c in pair))
+           if isinstance(pair, list) and len(pair) == 2 else 0)
+    if amp == 0:
+        raise ConfigError(f"phi amplitude must be a nonzero [re, im], got {pair!r}")
+    center = _numbers(spec.get("center"), "phi center")
+    radius = _numbers(spec.get("radius"), "phi radius")
+    if kind == "plateau":
+        return bumps.make_plateau(d, _numbers(spec.get("inner"), "phi inner"), radius,
+                                  center=center, amplitude=amp)
+    return bumps.make_bump(d, kind, center=center, radius=radius, amplitude=amp)
 
 
 def _multi_index(m, n: int) -> tuple[int, ...]:
@@ -209,6 +232,8 @@ def _family_from(cfg: dict, n: int, seed: int) -> list[symbols.LatticeCoefficien
         return [_coeffs_from(cfg, n, seed)]
     radius, count, base, members = _integers(fam, "a_family", radius=1, count=9,
                                              seed=seed, members=20)
+    if members < 1:
+        raise ConfigError(f"a_family members must be >= 1, got {members}")
     return [symbols.random_lattice_coefficients(n, radius, count, base + i)
             for i in range(members)]
 
@@ -218,18 +243,12 @@ def _cm_from(cfg: dict, phi: bumps.BumpProfile) -> symbols.CMDecomposition:
     cm = _section(cfg, "cm") or {}
     M, K = _integer(cm.get("M", 16), "cm M"), cm.get("K")
     K = None if K is None else _number(K, "cm K")
-    try:
-        return symbols.cm_decompose(phi, K=K, M=M)
-    except ValueError as e:
-        raise ConfigError(f"cm: {e}") from e
+    return symbols.cm_decompose(phi, K=K, M=M)
 
 
 def _window_from(cfg: dict, n: int) -> bumps.Window:
     outer = _number((_section(cfg, "window") or {}).get("outer", 0.6), "window outer")
-    try:
-        return bumps.make_window(n, outer)
-    except ValueError as e:
-        raise ConfigError(f"window outer: {e}") from e
+    return bumps.make_window(n, outer)
 
 
 def _theta_from(phi: bumps.BumpProfile, spec: grid.GridSpec):
@@ -243,21 +262,17 @@ def _theta_from(phi: bumps.BumpProfile, spec: grid.GridSpec):
 
 def _search_from(cfg: dict, seed: int) -> transference.SearchParams:
     s = _section(cfg, "search") or {}
-    defaults = transference.SearchParams(seed=seed)
-    values = {}
-    for name in KEYS["search"]:
-        default = getattr(defaults, name)
-        v = s.get(name, default)
-        values[name] = (_integer if isinstance(default, int) else _number)(v, f"search {name}")
-    try:
-        return transference.SearchParams(**values)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    defaults = dataclasses.asdict(transference.SearchParams(seed=seed))
+    return transference.SearchParams(**{
+        k: (_integer if isinstance(v, int) else _number)(s.get(k, v), f"search {k}")
+        for k, v in defaults.items()})
 
 
 def _exponent(v) -> float:
     """One exponent from a config: a positive number, or "inf" (or null)."""
     try:
+        if isinstance(v, bool):
+            raise TypeError
         return norms.check_exponent(math.inf if v in ("inf", None) else float(v))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad exponent {v!r}: expected a positive number or \"inf\"") from e
@@ -267,13 +282,6 @@ def _exponent_tuple(ex) -> norms.ExponentTuple:
     if not isinstance(ex, list) or len(ex) != 6:
         raise ConfigError("'exponents' must be a list of six entries [p1,p2,p,q1,q2,q]")
     return norms.ExponentTuple(*(_exponent(v) for v in ex))
-
-
-def _exponents_from(cfg: dict) -> norms.ExponentTuple:
-    ex = cfg.get("exponents")
-    if ex is None:
-        raise ConfigError("config needs 'exponents': [p1,p2,p,q1,q2,q]")
-    return _exponent_tuple(ex)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -309,16 +317,12 @@ def cmd_synth(args) -> int:
     (out / "cm.json").write_text(d.to_json())
 
     # reconstruction error ladder over truncations up to M
-    probe = np.linspace(-max(phi.radius), max(phi.radius), 33)
+    probes = [np.linspace(-max(phi.radius), max(phi.radius), 33)] * phi.d
+    exact = bumps.bump_eval_axes(phi, list(np.ix_(*probes)))
     rows = [["M", "sup_error", "center_error", "tail_bound"]]
     for m in sorted({max(d.M // 4, 1), max(d.M // 2, 1), d.M}):
         dm = symbols.cm_decompose(phi, K=d.K, M=m)
-        if spec.n == 1:
-            rec = symbols.cm_reconstruct(dm, probe[:, None], probe[None, :])
-            exact = bumps.bump_eval_axes(phi, [probe[:, None], probe[None, :]])
-            sup_err = float(np.max(np.abs(rec - exact)))
-        else:
-            sup_err = float("nan")
+        sup_err = float(np.max(np.abs(symbols._cm_on_axes(dm, probes) - exact)))
         center = abs(symbols.cm_reconstruct(dm, np.zeros(spec.n), np.zeros(spec.n))
                      - bumps.bump_eval(phi, np.zeros(2 * spec.n)))
         rows.append([m, sup_err, float(center), dm.tail])
@@ -335,15 +339,12 @@ def cmd_decompose(args) -> int:
     n = _integer(cfg.get("n", 1), "n")
     phi = _phi_from(cfg, n)
     d = _cm_from(cfg, phi)
-    M = d.M
     out = Path(args.out or cfg.get("out", "decompose-out"))
     out.mkdir(parents=True, exist_ok=True)
     (out / "cm.json").write_text(d.to_json())
-    rows = [["k1", "k2", "abs_b"]]
-    if n == 1:
-        for k1 in range(-M, M + 1):
-            for k2 in range(-M, M + 1):
-                rows.append([k1, k2, abs(d.coefficient((k1, k2)))])
+    ks = range(-d.M, d.M + 1) if n == 1 else ()
+    rows = [["k1", "k2", "abs_b"]] + [[k1, k2, abs(d.coefficient((k1, k2)))]
+                                      for k1, k2 in itertools.product(ks, ks)]
     _write_csv(out / "decay.csv", rows)
     _finish(out, {"command": "decompose", "K": d.K, "M": d.M, "tail": d.tail,
                   "decay_C4": d.decay_constant(4)}, t0)
@@ -356,7 +357,7 @@ def cmd_opnorm(args) -> int:
     spec = _grid_from(cfg, args)
     seed = _seed(cfg, args)
     a = _coeffs_from(cfg, spec.n, seed)
-    ex = _exponents_from(cfg)
+    ex = _exponent_tuple(cfg.get("exponents"))
     params = _search_from(cfg, seed)
     family = cfg.get("family", "S")
     out = Path(args.out or cfg.get("out", "opnorm-out"))
@@ -385,7 +386,7 @@ def cmd_transfer(args) -> int:
     spec = _grid_from(cfg, args)
     seed = _seed(cfg, args)
     phi = _phi_from(cfg, spec.n)
-    ex = _exponents_from(cfg)
+    ex = _exponent_tuple(cfg.get("exponents"))
     space = cfg.get("space", "amalgam")
     params = _search_from(cfg, seed)
     family = _family_from(cfg, spec.n, seed)
@@ -416,29 +417,21 @@ def cmd_scaling(args) -> int:
     seed = _seed(cfg, args)
     sc = _section(cfg, "scaling", "scaling block") or {}
     verdict_specs = []
-    for tup in sc.get("verdicts", []):
+    for tup in _list(sc, "verdicts", [], "scaling"):
         space = tup.get("space") if isinstance(tup, dict) else None
         if space not in ("amalgam", "wiener"):
             raise ConfigError(f"verdict {tup!r} needs 'space': 'amalgam' or 'wiener'")
         _check_keys(tup, KEYS["verdict"], "verdict")
         verdict_specs.append((space, _exponent_tuple(tup.get("exponents"))))
-    eps = sc.get("epsilons", [0.5, 0.25, 0.125])
-    if not isinstance(eps, list):
-        raise ConfigError("scaling epsilons must be a list of numbers")
-    eps = tuple(_number(e, "scaling epsilons") for e in eps)
+    eps = tuple(_number(e, "scaling epsilons")
+                for e in _list(sc, "epsilons", [0.5, 0.25, 0.125], "scaling"))
     if len(eps) < 3:
         raise ConfigError("regression needs at least 3 epsilons")
-    xi0 = sc.get("xi0", 0.0)
-    xi0 = ([_number(c, "scaling xi0") for c in xi0] if isinstance(xi0, list)
-           else _number(xi0, "scaling xi0"))
-    try:
-        fam = scalinglab.make_scaling_family(
-            xi0=xi0, epsilons=eps, n=_integer(cfg.get("n", 1), "n"),
-            s=_integer(sc.get("s", 8), "scaling s"),
-            box_factor=_number(sc.get("box_factor", 192.0), "scaling box_factor"),
-            base_radius=_number(sc.get("base_radius", 0.3), "scaling base_radius"))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    fam = scalinglab.make_scaling_family(
+        xi0=_numbers(sc.get("xi0", 0.0), "scaling xi0"), epsilons=eps,
+        n=_integer(cfg.get("n", 1), "n"), s=_integer(sc.get("s", 8), "scaling s"),
+        box_factor=_number(sc.get("box_factor", 192.0), "scaling box_factor"),
+        base_radius=_number(sc.get("base_radius", 0.3), "scaling base_radius"))
     kappa = _window_from(cfg, fam.n)
     out = Path(args.out or cfg.get("out", "scaling-out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -451,6 +444,7 @@ def cmd_scaling(args) -> int:
     def pq(space, r):
         return (2.0, r) if space == "amalgam" else (r, 2.0)
 
+    @functools.cache  # the verdicts refit (space, exponent) pairs of the slope table
     def slope_fit(space, r):
         if space == "amalgam":
             return scalinglab.amalgam_scaling_slope(fam, *pq(space, r))
@@ -458,7 +452,7 @@ def cmd_scaling(args) -> int:
 
     rows = [["space", "exponent", "eps", "norm"]]
     for space, key, name in (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p")):
-        for r in sc.get(key, [1.0, 2.0, "inf"]):
+        for r in _list(sc, key, [1.0, 2.0, "inf"], "scaling"):
             rv = _exponent(r)
             fit = slope_fit(space, rv)
             report["slopes"][f"{key}{r}"] = {
@@ -631,12 +625,14 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.fn(args)
-    except (ConfigError, grid.BudgetError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except transference.ExponentHypothesisError as e:
         print(f"hypothesis violation: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except ValueError as e:  # ConfigError, BudgetError and every value the library rejects
+        if args.fn is cmd_selftest:  # reads no config: a ValueError there is a bug
+            raise
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

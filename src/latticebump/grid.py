@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "BudgetError",
+    "check_budget",
     "GridSpec",
     "GridFunction",
     "make_grid",
@@ -30,11 +31,20 @@ __all__ = [
     "poisson_check",
 ]
 
-MAX_POINTS = 2**24  # memory budget for N^n grids and N^(2n) symbols
+# memory budget, in values, of every large array: grids, symbols, cm coefficient
+# blocks and quadratures, the T_period torus and its phase matrices
+MAX_POINTS = 2**24
 
 
 class BudgetError(ValueError):
-    """A grid or symbol would hold more than MAX_POINTS values."""
+    """An array would hold more than MAX_POINTS values."""
+
+
+def check_budget(count: int, what: str) -> None:
+    """Raise BudgetError before ``what`` with ``count`` values is allocated,
+    if that is more than MAX_POINTS."""
+    if count > MAX_POINTS:
+        raise BudgetError(f"{what} with {count} values exceeds budget {MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +139,7 @@ def make_grid(n: int, L: int, s: int) -> GridSpec:
         raise ValueError(f"box side L must be a positive even integer, got {L}")
     if s <= 0:
         raise ValueError(f"samples per unit s must be a positive integer, got {s}")
-    if (L * s) ** n > MAX_POINTS:
-        raise BudgetError(f"grid with {(L * s) ** n} points exceeds budget {MAX_POINTS}")
+    check_budget((L * s) ** n, "grid")
     return GridSpec(n=int(n), L=int(L), s=int(s))
 
 

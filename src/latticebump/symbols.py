@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bumps import BumpProfile, _axis_factor, bump_eval_axes, make_plateau
-from .grid import MAX_POINTS, BudgetError, GridSpec, _as_int_tuple
+from .grid import GridSpec, _as_int_tuple, check_budget
 
 __all__ = [
     "LatticeCoefficients",
@@ -100,11 +100,15 @@ def random_lattice_coefficients(n: int, radius: int, count: int,
                                 seed: int) -> LatticeCoefficients:
     """``count`` standard complex gaussian entries drawn without replacement
     from the index box |mu1|_inf, |mu2|_inf <= radius."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     rng = np.random.default_rng(seed)
     side = 2 * radius + 1
     total = side ** (2 * n)
     if count > total:
         raise ValueError(f"count {count} exceeds {total} available positions")
+    if total >= 2**63:
+        raise ValueError(f"radius {radius}: {total} positions are too many to draw from")
     flat = rng.choice(total, size=count, replace=False)
     entries = {}
     for pos in flat:
@@ -169,9 +173,7 @@ def _check_supports(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) ->
 
 def check_symbol_budget(spec: GridSpec) -> None:
     """Raise BudgetError if the (N,)*(2n) symbol grid exceeds MAX_POINTS values."""
-    if spec.N ** (2 * spec.n) > MAX_POINTS:
-        raise BudgetError(f"symbol grid with {spec.N ** (2 * spec.n)} values exceeds "
-                          f"budget {MAX_POINTS}")
+    check_budget(spec.N ** (2 * spec.n), "symbol grid")
 
 
 def sigma_eval(a: LatticeCoefficients, phi: BumpProfile, axes: list[np.ndarray]) -> np.ndarray:
@@ -268,6 +270,9 @@ def cm_decompose(phi: BumpProfile, K: float | None = None, M: int = 16,
     n = phi.d // 2
     if phi.d != 2 * n:
         raise ValueError("Phi must have even dimension 2n")
+    if M < 0:
+        raise ValueError(f"truncation M must be >= 0, got {M}")
+    check_budget((2 * M + 1) ** (2 * n), "coefficient block")
     if K is None:
         K = default_period(phi)
     for j in range(phi.d):
@@ -278,6 +283,7 @@ def cm_decompose(phi: BumpProfile, K: float | None = None, M: int = 16,
     if points_per_unit is None:
         points_per_unit = max(128, int(np.ceil(8 * (M + 32) / K)))
     points = int(points_per_unit * K)
+    check_budget(points ** (1 if phi.separable else 2), "quadrature")
     kmax = points // 2 - 1
     if kmax < M:
         raise ValueError("quadrature too coarse for the requested truncation M")
@@ -360,17 +366,21 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
     if spec.n != d.n:
         raise ValueError("dimension mismatch between decomposition and grid")
     check_symbol_budget(spec)
-    N, n = spec.N, spec.n
     xi = spec.axis_xi()
-    ks = np.arange(-d.M, d.M + 1)
-    # contract one cutoff-weighted phase matrix per coefficient axis
-    out = np.zeros((N,) * (2 * n), dtype=complex)
+    out = np.zeros((spec.N,) * (2 * spec.n), dtype=complex)
     for (m1, m2), val in a.items():
-        series = d.coeffs
-        for ax, shift in enumerate(m1 + m2):
-            u = xi - shift
-            e = (np.exp(2j * np.pi * np.outer(u, ks) / d.K)
-                 * _axis_factor(d.cutoff, ax % n, u)[:, None])  # (N, 2M+1)
-            series = np.tensordot(series, e, axes=([0], [1]))   # rotates axes
-        out += val * series
+        out += val * _cm_on_axes(d, [xi - shift for shift in m1 + m2])
     return SymbolGrid(spec, out)
+
+
+def _cm_on_axes(d: CMDecomposition, axes: list[np.ndarray]) -> np.ndarray:
+    """The truncated series of ``d`` times its cutoff on the tensor grid of
+    2n per-axis coordinate arrays, shape (len(axes[0]), ..., len(axes[-1])):
+    one cutoff-weighted phase matrix contracted per coefficient axis."""
+    ks = np.arange(-d.M, d.M + 1)
+    series = d.coeffs
+    for ax, u in enumerate(axes):
+        e = (np.exp(2j * np.pi * np.outer(u, ks) / d.K)
+             * _axis_factor(d.cutoff, ax % d.n, u)[:, None])  # (len(u), 2M+1)
+        series = np.tensordot(series, e, axes=([0], [1]))   # rotates axes
+    return series

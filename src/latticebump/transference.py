@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bumps import BumpProfile, ThetaPair, Window, bump_eval_axes
-from .grid import GridFunction, GridSpec, idft
+from .grid import GridFunction, GridSpec, check_budget, idft
 from .norms import (_power_norm, amalgam_norm, check_exponent, ExponentTuple,
                     lp_norm, lq_seq_norm, wiener_norm)
 from .operators import (Sequence, TrigPolynomial, _grouped_sum, apply_S, apply_T_period,
@@ -306,14 +306,16 @@ class SearchParams:
     The starts run in lockstep, sweep by sweep: the steps of a vector pass
     are screened together by rank-one updates, for as many starts per call
     as the screen's value budget (max(E_v.size, 2^14) values) holds, and
-    only those that may be accepted are scored exactly (see ``_search``).
+    only those that may be accepted are scored exactly (see ``_search``);
+    memory does not grow with ``starts``.
     Every accepted step, and with it the result, is that of running the
     starts one at a time and scoring each step exactly in turn.
     ``torus_points`` per axis sample the T_period norms; ``stability_bound``
     bounds the ratio spread of a ``transference_report`` family.
 
     Invalid values raise ``ValueError``: every field must be finite,
-    ``starts`` and ``torus_points`` at least 1 and ``steps`` at least 0.
+    ``starts``, ``torus_points`` and ``stability_bound`` (a max/min spread is
+    never below 1) at least 1 and ``steps`` at least 0.
     """
 
     starts: int = 32
@@ -327,7 +329,8 @@ class SearchParams:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"search {f.name} must be finite, got {value}")
-        for name, lowest in (("starts", 1), ("torus_points", 1), ("steps", 0)):
+        for name, lowest in (("starts", 1), ("torus_points", 1), ("steps", 0),
+                             ("stability_bound", 1)):
             if getattr(self, name) < lowest:
                 raise ValueError(f"search {name} must be >= {lowest}, got {getattr(self, name)}")
 
@@ -526,6 +529,28 @@ def _starts(box1, box2, supp1, supp2, params: SearchParams):
         yield [v1, v2]
 
 
+def _ascend(ratio_fn, screen: _Screen, starts: list, steps: int):
+    """(ratio, vectors, history) of the best of ``starts`` (the first of
+    equals) after at most ``steps`` sweeps run in lockstep."""
+    runs = live = [_Run(vecs, ratio_fn(vecs), INITIAL_STEP) for vecs in starts]
+    for _ in range(steps):
+        if not live:
+            break
+        for run in live:
+            run.improved = False
+        for vi in range(2):
+            g = screen.group[vi]
+            for k in range(0, len(live), g):
+                _vector_pass(ratio_fn, screen, live[k:k + g], vi)
+        for run in live:
+            run.history.append(run.best)
+            if not run.improved:
+                run.step *= SHRINK
+        live = [run for run in live if run.improved or run.step >= MIN_STEP]
+    win = max(runs, key=lambda run: run.best)
+    return win.best, win.vecs, win.history
+
+
 def _search(ratio_fn, screen: _Screen, box1, box2, supp1, supp2, params: SearchParams):
     """Greedy first-improvement coordinate ascent on ``ratio_fn`` from each of
     the ``_starts``; returns (ratio, peak-normalised vectors, history) of the
@@ -541,29 +566,17 @@ def _search(ratio_fn, screen: _Screen, box1, box2, supp1, supp2, params: SearchP
     exactly: a skipped candidate's exact ratio lies below its start's
     threshold, so that search would have rejected it too.  Accepted steps,
     histories and vectors are those of running the starts one at a time, bit
-    for bit.
+    for bit.  The starts come in consecutive chunks of the largest group
+    (``_ascend``), so at most that many are alive at once, whatever
+    ``params.starts`` is.
     """
-    runs = [_Run(vecs, ratio_fn(vecs), INITIAL_STEP)
-            for vecs in _starts(box1, box2, supp1, supp2, params)]
-    live = runs
-    for _ in range(params.steps):
-        if not live:
-            break
-        for run in live:
-            run.improved = False
-        for vi in range(2):
-            g = screen.group[vi]
-            for k in range(0, len(live), g):
-                _vector_pass(ratio_fn, screen, live[k:k + g], vi)
-        for run in live:
-            run.history.append(run.best)
-            if not run.improved:
-                run.step *= SHRINK
-        live = [run for run in live if run.improved or run.step >= MIN_STEP]
-    win = max(runs, key=lambda run: run.best)
+    starts = _starts(box1, box2, supp1, supp2, params)
+    chunks = iter(lambda: list(itertools.islice(starts, max(screen.group))), [])
+    best, vecs, history = max((_ascend(ratio_fn, screen, chunk, params.steps) for chunk in chunks),
+                              key=lambda result: result[0])
     # renormalize the stored witness for a well-scaled record
-    peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in win.vecs])))), 1e-300)
-    return win.best, [v / peak for v in win.vecs], win.history
+    peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
+    return best, [v / peak for v in vecs], history
 
 
 def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synthesis,
@@ -635,10 +648,12 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
     points as synthesis, outputs on every sum of the two mode boxes."""
     params = params or SearchParams()
     P = params.torus_points
+    check_budget(P ** a.n, "torus")
     u = np.arange(P) / P
     pts = np.stack([g.ravel() for g in np.meshgrid(*(u,) * a.n, indexing="ij")], axis=-1)
 
     def phase_matrix(modes):
+        check_budget(len(modes) * P ** a.n, "torus phase matrix")
         dots = pts @ np.asarray(modes, dtype=float).T  # (P^n, len(modes))
         phases = np.multiply(2j * np.pi, dots, out=np.empty(dots.shape, dtype=complex))
         del dots  # one complex buffer at the peak, not three arrays

@@ -39,6 +39,21 @@ def test_synth_writes_artifacts(tmp_path):
     assert np.array_equal(back.samples, ref.samples)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_synth_reconstruction_errors_are_finite_and_within_the_tail(tmp_path, n):
+    # every n: the sup error over the 33^(2n) probe grid (which holds the
+    # centre) lies between the centre error and the recorded truncation tail
+    cfg = _write(tmp_path, "cfg.json", {
+        "n": n, "phi": "tensor-0.4", "a": {"entries": [[[0] * n, [0] * n, 1.0, 0.0]]},
+        "cm": {"M": 8}})
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfg, "--out", str(out), "--grid", "4,8"]) == 0
+    rows = (out / "recon_error.csv").read_text().strip().splitlines()[1:]
+    for row in rows:
+        _m, sup_err, center, tail = (float(v) for v in row.split(","))
+        assert center <= sup_err <= tail
+
+
 def test_synth_missing_fixture_is_config_error(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
         "n": 1, "phi": "no-such-fixture", "a": {"entries": [[[0], [0], 1, 0]]}})

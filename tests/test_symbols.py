@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from latticebump.bumps import bump_eval, bump_eval_axes, make_bump, make_plateau
-from latticebump.grid import make_grid
-from latticebump.symbols import (cm_decompose, cm_reconstruct, lattice_delta,
+from latticebump.grid import BudgetError, make_grid
+from latticebump.symbols import (_cm_on_axes, cm_decompose, cm_reconstruct, lattice_delta,
                                  lattice_from_dict, random_lattice_coefficients,
                                  sigma_from_cm, synth_sigma, SymbolGrid)
 
@@ -192,3 +194,35 @@ def test_sigma_from_cm_2d_within_tail():
     gap = np.max(np.abs(sigma_from_cm(a, d, spec2).samples
                         - synth_sigma(a, phi, spec2).samples))
     assert gap <= d.tail * a.sup_norm() * 4
+
+
+def test_random_lattice_coefficients_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        random_lattice_coefficients(1, -1, 1, seed=0)
+
+
+def test_cm_decompose_refuses_a_negative_or_oversized_M(phi04):
+    with pytest.raises(ValueError, match="M must be >= 0"):
+        cm_decompose(phi04, M=-2)
+    # (2M+1)^2 coefficients at M = 10^6 would take 64 TB; refused first
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="coefficient block"):
+            cm_decompose(phi04, M=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cm_on_axes_is_cm_reconstruct_on_the_tensor_grid(n):
+    # the per-axis contraction puts axis j of the result on coordinate j
+    phi = make_bump(2 * n, "tensor-exp", radius=0.4)
+    d = cm_decompose(phi, M=6)
+    axes = [np.linspace(-0.5, 0.5, 3 + j) for j in range(2 * n)]
+    got = _cm_on_axes(d, axes)
+    assert got.shape == tuple(len(u) for u in axes)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    ref = cm_reconstruct(d, pts[..., :n], pts[..., n:])
+    np.testing.assert_allclose(got, np.reshape(ref, got.shape), rtol=0, atol=1e-15)

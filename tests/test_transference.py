@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window)
 from latticebump.cli import main
-from latticebump.grid import dft, make_grid
+from latticebump.grid import BudgetError, dft, make_grid
 from latticebump.norms import amalgam_norm, lp_norm, lp_norm_torus, lq_seq_norm, \
     wiener_norm, ExponentTuple
 from latticebump.operators import (Sequence, TrigPolynomial, apply_S, apply_T_period,
@@ -404,6 +405,58 @@ def test_screen_calls_stay_within_the_value_budget(monkeypatch):
     estimate_norm_T_period(a, 2.0, 2.0, 2.0, params)
     assert len(sizes) > 2 * len(budget)
     assert all(size <= limit for size, limit in sizes)
+
+
+def test_search_keeps_one_chunk_of_starts_alive(monkeypatch):
+    # memory does not grow with starts: they run in chunks of the largest
+    # screen group, and only the best result outlives its chunk
+    alive, peak, screens = [0], [0], []
+
+    class SpyRun(transference._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+
+        def __del__(self):
+            alive[0] -= 1
+
+    search = transference._search
+
+    def spy_search(ratio_fn, screen, *args):
+        screens.append(screen)
+        return search(ratio_fn, screen, *args)
+
+    monkeypatch.setattr(transference, "_Run", SpyRun)
+    monkeypatch.setattr(transference, "_search", spy_search)
+    a = random_lattice_coefficients(1, 1, 9, seed=5)
+    estimate_norm_T_period(a, 2.0, 2.0, 2.0, SearchParams(starts=10, steps=3))
+    assert peak[0] == max(screens[0].group) < 10
+    assert alive[0] == 0
+
+
+def test_T_period_budgets_fire_before_allocating():
+    # the torus and each phase matrix are checked before they are built
+    a = random_lattice_coefficients(1, 1, 9, seed=5)
+    wide = lattice_from_dict(1, {((-127,), (0,)): 1.0, ((127,), (0,)): 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="torus with 1000000000 values"):
+            estimate_norm_T_period(a, 2.0, 2.0, 2.0, SearchParams(torus_points=10**9))
+        # 257 modes x 2^16 torus points: 269 MB of phases, refused
+        with pytest.raises(BudgetError, match="torus phase matrix"):
+            estimate_norm_T_period(wide, 2.0, 2.0, 2.0, SearchParams(torus_points=2**16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_stability_bound_below_one_is_rejected():
+    # a max/min spread is never below 1, so such a bound fails every family
+    with pytest.raises(ValueError, match="stability_bound must be >= 1"):
+        SearchParams(stability_bound=0.5)
+    assert SearchParams(stability_bound=1.0).stability_bound == 1.0
 
 
 def _screen_of(monkeypatch, estimate, a, ex, params):

@@ -95,6 +95,14 @@ def _integer(v, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {v!r}") from e
 
 
+def _dimension(cfg: dict) -> int:
+    """The config's ``n``: 1 or 2."""
+    n = _integer(cfg.get("n", 1), "n")
+    if n not in (1, 2):
+        raise ConfigError(f"n must be 1 or 2, got {n}")
+    return n
+
+
 def _number(v, where: str) -> float:
     """One finite number from a config (not a boolean)."""
     try:
@@ -154,7 +162,7 @@ def _seed(cfg: dict, args) -> int:
 
 
 def _grid_from(cfg: dict, args) -> grid.GridSpec:
-    n = _integer(cfg.get("n", 1), "n")
+    n = _dimension(cfg)
     g = _section(cfg, "grid") or {}
     if args.grid:
         try:
@@ -336,7 +344,7 @@ def cmd_synth(args) -> int:
 def cmd_decompose(args) -> int:
     t0 = time.time()
     cfg = _load_config(args)
-    n = _integer(cfg.get("n", 1), "n")
+    n = _dimension(cfg)
     phi = _phi_from(cfg, n)
     d = _cm_from(cfg, phi)
     out = Path(args.out or cfg.get("out", "decompose-out"))
@@ -429,10 +437,17 @@ def cmd_scaling(args) -> int:
         raise ConfigError("regression needs at least 3 epsilons")
     fam = scalinglab.make_scaling_family(
         xi0=_numbers(sc.get("xi0", 0.0), "scaling xi0"), epsilons=eps,
-        n=_integer(cfg.get("n", 1), "n"), s=_integer(sc.get("s", 8), "scaling s"),
+        n=_dimension(cfg), s=_integer(sc.get("s", 8), "scaling s"),
         box_factor=_number(sc.get("box_factor", 192.0), "scaling box_factor"),
         base_radius=_number(sc.get("base_radius", 0.3), "scaling base_radius"))
     kappa = _window_from(cfg, fam.n)
+    # a verdict's product has its spectrum at 2*xi0, and its norms need the
+    # window around that inside the frequency box too
+    reach = 2 * (max(map(abs, fam.xi0)) + fam.epsilons[0] * max(fam.base.radius)) + kappa.outer
+    if verdict_specs and reach > fam.s / 2:
+        raise ConfigError(f"scaling xi0 {fam.xi0}: the verdict products' spectrum and window "
+                          f"reach {reach:g}, outside the frequency box [-{fam.s / 2:g}, "
+                          f"{fam.s / 2:g}]")
     out = Path(args.out or cfg.get("out", "scaling-out"))
     out.mkdir(parents=True, exist_ok=True)
 

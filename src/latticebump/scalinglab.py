@@ -174,6 +174,12 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
         for c in xi0:
             if abs(c * L - round(c * L)) > 1e-9:
                 raise ValueError(f"xi0={xi0} is not grid-aligned for L={L}")
+    # the widest spectrum, xi0 +- eps * base_radius at the largest eps, must
+    # lie in the frequency box [-s/2, s/2): outside it every sample is 0
+    rho = eps_list[0] * base_radius
+    if any(c - rho < -s / 2 or c + rho >= s / 2 for c in xi0):
+        raise ValueError(f"xi0={xi0}: the spectrum (radius {rho}) leaves the frequency "
+                         f"box [-{s / 2}, {s / 2})")
     if tail > tail_budget:
         raise ValueError(f"measured tail fraction {tail:.2e} exceeds the budget "
                          f"{tail_budget:.1e}; increase box_factor")

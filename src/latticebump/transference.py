@@ -19,16 +19,16 @@ coordinate ascent on normalized ratios; the theorems' constants are never
 asserted, only family-wise ratio stability against a configured bound.
 
 One estimator serves both models, since T_period_a acts on trig polynomials
-as S_a acts on their coefficients: S_a is the case whose synthesis is the
-identity (the norms see the coefficients), T_period the case whose synthesis
-is the torus phases (the norms see trig-polynomial values at torus points).
+as S_a acts on their coefficients: the norms of S_a see the coefficients, and
+those of T_period the trig-polynomial values at torus points.  Its search
+scores the steps of a batch of starts in one vectorised pass per coordinate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -153,9 +153,7 @@ def wiener_witness_norm_identity(w: WitnessPair, j: int, p: float, q: float,
                                  kappa: Window, spec: GridSpec) -> tuple[float, float]:
     """Both sides of the exact witness norm identity
     ||f_j||_{W^{p,q}} = ||b_j||_{l^q} * ||F^{-1} theta_j||_{L^p}."""
-    f = w.f1 if j == 1 else w.f2
-    b = w.b1 if j == 1 else w.b2
-    theta = w.theta.theta1 if j == 1 else w.theta.theta2
+    f, b, theta = (w.f1, w.b1, w.theta.theta1) if j == 1 else (w.f2, w.b2, w.theta.theta2)
     xi0_j = w.theta.xi0[: spec.n] if j == 1 else w.theta.xi0[spec.n:]
     lhs = wiener_norm(f, p, q, kappa, offset=xi0_j)
     theta_samples = _witness_fhat({(0,) * spec.n: 1.0 + 0j}, theta, spec)
@@ -288,6 +286,12 @@ MIN_STEP = 1e-9
 # many modes per side, for S_a and for T_period.
 SUPPORT_MARGIN = 2
 MODE_MARGIN = 1
+# Values a batch of starts may hold in a vector pass: per start, D (moving
+# coordinates x output values) and four stepped copies of the input and output
+# values.  That is every start of a README-sized search, one at n = 2 and 256
+# torus points.
+BATCH_VALUES = 1 << 21
+_DELTAS = np.array([1.0, -1.0, 1j, -1j])
 
 
 @dataclass(frozen=True)
@@ -302,16 +306,11 @@ class SearchParams:
     coordinate, the first that raises the ratio by more than a relative
     1e-12; the step starts at INITIAL_STEP, a sweep without an accepted step
     multiplies it by SHRINK, and the start ends after ``steps`` sweeps or
-    once the step falls below MIN_STEP.
-    The starts run in lockstep, sweep by sweep: the steps of a vector pass
-    are screened together by rank-one updates, for as many starts per call
-    as the screen's value budget (max(E_v.size, 2^14) values) holds, and
-    only those that may be accepted are scored exactly (see ``_search``);
-    memory does not grow with ``starts``.
-    Every accepted step, and with it the result, is that of running the
-    starts one at a time and scoring each step exactly in turn.
-    ``torus_points`` per axis sample the T_period norms; ``stability_bound``
-    bounds the ratio spread of a ``transference_report`` family.
+    once the step falls below MIN_STEP.  The starts run in lockstep, in
+    batches that BATCH_VALUES bounds (see ``_search``), so memory does not
+    grow with ``starts``.  ``torus_points`` per axis sample the T_period
+    norms; ``stability_bound`` bounds the ratio spread of a
+    ``transference_report`` family.
 
     Invalid values raise ``ValueError``: every field must be finite,
     ``starts``, ``torus_points`` and ``stability_bound`` (a max/min spread is
@@ -354,164 +353,89 @@ def _index_box(points: set[tuple[int, ...]], n: int, margin: int) -> list[tuple[
     return [tuple(int(c) for c in p) for p in np.stack([g.ravel() for g in grids], axis=-1)]
 
 
-# Relative slack for the rounding of the norm evaluations themselves (moduli,
-# powers, pairwise sums of at most 256^n terms, roots): below 4e-14 over both
-# paths for exponents >= 1; for exponents below 1 the per-candidate bound of
-# ``_Screen`` is far wider.  That bound covers the rounding of the rank-one
-# updates, which near zeros of the values grows without limit when an
-# exponent is below 1 (3e-11 relative seen for p = 0.5 on T_period, against
-# 7e-15 at most for exponents >= 1).  A wider margin only re-scores more
-# near-stagnant candidates: 1e-11 re-scores 2.4 times as many on the
-# benchmark's README-sized searches.
-SCREEN_MARGIN = 1e-13
-_DELTAS = (1.0, -1.0, 1j, -1j)
+@dataclass
+class _Model:
+    """The model ratio ||(A v1 v2) Eo||_p / (||v1 E1||_p1 ||v2 E2||_p2).
 
-
-def _norm_bounds(norm, delta, p, measure):
-    """Bounds (lo, hi) on a quasi-norm whose values each differ by at most
-    ``delta`` from those that gave ``norm`` (Minkowski for p >= 1, the
-    p-triangle inequality below); ``measure`` is the values' total weight."""
-    e = delta if math.isinf(p) else delta * measure ** (1.0 / p)
-    if p >= 1.0:
-        return norm - e, norm + e
-    return np.maximum(norm ** p - e ** p, 0.0) ** (1.0 / p), (norm ** p + e ** p) ** (1.0 / p)
-
-
-class _Screen:
-    """Approximate model ratios of every single-coordinate step, for a group
-    of starts at once.
-
-    The model ratio is ||(A v1 v2) Eo||_p / (||v1 E1||_p1 ||v2 E2||_p2): ``A``
-    is the dense (outs, box1, box2) tensor of the coefficient triples and E1,
-    E2, Eo map coefficients to the values the norms see (identity for S_a,
-    torus phases for T_period).  While a pass moves vector v the other vector
-    is fixed, so the output is linear in v: the step v + t*delta*e_i changes
-    the input values by t*delta*E[i] and the output values by t*delta*D[i],
-    with D = K^T Eo and K the tensor contracted with the fixed vector.
-    ``begin`` sets up D, the fixed vector's norm and the moduli sums below for
-    every start of a group; ``bounds`` scores the coordinates asked of each
-    start, four deltas each, with one call of the axis-aware ``_power_norm``
-    per side.
-
-    A call holds at most ``most`` coordinates, so that no temporary outgrows
-    max(E_v.size, 2^14) values (or one coordinate, if that is larger).  A
-    group has as many starts as fit whole into one call, at least one.  After
-    each accepted step a start asks for ``first`` coordinates (2^14 values, or
-    one coordinate), then twice as many on each later call, up to ``most``,
-    so that little is scored past its next accepted step.
-
-    Each score comes with an upper bound on the exact ratio.  Both paths sum
-    products whose moduli add up to at most (||v||_1 + t) on the input side,
-    ||other||_1 for the fixed vector and sum |A| |v1| |v2| on the output side
-    (|E| = 1), so each value differs between the paths by at most ``gain``
-    times that; ``_norm_bounds`` turns this into bounds on the norms, and
-    SCREEN_MARGIN covers the rest.
+    A holds ``coef[t]`` at (i1, i2, output) = ``index[:, t]``, and ``sizes``
+    are (len(v1), len(v2), outputs).  E = (E1, E2, Eo) map coefficients to
+    the values the norms see, each of weight ``weight``; None is the identity
+    (S_a, whose norms see the coefficients themselves).
     """
 
-    def __init__(self, triples, E1, E2, Eo, exponents, weight):
-        A = np.zeros((Eo.shape[0], E1.shape[0], E2.shape[0]), dtype=complex)
-        for oi, a1, a2, av in triples:  # (out, i1, i2, value)
-            A[oi, a1, a2] += av
-        # per moving vector: A with axes (moving, out, fixed), and sum_out |A|
-        self.Av = (A.transpose(1, 0, 2), A.transpose(2, 0, 1))
-        self.Sv = tuple(np.abs(Av).sum(axis=1) for Av in self.Av)
-        self.E, self.Eo = (E1, E2), Eo
-        self.exponents, self.weight = exponents, weight
-        self.deltas = np.array(_DELTAS)
-        # two paths, complex arithmetic, one term per chained product
-        self.gain = 4 * np.finfo(float).eps * (np.count_nonzero(A) + sum(A.shape) + 4)
-        self.first, self.most, self.group = [], [], []
-        for E in self.E:
-            width = 4 * max(E.shape[1], Eo.shape[1])  # values per coordinate
-            first = max(1, (1 << 14) // width)
-            most = max(first, E.size // width)
-            self.first.append(first)
-            self.most.append(most)
-            self.group.append(max(1, most // E.shape[0]))
+    index: np.ndarray
+    coef: np.ndarray
+    sizes: tuple[int, int, int]
+    E: tuple
+    exponents: tuple[float, float, float]
+    weight: float
 
-    def begin(self, others: np.ndarray, vi: int) -> None:
-        """Fix the other vector of each start of a group (the rows of
-        ``others``) for a pass over vector ``vi``."""
-        Kt = (self.Av[vi] @ others.T).transpose(2, 0, 1)  # (starts, len(v), outs)
-        self.D = Kt @ self.Eo
-        self.Ev, self.p = self.E[vi], self.exponents[vi]
-        E, p = self.E[1 - vi], self.exponents[1 - vi]
-        absO = np.abs(others)
-        self.n_other = _power_norm(others @ E, p, self.weight, axis=-1)
-        self.other_lo = _norm_bounds(self.n_other, self.gain * absO.sum(axis=1), p,
-                                     self.weight * E.shape[1])[0]
-        self.kabs = absO @ self.Sv[vi].T  # (starts, len(v))
+    def values(self, V: np.ndarray, side: int) -> np.ndarray:
+        """The values side ``side`` sees, row by row (no row's bits depend on another)."""
+        E = self.E[side]
+        return V.copy() if E is None else (V[:, None, :] @ E)[:, 0]
 
-    def bounds(self, V: np.ndarray, t: np.ndarray, i0: np.ndarray, i1: np.ndarray):
-        """Start and coordinate of each row, and the scores and upper bounds,
-        of shape (rows, 4), of the steps of length ``t[k]`` of start k of the
-        group (moving vector ``V[k]``) at its coordinates i0[k], ..., i1[k] - 1,
-        start by start."""
-        counts = i1 - i0
-        ks = np.repeat(np.arange(len(V)), counts)
-        cs = np.arange(ks.size) + np.repeat(i0 - (np.cumsum(counts) - counts), counts)
-        y, yo = V @ self.Ev, (V[:, None, :] @ self.D)[:, 0]
-        absV = np.abs(V)
-        d_in = self.gain * (absV.sum(axis=1) + t)
-        d_out = self.gain * ((absV * self.kabs).sum(axis=1)[ks] + t[ks] * self.kabs[ks, cs])
-        steps = (t[ks, None] * self.deltas)[:, :, None]
+    def ratio(self, v1: np.ndarray, v2: np.ndarray) -> float:
+        """The ratio of one pair of vectors, evaluated directly."""
+        n1, n2 = (_power_norm(v if E is None else v @ E, p, self.weight)
+                  for v, E, p in zip((v1, v2), self.E, self.exponents))
+        if n1 == 0.0 or n2 == 0.0:
+            return 0.0
+        (i1, i2, io), Eo, n_out = self.index, self.E[2], self.sizes[2]
+        w = self.coef * v1[i1] * v2[i2]
+        out = np.bincount(io, w.real, n_out) + 1j * np.bincount(io, w.imag, n_out)
+        return _power_norm(out if Eo is None else out @ Eo, self.exponents[2],
+                           self.weight) / (n1 * n2)
 
-        def stepped_norms(base, rows, p):  # one (rows, 4, values) temporary
-            vals = steps * rows[:, None, :]
-            vals += base[ks, None, :]
-            return _power_norm(vals, p, self.weight, axis=-1)
-
-        n_in = stepped_norms(y, self.Ev[cs], self.p)
-        n_out = stepped_norms(yo, self.D[ks, cs], self.exponents[2])
-        den = n_in * self.n_other[ks, None]
-        scores = np.divide(n_out, den, out=np.zeros_like(n_out), where=den > 0)
-        in_lo = _norm_bounds(n_in, d_in[ks, None], self.p, self.weight * self.Ev.shape[1])[0]
-        out_hi = _norm_bounds(n_out, d_out[:, None], self.exponents[2],
-                              self.weight * self.D.shape[2])[1]
-        den = in_lo * self.other_lo[ks, None] * (1.0 - SCREEN_MARGIN)
-        return ks, cs, scores, np.divide(out_hi, den, out=np.full(den.shape, np.inf),
-                                         where=den > 0)
+    def batch(self) -> int:
+        """Starts per batch: as many as BATCH_VALUES holds, and at least one."""
+        *n_in, n_out = (n if E is None else E.shape[1] for n, E in zip(self.sizes, self.E))
+        per_start = max(m * n_out + 4 * (n + n_out) for m, n in zip(self.sizes, n_in))
+        return max(1, BATCH_VALUES // per_start)
 
 
-class _Run:
-    """One start of the search: its vectors, best ratio, history and step."""
-
-    def __init__(self, vecs: list[np.ndarray], best: float, step: float):
-        self.vecs, self.best, self.history, self.step = vecs, best, [best], step
-        self.improved = False
-
-
-def _vector_pass(ratio_fn, screen: _Screen, group: list[_Run], vi: int) -> None:
-    """One pass over vector ``vi`` of every start in ``group``: each round
-    screens the next coordinates of every start still walking its pass in one
-    ``screen.bounds`` call, then each start confirms its own candidates in
-    (coordinate, delta) order; an accepted step ends the start's round."""
-    screen.begin(np.array([run.vecs[1 - vi] for run in group]), vi)
-    size, first, most = len(group[0].vecs[vi]), screen.first[vi], screen.most[vi]
-    ts = [run.step * max(float(np.max(np.abs(run.vecs[vi]))), 1e-12) for run in group]
-    i0 = np.zeros(len(group), dtype=int)
-    block = np.full(len(group), first)
-    while np.any(i0 < size):
-        i1 = np.minimum(i0 + block, size)
-        ks, cs, _scores, upper = screen.bounds(np.array([run.vecs[vi] for run in group]),
-                                               np.array(ts), i0, i1)
-        i0, block = i1, np.minimum(2 * block, most)
-        threshold = np.array([run.best for run in group]) * (1.0 + 1e-12)
-        moved = set()
-        for j in np.flatnonzero(~(upper <= threshold[ks, None])):  # NaN bounds too
-            r, d = divmod(int(j), len(_DELTAS))
-            k, i = int(ks[r]), int(cs[r])
-            if k in moved:
-                continue
-            run = group[k]
-            cand = run.vecs[vi].copy()
-            cand.flat[i] += ts[k] * _DELTAS[d]
-            vecs = run.vecs[:vi] + [cand] + run.vecs[vi + 1:]
-            val = ratio_fn(vecs)
-            if val > run.best * (1.0 + 1e-12):
-                run.vecs, run.best, run.improved = vecs, val, True
-                i0[k], block[k] = i + 1, first
-                moved.add(k)
+def _vector_pass(model: _Model, V: np.ndarray, other: np.ndarray, t: np.ndarray,
+                 best: np.ndarray, vi: int) -> np.ndarray:
+    """One pass over vector ``vi`` of a batch of starts (rows of ``V``; it
+    and ``best`` move in place) with steps of length ``t``; returns which
+    starts accepted a step.  With the other vector fixed the step
+    v + t*delta*e_i moves y = v E_v by t*delta*E_v[i] and yo = v D by
+    t*delta*D[i], D being A contracted with the fixed vector, times Eo.  Per
+    coordinate one ``_power_norm`` call per side scores the four steps of
+    every start; each accepts the first that beats its best by 1e-12.
+    """
+    rows, m, n_out = len(V), model.sizes[vi], model.sizes[2]
+    i_v, i_other, io = model.index[[vi, 1 - vi, 2]]
+    w = (model.coef * other[:, i_other]).ravel()
+    flat = ((np.arange(rows)[:, None] * m + i_v) * n_out + io).ravel()
+    D = (np.bincount(flat, w.real, rows * m * n_out)
+         + 1j * np.bincount(flat, w.imag, rows * m * n_out)).reshape(rows, m, n_out)
+    if model.E[2] is not None:
+        D = D @ model.E[2]
+    E, (p_in, p_other, p_out) = model.E[vi], (model.exponents[k] for k in (vi, 1 - vi, 2))
+    y, yo = model.values(V, vi), (V[:, None, :] @ D)[:, 0]
+    n_other = _power_norm(model.values(other, 1 - vi), p_other, model.weight, axis=-1)[:, None]
+    steps = t[:, None] * _DELTAS
+    improved = np.zeros(rows, dtype=bool)
+    for i in range(m):
+        if E is None:
+            vin = np.repeat(y[:, None, :], len(_DELTAS), axis=1)
+            vin[:, :, i] += steps
+        else:
+            vin = steps[:, :, None] * E[i]
+            vin += y[:, None, :]
+        vout = steps[:, :, None] * D[:, i, None, :]
+        vout += yo[:, None, :]
+        den = _power_norm(vin, p_in, model.weight, axis=-1) * n_other
+        num = _power_norm(vout, p_out, model.weight, axis=-1)
+        scores = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        take = scores > best[:, None] * (1.0 + 1e-12)
+        ks = np.flatnonzero(take.any(axis=1))
+        ds = take[ks].argmax(axis=1)  # the first delta that wins
+        V[ks, i] += steps[ks, ds]
+        y[ks], yo[ks], best[ks] = vin[ks, ds], vout[ks, ds], scores[ks, ds]
+        improved[ks] = True
+    return improved
 
 
 def _starts(box1, box2, supp1, supp2, params: SearchParams):
@@ -529,98 +453,79 @@ def _starts(box1, box2, supp1, supp2, params: SearchParams):
         yield [v1, v2]
 
 
-def _ascend(ratio_fn, screen: _Screen, starts: list, steps: int):
-    """(ratio, vectors, history) of the best of ``starts`` (the first of
-    equals) after at most ``steps`` sweeps run in lockstep."""
-    runs = live = [_Run(vecs, ratio_fn(vecs), INITIAL_STEP) for vecs in starts]
+def _ascend(model: _Model, starts: list, steps: int):
+    """(best, vectors, history) of the best of a batch of ``starts`` (the
+    first of equals) after at most ``steps`` sweeps in lockstep."""
+    V = [np.array([vecs[vi] for vecs in starts]) for vi in range(2)]
+    best = np.array([model.ratio(*vecs) for vecs in starts])
+    history, step = [[b] for b in best], np.full(len(starts), INITIAL_STEP)
+    live = np.arange(len(starts))
     for _ in range(steps):
-        if not live:
+        if not live.size:
             break
-        for run in live:
-            run.improved = False
+        improved = np.zeros(live.size, dtype=bool)
         for vi in range(2):
-            g = screen.group[vi]
-            for k in range(0, len(live), g):
-                _vector_pass(ratio_fn, screen, live[k:k + g], vi)
-        for run in live:
-            run.history.append(run.best)
-            if not run.improved:
-                run.step *= SHRINK
-        live = [run for run in live if run.improved or run.step >= MIN_STEP]
-    win = max(runs, key=lambda run: run.best)
-    return win.best, win.vecs, win.history
+            moving, b = V[vi][live], best[live]
+            t = step[live] * np.maximum(np.abs(moving).max(axis=1), 1e-12)
+            improved |= _vector_pass(model, moving, V[1 - vi][live], t, b, vi)
+            V[vi][live], best[live] = moving, b
+        for k in live:
+            history[k].append(best[k])
+        step[live[~improved]] *= SHRINK
+        live = live[improved | (step[live] >= MIN_STEP)]
+    k = int(np.argmax(best))
+    return best[k], [V[0][k], V[1][k]], history[k]
 
 
-def _search(ratio_fn, screen: _Screen, box1, box2, supp1, supp2, params: SearchParams):
-    """Greedy first-improvement coordinate ascent on ``ratio_fn`` from each of
-    the ``_starts``; returns (ratio, peak-normalised vectors, history) of the
-    best start (the first of equals).
+def _search(model: _Model, box1, box2, supp1, supp2, params: SearchParams):
+    """Greedy first-improvement coordinate ascent on the model ratio from
+    each of the ``_starts``; returns (ratio, peak-normalised vectors,
+    history) of the best start (the first of equals).
 
-    Each start's search is defined one candidate at a time: in the order
-    (vector, coordinate, delta), the step v[i] += step * max|v| * delta is
-    accepted when its exact ratio beats best * (1 + 1e-12), and the pass goes
-    on with the next coordinate.  The starts run in lockstep instead, sweep by
-    sweep and vector pass by vector pass, in groups that share the screen's
-    set-up and calls (``_vector_pass``); a start leaves once its step falls
-    below MIN_STEP.  The screen only chooses which candidates are scored
-    exactly: a skipped candidate's exact ratio lies below its start's
-    threshold, so that search would have rejected it too.  Accepted steps,
-    histories and vectors are those of running the starts one at a time, bit
-    for bit.  The starts come in consecutive chunks of the largest group
-    (``_ascend``), so at most that many are alive at once, whatever
-    ``params.starts`` is.
+    The starts come in consecutive batches of ``model.batch()``, so at most
+    that many are alive at once.  A batch runs in lockstep, vector pass by
+    vector pass (``_vector_pass``); a start leaves once a sweep without an
+    accepted step takes its step below MIN_STEP.  The history holds the
+    rank-one scores, the returned ratio is the best vectors' own.  Every
+    product runs row by row, so no start's bits depend on its batch.
     """
     starts = _starts(box1, box2, supp1, supp2, params)
-    chunks = iter(lambda: list(itertools.islice(starts, max(screen.group))), [])
-    best, vecs, history = max((_ascend(ratio_fn, screen, chunk, params.steps) for chunk in chunks),
-                              key=lambda result: result[0])
+    batches = iter(lambda: list(itertools.islice(starts, model.batch())), [])
+    _best, vecs, history = max((_ascend(model, batch, params.steps) for batch in batches),
+                               key=lambda result: result[0])
     # renormalize the stored witness for a well-scaled record
     peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
-    return best, [v / peak for v in vecs], history
+    return model.ratio(*vecs), [v / peak for v in vecs], history
 
 
 def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synthesis,
                     weight: float, family: str, keys: tuple[str, str],
                     params: SearchParams) -> NormEstimate:
     """Lower bound on the norm of a model operator of ``a``: the largest
-    ratio ||(A v1 v2) Eo||_p / (||v1 E1||_p1 ||v2 E2||_p2) the search finds.
+    ratio of its ``_Model`` that the search finds.
 
-    The coefficient vectors v1, v2 live on the support boxes of a widened by
-    ``margin``, the output on the sums m1 + m2 of ``pairs(box1, box2)``;
-    ``synthesis(modes)`` maps coefficients on ``modes`` to the values a norm
-    sees, each value of weight ``weight``.  The search runs on a / sup|a|,
-    so scaling a scales the estimate exactly.  The witness holds the nonzero
-    entries of the best vectors under ``keys``.
+    v1, v2 live on the support boxes of a widened by ``margin``, the output
+    on the sums m1 + m2 of ``pairs(box1, box2)``; ``synthesis(modes)`` is the
+    E of coefficients on ``modes`` (None: the coefficients themselves).  The
+    search runs on a / sup|a|, so scaling a scales the estimate exactly.  The
+    witness holds the nonzero entries of the best vectors under ``keys``.
     """
     p1, p2, p = (check_exponent(x) for x in exponents)
     if len(a) == 0:
         raise ValueError("empty coefficient array")
     anorm = a.sup_norm()
-    supp1 = {m1 for (m1, _m2) in a.entries}
-    supp2 = {m2 for (_m1, m2) in a.entries}
-    box1 = _index_box(supp1, a.n, margin)
-    box2 = _index_box(supp2, a.n, margin)
-    i1 = {m: i for i, m in enumerate(box1)}
-    i2 = {m: i for i, m in enumerate(box2)}
+    supp1, supp2 = ({pair[k] for pair in a.entries} for k in (0, 1))
+    box1, box2 = (_index_box(supp, a.n, margin) for supp in (supp1, supp2))
+    i1, i2 = ({m: i for i, m in enumerate(box)} for box in (box1, box2))
     outs = sorted({tuple(x + y for x, y in zip(m1, m2)) for m1, m2 in pairs(box1, box2)})
     io = {m: i for i, m in enumerate(outs)}
-    triples = [(io[tuple(x + y for x, y in zip(m1, m2))], i1[m1], i2[m2], v / anorm)
-               for (m1, m2), v in a.entries.items()]
-    E1, E2, Eo = synthesis(box1), synthesis(box2), synthesis(outs)
-
-    def ratio(vecs) -> float:
-        v1, v2 = vecs
-        n1 = _power_norm(v1 @ E1, p1, weight)
-        n2 = _power_norm(v2 @ E2, p2, weight)
-        if n1 == 0.0 or n2 == 0.0:
-            return 0.0
-        out = np.zeros(len(outs), dtype=complex)
-        for oi, a1, a2, av in triples:
-            out[oi] += av * v1[a1] * v2[a2]
-        return _power_norm(out @ Eo, p, weight) / (n1 * n2)
-
-    screen = _Screen(triples, E1, E2, Eo, (p1, p2, p), weight)
-    val, vecs, hist = _search(ratio, screen, box1, box2, supp1, supp2, params)
+    triples = np.array([(i1[m1], i2[m2], io[tuple(x + y for x, y in zip(m1, m2))])
+                        for m1, m2 in a.entries]).T
+    model = _Model(index=triples, coef=np.array([v / anorm for v in a.entries.values()]),
+                   sizes=(len(box1), len(box2), len(outs)),
+                   E=tuple(synthesis(modes) for modes in (box1, box2, outs)),
+                   exponents=(p1, p2, p), weight=weight)
+    val, vecs, hist = _search(model, box1, box2, supp1, supp2, params)
     witness = {key: {str(m): [v[i].real, v[i].imag] for m, i in index.items() if abs(v[i]) > 0}
                for key, v, index in zip(keys, vecs, (i1, i2))}
     return NormEstimate(value=anorm * val, witness=witness,
@@ -633,21 +538,34 @@ def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synth
 def estimate_norm_S(a: LatticeCoefficients, q1: float, q2: float, q: float,
                     params: SearchParams | None = None) -> NormEstimate:
     """Lower bound on the sequence-model norm l^q1 x l^q2 -> l^q: the model
-    estimator with the identity as synthesis, outputs on the sums a reaches."""
+    estimator with no synthesis (the norms see the coefficients), outputs on
+    the sums a reaches."""
     params = params or SearchParams()
     return _estimate_model(a, (q1, q2, q), margin=SUPPORT_MARGIN,
                            pairs=lambda _box1, _box2: a.entries,
-                           synthesis=lambda modes: np.eye(len(modes), dtype=complex),
-                           weight=1.0, family="S", keys=("b1", "b2"), params=params)
+                           synthesis=lambda _modes: None, weight=1.0, family="S",
+                           keys=("b1", "b2"), params=params)
 
 
 def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: float,
                            params: SearchParams | None = None) -> NormEstimate:
     """Lower bound on the periodic-model norm L^p1 x L^p2 -> L^p: the model
     estimator with exact trig-polynomial values at the torus_points^n torus
-    points as synthesis, outputs on every sum of the two mode boxes."""
+    points as synthesis, outputs on every sum of the two mode boxes.
+
+    ``torus_points`` below the width w1 + w2 - 1 of the output mode box along
+    some axis is refused, since a nonzero trig polynomial on those modes can
+    then vanish at every torus point; so are the torus and the phase
+    matrices over budget, all before a phase matrix is built.
+    """
     params = params or SearchParams()
     P = params.torus_points
+    if len(a):
+        spread = np.ptp(np.array([m1 + m2 for m1, m2 in a.entries]), axis=0)
+        width = int(np.max(spread[:a.n] + spread[a.n:])) + 1 + 4 * MODE_MARGIN
+        if P < width:
+            raise ValueError(f"torus_points {P} is below the width {width} of the output mode "
+                             f"box: a trig polynomial can vanish at every torus point")
     check_budget(P ** a.n, "torus")
     u = np.arange(P) / P
     pts = np.stack([g.ravel() for g in np.meshgrid(*(u,) * a.n, indexing="ij")], axis=-1)
@@ -684,11 +602,8 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
     if space == "wiener" and kappa is None:
         raise ValueError("wiener estimation needs a window")
     if len(a) == 0:
-        return NormEstimate(value=0.0, witness={}, trace={"family": "T_aPhi",
-                                                          "pool": "empty"})
-    n = spec.n
-    ex = exponents
-    xi0 = np.asarray(theta.xi0, dtype=float)
+        return NormEstimate(value=0.0, witness={}, trace={"family": "T_aPhi", "pool": "empty"})
+    n, ex, xi0 = spec.n, exponents, np.asarray(theta.xi0, dtype=float)
 
     candidates = [("witness-indicator",
                    dict.fromkeys({m1 for (m1, _m2) in a.entries}, 1.0 + 0j),
@@ -740,24 +655,12 @@ class TransferenceReport:
     stable: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "exponents": [self.exponents.p1, self.exponents.p2, self.exponents.p,
-                          self.exponents.q1, self.exponents.q2, self.exponents.q],
-            "stability_bound": self.stability_bound,
-            "rows": self.rows,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "ratio_spread": self.ratio_spread,
-            "all_finite": self.all_finite,
-            "stable": self.stable,
-        }
+        return {**asdict(self), "exponents": list(astuple(self.exponents))}
 
     def csv_rows(self) -> list[list]:
-        out = [["index", "operator_norm", "model_norm", "ratio", "winning_pool"]]
-        for i, r in enumerate(self.rows):
-            out.append([i, r["operator_norm"], r["model_norm"], r["ratio"], r["pool"]])
-        return out
+        return [["index", "operator_norm", "model_norm", "ratio", "winning_pool"]] + [
+            [i, r["operator_norm"], r["model_norm"], r["ratio"], r["pool"]]
+            for i, r in enumerate(self.rows)]
 
 
 def transference_report(a_family: list[LatticeCoefficients], phi: BumpProfile,
@@ -771,26 +674,22 @@ def transference_report(a_family: list[LatticeCoefficients], phi: BumpProfile,
     summarizes ratio stability against the configured bound.
     """
     params = params or SearchParams()
-    if space == "amalgam":
-        if not exponents.amalgam_hypothesis():
-            raise ExponentHypothesisError(
-                f"exponents q=({exponents.q1}, {exponents.q2}, {exponents.q}) "
-                f"violate 1/q <= 1/q1 + 1/q2", AMALGAM_CITATION)
-    elif space == "wiener":
-        if not exponents.wiener_hypothesis():
-            raise ExponentHypothesisError(
-                f"exponents p=({exponents.p1}, {exponents.p2}, {exponents.p}) "
-                f"violate 1/p <= 1/p1 + 1/p2", WIENER_CITATION)
-    else:
+    if space not in ("amalgam", "wiener"):
         raise ValueError("space must be 'amalgam' or 'wiener'")
+    if space == "amalgam" and not exponents.amalgam_hypothesis():
+        raise ExponentHypothesisError(
+            f"exponents q=({exponents.q1}, {exponents.q2}, {exponents.q}) "
+            f"violate 1/q <= 1/q1 + 1/q2", AMALGAM_CITATION)
+    if space == "wiener" and not exponents.wiener_hypothesis():
+        raise ExponentHypothesisError(
+            f"exponents p=({exponents.p1}, {exponents.p2}, {exponents.p}) "
+            f"violate 1/p <= 1/p1 + 1/p2", WIENER_CITATION)
 
     rows = []
     for a in a_family:
-        if space == "amalgam":
-            model = estimate_norm_T_period(a, exponents.p1, exponents.p2,
-                                           exponents.p, params)
-        else:
-            model = estimate_norm_S(a, exponents.q1, exponents.q2, exponents.q, params)
+        model = (estimate_norm_T_period(a, exponents.p1, exponents.p2, exponents.p, params)
+                 if space == "amalgam" else
+                 estimate_norm_S(a, exponents.q1, exponents.q2, exponents.q, params))
         op = estimate_norm_T_aPhi(a, phi, exponents, space, theta, spec,
                                   kappa=kappa, model_estimate=model)
         ratio = op.value / model.value if model.value > 0 else math.inf

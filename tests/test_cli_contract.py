@@ -47,6 +47,10 @@ def _run(command, doc, extra=()):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o"), *extra])
+        if code == 0:  # a finished run's report holds no NaN
+            json.loads((Path(tmp) / "o" / "report.json").read_text(),
+                       parse_constant=lambda c: pytest.fail(f"{c} in report.json") if c == "NaN"
+                       else float(c))
     err = err.getvalue()
     assert code in (0, 2, 3, 4), (code, err)
     if code == 2:
@@ -102,8 +106,10 @@ def test_bad_value_is_one_config_error_line(command, doc):
     assert _run(command, doc)[0] == 2
 
 
-# values that used to run to a meaningless exit 0 or 4 (JSON true is no 1),
-# or to a MemoryError or OverflowError
+# values that used to run to a meaningless exit 0 or 4 (JSON true is no 1, an
+# xi0 off the frequency box wrote NaN slopes, a torus coarser than the mode
+# box a bound of 1e28), to a MemoryError or OverflowError, or to a message
+# that did not name the problem (n = 0)
 @pytest.mark.parametrize("command, doc", [
     ("transfer", _with(_with(_TRANSFER, _FAMILY + ("radius",), -1), _FAMILY + ("count",), 1)),
     ("opnorm", dict(_OPNORM, family="S", a={"random": {"radius": -1, "count": 1}})),
@@ -116,10 +122,15 @@ def test_bad_value_is_one_config_error_line(command, doc):
     ("transfer", _with(_PHI_INLINE, ("phi", "radius"), 1e10)),
     ("transfer", _with(_TRANSFER, _FAMILY + ("radius",), 10**30)),
     ("decompose", _with(_DECOMPOSE, ("cm", "K"), 1e10)),
+    ("decompose", dict(_DECOMPOSE, n=0)),
+    ("scaling", _with(_SCALING, ("scaling", "xi0"), 1e300)),
+    ("scaling", _with(_SCALING, ("scaling", "xi0"), 1.75)),
+    ("opnorm", dict(_OPNORM, family="T_period", a={"random": {"radius": 300, "count": 9}})),
 ], ids=["family-radius-neg", "opnorm-a-random-radius-neg", "family-members-0",
         "decompose-cm-M-neg", "search-stability-bound-0.5", "exponent-true",
         "family-members-true", "scaling-base-radius-true", "phi-radius-1e10",
-        "family-radius-1e30", "decompose-cm-K-1e10"])
+        "family-radius-1e30", "decompose-cm-K-1e10", "decompose-n-0", "scaling-xi0-1e300",
+        "scaling-xi0-product-outside", "opnorm-T_period-radius-300"])
 def test_meaningless_value_is_config_error(command, doc):
     assert _run(command, doc)[0] == 2
 

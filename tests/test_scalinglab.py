@@ -68,6 +68,14 @@ def test_family_rejects_bad_parameters():
         make_scaling_family(xi0=1 / 7)  # off-grid modulation
 
 
+@pytest.mark.parametrize("xi0", [1e300, 3.875, -4.0])
+def test_family_rejects_a_spectrum_outside_the_frequency_box(xi0):
+    # s = 8: the box is [-4, 4), and the widest spectrum has radius 0.5 * 0.3
+    with pytest.raises(ValueError, match="leaves the frequency box"):
+        make_scaling_family(xi0=xi0, s=8)
+    assert make_scaling_family(xi0=3.75, s=8).xi0 == (3.75,)
+
+
 def test_exact_dilation_law(fam):
     # ||phi(eps .)||_p = eps^{-1/p} ||phi||_p up to box truncation
     norms = [lp_norm(fam.f(e), 2.0) for e in fam.epsilons]

@@ -18,8 +18,7 @@ from latticebump.operators import (Sequence, TrigPolynomial, apply_S, apply_T_pe
 from latticebump.symbols import (lattice_delta, lattice_from_dict,
                                  random_lattice_coefficients, synth_sigma)
 from latticebump import operators, symbols, transference
-from latticebump.transference import (AMALGAM_CITATION, SCREEN_MARGIN,
-                                      ExponentHypothesisError,
+from latticebump.transference import (AMALGAM_CITATION, ExponentHypothesisError,
                                       SearchParams, _starts, build_amalgam_witness,
                                       build_wiener_witness, estimate_norm_S,
                                       estimate_norm_T_aPhi,
@@ -271,20 +270,30 @@ def test_estimate_T_period_reproducible_across_seeds():
     assert spread <= 1.02
 
 
-def _screened(screen, v, i0, t):
-    """Scores and upper bounds of the screen over the coordinates i0.. of v,
-    for a group of one start."""
-    if i0 == v.size:
-        return np.zeros((0, 4)), np.zeros((0, 4))
-    _ks, _cs, scores, upper = screen.bounds(v[None, :], np.array([t]), np.array([i0]),
-                                            np.array([v.size]))
-    return scores, upper
+def _exact_ratio(model):
+    """The model ratio of one pair of vectors, one candidate at a time: a
+    Python loop over the coefficient triples, and the synthesis as matrices
+    (the identity where the search passes none)."""
+    E1, E2, Eo = (np.eye(size, dtype=complex) if E is None else E
+                  for size, E in zip(model.sizes, model.E))
+    p1, p2, p = model.exponents
+
+    def ratio(vecs):
+        v1, v2 = vecs
+        n1 = transference._power_norm(v1 @ E1, p1, model.weight)
+        n2 = transference._power_norm(v2 @ E2, p2, model.weight)
+        if n1 == 0.0 or n2 == 0.0:
+            return 0.0
+        out = np.zeros(model.sizes[2], dtype=complex)
+        for a1, a2, oi, av in zip(*model.index, model.coef):
+            out[oi] += av * v1[a1] * v2[a2]
+        return transference._power_norm(out @ Eo, p, model.weight) / (n1 * n2)
+    return ratio
 
 
-def _reference_ascent(ratio_fn, screen, vecs, params, seen):
+def _reference_ascent(ratio_fn, vecs, params):
     """The search's definition for one start: one candidate at a time, each
-    scored exactly.  Also records (exact, screened, upper bound) for every
-    candidate scored."""
+    scored exactly."""
     best = ratio_fn(vecs)
     history = [best]
     step = transference.INITIAL_STEP
@@ -293,20 +302,15 @@ def _reference_ascent(ratio_fn, screen, vecs, params, seen):
         for vi in range(len(vecs)):
             v = vecs[vi]
             scale = max(float(np.max(np.abs(v))), 1e-12)
-            screen.begin(np.array([vecs[1 - vi]]), vi)
-            i0, (scores, upper) = 0, _screened(screen, v, 0, step * scale)
             for i in range(v.size):
-                for d, delta in enumerate((1.0, -1.0, 1j, -1j)):
+                for delta in (1.0, -1.0, 1j, -1j):
                     cand = v.copy()
                     cand.flat[i] += step * scale * delta
                     val = ratio_fn(vecs[:vi] + [cand] + vecs[vi + 1:])
-                    seen.append((val, scores[i - i0, d], upper[i - i0, d]))
                     if val > best * (1.0 + 1e-12):
-                        vecs[vi] = cand
-                        v = cand
+                        vecs[vi] = v = cand
                         best = val
                         improved = True
-                        i0, (scores, upper) = i + 1, _screened(screen, v, i + 1, step * scale)
                         break
         history.append(best)
         if not improved:
@@ -318,13 +322,14 @@ def _reference_ascent(ratio_fn, screen, vecs, params, seen):
     return best, vecs, history
 
 
-def _reference_search(seen, sweeps):
+def _reference_search(sweeps):
     """A stand-in for ``transference._search`` that runs the starts one at a
     time with ``_reference_ascent`` and records each start's sweep count."""
-    def search(ratio_fn, screen, box1, box2, supp1, supp2, params):
+    def search(model, box1, box2, supp1, supp2, params):
+        ratio_fn = _exact_ratio(model)
         best_val, best_vecs, best_hist = -1.0, None, []
         for vecs in _starts(box1, box2, supp1, supp2, params):
-            val, out, hist = _reference_ascent(ratio_fn, screen, vecs, params, seen)
+            val, out, hist = _reference_ascent(ratio_fn, vecs, params)
             sweeps.append(len(hist) - 1)
             if val > best_val:
                 best_val, best_vecs, best_hist = val, out, hist
@@ -333,39 +338,72 @@ def _reference_search(seen, sweeps):
 
 
 def _assert_matches_reference(monkeypatch, estimate, ex, a, params):
-    """The lockstep search against the one-at-a-time reference; returns the
-    reference's sweep count per start."""
+    """The batched search against the one-at-a-time reference: a bound at
+    least as high (up to rounding) and a history that never decreases;
+    returns the reference's sweep count per start."""
     fast = estimate(a, *ex, params)
-    seen, sweeps = [], []
-    monkeypatch.setattr(transference, "_search", _reference_search(seen, sweeps))
-    ref = estimate(a, *ex, params)
-    assert fast.value == ref.value
-    assert fast.trace["history"] == ref.trace["history"]
-    assert [v.tobytes() for v in fast.trace["vectors"]] == \
-        [v.tobytes() for v in ref.trace["vectors"]]
-    assert fast.witness == ref.witness
-    exact, scores, upper = (np.array(c) for c in zip(*seen))
-    # the bound that decides what is re-scored holds on every candidate
-    assert np.all(exact <= upper)
-    if min(ex) >= 1:
-        # rounding alone: far below the margin (below 1 the error near zeros
-        # of the values is unbounded, so only the per-candidate bound holds)
-        assert np.max(np.abs(scores - exact) / exact) <= SCREEN_MARGIN / 10
+    sweeps = []
+    with monkeypatch.context() as m:
+        m.setattr(transference, "_search", _reference_search(sweeps))
+        ref = estimate(a, *ex, params)
+    assert fast.value >= ref.value * (1 - 1e-12)
+    hist = fast.trace["history"]
+    assert all(later >= earlier for earlier, later in zip(hist, hist[1:]))
     return sweeps
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("ex", [0.5, 1.0, 2.0, math.inf, (2.0, 1.0, 2.0), (0.5, 2.0, 1.0),
-                                (math.inf, 2.0, 1.0)], ids=str)
-@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
-                         ids=["S", "T_period"])
-def test_screened_search_matches_reference(monkeypatch, estimate, ex, n):
-    # screened lockstep search must keep the one-at-a-time trajectory bit for bit
+def _assert_batch_independent(monkeypatch, estimate, ex, a, params):
+    """The search bit for bit as with one start per batch; returns the
+    number of starts of each batch of the default run."""
+    sizes, ascend = [], transference._ascend
+
+    def spy(model, starts, steps):
+        sizes.append(len(starts))
+        return ascend(model, starts, steps)
+
+    monkeypatch.setattr(transference, "_ascend", spy)
+    batched = estimate(a, *ex, params)
+    default, sizes[:] = sizes[:], []
+    monkeypatch.setattr(transference, "BATCH_VALUES", 1)
+    alone = estimate(a, *ex, params)
+    assert sizes == [1] * params.starts
+    assert batched.value == alone.value
+    assert batched.trace["history"] == alone.trace["history"]
+    assert [v.tobytes() for v in batched.trace["vectors"]] == \
+        [v.tobytes() for v in alone.trace["vectors"]]
+    assert batched.witness == alone.witness
+    return default
+
+
+_CASES = dict(
+    argnames="estimate, ex, n",
+    argvalues=[(estimate, ex, n)
+               for estimate in (estimate_norm_S, estimate_norm_T_period)
+               for ex in (0.5, 1.0, 2.0, math.inf, (2.0, 1.0, 2.0), (0.5, 2.0, 1.0),
+                          (math.inf, 2.0, 1.0))
+               for n in (1, 2)],
+    ids=lambda v: {estimate_norm_S: "S", estimate_norm_T_period: "T_period"}.get(v, str(v)))
+
+
+def _case(ex, n):
     ex = ex if isinstance(ex, tuple) else (ex,) * 3
     a = random_lattice_coefficients(n, 1, 9 if n == 1 else 4, seed=90 + n)
     params = (SearchParams(starts=3, steps=25) if n == 1
               else SearchParams(starts=2, steps=4, torus_points=64))
-    _assert_matches_reference(monkeypatch, estimate, ex, a, params)
+    return ex, a, params
+
+
+@pytest.mark.parametrize(**_CASES)
+def test_screened_search_matches_reference(monkeypatch, estimate, ex, n):
+    # the batched search must find at least the one-at-a-time bound
+    _assert_matches_reference(monkeypatch, estimate, *_case(ex, n))
+
+
+@pytest.mark.parametrize(**_CASES)
+def test_batched_search_matches_one_start_per_batch(monkeypatch, estimate, ex, n):
+    # a start's bits never depend on which starts share its batch
+    ex, a, params = _case(ex, n)
+    assert _assert_batch_independent(monkeypatch, estimate, ex, a, params) == [params.starts]
 
 
 @pytest.mark.parametrize("estimate, n, ex, count, min_step, params", [
@@ -381,58 +419,52 @@ def test_lockstep_starts_leaving_at_different_sweeps(monkeypatch, estimate, n, e
     a = random_lattice_coefficients(n, 1, count, seed=90 + n)
     sweeps = _assert_matches_reference(monkeypatch, estimate, (ex,) * 3, a, params)
     assert len(sweeps) == params.starts and len(set(sweeps)) > 1
+    rows, vector_pass = [], transference._vector_pass
+
+    def spy(model, V, *args):
+        rows.append(len(V))
+        return vector_pass(model, V, *args)
+
+    monkeypatch.setattr(transference, "_vector_pass", spy)
+    estimate(a, *(ex,) * 3, params)
+    assert rows[0] == params.starts and len(set(rows)) > 1  # the live rows shrink
+    monkeypatch.setattr(transference, "_vector_pass", vector_pass)
+    assert _assert_batch_independent(monkeypatch, estimate, (ex,) * 3, a, params) == \
+        [params.starts]
 
 
-def test_screen_calls_stay_within_the_value_budget(monkeypatch):
-    # no screen call may hold more than max(E_v.size, 2^14) candidate values,
-    # however many starts run
+def test_search_batches_stay_within_the_value_budget(monkeypatch):
+    # a vector pass holds D and the stepped values of at most BATCH_VALUES
+    # values, however many starts run: they come in batches, and one batch
+    # at a time is alive
     a = random_lattice_coefficients(2, 1, 9, seed=5)
     params = SearchParams(starts=8, steps=3, torus_points=64)
-    budget, sizes = [], []
-    begin, power = transference._Screen.begin, transference._power_norm
+    budget = 400_000  # two starts of these boxes (25 modes, 4096 torus points)
+    monkeypatch.setattr(transference, "BATCH_VALUES", budget)
+    passes, batches = [], []
+    vector_pass, power, ascend = (transference._vector_pass, transference._power_norm,
+                                  transference._ascend)
 
-    def spy_begin(self, others, vi):
-        budget.append(max(self.E[vi].size, 1 << 14))
-        return begin(self, others, vi)
+    def spy_pass(model, V, other, *args):
+        passes.append([len(V) * V.shape[1] * model.E[2].shape[1]])  # the values of D
+        return vector_pass(model, V, other, *args)
 
     def spy_power(vals, p, weight=1.0, axis=None):
-        if axis is not None:
-            sizes.append((np.size(vals), budget[-1]))
+        if np.ndim(vals) == 3:  # the four stepped copies, inputs then outputs
+            passes[-1].append(np.size(vals))
         return power(vals, p, weight, axis)
 
-    monkeypatch.setattr(transference._Screen, "begin", spy_begin)
+    def spy_ascend(model, starts, steps):
+        batches.append(len(starts))
+        return ascend(model, starts, steps)
+
+    monkeypatch.setattr(transference, "_vector_pass", spy_pass)
     monkeypatch.setattr(transference, "_power_norm", spy_power)
+    monkeypatch.setattr(transference, "_ascend", spy_ascend)
     estimate_norm_T_period(a, 2.0, 2.0, 2.0, params)
-    assert len(sizes) > 2 * len(budget)
-    assert all(size <= limit for size, limit in sizes)
-
-
-def test_search_keeps_one_chunk_of_starts_alive(monkeypatch):
-    # memory does not grow with starts: they run in chunks of the largest
-    # screen group, and only the best result outlives its chunk
-    alive, peak, screens = [0], [0], []
-
-    class SpyRun(transference._Run):
-        def __init__(self, *args):
-            super().__init__(*args)
-            alive[0] += 1
-            peak[0] = max(peak[0], alive[0])
-
-        def __del__(self):
-            alive[0] -= 1
-
-    search = transference._search
-
-    def spy_search(ratio_fn, screen, *args):
-        screens.append(screen)
-        return search(ratio_fn, screen, *args)
-
-    monkeypatch.setattr(transference, "_Run", SpyRun)
-    monkeypatch.setattr(transference, "_search", spy_search)
-    a = random_lattice_coefficients(1, 1, 9, seed=5)
-    estimate_norm_T_period(a, 2.0, 2.0, 2.0, SearchParams(starts=10, steps=3))
-    assert peak[0] == max(screens[0].group) < 10
-    assert alive[0] == 0
+    assert batches == [2, 2, 2, 2]
+    assert all(d + stepped_in + stepped_out <= budget
+               for d, stepped_in, stepped_out, *_ in passes)
 
 
 def test_T_period_budgets_fire_before_allocating():
@@ -452,49 +484,36 @@ def test_T_period_budgets_fire_before_allocating():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("radius, torus_points", [(40, 16), (100, 64), (300, 256)])
+def test_T_period_rejects_a_torus_too_coarse_for_its_modes(radius, torus_points):
+    # on fewer torus points than the output mode box is wide, a nonzero trig
+    # polynomial can vanish at every point (at 16 points radius 40 once gave
+    # a bound of 1.7e28, against 2.43 at 256); refused before any phase matrix
+    a = random_lattice_coefficients(1, radius, 9, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"torus_points {torus_points} is below the width"):
+            estimate_norm_T_period(a, 2.0, 2.0, 2.0, SearchParams(torus_points=torus_points))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_T_period_accepts_a_torus_as_wide_as_its_output_box():
+    # supports {0} and {0}: boxes 3 wide, output box 5 wide
+    est = estimate_norm_T_period(lattice_delta(1), 2.0, 2.0, 2.0,
+                                 SearchParams(starts=2, steps=2, torus_points=5))
+    assert est.value == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match="torus_points 4 is below the width 5"):
+        estimate_norm_T_period(lattice_delta(1), 2.0, 2.0, 2.0, SearchParams(torus_points=4))
+
+
 def test_stability_bound_below_one_is_rejected():
     # a max/min spread is never below 1, so such a bound fails every family
     with pytest.raises(ValueError, match="stability_bound must be >= 1"):
         SearchParams(stability_bound=0.5)
     assert SearchParams(stability_bound=1.0).stability_bound == 1.0
-
-
-def _screen_of(monkeypatch, estimate, a, ex, params):
-    """The screen an estimator hands to ``_search`` (the search itself is skipped)."""
-    got = []
-
-    def capture(ratio_fn, screen, box1, box2, supp1, supp2, params):
-        got.append(screen)
-        return 0.0, [np.zeros(len(box1)), np.zeros(len(box2))], [0.0]
-
-    monkeypatch.setattr(transference, "_search", capture)
-    estimate(a, *ex, params)
-    return got[0]
-
-
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("ex", [(2.0, 0.5, 1.0), (math.inf, 1.0, 2.0)], ids=str)
-@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
-                         ids=["S", "T_period"])
-def test_screen_bounds_the_fixed_vector_norm_from_below(monkeypatch, estimate, ex, n):
-    # other_lo lies below the fixed vector's norm as the exact ratio computes it
-    # (and strictly below the screen's own batched norm), and every upper bound
-    # allows for the fixed vector's norm being as low as other_lo
-    a = random_lattice_coefficients(n, 1, 9 if n == 1 else 4, seed=70 + n)
-    screen = _screen_of(monkeypatch, estimate, a, ex, SearchParams(torus_points=16))
-    rng = np.random.default_rng(n)
-    for vi in range(2):
-        sizes = screen.E[vi].shape[0], screen.E[1 - vi].shape[0]
-        others = rng.standard_normal((3, sizes[1])) + 1j * rng.standard_normal((3, sizes[1]))
-        screen.begin(others, vi)
-        exact = [transference._power_norm(o @ screen.E[1 - vi], ex[1 - vi], screen.weight)
-                 for o in others]
-        assert np.all(screen.other_lo <= exact)
-        assert np.all(screen.other_lo < screen.n_other)
-        V = rng.standard_normal((3, sizes[0])) + 1j * rng.standard_normal((3, sizes[0]))
-        ks, _cs, scores, upper = screen.bounds(V, np.full(3, 0.1), np.zeros(3, dtype=int),
-                                               np.full(3, sizes[0]))
-        assert np.all(upper >= scores * (screen.n_other / screen.other_lo)[ks, None])
 
 
 @pytest.mark.parametrize("starts", [1, 2, 3, 5])

@@ -433,10 +433,9 @@ def test_lockstep_starts_leaving_at_different_sweeps(monkeypatch, estimate, n, e
         [params.starts]
 
 
-def test_search_batches_stay_within_the_value_budget(monkeypatch):
-    # a vector pass holds D and the stepped values of at most BATCH_VALUES
-    # values, however many starts run: they come in batches, and one batch
-    # at a time is alive
+def test_screen_calls_stay_within_the_value_budget(monkeypatch):
+    # the vector pass that scores the candidate steps holds D and the stepped
+    # values of at most BATCH_VALUES values, however many starts run
     a = random_lattice_coefficients(2, 1, 9, seed=5)
     params = SearchParams(starts=8, steps=3, torus_points=64)
     budget = 400_000  # two starts of these boxes (25 modes, 4096 torus points)
@@ -465,6 +464,31 @@ def test_search_batches_stay_within_the_value_budget(monkeypatch):
     assert batches == [2, 2, 2, 2]
     assert all(d + stepped_in + stepped_out <= budget
                for d, stepped_in, stepped_out, *_ in passes)
+
+
+def test_search_keeps_one_chunk_of_starts_alive(monkeypatch):
+    # memory does not grow with starts: they are drawn batch by batch, each
+    # batch only once the one before it has finished
+    a = random_lattice_coefficients(1, 1, 9, seed=5)
+    monkeypatch.setattr(transference, "BATCH_VALUES", 3 * 3328)  # three starts (5, 5, 256)
+    drawn, seen = [0], []
+    starts, ascend = transference._starts, transference._ascend
+
+    def spy_starts(*args):
+        for start in starts(*args):
+            drawn[0] += 1
+            yield start
+
+    def spy_ascend(model, batch, steps):
+        seen.append((len(batch), drawn[0]))
+        return ascend(model, batch, steps)
+
+    monkeypatch.setattr(transference, "_starts", spy_starts)
+    monkeypatch.setattr(transference, "_ascend", spy_ascend)
+    estimate_norm_T_period(a, 2.0, 2.0, 2.0, SearchParams(starts=10, steps=3))
+    sizes = [size for size, _ in seen]
+    assert sizes == [3, 3, 3, 1]
+    assert [d for _, d in seen] == list(itertools.accumulate(sizes))
 
 
 def test_T_period_budgets_fire_before_allocating():

@@ -39,6 +39,8 @@ __all__ = [
 # Wiener norm picks its covering bands
 SUPPORT_TOL = 1e-13
 
+_TINY = np.finfo(float).tiny  # smallest normal float
+
 
 class TailBudgetWarning(UserWarning):
     """Mass near the box boundary exceeded the experiment's tail budget."""
@@ -88,15 +90,21 @@ def _power_norm(vals: np.ndarray, p: float, weight: float = 1.0, axis: int | Non
     mags = np.abs(np.asarray(vals, dtype=complex))
     if axis is None:
         mags = mags.ravel()
-        if mags.size == 0:
-            return 0.0
     red = -1 if axis is None else axis
-    peak = mags.max(axis=red, keepdims=True)
+    peak = mags.max(axis=red, keepdims=True, initial=0.0)
     norm = peak.squeeze(red)
     if not math.isinf(p):
         mags /= np.where(peak == 0.0, 1.0, peak)  # in place: one temporary
         mags **= p
-        norm = norm * weight ** (1.0 / p) * mags.sum(axis=red) ** (1.0 / p)
+        scale, root = weight ** (1.0 / p), mags.sum(axis=red) ** (1.0 / p)
+        lead = norm * scale
+        top, norm = norm, lead * root
+        if scale < 1.0:
+            # a tiny peak times the weight factor can underflow before the
+            # root (>= 1) lifts the product back into range: reorder there only
+            low = lead < _TINY
+            if low.any():
+                norm = np.where(low, top * (scale * root), norm)
     return float(norm) if axis is None else norm
 
 
@@ -227,11 +235,13 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
                              "the frequency box")
     grids = np.meshgrid(*ranges, indexing="ij")
     bands = [tuple(int(c) for c in mu) for mu in np.stack([g.ravel() for g in grids], axis=-1)]
-    pieces = np.empty((len(bands),) + spec.shape, dtype=complex)
+    # one band at a time: a batched transform would hold several
+    # stack-sized temporaries next to the stack
+    stack = np.empty((len(bands),) + spec.shape, dtype=complex)
     for i, mu in enumerate(bands):
         mult = _multiplier_samples(kappa, spec, shift=np.asarray(mu, dtype=float) + off)
-        pieces[i] = mult * F
-    return bands, spec.s**spec.n * _centered_ifftn(pieces, axes=tuple(range(1, spec.n + 1)))
+        stack[i] = spec.s**spec.n * _centered_ifftn(mult * F)
+    return bands, stack
 
 
 def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,

@@ -6,7 +6,9 @@
   frequency zeta = xi1+xi2 (``_grouped_sum``; it also serves the witness path
   of transference, which evaluates sigma at those pairs only, and scalinglab).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
-  the truncated tensor-product decomposition (band projections only).
+  the truncated decomposition, contracted through its side factors
+  b = sum_r outer(w1_r, w2_r): one band projection per translate and term
+  (one term for a separable Phi), never one per Fourier mode k.
 * ``apply_T_period``  -- periodic bilinear operator on trig polynomials,
   computed in coefficient space.
 * ``apply_S``         -- the sequence model, an a-weighted convolution.
@@ -27,8 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bumps import BumpProfile, Window, bump_eval_axes, window_eval_axes
-from .grid import GridFunction, GridSpec, _as_int_tuple, _centered_ifftn, dft, idft
+from .bumps import BumpProfile, Window, _axis_factor, bump_eval_axes, window_eval_axes
+from .grid import (GridFunction, GridSpec, _as_int_tuple, _centered_ifftn, check_budget,
+                   dft, idft)
 from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid
 
 __all__ = [
@@ -217,19 +220,6 @@ def band_project(kappa: Window, mu, f: GridFunction, offset=None) -> GridFunctio
     return idft(GridFunction(spec, "frequency", samples * dft(f).samples))
 
 
-def _cutoff_translates(d: CMDecomposition, spec: GridSpec,
-                       mus: list[tuple[int, ...]]) -> dict[tuple[int, ...], np.ndarray]:
-    """Samples of the cutoff phi(xi - mu) for each needed integer translate."""
-    base = np.asarray(bump_eval_axes(d.cutoff, spec.freq_points()), dtype=complex)
-    out = {}
-    for mu in mus:
-        if max(abs(c) for c in mu) > spec.L // 4:
-            raise ValueError(f"translate {mu} exceeds the L/4 support budget")
-        out[mu] = np.roll(base, shift=[c * spec.L for c in mu],
-                          axis=tuple(range(spec.n)))
-    return out
-
-
 @lru_cache(maxsize=8)
 def _phase_matrix(N: int, L: int, M: int, K: float) -> np.ndarray:
     """P[k, i] = e^{2pi i xi_i k / K} on the centered frequency axis."""
@@ -238,56 +228,65 @@ def _phase_matrix(N: int, L: int, M: int, K: float) -> np.ndarray:
     return np.exp(2j * np.pi * np.multiply.outer(ks, xi) / K)
 
 
+def _band_rows(d: CMDecomposition, spec: GridSpec, mu: tuple[int, ...]) -> list[np.ndarray]:
+    """Per axis j, the (2M+1, N) rows e^{2pi i k (xi - mu_j) / K} phi_j(xi - mu_j)
+    of the translate at ``mu`` on the centred frequency axis; the cutoff
+    factor phi_j is rolled by mu_j * L samples."""
+    ks = np.arange(-d.M, d.M + 1)
+    P_ax = _phase_matrix(spec.N, spec.L, d.M, d.K)
+    xi = spec.axis_xi()
+    return [P_ax * np.exp(-2j * np.pi * ks * c / d.K)[:, None]
+            * np.roll(_axis_factor(d.cutoff, j, xi), c * spec.L)
+            for j, c in enumerate(mu)]
+
+
 def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
                       f1: GridFunction, f2: GridFunction) -> GridFunction:
-    """Fast path through the truncated decomposition.
+    """Fast path through the factored truncated decomposition.
 
-    T = sum_{|k|<=M} b(k1,k2) sum_{(mu1,mu2) in supp a} a *
-        [phi_{k1}(D-mu1) f1] * [phi_{k2}(D-mu2) f2],
+    With b = sum_r outer(w1_r, w2_r) (``d.factors``) and the band multipliers
+    m_{j,r}(xi) = phi(xi) sum_{|k|<=M} wj_r[k] e^{2pi i k.xi/K},
 
-    each factor one band projection; agreement with the slow path is bounded
-    by the decomposition's recorded truncation tail.
+    T = sum_{(mu1,mu2) in supp a} a * sum_r [m_{1,r}(D-mu1) f1] * [m_{2,r}(D-mu2) f2],
+
+    one band projection per translate and term, each multiplier contracted
+    axis by axis from its factor; agreement with the slow path is bounded by
+    the decomposition's recorded truncation tail.
     """
     spec = f1.spec
     if f2.spec != spec:
         raise ValueError("grid spec mismatch")
     if spec.n != d.n:
         raise ValueError("decomposition dimension mismatch")
-    n, N, M, K = spec.n, spec.N, d.M, d.K
+    n, N = spec.n, spec.N
     mus1 = sorted({m1 for (m1, _m2) in a.entries})
     mus2 = sorted({m2 for (_m1, m2) in a.entries})
-    ks = np.arange(-M, M + 1)
-    kcount = (2 * M + 1) ** n
+    for mu in mus1 + mus2:
+        if max(abs(c) for c in mu) > spec.L // 4:
+            raise ValueError(f"translate {mu} exceeds the L/4 support budget")
+    terms = len(d.factors)
+    check_budget((len(mus1) + len(mus2)) * terms * N**n, "fast-path band stack")
     sp_axes = tuple(range(1, n + 1))
 
-    # per-axis phase matrix, cached across calls on the same grid
-    P_ax = _phase_matrix(N, spec.L, M, K)
-
-    def band_stack(f: GridFunction, mus) -> dict:
-        """Per mu: stack over k-multi-indices (C-order flattened to match
-        coeffs.reshape) of idft(phi_k(. - mu) * fhat), shape (kcount, N**n)."""
+    def bands(f: GridFunction, mus, side: int) -> dict:
+        """Per mu: the (terms, N**n) space samples of m_{side,r}(D - mu) f."""
         fhat = dft(f).samples
-        cuts = _cutoff_translates(d, spec, mus)
         out = {}
         for mu in mus:
-            # phi_k(xi - mu) / phi(xi - mu) = prod_j P_ax[k_j] e^{-2pi i k_j mu_j / K},
-            # axis j's factor spread over (2M+1,)^n + (N,)^n at axes j and n + j
-            phase = 1.0
-            for j in range(n):
-                fac = P_ax * np.exp(-2j * np.pi * ks * mu[j] / K)[:, None]
-                phase = phase * np.expand_dims(
-                    fac, tuple(ax for ax in range(2 * n) if ax not in (j, n + j)))
-            arr = (phase * (cuts[mu] * fhat)).reshape((kcount,) + spec.shape)
-            out[mu] = (spec.s**n * _centered_ifftn(arr, axes=sp_axes)).reshape(kcount, N**n)
+            rows = _band_rows(d, spec, mu)
+            mult = np.empty((terms,) + spec.shape, dtype=complex)
+            for r, factor in enumerate(d.factors):
+                w = factor[side]
+                for row in rows:  # contracts k_j, appends xi_j
+                    w = np.tensordot(w, row, axes=([0], [0]))
+                mult[r] = w
+            mult *= fhat
+            out[mu] = (spec.s**n * _centered_ifftn(mult, axes=sp_axes)).reshape(terms, N**n)
         return out
 
-    G1 = band_stack(f1, mus1)
-    G2 = band_stack(f2, mus2)
-
-    B = d.coeffs.reshape(kcount, kcount)
-    # pre-contract the coefficient tensor into side 2 once per mu2
-    C2 = {mu: B @ G2[mu] for mu in mus2}
+    H1 = bands(f1, mus1, 0)
+    H2 = bands(f2, mus2, 1)
     acc = np.zeros(N**n, dtype=complex)
     for (m1, m2), val in sorted(a.items()):  # fixed order keeps reductions bit-stable
-        acc += val * (G1[m1] * C2[m2]).sum(axis=0)
+        acc += val * (H1[m1] * H2[m2]).sum(axis=0)
     return GridFunction(spec, "space", acc.reshape(spec.shape))

@@ -10,12 +10,15 @@ the box) rewrites the symbol as a rapidly converging sum of separable pieces
     phi_k(xi) = e^{2 pi i xi.k / K} phi(xi),
 
 which is the basis of the fast operator path in :mod:`latticebump.operators`.
+That path contracts b one side at a time through its factorisation
+b = sum_r w1_r (x) w2_r over the xi1 and xi2 halves (``CMDecomposition.factors``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +206,13 @@ class CMDecomposition:
     """Truncated Fourier coefficients b(k1,...,k_{2n}) of Phi on KQ^(2n),
     together with the plateau cutoff phi (== 1 on 2^{-1}KQ, supported in KQ).
 
+    ``factors`` splits the block across the xi1 / xi2 sides: a tuple of
+    (side1, side2) tensors, each of shape (2M+1,)*n, with
+    ``coeffs`` = sum_r outer(side1_r, side2_r).  A separable Phi gives one
+    exact term; otherwise the terms come from the SVD of the
+    (2M+1)^n x (2M+1)^n flattening.  The fast operator path contracts through
+    them, one band projection per term and translate.
+
     ``tail`` is sum |b| over the computed coefficients outside the stored
     |k|_inf <= M block (plus nothing beyond the computation range, where the
     coefficients are below roundoff of the quadrature)."""
@@ -211,6 +221,7 @@ class CMDecomposition:
     K: float
     M: int
     coeffs: np.ndarray  # shape (2M+1,)*(2n), index k+M per axis
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
     cutoff: BumpProfile
     tail: float
 
@@ -241,7 +252,19 @@ class CMDecomposition:
         shape = (2 * M + 1,) * (2 * n)
         coeffs = (np.asarray(doc["coeffs_re"]) + 1j * np.asarray(doc["coeffs_im"])).reshape(shape)
         cutoff = make_plateau(n, doc["cutoff"]["inner"], doc["cutoff"]["outer"])
-        return cls(n=n, K=doc["K"], M=M, coeffs=coeffs, cutoff=cutoff, tail=doc["tail"])
+        return cls(n=n, K=doc["K"], M=M, coeffs=coeffs, factors=_svd_factors(coeffs, n),
+                   cutoff=cutoff, tail=doc["tail"])
+
+
+def _svd_factors(coeffs: np.ndarray, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(side1, side2) terms of the block's (2M+1)^n x (2M+1)^n flattening,
+    keeping the singular values above numpy's matrix_rank tolerance."""
+    side = coeffs.shape[:n]
+    B = coeffs.reshape(int(np.prod(side)), -1)
+    U, S, Vh = np.linalg.svd(B)
+    tol = S[0] * max(B.shape) * np.finfo(float).eps
+    return tuple(((U[:, r] * S[r]).reshape(side), Vh[r].reshape(side))
+                 for r in range(int(np.sum(S > tol))))
 
 
 def default_period(phi: BumpProfile) -> float:
@@ -294,13 +317,13 @@ def cm_decompose(phi: BumpProfile, K: float | None = None, M: int = 16,
         axis_c = [_axis_series(phi, j, K, kmax, points) for j in range(phi.d)]
         axis_c[0] = axis_c[0] * phi.amplitude
         sl = slice(kmax - M, kmax + M + 1)
-        coeffs = axis_c[0][sl]
-        for c in axis_c[1:]:
-            coeffs = np.multiply.outer(coeffs, c[sl])
+        kept_c = [c[sl] for c in axis_c]
+        coeffs = reduce(np.multiply.outer, kept_c)
+        sides = tuple(reduce(np.multiply.outer, half) for half in (kept_c[:n], kept_c[n:]))
         total = np.prod([np.sum(np.abs(c)) for c in axis_c])
-        kept = np.prod([np.sum(np.abs(c[sl])) for c in axis_c])
+        kept = np.prod([np.sum(np.abs(c)) for c in kept_c])
         tail = float(max(total - kept, 0.0))
-        return CMDecomposition(n=n, K=float(K), M=M, coeffs=coeffs,
+        return CMDecomposition(n=n, K=float(K), M=M, coeffs=coeffs, factors=(sides,),
                                cutoff=cutoff, tail=tail)
 
     if n != 1:
@@ -313,7 +336,8 @@ def cm_decompose(phi: BumpProfile, K: float | None = None, M: int = 16,
     sl = slice(kmax - M, kmax + M + 1)
     coeffs = full[sl, sl]
     tail = float(np.sum(np.abs(full)) - np.sum(np.abs(coeffs)))
-    return CMDecomposition(n=1, K=float(K), M=M, coeffs=coeffs, cutoff=cutoff, tail=tail)
+    return CMDecomposition(n=1, K=float(K), M=M, coeffs=coeffs, factors=_svd_factors(coeffs, 1),
+                           cutoff=cutoff, tail=tail)
 
 
 def cm_reconstruct(d: CMDecomposition, xi1, xi2):

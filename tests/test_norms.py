@@ -1,15 +1,19 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from latticebump.bumps import bump_eval_axes, make_bump, make_window
-from latticebump.grid import freq_function, idft, make_grid, space_function
+from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
+                               make_window)
+from latticebump.grid import _centered_ifftn, dft, freq_function, idft, make_grid, space_function
 from latticebump.norms import (ExponentTuple, _power_norm, TailBudgetWarning, amalgam_norm,
                                bernstein_scaling_check, lp_norm, lp_norm_torus,
-                               lq_seq_norm, mixed_norm_check, wiener_norm)
-from latticebump.operators import trig_poly_from_dict
+                               lq_seq_norm, mixed_norm_check, wiener_band_values, wiener_norm)
+from latticebump.operators import _multiplier_samples, sequence_from_dict, trig_poly_from_dict
+from latticebump.transference import build_wiener_witness
 
 
 def _indicator_q(spec, half_width=0.5):
@@ -234,3 +238,126 @@ def test_power_norm_axis_rows_match_flat_calls(p, weight):
     # a leading axis (the Wiener band axis) sums in another order
     cols = _power_norm(np.moveaxis(vals, -1, 0), p, weight, axis=0)
     np.testing.assert_allclose(cols, rows, rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# scale-stable power sums at the ends of the float range
+# ---------------------------------------------------------------------------
+
+small_exponents = st.one_of(st.sampled_from([0.05, 0.5, 1.0, 2.0]), st.floats(0.05, 8.0),
+                            st.just(math.inf))
+
+
+@st.composite
+def _scaled_vectors(draw, rows=1):
+    """Complex (rows, k) arrays m * 2^e: mantissa parts in [-1, 1] (exact zeros
+    included) and one exponent per row, from the subnormal range to ~1e300."""
+    k = draw(st.integers(1, 12))
+    parts = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    m = np.array(draw(st.lists(parts, min_size=2 * rows * k, max_size=2 * rows * k)))
+    m = (m[: rows * k] + 1j * m[rows * k:]).reshape(rows, k)
+    e = np.array(draw(st.lists(st.integers(-1074, 996), min_size=rows, max_size=rows)))
+    return np.ldexp(m.real, e[:, None]) + 1j * np.ldexp(m.imag, e[:, None])
+
+
+def _norm_is_normal(vals, p, weight):
+    """Whether the exact (weight * sum |vals|^p)^(1/p) is a normal float, with
+    a margin of 2^2 at both ends for the computed value's rounding."""
+    mags = np.abs(vals).ravel()
+    peak = mags.max(initial=0.0)
+    if peak == 0.0:
+        return False
+    log2 = math.log2(peak)
+    if not math.isinf(p):
+        log2 += (math.log2(weight) + math.log2(np.sum((mags / peak) ** p))) / p
+    return -1020 <= log2 <= 1021
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scaled_vectors(), small_exponents, st.sampled_from([1.0, 2.0**-5, 0.37]),
+       st.integers(-80, 80), st.integers(0, 3))
+def test_power_norm_is_homogeneous(vals, p, weight, k, turns):
+    c = 2.0**k * 1j**turns  # exact: scales by a power of two, rotates by quarter turns
+    with np.errstate(all="ignore"):
+        scaled = c * vals
+        exact = np.array_equal(scaled / c, vals)  # no bit lost to under/overflow
+    assume(exact)
+    assume(_norm_is_normal(vals, p, weight) and _norm_is_normal(scaled, p, weight))
+    assert _power_norm(scaled, p, weight) == pytest.approx(
+        2.0**k * _power_norm(vals, p, weight), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_scaled_vectors(), small_exponents, st.integers(-80, 80))
+def test_lp_norm_is_homogeneous(vals, p, k):
+    spec = make_grid(2, 2, 2)  # 16 samples, weight h^2 = 1/4
+    f = space_function(spec, np.resize(vals, spec.shape))
+    with np.errstate(all="ignore"):
+        g = space_function(spec, 2.0**k * f.samples)
+        exact = np.array_equal(g.samples / 2.0**k, f.samples)
+    assume(exact)
+    assume(_norm_is_normal(f.samples, p, 0.25) and _norm_is_normal(g.samples, p, 0.25))
+    assert lp_norm(g, p) == pytest.approx(2.0**k * lp_norm(f, p), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(*(st.integers(0, 4),) * n)),
+       small_exponents, st.sampled_from([1.0, 2.0**-5, 0.37]))
+def test_power_norm_of_zeros_is_zero(shape, p, weight):
+    zeros = np.zeros(shape, dtype=complex)
+    assert _power_norm(zeros, p, weight) == 0.0
+    if zeros.ndim:
+        rows = _power_norm(zeros, p, weight, axis=-1)
+        assert rows.shape == shape[:-1] and not np.any(rows)
+    assert lp_norm(space_function(make_grid(1, 2, 2), 0.0), p) == 0.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(_scaled_vectors), small_exponents,
+       st.sampled_from([1.0, 2.0**-5, 0.37]))
+def test_power_norm_rows_match_flat_calls_across_the_range(vals, p, weight):
+    assume(all(_norm_is_normal(r, p, weight) or not np.any(r) for r in vals))
+    rows = _power_norm(vals, p, weight, axis=-1)
+    flat = np.array([_power_norm(r, p, weight) for r in vals])
+    np.testing.assert_array_max_ulp(rows, flat, maxulp=1)
+
+
+@pytest.mark.parametrize("mag", [1e-290, 1e-300, 1e-305])
+def test_lp_norm_of_a_tiny_constant_keeps_its_digits(spec, mag):
+    # the peak times h^(1/p) = 2^-100 leaves the normal range although the
+    # norm mag * (h N)^(1/p) does not
+    f = space_function(spec, mag)
+    assert lp_norm(f, 0.05) == pytest.approx(mag * (spec.h * spec.N) ** 20, rel=1e-12, abs=0.0)
+
+
+def test_power_norm_overflow_raises():
+    # the exact norm 1e300 * 3^20 exceeds the float range: under the
+    # error::RuntimeWarning filter the overflow is an error, not an inf
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        _power_norm(np.full(3, 1e300), 0.05)
+
+
+def test_wiener_band_stack_is_built_band_by_band():
+    # n = 2 Wiener witness at a working grid: 9 bands of 256^2 samples
+    spec = make_grid(2, 8, 32)
+    phi = make_bump(4, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    theta = make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    kappa = make_window(2, 0.6)
+    rng = np.random.default_rng(50)
+    b1 = sequence_from_dict(2, {m: complex(*rng.standard_normal(2))
+                                for m in itertools.product((-1, 0, 1), repeat=2)})
+    f1 = build_wiener_witness(b1, b1, theta, spec, kappa).f1
+    offset = theta.xi0[:2]
+    tracemalloc.start()
+    try:
+        bands, stack = wiener_band_values(f1, kappa, offset=offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # oracle: one batched transform over the whole stack
+    F = dft(f1).samples
+    pieces = np.stack([_multiplier_samples(kappa, spec, shift=np.asarray(mu, float) + offset) * F
+                       for mu in bands])
+    assert np.array_equal(stack, spec.s**2 * _centered_ifftn(pieces, axes=(1, 2)))
+    assert peak <= 2 * stack.nbytes

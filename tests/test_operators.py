@@ -1,5 +1,7 @@
 import time
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_plateau,
                                make_theta_pair, make_window)
-from latticebump.grid import GridFunction, dft, freq_function, idft, make_grid, space_function
-from latticebump.operators import (AliasingWarning, TrigPolynomial, _cutoff_translates,
+from latticebump.grid import (MAX_POINTS, BudgetError, GridFunction, dft, freq_function, idft,
+                             make_grid, space_function)
+from latticebump.operators import (AliasingWarning, TrigPolynomial,
                                    _phase_matrix, apply_S, apply_T_aPhi_fast,
                                    apply_T_period, apply_T_sigma,
                                    apply_linear_mult, band_project,
                                    sequence_from_dict, trig_poly_from_dict)
-from latticebump.symbols import (cm_decompose, lattice_delta, lattice_from_dict,
+from latticebump.symbols import (CMDecomposition, cm_decompose, lattice_delta, lattice_from_dict,
                                  random_lattice_coefficients, synth_sigma,
                                  SymbolGrid)
 from latticebump.transference import build_amalgam_witness
@@ -218,6 +221,13 @@ def test_T_sigma_equals_dense_reference_when_aliasing(spec):
     assert np.array_equal(out, ref)
 
 
+def _cutoff_translates(d, spec, mus):
+    """Samples of the cutoff phi(xi - mu) for each needed integer translate."""
+    base = np.asarray(bump_eval_axes(d.cutoff, spec.freq_points()), dtype=complex)
+    return {mu: np.roll(base, shift=[c * spec.L for c in mu], axis=tuple(range(spec.n)))
+            for mu in mus}
+
+
 def _loop_fast(a, d, f1, f2):
     """Reference oracle for apply_T_aPhi_fast: each (mu, k) band projection
     built one multi-index k at a time."""
@@ -258,15 +268,60 @@ def _loop_fast(a, d, f1, f2):
     return acc.reshape(spec.shape)
 
 
-@pytest.mark.parametrize("n, L, s, M", [(1, 8, 32, 16), (2, 4, 8, 4)])
-def test_fast_path_equals_loop_reference(n, L, s, M):
+@pytest.mark.parametrize("n, L, s, M, kind", [(1, 8, 32, 16, "tensor-exp"),
+                                              (2, 4, 8, 4, "tensor-exp"),
+                                              (1, 8, 32, 16, "radial-exp")],
+                         ids=["1-8-32-16", "2-4-8-4", "1-8-32-16-radial-exp"])
+def test_fast_path_equals_loop_reference(n, L, s, M, kind):
+    # the factored contraction reassociates the sum over k, so only a
+    # rounding-level bound holds, not bit equality
     spec, phi, a, f1, f2 = _witness_inputs(n, L, s, 46)
+    if kind != "tensor-exp":
+        phi = make_bump(2 * n, kind, radius=0.4)
     d = cm_decompose(phi, M=M)
     fast = apply_T_aPhi_fast(a, d, f1, f2).samples
     ref = _loop_fast(a, d, f1, f2)
     assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
-    if n == 2:
-        assert np.array_equal(fast, ref)
+
+
+def test_fast_path_of_round_tripped_decomposition():
+    # from_json rebuilds the factors by SVD; the operator must not move
+    spec, phi, a, f1, f2 = _witness_inputs(1, 8, 32, 47)
+    d = cm_decompose(phi, M=16)
+    back = CMDecomposition.from_json(d.to_json())
+    fast = apply_T_aPhi_fast(a, d, f1, f2).samples
+    assert np.max(np.abs(apply_T_aPhi_fast(a, back, f1, f2).samples - fast)) \
+        <= 1e-14 * np.max(np.abs(fast))
+
+
+def test_fast_path_n2_working_grid_memory():
+    # n = 2 at a working grid (N = 256) with the default truncation M = 16
+    spec, phi, a, f1, f2 = _witness_inputs(2, 8, 32, 48)
+    d = cm_decompose(phi, M=16)
+    tracemalloc.start()
+    try:
+        apply_T_aPhi_fast(a, d, f1, f2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_fast_path_budget_fires_before_allocating():
+    spec, phi, a, f1, f2 = _witness_inputs(2, 8, 32, 49)
+    # enough repeated terms that the translates' stacks of 256^2 samples
+    # per term pass the budget
+    bands = len({m1 for m1, _ in a.entries}) + len({m2 for _, m2 in a.entries})
+    d = cm_decompose(phi, M=4)
+    d = replace(d, factors=d.factors * (MAX_POINTS // (bands * spec.N ** 2) + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="fast-path band stack"):
+            apply_T_aPhi_fast(a, d, f1, f2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.N ** 2 * 16
 
 
 def test_T_sigma_rejects_mismatched_grids(spec, phi04):

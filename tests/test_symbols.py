@@ -6,8 +6,8 @@ from scipy import integrate
 
 from latticebump.bumps import bump_eval, bump_eval_axes, make_bump, make_plateau
 from latticebump.grid import BudgetError, make_grid
-from latticebump.symbols import (_cm_on_axes, cm_decompose, cm_reconstruct, lattice_delta,
-                                 lattice_from_dict, random_lattice_coefficients,
+from latticebump.symbols import (CMDecomposition, _cm_on_axes, cm_decompose, cm_reconstruct,
+                                 lattice_delta, lattice_from_dict, random_lattice_coefficients,
                                  sigma_from_cm, synth_sigma, SymbolGrid)
 
 from conftest import BUMP_INTEGRAL
@@ -178,7 +178,6 @@ def test_random_coefficients_deterministic_and_bounded():
 
 def test_cm_decomposition_json_round_trip(phi04):
     d = cm_decompose(phi04, M=8)
-    from latticebump.symbols import CMDecomposition
     back = CMDecomposition.from_json(d.to_json())
     assert back.K == d.K and back.M == d.M
     assert np.max(np.abs(back.coeffs - d.coeffs)) == 0.0
@@ -226,3 +225,21 @@ def test_cm_on_axes_is_cm_reconstruct_on_the_tensor_grid(n):
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     ref = cm_reconstruct(d, pts[..., :n], pts[..., n:])
     np.testing.assert_allclose(got, np.reshape(ref, got.shape), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, kind, M", [(2, "tensor-exp", 16), (4, "tensor-exp", 8),
+                                        (2, "radial-exp", 16)])
+def test_cm_factors_rebuild_the_coefficient_block(d, kind, M):
+    dec = cm_decompose(make_bump(d, kind, radius=0.4), M=M)
+    eps, scale = np.finfo(float).eps, np.max(np.abs(dec.coeffs))
+    side = (2 * M + 1) ** (d // 2)
+    # SVD factors keep the singular values above numpy's matrix_rank
+    # tolerance, which bounds what they drop
+    svd_tol = np.linalg.norm(dec.coeffs.reshape(side, side), 2) * side * eps
+    back = CMDecomposition.from_json(dec.to_json())
+    for cm, bound in ((dec, 4 * eps * scale if kind == "tensor-exp" else svd_tol),
+                      (back, svd_tol)):
+        if kind == "tensor-exp":
+            assert len(cm.factors) == 1  # separable: one term, also after the SVD
+        rebuilt = sum(np.multiply.outer(s1, s2) for s1, s2 in cm.factors)
+        assert np.max(np.abs(rebuilt - dec.coeffs)) <= bound

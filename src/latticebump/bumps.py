@@ -160,19 +160,26 @@ def bump_eval_axes(b: BumpProfile, axes: list[np.ndarray]) -> np.ndarray:
     return b.amplitude * out
 
 
-def bump_eval(b: BumpProfile, x) -> np.ndarray | complex:
-    """Evaluate at a point (shape (d,)) or an array of points (shape (..., d))."""
+def _at_points(eval_axes, d: int, x) -> np.ndarray | complex:
+    """``eval_axes`` (a function of d per-axis arrays) at a point (shape (d,),
+    a scalar if d = 1) or at an array of points (shape (..., d)); a single
+    point gives a complex number."""
     pts = np.atleast_1d(np.asarray(x, dtype=float))
-    if b.d == 1 and pts.ndim == 1 and pts.shape != (1,):
+    if d == 1 and pts.ndim == 1 and pts.shape != (1,):
         pts = pts[:, None]
     elif pts.ndim == 1:
         pts = pts[None, :]
-    if pts.shape[-1] != b.d:
-        raise ValueError(f"points must have {b.d} components, got shape {pts.shape}")
-    vals = bump_eval_axes(b, [pts[..., j] for j in range(b.d)])
-    if np.isscalar(x) or (np.asarray(x).ndim <= 1 and np.asarray(x).size == b.d):
+    if pts.shape[-1] != d:
+        raise ValueError(f"points must have {d} components, got shape {pts.shape}")
+    vals = eval_axes([pts[..., j] for j in range(d)])
+    if np.isscalar(x) or (np.asarray(x).ndim <= 1 and np.asarray(x).size == d):
         return complex(vals.reshape(-1)[0])
     return vals
+
+
+def bump_eval(b: BumpProfile, x) -> np.ndarray | complex:
+    """Evaluate at a point (shape (d,)) or an array of points (shape (..., d))."""
+    return _at_points(lambda axes: bump_eval_axes(b, axes), b.d, x)
 
 
 @dataclass(frozen=True)
@@ -237,15 +244,7 @@ def window_eval_axes(w: Window, axes: list[np.ndarray], shift=None) -> np.ndarra
 
 def window_eval(w: Window, x, shift=None) -> np.ndarray | complex:
     """Evaluate at a point or points (same conventions as bump_eval)."""
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    if w.d == 1 and pts.ndim == 1 and pts.shape != (1,):
-        pts = pts[:, None]
-    elif pts.ndim == 1:
-        pts = pts[None, :]
-    vals = window_eval_axes(w, [pts[..., j] for j in range(w.d)], shift=shift)
-    if np.isscalar(x) or (np.asarray(x).ndim <= 1 and np.asarray(x).size == w.d):
-        return complex(vals.reshape(-1)[0])
-    return vals
+    return _at_points(lambda axes: window_eval_axes(w, axes, shift=shift), w.d, x)
 
 
 # ---------------------------------------------------------------------------

@@ -272,11 +272,8 @@ def mixed_norm_check(F: np.ndarray, p: float, q: float) -> tuple[float, float]:
     F = np.asarray(F, dtype=complex)
     if F.ndim != 2:
         raise ValueError("expected a 2-D array of samples")
-    inner_p = np.array([_power_norm(F[:, j], p) for j in range(F.shape[1])])
-    lhs = _power_norm(inner_p, q)
-    inner_q = np.array([_power_norm(F[i, :], q) for i in range(F.shape[0])])
-    rhs = _power_norm(inner_q, p)
-    return lhs, rhs
+    return (_power_norm(_power_norm(F, p, axis=0), q),
+            _power_norm(_power_norm(F, q, axis=1), p))
 
 
 def _dilate_samples(f: GridFunction, lam: int) -> GridFunction:

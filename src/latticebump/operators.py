@@ -7,8 +7,9 @@
   of transference, which evaluates sigma at those pairs only, and scalinglab).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
   the truncated decomposition, contracted through its side factors
-  b = sum_r outer(w1_r, w2_r): one band projection per translate and term
-  (one term for a separable Phi), never one per Fourier mode k.
+  b = sum_r outer(w1_r, w2_r), each multiplier built from the series rows of
+  ``symbols._cm_rows`` at the translate: one band projection per translate
+  and term (one term for a separable Phi), never one per Fourier mode k.
 * ``apply_T_period``  -- periodic bilinear operator on trig polynomials,
   computed in coefficient space.
 * ``apply_S``         -- the sequence model, an a-weighted convolution.
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bumps import BumpProfile, Window, _axis_factor, bump_eval_axes, window_eval_axes
+from .bumps import BumpProfile, Window, bump_eval_axes, window_eval_axes
 from .grid import (GridFunction, GridSpec, _as_int_tuple, _centered_ifftn, check_budget,
                    dft, idft)
-from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid
+from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid, _cm_rows, _contract
 
 __all__ = [
     "TrigPolynomial",
@@ -220,26 +220,6 @@ def band_project(kappa: Window, mu, f: GridFunction, offset=None) -> GridFunctio
     return idft(GridFunction(spec, "frequency", samples * dft(f).samples))
 
 
-@lru_cache(maxsize=8)
-def _phase_matrix(N: int, L: int, M: int, K: float) -> np.ndarray:
-    """P[k, i] = e^{2pi i xi_i k / K} on the centered frequency axis."""
-    ks = np.arange(-M, M + 1)
-    xi = (np.arange(N) - N // 2) / L
-    return np.exp(2j * np.pi * np.multiply.outer(ks, xi) / K)
-
-
-def _band_rows(d: CMDecomposition, spec: GridSpec, mu: tuple[int, ...]) -> list[np.ndarray]:
-    """Per axis j, the (2M+1, N) rows e^{2pi i k (xi - mu_j) / K} phi_j(xi - mu_j)
-    of the translate at ``mu`` on the centred frequency axis; the cutoff
-    factor phi_j is rolled by mu_j * L samples."""
-    ks = np.arange(-d.M, d.M + 1)
-    P_ax = _phase_matrix(spec.N, spec.L, d.M, d.K)
-    xi = spec.axis_xi()
-    return [P_ax * np.exp(-2j * np.pi * ks * c / d.K)[:, None]
-            * np.roll(_axis_factor(d.cutoff, j, xi), c * spec.L)
-            for j, c in enumerate(mu)]
-
-
 def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
                       f1: GridFunction, f2: GridFunction) -> GridFunction:
     """Fast path through the factored truncated decomposition.
@@ -247,11 +227,13 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
     With b = sum_r outer(w1_r, w2_r) (``d.factors``) and the band multipliers
     m_{j,r}(xi) = phi(xi) sum_{|k|<=M} wj_r[k] e^{2pi i k.xi/K},
 
-    T = sum_{(mu1,mu2) in supp a} a * sum_r [m_{1,r}(D-mu1) f1] * [m_{2,r}(D-mu2) f2],
+    T = sum_{(mu1,mu2) in supp a} a * sum_r [m_{1,r}(D-mu1) f1] * [m_{2,r}(D-mu2) f2].
 
-    one band projection per translate and term, each multiplier contracted
-    axis by axis from its factor; agreement with the slow path is bounded by
-    the decomposition's recorded truncation tail.
+    Per translate mu the rows of ``symbols._cm_rows`` at xi - mu_j (the
+    cutoff evaluated at the translate, never rolled round the box) are
+    contracted axis by axis with each factor: one band projection per
+    translate and term.  Agreement with the slow path is bounded by the
+    decomposition's recorded truncation tail.
     """
     spec = f1.spec
     if f2.spec != spec:
@@ -266,6 +248,7 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
             raise ValueError(f"translate {mu} exceeds the L/4 support budget")
     terms = len(d.factors)
     check_budget((len(mus1) + len(mus2)) * terms * N**n, "fast-path band stack")
+    xi = spec.axis_xi()
     sp_axes = tuple(range(1, n + 1))
 
     def bands(f: GridFunction, mus, side: int) -> dict:
@@ -273,13 +256,8 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
         fhat = dft(f).samples
         out = {}
         for mu in mus:
-            rows = _band_rows(d, spec, mu)
-            mult = np.empty((terms,) + spec.shape, dtype=complex)
-            for r, factor in enumerate(d.factors):
-                w = factor[side]
-                for row in rows:  # contracts k_j, appends xi_j
-                    w = np.tensordot(w, row, axes=([0], [0]))
-                mult[r] = w
+            rows = [_cm_rows(d, j, xi - c) for j, c in enumerate(mu)]
+            mult = np.stack([_contract(factor[side], rows) for factor in d.factors])
             mult *= fhat
             out[mu] = (spec.s**n * _centered_ifftn(mult, axes=sp_axes)).reshape(terms, N**n)
         return out

@@ -12,6 +12,8 @@ the box) rewrites the symbol as a rapidly converging sum of separable pieces
 which is the basis of the fast operator path in :mod:`latticebump.operators`.
 That path contracts b one side at a time through its factorisation
 b = sum_r w1_r (x) w2_r over the xi1 and xi2 halves (``CMDecomposition.factors``).
+Every evaluation of the truncated series, here and there, takes its per-axis
+rows phi_k from ``_cm_rows`` and contracts them against the coefficients.
 """
 
 from __future__ import annotations
@@ -344,39 +346,22 @@ def cm_reconstruct(d: CMDecomposition, xi1, xi2):
     """Truncated series sum_k b(k1,k2) e^{2pi i (xi1.k1 + xi2.k2)/K} phi(xi1) phi(xi2).
 
     xi1, xi2: scalars (n = 1) or length-n points; arrays broadcast pointwise.
+    The points' 2n coordinates each give one block of ``_cm_rows``, and the
+    coefficient axes are contracted against them one by one, point by point.
     """
-    xi1 = np.atleast_1d(np.asarray(xi1, dtype=float))
-    xi2 = np.atleast_1d(np.asarray(xi2, dtype=float))
+    xi1, xi2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (xi1, xi2))
     n = d.n
     if n == 1:
-        shape = np.broadcast(xi1, xi2).shape
-        x1, x2 = np.broadcast_to(xi1, shape).ravel(), np.broadcast_to(xi2, shape).ravel()
-        ks = np.arange(-d.M, d.M + 1)
-        e1 = np.exp(2j * np.pi * np.outer(x1, ks) / d.K)
-        e2 = np.exp(2j * np.pi * np.outer(x2, ks) / d.K)
-        series = np.einsum("xk,kl,xl->x", e1, d.coeffs, e2, optimize=True)
-        cut = (_axis_factor(d.cutoff, 0, x1) * _axis_factor(d.cutoff, 0, x2))
-        out = (series * cut).reshape(shape)
-        return complex(out.reshape(-1)[0]) if out.size == 1 else out
-    # general n: contract per-axis phase matrices against the coefficient tensor
+        xi1, xi2 = xi1[..., None], xi2[..., None]
     if xi1.shape[-1] != n or xi2.shape[-1] != n:
         raise ValueError(f"points must have {n} components")
     pts = [xi1[..., j] for j in range(n)] + [xi2[..., j] for j in range(n)]
     shape = np.broadcast(*pts).shape
-    flat = [np.broadcast_to(p, shape).ravel() for p in pts]
-    ks = np.arange(-d.M, d.M + 1)
-    series = d.coeffs
-    for ax, p in enumerate(flat):
-        e = np.exp(2j * np.pi * np.outer(p, ks) / d.K)  # (X, 2M+1)
-        if ax == 0:
-            series = np.einsum("xk,k...->x...", e, series)
-        else:
-            series = np.einsum("xk,xk...->x...", e, series)
-    cut = np.ones(len(flat[0]), dtype=float)
-    for j in range(n):
-        cut = cut * _axis_factor(d.cutoff, j, flat[j])
-        cut = cut * _axis_factor(d.cutoff, j, flat[n + j])
-    out = (series * cut).reshape(shape)
+    rows = [_cm_rows(d, ax, np.broadcast_to(p, shape).ravel()) for ax, p in enumerate(pts)]
+    series = np.einsum("xk,k...->x...", rows[0], d.coeffs)
+    for e in rows[1:]:
+        series = np.einsum("xk,xk...->x...", e, series)
+    out = series.reshape(shape)
     return complex(out.reshape(-1)[0]) if out.size == 1 else out
 
 
@@ -397,14 +382,29 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
     return SymbolGrid(spec, out)
 
 
+def _cm_rows(d: CMDecomposition, axis: int, u: np.ndarray) -> np.ndarray:
+    """The (len(u), 2M+1) rows e^{2pi i k u / K} phi_axis(u) of the truncated
+    series at the coordinates ``u`` along coordinate ``axis`` (xi1 axes, then
+    xi2 axes; both sides share the cutoff's n axes).  Rows where the cutoff
+    vanishes are zero and take no exponentials."""
+    ks = np.arange(-d.M, d.M + 1)
+    cut = _axis_factor(d.cutoff, axis % d.n, u)
+    on = cut != 0
+    rows = np.zeros((len(u), len(ks)), dtype=complex)
+    rows[on] = np.exp(2j * np.pi * np.outer(u[on], ks) / d.K) * cut[on, None]
+    return rows
+
+
+def _contract(block: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
+    """Contract the k axes of ``block`` one by one against ``rows`` (each of
+    shape (points, 2M+1)); axis j of the result runs over the points of rows[j]."""
+    for e in rows:
+        block = np.tensordot(block, e, axes=([0], [1]))  # rotates axes
+    return block
+
+
 def _cm_on_axes(d: CMDecomposition, axes: list[np.ndarray]) -> np.ndarray:
     """The truncated series of ``d`` times its cutoff on the tensor grid of
     2n per-axis coordinate arrays, shape (len(axes[0]), ..., len(axes[-1])):
-    one cutoff-weighted phase matrix contracted per coefficient axis."""
-    ks = np.arange(-d.M, d.M + 1)
-    series = d.coeffs
-    for ax, u in enumerate(axes):
-        e = (np.exp(2j * np.pi * np.outer(u, ks) / d.K)
-             * _axis_factor(d.cutoff, ax % d.n, u)[:, None])  # (len(u), 2M+1)
-        series = np.tensordot(series, e, axes=([0], [1]))   # rotates axes
-    return series
+    the coefficient block contracted against one block of rows per axis."""
+    return _contract(d.coeffs, [_cm_rows(d, ax, u) for ax, u in enumerate(axes)])

@@ -84,6 +84,14 @@ def test_window_plateau_and_two_term_overlap():
     assert window_eval(w, 0.5) + window_eval(w, -0.5) == pytest.approx(1.0)
 
 
+def test_window_eval_rejects_points_with_extra_components():
+    # both evaluators share one point check: an extra coordinate is an error
+    with pytest.raises(ValueError, match="points must have 2 components"):
+        window_eval(make_window(2, 0.6), [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="points must have 2 components"):
+        bump_eval(make_bump(2, "tensor-exp", radius=0.4), [0.1, 0.2, 0.3])
+
+
 def test_window_rejects_radii_outside_half_one():
     with pytest.raises(ValueError):
         make_window(1, 0.45)

@@ -12,7 +12,7 @@ from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, mak
 from latticebump.grid import (MAX_POINTS, BudgetError, GridFunction, dft, freq_function, idft,
                              make_grid, space_function)
 from latticebump.operators import (AliasingWarning, TrigPolynomial,
-                                   _phase_matrix, apply_S, apply_T_aPhi_fast,
+                                   apply_S, apply_T_aPhi_fast,
                                    apply_T_period, apply_T_sigma,
                                    apply_linear_mult, band_project,
                                    sequence_from_dict, trig_poly_from_dict)
@@ -221,6 +221,13 @@ def test_T_sigma_equals_dense_reference_when_aliasing(spec):
     assert np.array_equal(out, ref)
 
 
+def _phase_matrix(N: int, L: int, M: int, K: float) -> np.ndarray:
+    """P[k, i] = e^{2pi i xi_i k / K} on the centered frequency axis."""
+    ks = np.arange(-M, M + 1)
+    xi = (np.arange(N) - N // 2) / L
+    return np.exp(2j * np.pi * np.multiply.outer(ks, xi) / K)
+
+
 def _cutoff_translates(d, spec, mus):
     """Samples of the cutoff phi(xi - mu) for each needed integer translate."""
     base = np.asarray(bump_eval_axes(d.cutoff, spec.freq_points()), dtype=complex)
@@ -322,6 +329,50 @@ def test_fast_path_budget_fires_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < spec.N ** 2 * 16
+
+
+def test_fast_path_large_reach_matches_slow_path():
+    # translates out to the L/4 limit, in and outside the box [-4, 4): the
+    # multipliers are built on the N-point box per translate, whatever the reach
+    spec = make_grid(1, 64, 8)
+    phi = make_bump(2, "tensor-exp", radius=0.4)
+    a = lattice_from_dict(1, {((16,), (0,)): 1.0, ((-2,), (1,)): 0.5j,
+                              ((1,), (-1,)): -0.3, ((0,), (-16,)): 0.2})
+    f1, f2 = _band_limited(spec, 52), _band_limited(spec, 53)
+    slow = apply_T_sigma(synth_sigma(a, phi, spec), f1, f2).samples
+    d = cm_decompose(phi, M=128)
+    fast = apply_T_aPhi_fast(a, d, f1, f2).samples
+    assert np.max(np.abs(fast - slow)) <= 1e-5 * np.max(np.abs(slow))
+
+
+def test_fast_path_large_reach_n2_memory():
+    # n = 2, s = 4 and the translate (L/4, L/4): the working memory follows
+    # the N^2 box, not the reach
+    spec = make_grid(2, 128, 4)
+    a = lattice_from_dict(2, {((32, 32), (0, 0)): 1.0})
+    d = cm_decompose(make_bump(4, "tensor-exp", radius=0.4), M=2)
+    f = space_function(spec, np.random.default_rng(54).standard_normal(spec.shape))
+    tracemalloc.start()
+    try:
+        out = apply_T_aPhi_fast(a, d, f, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # phi(xi - (32, 32)) vanishes on the box, and so does the symbol
+    assert np.all(out.samples == 0)
+    assert peak < 12 * spec.N ** 2 * 16  # a dozen N^2 complex arrays
+
+
+def test_fast_path_cutoff_does_not_wrap_around_the_box():
+    # each translate's cutoff lies on 3.25 <= |xi1| <= 4.75, outside the box
+    # [-2, 2): the symbol vanishes on the box and so must the fast path, not
+    # multiply the spectra (on |xi| < 1.6) on the far side of the box
+    spec = make_grid(1, 16, 4)
+    phi = make_bump(2, "tensor-exp", radius=0.4)
+    a = lattice_from_dict(1, {((4,), (0,)): 1.0, ((-4,), (1,)): 0.5j})
+    f1, f2 = _band_limited(spec, 50, frac=2.5), _band_limited(spec, 51, frac=2.5)
+    assert np.all(apply_T_sigma(synth_sigma(a, phi, spec), f1, f2).samples == 0)
+    assert np.all(apply_T_aPhi_fast(a, cm_decompose(phi, M=16), f1, f2).samples == 0)
 
 
 def test_T_sigma_rejects_mismatched_grids(spec, phi04):

@@ -14,14 +14,22 @@ Riemann rule (the symbol path never forms g; the model path never forms the
 symbol), so the residuals isolate implementation errors rather than quadrature
 gaps.  The symbol path evaluates sigma at the support pairs of the witnesses'
 exact spectra only, never on the N^(2n) grid, so n = 2 runs on working grids.
-Operator norms are reported as lower bounds found by seeded multi-start
-coordinate ascent on normalized ratios; the theorems' constants are never
-asserted, only family-wise ratio stability against a configured bound.
+Operator norms are reported as lower bounds found by a seeded multi-start
+search on normalized ratios; the theorems' constants are never asserted, only
+family-wise ratio stability against a configured bound.
 
 One estimator serves both models, since T_period_a acts on trig polynomials
 as S_a acts on their coefficients: the norms of S_a see the coefficients, and
-those of T_period the trig-polynomial values at torus points.  Its search
+those of T_period the trig-polynomial values at torus points.  At all-2
+exponents the two are one l^2 x l^2 -> l^2 bilinear form (Parseval), so
+T_period runs the S_a model and builds no torus, and the search alternates
+exact block steps: with one vector fixed the ratio is a matrix spectral norm,
+maximised by a top singular vector (De Lathauwer, De Moor and Vandewalle,
+SIAM J. Matrix Anal. Appl. 21, 2000), with periodic Aitken jumps past its
+slow linear convergence.  At any other exponents a greedy coordinate ascent
 scores the steps of a batch of starts in one vectorised pass per coordinate.
+Exact norms are NP-hard in general (Hendrickx and Olshevsky, SIAM J. Matrix
+Anal. Appl. 31, 2010), so both report lower bounds.
 """
 
 from __future__ import annotations
@@ -292,29 +300,45 @@ MODE_MARGIN = 1
 # torus points.
 BATCH_VALUES = 1 << 21
 _DELTAS = np.array([1.0, -1.0, 1j, -1j])
+# Sweeps an all-2 start runs at most (``_align``).  Starts run to their fixed
+# point, a sweep raising the ratio by at most a relative GAIN.  The plain
+# alternation converges linearly, and slowly (thousands of sweeps) near a
+# degenerate maximum, so every EXTRAPOLATE-th sweep is an Aitken jump along
+# the last step, at most 1 / (1 - MAX_RATE) steps long.
+MAX_SWEEPS = 4096
+GAIN = 1e-15
+EXTRAPOLATE = 5
+MAX_RATE = 0.999
 
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Multi-start coordinate-ascent configuration.
+    """Multi-start model-search configuration.
 
     Start 0 is the all-ones vector on the support projections of a, start 1
     the all-ones vector on the inflated candidate box; remaining starts are
     seeded complex gaussians (seed + start index).  Exactly ``starts`` starts
-    run.  Each sweep tries the steps v[i] += step * max|v| * delta,
-    delta in (1, -1, i, -i), coordinate by coordinate and accepts, per
-    coordinate, the first that raises the ratio by more than a relative
-    1e-12; the step starts at INITIAL_STEP, a sweep without an accepted step
-    multiplies it by SHRINK, and the start ends after ``steps`` sweeps or
-    once the step falls below MIN_STEP.  The starts run in lockstep, in
-    batches that BATCH_VALUES bounds (see ``_search``), so memory does not
-    grow with ``starts``.  ``torus_points`` per axis sample the T_period
-    norms; ``stability_bound`` bounds the ratio spread of a
-    ``transference_report`` family.
+    run, in lockstep, in batches that BATCH_VALUES bounds (see ``_search``),
+    so memory does not grow with ``starts``.
+
+    At all-2 exponents each start runs the exact alternating engine
+    (``_align``) to its fixed point, at most MAX_SWEEPS sweeps; ``steps``
+    does not apply.  At any other exponents each sweep of the greedy ascent
+    tries the steps v[i] += step * max|v| * delta, delta in (1, -1, i, -i),
+    coordinate by coordinate and accepts, per coordinate, the first that
+    raises the ratio by more than a relative 1e-12; the step starts at
+    INITIAL_STEP, a sweep without an accepted step multiplies it by SHRINK,
+    and the start ends after ``steps`` sweeps or once the step falls below
+    MIN_STEP.  ``torus_points`` per axis sample the T_period norms (not at
+    all-2 exponents, where Parseval makes the torus needless);
+    ``stability_bound`` bounds the ratio spread of a ``transference_report``
+    family.
 
     Invalid values raise ``ValueError``: every field must be finite,
-    ``starts``, ``torus_points`` and ``stability_bound`` (a max/min spread is
-    never below 1) at least 1 and ``steps`` at least 0.
+    ``starts``, ``steps``, ``seed`` and ``torus_points`` integers (a bool is
+    not one; an integral float is read as its integer), ``starts``,
+    ``torus_points`` and ``stability_bound`` (a max/min spread is never
+    below 1) at least 1 and ``steps`` at least 0.
     """
 
     starts: int = 32
@@ -328,6 +352,11 @@ class SearchParams:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"search {f.name} must be finite, got {value}")
+        for name in ("starts", "steps", "seed", "torus_points"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+                raise ValueError(f"search {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name, lowest in (("starts", 1), ("torus_points", 1), ("steps", 0),
                              ("stability_bound", 1)):
             if getattr(self, name) < lowest:
@@ -360,7 +389,8 @@ class _Model:
     A holds ``coef[t]`` at (i1, i2, output) = ``index[:, t]``, and ``sizes``
     are (len(v1), len(v2), outputs).  E = (E1, E2, Eo) map coefficients to
     the values the norms see, each of weight ``weight``; None is the identity
-    (S_a, whose norms see the coefficients themselves).
+    (S_a, whose norms see the coefficients themselves, and T_period at all-2
+    exponents).
     """
 
     index: np.ndarray
@@ -394,6 +424,18 @@ class _Model:
         return max(1, BATCH_VALUES // per_start)
 
 
+def _contract(coef: np.ndarray, i_v: np.ndarray, i_other: np.ndarray, io: np.ndarray,
+              other: np.ndarray, m: int, n_out: int) -> np.ndarray:
+    """A contracted with each row of ``other``: (rows, m, n_out), entry t of
+    A at (i_v[t], i_other[t], io[t]).  Row by row, so no row's bits depend on
+    another."""
+    rows = len(other)
+    w = (coef * other[:, i_other]).ravel()
+    flat = ((np.arange(rows)[:, None] * m + i_v) * n_out + io).ravel()
+    return (np.bincount(flat, w.real, rows * m * n_out)
+            + 1j * np.bincount(flat, w.imag, rows * m * n_out)).reshape(rows, m, n_out)
+
+
 def _vector_pass(model: _Model, V: np.ndarray, other: np.ndarray, t: np.ndarray,
                  best: np.ndarray, vi: int) -> np.ndarray:
     """One pass over vector ``vi`` of a batch of starts (rows of ``V``; it
@@ -405,11 +447,7 @@ def _vector_pass(model: _Model, V: np.ndarray, other: np.ndarray, t: np.ndarray,
     every start; each accepts the first that beats its best by 1e-12.
     """
     rows, m, n_out = len(V), model.sizes[vi], model.sizes[2]
-    i_v, i_other, io = model.index[[vi, 1 - vi, 2]]
-    w = (model.coef * other[:, i_other]).ravel()
-    flat = ((np.arange(rows)[:, None] * m + i_v) * n_out + io).ravel()
-    D = (np.bincount(flat, w.real, rows * m * n_out)
-         + 1j * np.bincount(flat, w.imag, rows * m * n_out)).reshape(rows, m, n_out)
+    D = _contract(model.coef, *model.index[[vi, 1 - vi, 2]], other, m, n_out)
     if model.E[2] is not None:
         D = D @ model.E[2]
     E, (p_in, p_other, p_out) = model.E[vi], (model.exponents[k] for k in (vi, 1 - vi, 2))
@@ -454,8 +492,9 @@ def _starts(box1, box2, supp1, supp2, params: SearchParams):
 
 
 def _ascend(model: _Model, starts: list, steps: int):
-    """(best, vectors, history) of the best of a batch of ``starts`` (the
-    first of equals) after at most ``steps`` sweeps in lockstep."""
+    """(best, vectors, history, capped) of the best of a batch of ``starts``
+    (the first of equals) after at most ``steps`` sweeps in lockstep;
+    ``capped`` says whether it was still running when the sweeps ran out."""
     V = [np.array([vecs[vi] for vecs in starts]) for vi in range(2)]
     best = np.array([model.ratio(*vecs) for vecs in starts])
     history, step = [[b] for b in best], np.full(len(starts), INITIAL_STEP)
@@ -474,28 +513,137 @@ def _ascend(model: _Model, starts: list, steps: int):
         step[live[~improved]] *= SHRINK
         live = live[improved | (step[live] >= MIN_STEP)]
     k = int(np.argmax(best))
-    return best[k], [V[0][k], V[1][k]], history[k]
+    return best[k], [V[0][k], V[1][k]], history[k], k in live
+
+
+def _top_vectors(model: _Model, keep: tuple, local: tuple, other: np.ndarray, vi: int):
+    """Per row of ``other`` (vector 1 - vi on its kept coordinates), the best
+    vector vi on the kept coordinates and the ratio it reaches times the
+    row's norm: the top right singular vector and singular value of M, A
+    contracted with the row.  ``keep[j]`` are the coordinates of side j that
+    A touches, ``local[j]`` the entries' positions among them.  The top
+    right singular vector of M is the conjugate of the top eigenvector of
+    M^T conj(M), whose eigenvalue is the squared singular value; one stacked
+    ``eigh`` of these small Gram matrices serves every row, each on its own
+    (it costs under half a stacked SVD)."""
+    D = _contract(model.coef, local[vi], local[1 - vi], local[2], other,
+                  len(keep[vi]), len(keep[2]))
+    lam, u = np.linalg.eigh(D @ D.conj().transpose(0, 2, 1))
+    return u[:, :, -1].conj(), np.sqrt(np.maximum(lam[:, -1], 0.0))
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """The l^2 norm of each row; squares and roots are correctly rounded and
+    every sum runs within its row, so no row's bits depend on another."""
+    return np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=1))
+
+
+def _l2_ratios(model: _Model, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
+    """The all-2 ratio of each row pair, evaluated directly, row by row."""
+    rows, n_out = len(V1), model.sizes[2]
+    i1, i2, io = model.index
+    w = (model.coef * V1[:, i1] * V2[:, i2]).ravel()
+    flat = (np.arange(rows)[:, None] * n_out + io).ravel()
+    out = (np.bincount(flat, w.real, rows * n_out)
+           + 1j * np.bincount(flat, w.imag, rows * n_out)).reshape(rows, n_out)
+    num, n1, n2 = (_row_norms(X) for X in (out, V1, V2))
+    den = n1 * n2
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _align(model: _Model, starts: list):
+    """(ratio, vectors, history, capped) of the best of a batch of ``starts``
+    (the first of equals) under the exact all-2 engine.
+
+    With v2 fixed the ratio is ||M v1|| / (||v1|| ||v2||), M being A
+    contracted with v2, so the best v1 is M's top right singular vector, and
+    likewise for v2.  Each start runs twice, as given and after a first v2
+    step, and every run alternates a v1 step and a v2 step per sweep, all
+    runs in lockstep.  A run leaves once a plain sweep raises its ratio by at
+    most a relative GAIN, keeping the vectors it had; ``capped`` says whether
+    the best run was still rising after MAX_SWEEPS sweeps.
+
+    The plain sweeps converge linearly, at the rate r of the map v2 -> v2.
+    So every EXTRAPOLATE-th sweep starts instead from v2 + r / (1 - r) d,
+    d the last v2 step and r (at most MAX_RATE) the ratio of the last two
+    step lengths, the limit of a geometric sequence of steps; a run takes
+    the result only if it raises its ratio, and a jump never ends a run.
+    Each v2 is phase-aligned with the one before it, so the steps see no
+    phase of the eigensolver.  The steps work on the coordinates the entries
+    of a touch, so the vectors vanish elsewhere.  Each vector is returned
+    divided by its entry of largest modulus, which becomes exactly 1, with
+    the ratio of the returned vectors.
+    """
+    keep, local = zip(*(np.unique(ix, return_inverse=True) for ix in model.index))
+    V = [np.repeat(np.array([vecs[vi] for vecs in starts]), 2, axis=0) for vi in range(2)]
+    best = _l2_ratios(model, *V)  # each start's own ratio, for both its runs
+    V[1][1::2] = 0.0
+    V[1][1::2, keep[1]] = _top_vectors(model, keep, local, V[0][1::2][:, keep[0]], 1)[0]
+    history, live = [[b] for b in best], np.arange(len(best))
+    steps = np.zeros((2, len(best), len(keep[1])), complex)  # each run's last two v2 steps
+    for sweep in range(MAX_SWEEPS):
+        if not live.size:
+            break
+        x2 = V[1][live][:, keep[1]]
+        jump = sweep % EXTRAPOLATE == EXTRAPOLATE - 1
+        if jump:
+            last, before = _row_norms(steps[1, live]), _row_norms(steps[0, live])
+            rate = np.minimum(np.divide(last, before, out=np.full_like(last, MAX_RATE),
+                                        where=before > 0), MAX_RATE)
+            x2 = x2 + (rate / (1.0 - rate))[:, None] * steps[1, live]
+        v1 = _top_vectors(model, keep, local, x2, 0)[0]
+        v2, s = _top_vectors(model, keep, local, v1, 1)
+        phase = (x2.conj() * v2).sum(axis=1)
+        v2 *= np.divide(phase.conj(), np.abs(phase), out=np.ones_like(phase),
+                        where=phase != 0)[:, None]
+        up = s > best[live] * (1.0 if jump else 1.0 + GAIN)
+        moved = live[up]
+        if not jump:
+            steps[:, moved] = steps[1, moved], v2[up] - x2[up]
+        for Vi, v, ki in zip(V, (v1, v2), keep):
+            Vi[moved] = 0.0
+            Vi[np.ix_(moved, ki)] = v[up]
+        best[moved] = s[up]
+        for k in live:
+            history[k].append(best[k])
+        if not jump:
+            live = moved
+    rows = np.arange(len(best))
+    for Vi in V:
+        peak = np.abs(Vi).argmax(axis=1)
+        Vi /= Vi[rows, peak][:, None]
+        Vi[rows, peak] = 1.0
+    ratios = _l2_ratios(model, *V)
+    k = int(np.argmax(ratios))
+    return float(ratios[k]), [V[0][k], V[1][k]], history[k], k in live
 
 
 def _search(model: _Model, box1, box2, supp1, supp2, params: SearchParams):
-    """Greedy first-improvement coordinate ascent on the model ratio from
-    each of the ``_starts``; returns (ratio, peak-normalised vectors,
-    history) of the best start (the first of equals).
+    """The model search from each of the ``_starts``; returns (ratio,
+    peak-normalised vectors, history, engine, capped) of the best start (the
+    first of equals).
 
-    The starts come in consecutive batches of ``model.batch()``, so at most
-    that many are alive at once.  A batch runs in lockstep, vector pass by
-    vector pass (``_vector_pass``); a start leaves once a sweep without an
-    accepted step takes its step below MIN_STEP.  The history holds the
-    rank-one scores, the returned ratio is the best vectors' own.  Every
-    product runs row by row, so no start's bits depend on its batch.
+    At all-2 exponents the engine is ``alternating`` (``_align``), elsewhere
+    ``greedy``: first-improvement coordinate ascent (``_ascend``), vector
+    pass by vector pass (``_vector_pass``), where a start leaves once a sweep
+    without an accepted step takes its step below MIN_STEP.  The starts come
+    in consecutive batches of ``model.batch()``, so at most that many are
+    alive at once, and a batch runs in lockstep.  The history holds the
+    scores the engine ranks its steps by, the returned ratio is the best
+    vectors' own; ``capped`` says whether the best start hit its sweep cap.
+    Every product runs row by row, so no start's bits depend on its batch.
     """
     starts = _starts(box1, box2, supp1, supp2, params)
     batches = iter(lambda: list(itertools.islice(starts, model.batch())), [])
-    _best, vecs, history = max((_ascend(model, batch, params.steps) for batch in batches),
-                               key=lambda result: result[0])
+    if model.exponents == (2.0, 2.0, 2.0):
+        ratio, vecs, history, capped = max((_align(model, batch) for batch in batches),
+                                           key=lambda result: result[0])
+        return ratio, vecs, history, "alternating", capped
+    _best, vecs, history, capped = max((_ascend(model, batch, params.steps)
+                                        for batch in batches), key=lambda result: result[0])
     # renormalize the stored witness for a well-scaled record
     peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
-    return model.ratio(*vecs), [v / peak for v in vecs], history
+    return model.ratio(*vecs), [v / peak for v in vecs], history, "greedy", capped
 
 
 def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synthesis,
@@ -525,26 +673,31 @@ def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synth
                    sizes=(len(box1), len(box2), len(outs)),
                    E=tuple(synthesis(modes) for modes in (box1, box2, outs)),
                    exponents=(p1, p2, p), weight=weight)
-    val, vecs, hist = _search(model, box1, box2, supp1, supp2, params)
+    val, vecs, hist, engine, capped = _search(model, box1, box2, supp1, supp2, params)
     witness = {key: {str(m): [v[i].real, v[i].imag] for m, i in index.items() if abs(v[i]) > 0}
                for key, v, index in zip(keys, vecs, (i1, i2))}
     return NormEstimate(value=anorm * val, witness=witness,
                         trace={"seed": params.seed, "iterations": len(hist),
                                "history": [anorm * h for h in hist],
                                "family": family, "exponents": [p1, p2, p],
+                               "engine": engine, "capped": capped,
                                "vectors": vecs, "boxes": [box1, box2]})
+
+
+def _estimate_S_model(a: LatticeCoefficients, exponents, family: str, keys: tuple[str, str],
+                      params: SearchParams) -> NormEstimate:
+    """The model estimator with no synthesis (the norms see the
+    coefficients), outputs on the sums a reaches."""
+    return _estimate_model(a, exponents, margin=SUPPORT_MARGIN,
+                           pairs=lambda _box1, _box2: a.entries,
+                           synthesis=lambda _modes: None, weight=1.0, family=family,
+                           keys=keys, params=params)
 
 
 def estimate_norm_S(a: LatticeCoefficients, q1: float, q2: float, q: float,
                     params: SearchParams | None = None) -> NormEstimate:
-    """Lower bound on the sequence-model norm l^q1 x l^q2 -> l^q: the model
-    estimator with no synthesis (the norms see the coefficients), outputs on
-    the sums a reaches."""
-    params = params or SearchParams()
-    return _estimate_model(a, (q1, q2, q), margin=SUPPORT_MARGIN,
-                           pairs=lambda _box1, _box2: a.entries,
-                           synthesis=lambda _modes: None, weight=1.0, family="S",
-                           keys=("b1", "b2"), params=params)
+    """Lower bound on the sequence-model norm l^q1 x l^q2 -> l^q."""
+    return _estimate_S_model(a, (q1, q2, q), "S", ("b1", "b2"), params or SearchParams())
 
 
 def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: float,
@@ -556,7 +709,10 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
     ``torus_points`` below the width w1 + w2 - 1 of the output mode box along
     some axis is refused, since a nonzero trig polynomial on those modes can
     then vanish at every torus point; so are the torus and the phase
-    matrices over budget, all before a phase matrix is built.
+    matrices over budget, all before a phase matrix is built.  At all-2
+    exponents every torus the width admits sees the L^2 norms exactly
+    (Parseval), so the estimate is the S_a model's, value for value, and no
+    torus or phase matrix is built.
     """
     params = params or SearchParams()
     P = params.torus_points
@@ -567,6 +723,8 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
             raise ValueError(f"torus_points {P} is below the width {width} of the output mode "
                              f"box: a trig polynomial can vanish at every torus point")
     check_budget(P ** a.n, "torus")
+    if all(check_exponent(x) == 2.0 for x in (p1, p2, p)):
+        return _estimate_S_model(a, (p1, p2, p), "T_period", ("F1", "F2"), params)
     u = np.arange(P) / P
     pts = np.stack([g.ravel() for g in np.meshgrid(*(u,) * a.n, indexing="ij")], axis=-1)
 

@@ -91,6 +91,19 @@ def test_opnorm_delta_sequence(tmp_path):
     assert doc["value"] == 1.0
 
 
+@pytest.mark.parametrize("exponents, engine", [([2] * 6, "alternating"), ([1] * 6, "greedy")])
+def test_opnorm_trace_names_the_search_engine(tmp_path, exponents, engine):
+    cfg = _write(tmp_path, "cfg.json", {
+        "n": 1, "family": "S", "a": {"random": {"radius": 1, "count": 9, "seed": 3}},
+        "exponents": exponents, "search": {"starts": 4, "steps": 2},
+    })
+    out = tmp_path / "out"
+    assert main(["opnorm", "--config", cfg, "--out", str(out)]) == 0
+    trace = json.loads((out / "report.json").read_text())["trace"]
+    assert trace["engine"] == engine
+    assert trace["capped"] is (engine == "greedy")  # 2 greedy sweeps; no cap at all-2
+
+
 def test_transfer_small_family(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
         "n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window)
@@ -292,11 +293,12 @@ def _exact_ratio(model):
 
 
 def _reference_ascent(ratio_fn, vecs, params):
-    """The search's definition for one start: one candidate at a time, each
-    scored exactly."""
+    """The greedy search's definition for one start: one candidate at a
+    time, each scored exactly."""
     best = ratio_fn(vecs)
     history = [best]
     step = transference.INITIAL_STEP
+    capped = True
     for _ in range(params.steps):
         improved = False
         for vi in range(len(vecs)):
@@ -316,31 +318,34 @@ def _reference_ascent(ratio_fn, vecs, params):
         if not improved:
             step *= transference.SHRINK
             if step < transference.MIN_STEP:
+                capped = False
                 break
     peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
     vecs = [v / peak for v in vecs]
-    return best, vecs, history
+    return best, vecs, history, capped
 
 
 def _reference_search(sweeps):
     """A stand-in for ``transference._search`` that runs the starts one at a
-    time with ``_reference_ascent`` and records each start's sweep count."""
+    time with ``_reference_ascent``, whatever the exponents, and records each
+    start's sweep count."""
     def search(model, box1, box2, supp1, supp2, params):
         ratio_fn = _exact_ratio(model)
-        best_val, best_vecs, best_hist = -1.0, None, []
+        best_val, best_vecs, best_hist, best_capped = -1.0, None, [], False
         for vecs in _starts(box1, box2, supp1, supp2, params):
-            val, out, hist = _reference_ascent(ratio_fn, vecs, params)
+            val, out, hist, capped = _reference_ascent(ratio_fn, vecs, params)
             sweeps.append(len(hist) - 1)
             if val > best_val:
-                best_val, best_vecs, best_hist = val, out, hist
-        return best_val, best_vecs, best_hist
+                best_val, best_vecs, best_hist, best_capped = val, out, hist, capped
+        return best_val, best_vecs, best_hist, "greedy", best_capped
     return search
 
 
 def _assert_matches_reference(monkeypatch, estimate, ex, a, params):
-    """The batched search against the one-at-a-time reference: a bound at
+    """The search against the one-at-a-time greedy reference: a bound at
     least as high (up to rounding) and a history that never decreases;
-    returns the reference's sweep count per start."""
+    returns the reference's sweep count per start.  At all-2 exponents this
+    compares the alternating engine against the greedy."""
     fast = estimate(a, *ex, params)
     sweeps = []
     with monkeypatch.context() as m:
@@ -355,13 +360,14 @@ def _assert_matches_reference(monkeypatch, estimate, ex, a, params):
 def _assert_batch_independent(monkeypatch, estimate, ex, a, params):
     """The search bit for bit as with one start per batch; returns the
     number of starts of each batch of the default run."""
-    sizes, ascend = [], transference._ascend
+    engine = "_align" if ex == (2.0, 2.0, 2.0) else "_ascend"
+    sizes, run = [], getattr(transference, engine)
 
-    def spy(model, starts, steps):
+    def spy(model, starts, *steps):
         sizes.append(len(starts))
-        return ascend(model, starts, steps)
+        return run(model, starts, *steps)
 
-    monkeypatch.setattr(transference, "_ascend", spy)
+    monkeypatch.setattr(transference, engine, spy)
     batched = estimate(a, *ex, params)
     default, sizes[:] = sizes[:], []
     monkeypatch.setattr(transference, "BATCH_VALUES", 1)
@@ -460,7 +466,7 @@ def test_screen_calls_stay_within_the_value_budget(monkeypatch):
     monkeypatch.setattr(transference, "_vector_pass", spy_pass)
     monkeypatch.setattr(transference, "_power_norm", spy_power)
     monkeypatch.setattr(transference, "_ascend", spy_ascend)
-    estimate_norm_T_period(a, 2.0, 2.0, 2.0, params)
+    estimate_norm_T_period(a, 1.0, 1.0, 1.0, params)  # the greedy ascent: not all-2
     assert batches == [2, 2, 2, 2]
     assert all(d + stepped_in + stepped_out <= budget
                for d, stepped_in, stepped_out, *_ in passes)
@@ -485,14 +491,153 @@ def test_search_keeps_one_chunk_of_starts_alive(monkeypatch):
 
     monkeypatch.setattr(transference, "_starts", spy_starts)
     monkeypatch.setattr(transference, "_ascend", spy_ascend)
-    estimate_norm_T_period(a, 2.0, 2.0, 2.0, SearchParams(starts=10, steps=3))
+    estimate_norm_T_period(a, 1.0, 1.0, 1.0, SearchParams(starts=10, steps=3))
     sizes = [size for size, _ in seen]
     assert sizes == [3, 3, 3, 1]
     assert [d for _, d in seen] == list(itertools.accumulate(sizes))
 
 
+def _greedy_search(model, box1, box2, supp1, supp2, params):
+    """``transference._search`` with the greedy ascent whatever the
+    exponents: every start in one batch, as the greedy's bits do not depend
+    on its batches."""
+    starts = list(_starts(box1, box2, supp1, supp2, params))
+    _best, vecs, history, capped = transference._ascend(model, starts, params.steps)
+    peak = max(float(np.max(np.abs(np.concatenate(vecs)))), 1e-300)
+    vecs = [v / peak for v in vecs]
+    return model.ratio(*vecs), vecs, history, "greedy", capped
+
+
+def test_alternating_search_beats_the_greedy(monkeypatch):
+    # at all-2 exponents the exact engine finds at least the greedy's bound,
+    # on the acceptance family and on an n = 2 family where running each
+    # start in one update order only lost 6.8% to the greedy; T_period runs
+    # the S_a model there, so one greedy run serves both models
+    cases = [(random_lattice_coefficients(1, 1, 9, seed=600 + i), SearchParams(starts=6, steps=40))
+             for i in range(20)]
+    cases += [(random_lattice_coefficients(2, 1, 9, seed=s), SearchParams(starts=4, steps=20))
+              for s in range(50, 56)]
+    for a, params in cases:
+        new = [estimate(a, 2.0, 2.0, 2.0, params)
+               for estimate in (estimate_norm_S, estimate_norm_T_period)]
+        with monkeypatch.context() as m:
+            m.setattr(transference, "_search", _greedy_search)
+            old = estimate_norm_S(a, 2.0, 2.0, 2.0, params)
+        assert [e.trace["engine"] for e in new + [old]] == ["alternating"] * 2 + ["greedy"]
+        assert new[0].value == new[1].value >= old.value * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
+                         ids=["S", "T_period"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_alternating_search_reruns_bitwise_and_grows_with_starts(estimate, n):
+    # the same search twice gives the same bits, and one more start (the
+    # first k run exactly as before) never lowers the bound
+    a = random_lattice_coefficients(n, 1, 9, seed=70 + n)
+    runs = [estimate(a, 2.0, 2.0, 2.0, SearchParams(starts=k, seed=7)) for k in range(1, 8)]
+    again = estimate(a, 2.0, 2.0, 2.0, SearchParams(starts=7, seed=7))
+    assert again.value == runs[-1].value and again.witness == runs[-1].witness
+    assert again.trace["history"] == runs[-1].trace["history"]
+    assert [v.tobytes() for v in again.trace["vectors"]] == \
+        [v.tobytes() for v in runs[-1].trace["vectors"]]
+    assert all(later.value >= earlier.value for earlier, later in zip(runs, runs[1:]))
+
+
+def _flattening_bound(a):
+    """The smallest spectral norm of the three flattenings of a's coefficient
+    tensor (m1, m2, m1 + m2): an upper bound on the all-2 model norm."""
+    axes = [sorted({key(m1, m2) for m1, m2 in a.entries}) for key in
+            (lambda m1, m2: m1, lambda m1, m2: m2,
+             lambda m1, m2: tuple(x + y for x, y in zip(m1, m2)))]
+    A = np.zeros([len(ax) for ax in axes], dtype=complex)
+    for (m1, m2), c in a.entries.items():
+        A[axes[0].index(m1), axes[1].index(m2),
+          axes[2].index(tuple(x + y for x, y in zip(m1, m2)))] = c
+    return min(np.linalg.norm(np.moveaxis(A, k, 0).reshape(A.shape[k], -1), 2) for k in range(3))
+
+
+def _indicator_ratio(a):
+    """The all-2 S_a ratio of the support indicators of a."""
+    b1, b2 = (Sequence(a.n, dict.fromkeys({pair[k] for pair in a.entries}, 1.0 + 0j))
+              for k in (0, 1))
+    return lq_seq_norm(apply_S(a, b1, b2).entries, 2.0) / (
+        lq_seq_norm(b1.entries, 2.0) * lq_seq_norm(b2.entries, 2.0))
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(st.tuples(st.just(1), st.integers(1, 2)), st.tuples(st.just(2), st.just(1)))
+       .flatmap(lambda nr: st.tuples(st.just(nr[0]), st.just(nr[1]),
+                                     st.integers(1, min(12, (2 * nr[1] + 1) ** (2 * nr[0]))),
+                                     st.integers(0, 2**31 - 1))))
+def test_alternating_search_stays_between_its_bounds(case):
+    # the exact engine never overshoots the flattening bound, never ends below
+    # the indicator start, and T_period at all-2 is S_a, value for value
+    n, radius, count, s = case
+    a = random_lattice_coefficients(n, radius, count, seed=s)
+    params = SearchParams(starts=4)
+    est = estimate_norm_S(a, 2.0, 2.0, 2.0, params)
+    assert est.value <= _flattening_bound(a) * (1 + 1e-12)
+    assert est.value >= _indicator_ratio(a) * (1 - 1e-12)
+    assert estimate_norm_T_period(a, 2.0, 2.0, 2.0, params).value == est.value
+
+
+def test_T_period_at_exponent_2_builds_no_torus(monkeypatch):
+    # at all-2 exponents T_period is S_a (Parseval): the same value to the
+    # bit, with only the torus budget checked, and no torus or phase matrix
+    a = random_lattice_coefficients(2, 1, 9, seed=5)
+    params = SearchParams(starts=8, steps=60, torus_points=256)
+    budgets, check_budget = [], transference.check_budget
+
+    def spy(count, what):
+        budgets.append(what)
+        return check_budget(count, what)
+
+    monkeypatch.setattr(transference, "check_budget", spy)
+    tracemalloc.start()
+    try:
+        est = estimate_norm_T_period(a, 2.0, 2.0, 2.0, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budgets == ["torus"]
+    assert peak < 2**19  # the 256^2 torus points alone are 1 MiB
+    assert est.value == estimate_norm_S(a, 2.0, 2.0, 2.0, params).value
+    assert est.trace["family"] == "T_period" and set(est.witness) == {"F1", "F2"}
+
+
+@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
+                         ids=["S", "T_period"])
+def test_search_trace_names_its_engine_and_cap(monkeypatch, estimate):
+    a = random_lattice_coefficients(1, 1, 9, seed=3)
+    exact = estimate(a, 2.0, 2.0, 2.0, LIGHT)
+    assert (exact.trace["engine"], exact.trace["capped"]) == ("alternating", False)
+    greedy = estimate(a, 1.0, 1.0, 1.0, SearchParams(starts=2, steps=2))
+    assert (greedy.trace["engine"], greedy.trace["capped"]) == ("greedy", True)
+    assert greedy.trace["iterations"] == 3
+    monkeypatch.setattr(transference, "MAX_SWEEPS", 2)
+    capped = estimate(a, 2.0, 2.0, 2.0, LIGHT)
+    assert capped.trace["capped"] is True and capped.trace["iterations"] == 3
+    assert capped.value <= exact.value
+
+
+@pytest.mark.parametrize("family_seed, search_seed", [(1688143384, 314702509),
+                                                      (119838137, 584937361),
+                                                      (1489995495, 421658883)])
+def test_alternating_search_jumps_past_slow_convergence(family_seed, search_seed):
+    # members of the transfer benchmark whose plain alternation crawls to a
+    # (nearly) degenerate maximum: 1869 sweeps, and twice still rising after
+    # MAX_SWEEPS; the extrapolated jumps end each within a few hundred
+    a = random_lattice_coefficients(1, 1, 9, seed=family_seed)
+    est = estimate_norm_S(a, 2.0, 2.0, 2.0, SearchParams(starts=8, steps=60, seed=search_seed))
+    assert est.trace["capped"] is False and est.trace["iterations"] <= 256
+    # every member's norm is at least sup|a|, the ratio of a pair of deltas
+    assert est.value >= a.sup_norm() * (1 - 1e-11)
+
+
 def test_T_period_budgets_fire_before_allocating():
-    # the torus and each phase matrix are checked before they are built
+    # the torus and each phase matrix are checked before they are built (the
+    # torus check comes first at every exponent; all-2 builds no phase matrix)
     a = random_lattice_coefficients(1, 1, 9, seed=5)
     wide = lattice_from_dict(1, {((-127,), (0,)): 1.0, ((127,), (0,)): 1.0})
     tracemalloc.start()
@@ -501,7 +646,7 @@ def test_T_period_budgets_fire_before_allocating():
             estimate_norm_T_period(a, 2.0, 2.0, 2.0, SearchParams(torus_points=10**9))
         # 257 modes x 2^16 torus points: 269 MB of phases, refused
         with pytest.raises(BudgetError, match="torus phase matrix"):
-            estimate_norm_T_period(wide, 2.0, 2.0, 2.0, SearchParams(torus_points=2**16))
+            estimate_norm_T_period(wide, 1.0, 1.0, 1.0, SearchParams(torus_points=2**16))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,6 +690,25 @@ def test_starts_yields_exactly_the_configured_count(starts):
     box = [(m,) for m in range(-2, 3)]
     got = list(_starts(box, box, {(0,)}, {(0,)}, SearchParams(starts=starts)))
     assert len(got) == starts
+
+
+@pytest.mark.parametrize("name", ["starts", "steps", "seed", "torus_points"])
+@pytest.mark.parametrize("value", [2.5, 64.5, True, False, np.True_])
+def test_search_params_reject_non_integer_counts(name, value):
+    # 64.5 torus points once sampled 65 points at weight 1/64.5, the norm of
+    # nothing; 2.5 starts (or seed) raised a TypeError inside the search
+    with pytest.raises(ValueError, match=f"search {name} must be an integer"):
+        SearchParams(**{name: value})
+
+
+def test_search_params_read_integral_floats_as_integers():
+    params = SearchParams(starts=3.0, steps=np.float64(4), seed=42.0, torus_points=64.0)
+    counts = (params.starts, params.steps, params.seed, params.torus_points)
+    assert counts == (3, 4, 42, 64) and all(type(v) is int for v in counts)
+    a = random_lattice_coefficients(1, 1, 9, seed=3)
+    assert estimate_norm_T_period(a, 1.0, 1.0, 1.0, params).value == \
+        estimate_norm_T_period(a, 1.0, 1.0, 1.0, SearchParams(starts=3, steps=4,
+                                                               torus_points=64)).value
 
 
 @pytest.mark.parametrize("bad", [

@@ -270,7 +270,7 @@ def _theta_from(phi: bumps.BumpProfile, spec: grid.GridSpec):
 
 def _search_from(cfg: dict, seed: int) -> transference.SearchParams:
     s = _section(cfg, "search") or {}
-    defaults = dataclasses.asdict(transference.SearchParams(seed=seed))
+    defaults = dict(dataclasses.asdict(transference.SearchParams()), seed=seed)
     return transference.SearchParams(**{
         k: (_integer if isinstance(v, int) else _number)(s.get(k, v), f"search {k}")
         for k, v in defaults.items()})

@@ -252,11 +252,14 @@ def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,
     witnesses whose frequency support is centered off the integer lattice.
     """
     p, q = check_exponent(p), check_exponent(q)
-    bands, stack = wiener_band_values(f, kappa, offset=offset)
-    if not bands:
-        return 0.0
+    return _pooled_band_norm(wiener_band_values(f, kappa, offset=offset)[1], f.spec, p, q)
+
+
+def _pooled_band_norm(stack: np.ndarray, spec, p: float, q: float) -> float:
+    """L^p norm of the pointwise l^q pool of a ``wiener_band_values`` stack
+    (0 for an empty stack)."""
     pooled = _power_norm(stack, q, axis=0)
-    return lp_norm(GridFunction(f.spec, "space", pooled.astype(complex)), p)
+    return lp_norm(GridFunction(spec, "space", pooled.astype(complex)), p)
 
 
 def mixed_norm_check(F: np.ndarray, p: float, q: float) -> tuple[float, float]:

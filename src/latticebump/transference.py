@@ -19,33 +19,37 @@ search on normalized ratios; the theorems' constants are never asserted, only
 family-wise ratio stability against a configured bound.
 
 One estimator serves both models, since T_period_a acts on trig polynomials
-as S_a acts on their coefficients: the norms of S_a see the coefficients, and
-those of T_period the trig-polynomial values at torus points.  At all-2
-exponents the two are one l^2 x l^2 -> l^2 bilinear form (Parseval), so
-T_period runs the S_a model and builds no torus, and the search alternates
-exact block steps: with one vector fixed the ratio is a matrix spectral norm,
-maximised by a top singular vector (De Lathauwer, De Moor and Vandewalle,
-SIAM J. Matrix Anal. Appl. 21, 2000), with periodic Aitken jumps past its
-slow linear convergence.  At any other exponents a greedy coordinate ascent
-scores the steps of a batch of starts in one vectorised pass per coordinate.
-Exact norms are NP-hard in general (Hendrickx and Olshevsky, SIAM J. Matrix
-Anal. Appl. 31, 2010), so both report lower bounds.
+as S_a acts on their coefficients: the norms of S_a see the coefficients
+through the identity synthesis, and those of T_period the trig-polynomial
+values at torus points.  At all-2 exponents the two are one l^2 x l^2 -> l^2
+bilinear form (Parseval), so T_period runs the S_a model and builds no torus,
+and the search alternates exact block steps: with one vector fixed the ratio
+is a matrix spectral norm, maximised by a top singular vector (De Lathauwer,
+De Moor and Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000), with periodic
+Aitken jumps past its slow linear convergence.  At any other exponents a
+greedy coordinate ascent scores the steps of a batch of starts in one
+vectorised pass per coordinate.  ``_Model.ratios`` holds the model
+arithmetic: both engines score their starts with it, and the search
+normalises each engine's vectors, scores them with it and keeps the first
+best, one rule for both.  Exact norms are NP-hard in general (Hendrickx and
+Olshevsky, SIAM J. Matrix Anal. Appl. 31, 2010), so both report lower
+bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from .bumps import BumpProfile, ThetaPair, Window, bump_eval_axes
 from .grid import GridFunction, GridSpec, check_budget, idft
-from .norms import (_power_norm, amalgam_norm, check_exponent, ExponentTuple,
-                    lp_norm, lq_seq_norm, wiener_norm)
-from .operators import (Sequence, TrigPolynomial, _grouped_sum, apply_S, apply_T_period,
-                        band_project)
+from .norms import (_pooled_band_norm, _power_norm, amalgam_norm, check_exponent,
+                    ExponentTuple, lp_norm, lq_seq_norm, wiener_band_values, wiener_norm)
+from .operators import Sequence, TrigPolynomial, _grouped_sum, apply_S, apply_T_period
 from .symbols import LatticeCoefficients, _check_supports, sigma_eval
 
 __all__ = [
@@ -240,13 +244,15 @@ def verify_amalgam_factorization(a: LatticeCoefficients, phi: BumpProfile,
 
 
 def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
-                                w: WitnessPair, kappa: Window, spec: GridSpec,
-                                p: float = 2.0, q: float = 2.0) -> WienerFactorizationCheck:
-    """Full-function identity, per-band collapse, and the norm lower bound.
+                                w: WitnessPair, kappa: Window,
+                                spec: GridSpec) -> WienerFactorizationCheck:
+    """Full-function identity, per-band collapse, and the W^{2,2} norm lower bound.
 
     Band mu of the output (windows translated to xi0_1 + xi0_2 + mu) must
     equal S_a(b1,b2)(mu) e^{2pi i mu.x} g(x); the recovered coefficients come
-    from least squares against that profile.
+    from least squares against that profile.  The bands are those of the
+    stack the Wiener norm pools; a mode outside its covering set has a zero
+    band.
     """
     if w.provenance != "wiener" or w.b1 is None:
         raise ValueError("witness must come from build_wiener_witness")
@@ -257,13 +263,14 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
     scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     residual = float(np.max(np.abs(lhs - rhs)) / scale)
 
-    xi0_sum = np.asarray(w.theta.xi0_sum, dtype=float)
+    bands, stack = wiener_band_values(lhs_gf, kappa, offset=np.asarray(w.theta.xi0_sum, float))
+    position = {mu: i for i, mu in enumerate(bands)}
     band_res = 0.0
     coeff_rel = 0.0
     gnorm2 = float(np.sum(np.abs(w.g.samples) ** 2))
     for mu, val in sorted(sab.entries.items()):
         profile = _trig_values(TrigPolynomial(spec.n, {mu: 1.0}), spec) * w.g.samples
-        band = band_project(kappa, mu, lhs_gf, offset=xi0_sum).samples
+        band = stack[position[mu]] if mu in position else np.zeros(spec.shape, complex)
         expected = val * profile
         sc = 1.0 + np.max(np.abs(expected))
         band_res = max(band_res, float(np.max(np.abs(band - expected)) / sc))
@@ -271,9 +278,8 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
         if abs(val) > 0:
             coeff_rel = max(coeff_rel, abs(recovered - val) / abs(val))
 
-    w_norm = wiener_norm(lhs_gf, p, q, kappa, offset=xi0_sum)
-    bound = lq_seq_norm(sab.entries, q) * lp_norm(w.g, p)
-    gap = float(w_norm - bound)
+    bound = lq_seq_norm(sab.entries, 2.0) * lp_norm(w.g, 2.0)
+    gap = float(_pooled_band_norm(stack, spec, 2.0, 2.0) - bound)
     return WienerFactorizationCheck(residual=residual, band_residual=band_res,
                                     coeff_recovery_rel=coeff_rel,
                                     lower_bound_gap=gap)
@@ -334,11 +340,11 @@ class SearchParams:
     ``stability_bound`` bounds the ratio spread of a ``transference_report``
     family.
 
-    Invalid values raise ``ValueError``: every field must be finite,
-    ``starts``, ``steps``, ``seed`` and ``torus_points`` integers (a bool is
-    not one; an integral float is read as its integer), ``starts``,
+    Invalid values raise ``ValueError``: every field must be a finite real
+    number, ``starts``, ``steps``, ``seed`` and ``torus_points`` integers (a
+    bool is not one; an integral float is read as its integer), ``starts``,
     ``torus_points`` and ``stability_bound`` (a max/min spread is never
-    below 1) at least 1 and ``steps`` at least 0.
+    below 1) at least 1 and ``steps`` and ``seed`` at least 0.
     """
 
     starts: int = 32
@@ -350,14 +356,14 @@ class SearchParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"search {f.name} must be finite, got {value}")
+            if not isinstance(value, (numbers.Real, np.bool_)) or not math.isfinite(value):
+                raise ValueError(f"search {f.name} must be a finite number, got {value!r}")
         for name in ("starts", "steps", "seed", "torus_points"):
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
                 raise ValueError(f"search {name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        for name, lowest in (("starts", 1), ("torus_points", 1), ("steps", 0),
+        for name, lowest in (("starts", 1), ("torus_points", 1), ("steps", 0), ("seed", 0),
                              ("stability_bound", 1)):
             if getattr(self, name) < lowest:
                 raise ValueError(f"search {name} must be >= {lowest}, got {getattr(self, name)}")
@@ -387,10 +393,11 @@ class _Model:
     """The model ratio ||(A v1 v2) Eo||_p / (||v1 E1||_p1 ||v2 E2||_p2).
 
     A holds ``coef[t]`` at (i1, i2, output) = ``index[:, t]``, and ``sizes``
-    are (len(v1), len(v2), outputs).  E = (E1, E2, Eo) map coefficients to
-    the values the norms see, each of weight ``weight``; None is the identity
-    (S_a, whose norms see the coefficients themselves, and T_period at all-2
-    exponents).
+    are (len(v1), len(v2), outputs).  E = (E1, E2, Eo) are the matrices that
+    map coefficients to the values the norms see, each of weight ``weight``:
+    the identity for S_a (and for T_period at all-2 exponents), torus phases
+    for T_period.  ``ratios`` is the one direct evaluation of the ratio: it
+    scores the starts, and ``_search`` picks its winner by it.
     """
 
     index: np.ndarray
@@ -402,24 +409,22 @@ class _Model:
 
     def values(self, V: np.ndarray, side: int) -> np.ndarray:
         """The values side ``side`` sees, row by row (no row's bits depend on another)."""
-        E = self.E[side]
-        return V.copy() if E is None else (V[:, None, :] @ E)[:, 0]
+        return (V[:, None, :] @ self.E[side])[:, 0]
 
-    def ratio(self, v1: np.ndarray, v2: np.ndarray) -> float:
-        """The ratio of one pair of vectors, evaluated directly."""
-        n1, n2 = (_power_norm(v if E is None else v @ E, p, self.weight)
-                  for v, E, p in zip((v1, v2), self.E, self.exponents))
-        if n1 == 0.0 or n2 == 0.0:
-            return 0.0
-        (i1, i2, io), Eo, n_out = self.index, self.E[2], self.sizes[2]
-        w = self.coef * v1[i1] * v2[i2]
-        out = np.bincount(io, w.real, n_out) + 1j * np.bincount(io, w.imag, n_out)
-        return _power_norm(out if Eo is None else out @ Eo, self.exponents[2],
-                           self.weight) / (n1 * n2)
+    def ratios(self, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
+        """The ratio of each row pair of ``V1`` and ``V2``, row by row: A
+        contracted with the row of V2, then with the row of V1 (0 where an
+        input norm is 0)."""
+        (i1, i2, io), (m1, _m2, n_out) = self.index, self.sizes
+        out = (V1[:, None, :] @ _contract(self.coef, i1, i2, io, V2, m1, n_out))[:, 0]
+        n1, n2, num = (_power_norm(self.values(X, side), p, self.weight, axis=-1)
+                       for side, (X, p) in enumerate(zip((V1, V2, out), self.exponents)))
+        den = n1 * n2
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
     def batch(self) -> int:
         """Starts per batch: as many as BATCH_VALUES holds, and at least one."""
-        *n_in, n_out = (n if E is None else E.shape[1] for n, E in zip(self.sizes, self.E))
+        *n_in, n_out = (E.shape[1] for E in self.E)
         per_start = max(m * n_out + 4 * (n + n_out) for m, n in zip(self.sizes, n_in))
         return max(1, BATCH_VALUES // per_start)
 
@@ -447,21 +452,15 @@ def _vector_pass(model: _Model, V: np.ndarray, other: np.ndarray, t: np.ndarray,
     every start; each accepts the first that beats its best by 1e-12.
     """
     rows, m, n_out = len(V), model.sizes[vi], model.sizes[2]
-    D = _contract(model.coef, *model.index[[vi, 1 - vi, 2]], other, m, n_out)
-    if model.E[2] is not None:
-        D = D @ model.E[2]
+    D = _contract(model.coef, *model.index[[vi, 1 - vi, 2]], other, m, n_out) @ model.E[2]
     E, (p_in, p_other, p_out) = model.E[vi], (model.exponents[k] for k in (vi, 1 - vi, 2))
     y, yo = model.values(V, vi), (V[:, None, :] @ D)[:, 0]
     n_other = _power_norm(model.values(other, 1 - vi), p_other, model.weight, axis=-1)[:, None]
     steps = t[:, None] * _DELTAS
     improved = np.zeros(rows, dtype=bool)
     for i in range(m):
-        if E is None:
-            vin = np.repeat(y[:, None, :], len(_DELTAS), axis=1)
-            vin[:, :, i] += steps
-        else:
-            vin = steps[:, :, None] * E[i]
-            vin += y[:, None, :]
+        vin = steps[:, :, None] * E[i]
+        vin += y[:, None, :]
         vout = steps[:, :, None] * D[:, i, None, :]
         vout += yo[:, None, :]
         den = _power_norm(vin, p_in, model.weight, axis=-1) * n_other
@@ -492,11 +491,12 @@ def _starts(box1, box2, supp1, supp2, params: SearchParams):
 
 
 def _ascend(model: _Model, starts: list, steps: int):
-    """(best, vectors, history, capped) of the best of a batch of ``starts``
-    (the first of equals) after at most ``steps`` sweeps in lockstep;
-    ``capped`` says whether it was still running when the sweeps ran out."""
+    """(vectors, histories, capped) of a batch of ``starts`` after at most
+    ``steps`` sweeps in lockstep: the two vectors of every start as rows, its
+    best score per sweep, and whether it was still running when the sweeps
+    ran out."""
     V = [np.array([vecs[vi] for vecs in starts]) for vi in range(2)]
-    best = np.array([model.ratio(*vecs) for vecs in starts])
+    best = model.ratios(*V)
     history, step = [[b] for b in best], np.full(len(starts), INITIAL_STEP)
     live = np.arange(len(starts))
     for _ in range(steps):
@@ -512,8 +512,7 @@ def _ascend(model: _Model, starts: list, steps: int):
             history[k].append(best[k])
         step[live[~improved]] *= SHRINK
         live = live[improved | (step[live] >= MIN_STEP)]
-    k = int(np.argmax(best))
-    return best[k], [V[0][k], V[1][k]], history[k], k in live
+    return V, history, np.isin(np.arange(len(starts)), live)
 
 
 def _top_vectors(model: _Model, keep: tuple, local: tuple, other: np.ndarray, vi: int):
@@ -532,36 +531,18 @@ def _top_vectors(model: _Model, keep: tuple, local: tuple, other: np.ndarray, vi
     return u[:, :, -1].conj(), np.sqrt(np.maximum(lam[:, -1], 0.0))
 
 
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """The l^2 norm of each row; squares and roots are correctly rounded and
-    every sum runs within its row, so no row's bits depend on another."""
-    return np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=1))
-
-
-def _l2_ratios(model: _Model, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    """The all-2 ratio of each row pair, evaluated directly, row by row."""
-    rows, n_out = len(V1), model.sizes[2]
-    i1, i2, io = model.index
-    w = (model.coef * V1[:, i1] * V2[:, i2]).ravel()
-    flat = (np.arange(rows)[:, None] * n_out + io).ravel()
-    out = (np.bincount(flat, w.real, rows * n_out)
-           + 1j * np.bincount(flat, w.imag, rows * n_out)).reshape(rows, n_out)
-    num, n1, n2 = (_row_norms(X) for X in (out, V1, V2))
-    den = n1 * n2
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
 def _align(model: _Model, starts: list):
-    """(ratio, vectors, history, capped) of the best of a batch of ``starts``
-    (the first of equals) under the exact all-2 engine.
+    """(vectors, histories, capped) of the runs of a batch of ``starts``
+    under the exact all-2 engine: the two vectors of every run as rows, its
+    best ratio per sweep, and whether it was still rising after MAX_SWEEPS
+    sweeps.
 
     With v2 fixed the ratio is ||M v1|| / (||v1|| ||v2||), M being A
     contracted with v2, so the best v1 is M's top right singular vector, and
     likewise for v2.  Each start runs twice, as given and after a first v2
-    step, and every run alternates a v1 step and a v2 step per sweep, all
-    runs in lockstep.  A run leaves once a plain sweep raises its ratio by at
-    most a relative GAIN, keeping the vectors it had; ``capped`` says whether
-    the best run was still rising after MAX_SWEEPS sweeps.
+    step (rows 2k and 2k + 1), and every run alternates a v1 step and a v2
+    step per sweep, all runs in lockstep.  A run leaves once a plain sweep
+    raises its ratio by at most a relative GAIN, keeping the vectors it had.
 
     The plain sweeps converge linearly, at the rate r of the map v2 -> v2.
     So every EXTRAPOLATE-th sweep starts instead from v2 + r / (1 - r) d,
@@ -570,13 +551,11 @@ def _align(model: _Model, starts: list):
     the result only if it raises its ratio, and a jump never ends a run.
     Each v2 is phase-aligned with the one before it, so the steps see no
     phase of the eigensolver.  The steps work on the coordinates the entries
-    of a touch, so the vectors vanish elsewhere.  Each vector is returned
-    divided by its entry of largest modulus, which becomes exactly 1, with
-    the ratio of the returned vectors.
+    of a touch, so the vectors vanish elsewhere.
     """
     keep, local = zip(*(np.unique(ix, return_inverse=True) for ix in model.index))
     V = [np.repeat(np.array([vecs[vi] for vecs in starts]), 2, axis=0) for vi in range(2)]
-    best = _l2_ratios(model, *V)  # each start's own ratio, for both its runs
+    best = model.ratios(*V)  # each start's own ratio, for both its runs
     V[1][1::2] = 0.0
     V[1][1::2, keep[1]] = _top_vectors(model, keep, local, V[0][1::2][:, keep[0]], 1)[0]
     history, live = [[b] for b in best], np.arange(len(best))
@@ -587,7 +566,7 @@ def _align(model: _Model, starts: list):
         x2 = V[1][live][:, keep[1]]
         jump = sweep % EXTRAPOLATE == EXTRAPOLATE - 1
         if jump:
-            last, before = _row_norms(steps[1, live]), _row_norms(steps[0, live])
+            last, before = (_power_norm(steps[k, live], 2.0, axis=-1) for k in (1, 0))
             rate = np.minimum(np.divide(last, before, out=np.full_like(last, MAX_RATE),
                                         where=before > 0), MAX_RATE)
             x2 = x2 + (rate / (1.0 - rate))[:, None] * steps[1, live]
@@ -608,42 +587,46 @@ def _align(model: _Model, starts: list):
             history[k].append(best[k])
         if not jump:
             live = moved
-    rows = np.arange(len(best))
-    for Vi in V:
-        peak = np.abs(Vi).argmax(axis=1)
-        Vi /= Vi[rows, peak][:, None]
-        Vi[rows, peak] = 1.0
-    ratios = _l2_ratios(model, *V)
-    k = int(np.argmax(ratios))
-    return float(ratios[k]), [V[0][k], V[1][k]], history[k], k in live
+    return V, history, np.isin(np.arange(len(best)), live)
 
 
 def _search(model: _Model, box1, box2, supp1, supp2, params: SearchParams):
     """The model search from each of the ``_starts``; returns (ratio,
-    peak-normalised vectors, history, engine, capped) of the best start (the
-    first of equals).
+    vectors, history, engine, capped) of the best start (the first of
+    equals).
 
     At all-2 exponents the engine is ``alternating`` (``_align``), elsewhere
     ``greedy``: first-improvement coordinate ascent (``_ascend``), vector
     pass by vector pass (``_vector_pass``), where a start leaves once a sweep
     without an accepted step takes its step below MIN_STEP.  The starts come
     in consecutive batches of ``model.batch()``, so at most that many are
-    alive at once, and a batch runs in lockstep.  The history holds the
-    scores the engine ranks its steps by, the returned ratio is the best
-    vectors' own; ``capped`` says whether the best start hit its sweep cap.
-    Every product runs row by row, so no start's bits depend on its batch.
+    alive at once, and a batch runs in lockstep.  One rule picks the winner
+    of either engine: each returned vector is divided by its entry of
+    largest modulus, which becomes exactly 1 (a zero vector stays zero), the
+    batch is scored with ``model.ratios``, and the first best is kept, with
+    that ratio.  The history holds the scores the engine ranks its steps by;
+    ``capped`` says whether the best start hit its sweep cap.  Every product
+    runs row by row, so no start's bits depend on its batch.
     """
     starts = _starts(box1, box2, supp1, supp2, params)
     batches = iter(lambda: list(itertools.islice(starts, model.batch())), [])
-    if model.exponents == (2.0, 2.0, 2.0):
-        ratio, vecs, history, capped = max((_align(model, batch) for batch in batches),
-                                           key=lambda result: result[0])
-        return ratio, vecs, history, "alternating", capped
-    _best, vecs, history, capped = max((_ascend(model, batch, params.steps)
-                                        for batch in batches), key=lambda result: result[0])
-    # renormalize the stored witness for a well-scaled record
-    peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
-    return model.ratio(*vecs), [v / peak for v in vecs], history, "greedy", capped
+    alternating = model.exponents == (2.0, 2.0, 2.0)
+    best = (-1.0,)
+    for batch in batches:
+        V, histories, capped = (_align(model, batch) if alternating
+                                else _ascend(model, batch, params.steps))
+        for Vi in V:
+            peak = np.abs(Vi).argmax(axis=1)
+            top = Vi[np.arange(len(Vi)), peak]
+            nz = np.flatnonzero(top)
+            Vi[nz] /= top[nz, None]
+            Vi[nz, peak[nz]] = 1.0
+        ratios = model.ratios(*V)
+        k = int(np.argmax(ratios))
+        if ratios[k] > best[0]:
+            best = (float(ratios[k]), [V[0][k], V[1][k]], histories[k], bool(capped[k]))
+    ratio, vecs, history, capped = best
+    return ratio, vecs, history, "alternating" if alternating else "greedy", capped
 
 
 def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synthesis,
@@ -654,7 +637,7 @@ def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synth
 
     v1, v2 live on the support boxes of a widened by ``margin``, the output
     on the sums m1 + m2 of ``pairs(box1, box2)``; ``synthesis(modes)`` is the
-    E of coefficients on ``modes`` (None: the coefficients themselves).  The
+    E of coefficients on ``modes``.  The
     search runs on a / sup|a|, so scaling a scales the estimate exactly.  The
     witness holds the nonzero entries of the best vectors under ``keys``.
     """
@@ -686,11 +669,12 @@ def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synth
 
 def _estimate_S_model(a: LatticeCoefficients, exponents, family: str, keys: tuple[str, str],
                       params: SearchParams) -> NormEstimate:
-    """The model estimator with no synthesis (the norms see the
-    coefficients), outputs on the sums a reaches."""
+    """The model estimator with the identity as synthesis (the norms see
+    the coefficients), outputs on the sums a reaches."""
     return _estimate_model(a, exponents, margin=SUPPORT_MARGIN,
                            pairs=lambda _box1, _box2: a.entries,
-                           synthesis=lambda _modes: None, weight=1.0, family=family,
+                           synthesis=lambda modes: np.eye(len(modes), dtype=complex),
+                           weight=1.0, family=family,
                            keys=keys, params=params)
 
 
@@ -827,11 +811,13 @@ def transference_report(a_family: list[LatticeCoefficients], phi: BumpProfile,
                         params: SearchParams | None = None) -> TransferenceReport:
     """Estimated-norm ratio table over a coefficient family.
 
-    Rejects exponent tuples outside the transference hypothesis with the
-    necessity citation; otherwise estimates both sides per family member and
+    Rejects an empty family, and exponent tuples outside the transference
+    hypothesis with the necessity citation; otherwise estimates both sides per family member and
     summarizes ratio stability against the configured bound.
     """
     params = params or SearchParams()
+    if not a_family:
+        raise ValueError("empty coefficient family")
     if space not in ("amalgam", "wiener"):
         raise ValueError("space must be 'amalgam' or 'wiener'")
     if space == "amalgam" and not exponents.amalgam_hypothesis():
@@ -859,7 +845,7 @@ def transference_report(a_family: list[LatticeCoefficients], phi: BumpProfile,
                      "model_witness": model.witness})
     ratios = [r["ratio"] for r in rows]
     finite = all(math.isfinite(r) and r > 0 for r in ratios)
-    rmin, rmax = (min(ratios), max(ratios)) if ratios else (math.nan, math.nan)
+    rmin, rmax = min(ratios), max(ratios)
     spread = rmax / rmin if finite and rmin > 0 else math.inf
     return TransferenceReport(space=space, exponents=exponents,
                               stability_bound=params.stability_bound, rows=rows,

@@ -280,6 +280,14 @@ def test_bad_search_block_is_config_error(tmp_path, capsys, search):
     assert _exit_code(tmp_path, capsys, "transfer", doc) == 2
 
 
+def test_negative_search_seed_is_config_error(tmp_path, capsys):
+    # the config seed seeds the search unless the search block sets its own
+    doc = dict(_TRANSFER, seed=-1)
+    assert _exit_code(tmp_path, capsys, "transfer", doc) == 2
+    assert _exit_code(tmp_path, capsys, "transfer", dict(doc, search={"seed": 0})) == 0
+    assert _exit_code(tmp_path, capsys, "transfer", dict(_TRANSFER, search={"seed": -1})) == 2
+
+
 def test_readme_search_table_lists_the_search_params():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = readme.index("| key | default | allowed | meaning |") + 2

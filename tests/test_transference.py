@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window)
@@ -273,10 +273,8 @@ def test_estimate_T_period_reproducible_across_seeds():
 
 def _exact_ratio(model):
     """The model ratio of one pair of vectors, one candidate at a time: a
-    Python loop over the coefficient triples, and the synthesis as matrices
-    (the identity where the search passes none)."""
-    E1, E2, Eo = (np.eye(size, dtype=complex) if E is None else E
-                  for size, E in zip(model.sizes, model.E))
+    Python loop over the coefficient triples, then the synthesis matrices."""
+    E1, E2, Eo = model.E
     p1, p2, p = model.exponents
 
     def ratio(vecs):
@@ -294,7 +292,8 @@ def _exact_ratio(model):
 
 def _reference_ascent(ratio_fn, vecs, params):
     """The greedy search's definition for one start: one candidate at a
-    time, each scored exactly."""
+    time, each scored exactly; the result is the ratio of the vectors, each
+    divided by its entry of largest modulus."""
     best = ratio_fn(vecs)
     history = [best]
     step = transference.INITIAL_STEP
@@ -320,9 +319,8 @@ def _reference_ascent(ratio_fn, vecs, params):
             if step < transference.MIN_STEP:
                 capped = False
                 break
-    peak = max(float(np.max(np.abs(np.concatenate([v.ravel() for v in vecs])))), 1e-300)
-    vecs = [v / peak for v in vecs]
-    return best, vecs, history, capped
+    vecs = [v / v[np.argmax(np.abs(v))] if np.any(v) else v for v in vecs]
+    return ratio_fn(vecs), vecs, history, capped
 
 
 def _reference_search(sweeps):
@@ -497,15 +495,17 @@ def test_search_keeps_one_chunk_of_starts_alive(monkeypatch):
     assert [d for _, d in seen] == list(itertools.accumulate(sizes))
 
 
+_SEARCH = transference._search
+
+
 def _greedy_search(model, box1, box2, supp1, supp2, params):
-    """``transference._search`` with the greedy ascent whatever the
-    exponents: every start in one batch, as the greedy's bits do not depend
-    on its batches."""
-    starts = list(_starts(box1, box2, supp1, supp2, params))
-    _best, vecs, history, capped = transference._ascend(model, starts, params.steps)
-    peak = max(float(np.max(np.abs(np.concatenate(vecs)))), 1e-300)
-    vecs = [v / peak for v in vecs]
-    return model.ratio(*vecs), vecs, history, "greedy", capped
+    """``transference._search`` with the greedy ascent in place of the all-2
+    engine, so its winner comes from the search's own rule."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(transference, "_align",
+                  lambda model, batch: transference._ascend(model, batch, params.steps))
+        ratio, vecs, history, _engine, capped = _SEARCH(model, box1, box2, supp1, supp2, params)
+    return ratio, vecs, history, "greedy", capped
 
 
 def test_alternating_search_beats_the_greedy(monkeypatch):
@@ -621,6 +621,54 @@ def test_search_trace_names_its_engine_and_cap(monkeypatch, estimate):
     assert capped.value <= exact.value
 
 
+@pytest.mark.parametrize("estimate", [estimate_norm_S, estimate_norm_T_period],
+                         ids=["S", "T_period"])
+@pytest.mark.parametrize("ex", [(2.0, 2.0, 2.0), (1.0, 2.0, 0.5)], ids=["alternating", "greedy"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_both_engines_pick_their_winner_by_one_rule(monkeypatch, estimate, ex, n):
+    # each returned vector holds an entry exactly 1, the value is sup|a|
+    # times the ratio of the returned vectors, and that is the first largest
+    # ratio of the batch the search scored, all to the bit
+    a = random_lattice_coefficients(n, 1, 9, seed=40 + n)
+    params = SearchParams(starts=3, steps=10, torus_points=16)
+    scored, ratios = [], transference._Model.ratios
+
+    def spy(model, V1, V2):
+        out = ratios(model, V1, V2)
+        scored.append((model, V1.copy(), V2.copy(), out))
+        return out
+
+    monkeypatch.setattr(transference._Model, "ratios", spy)
+    est = estimate(a, *ex, params)
+    model, V1, V2, batch = scored[-1]  # the search's scoring of its one batch
+    runs = 2 if ex == (2.0, 2.0, 2.0) else 1
+    assert len(batch) == runs * params.starts
+    v1, v2 = est.trace["vectors"]
+    assert all(np.count_nonzero(v == 1.0) >= 1 for v in (v1, v2))
+    k = int(np.argmax(batch))
+    assert v1.tobytes() == V1[k].tobytes() and v2.tobytes() == V2[k].tobytes()
+    ratio = ratios(model, v1[None], v2[None])[0]
+    assert ratio == batch[k] == batch.max()
+    assert est.value == a.sup_norm() * ratio
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([estimate_norm_S, estimate_norm_T_period]),
+       st.tuples(*[st.sampled_from([0.5, 1.0, 2.0, math.inf])] * 3),
+       st.integers(1, 2), st.integers(1, 9), st.integers(0, 2**31 - 1))
+def test_model_estimates_stay_below_the_triangle_bound(estimate, ex, n, count, s):
+    # |S_a(b1, b2)(m)| <= sum |a| |b1(m1)| |b2(m2)| with |b(m)| <= ||b||_q for
+    # every q, so by the (q-)triangle inequality no estimate exceeds ||a|| in
+    # l^min(q, 1); for T_period, |F^(m)| <= ||F||_1 <= ||F||_p on the
+    # probability torus needs p1, p2 >= 1
+    p1, p2, p = ex
+    assume(estimate is estimate_norm_S or min(p1, p2) >= 1.0)
+    a = random_lattice_coefficients(n, 1, count, seed=s)
+    est = estimate(a, *ex, SearchParams(starts=3, steps=15, torus_points=16))
+    assert est.value <= lq_seq_norm(a.entries, min(p, 1.0)) * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("family_seed, search_seed", [(1688143384, 314702509),
                                                       (119838137, 584937361),
                                                       (1489995495, 421658883)])
@@ -698,6 +746,22 @@ def test_search_params_reject_non_integer_counts(name, value):
     # 64.5 torus points once sampled 65 points at weight 1/64.5, the norm of
     # nothing; 2.5 starts (or seed) raised a TypeError inside the search
     with pytest.raises(ValueError, match=f"search {name} must be an integer"):
+        SearchParams(**{name: value})
+
+
+def test_search_params_reject_a_negative_seed():
+    # seed -1 once failed inside np.random.default_rng, and only when a third
+    # start was drawn
+    with pytest.raises(ValueError, match="search seed must be >= 0, got -1"):
+        SearchParams(seed=-1)
+    assert SearchParams(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SearchParams)])
+@pytest.mark.parametrize("value", ["3", None, [3], 1 + 0j], ids=["str", "None", "list", "complex"])
+def test_search_params_reject_non_real_fields(name, value):
+    # these once raised a bare TypeError from math.isfinite
+    with pytest.raises(ValueError, match=f"search {name} must be a finite number"):
         SearchParams(**{name: value})
 
 
@@ -808,6 +872,13 @@ def test_report_single_delta_unit_spread(spec, phi04, theta, kappa):
                               theta, spec, kappa=kappa, params=LIGHT)
     assert rep.ratio_spread == pytest.approx(1.0)
     assert rep.all_finite
+
+
+def test_report_rejects_an_empty_family(spec, phi04, theta, kappa):
+    # an empty family once reported NaN ratio_min and ratio_max as all_finite
+    with pytest.raises(ValueError, match="empty coefficient family"):
+        transference_report([], phi04, ExponentTuple(2, 2, 2, 2, 2, 2), "wiener",
+                            theta, spec, kappa=kappa, params=LIGHT)
 
 
 def test_report_rejects_bad_amalgam_exponents(spec, phi04, theta):

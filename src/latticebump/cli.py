@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -459,17 +458,25 @@ def cmd_scaling(args) -> int:
     def pq(space, r):
         return (2.0, r) if space == "amalgam" else (r, 2.0)
 
-    @functools.cache  # the verdicts refit (space, exponent) pairs of the slope table
-    def slope_fit(space, r):
-        if space == "amalgam":
-            return scalinglab.amalgam_scaling_slope(fam, *pq(space, r))
-        return scalinglab.wiener_scaling_slope(fam, *pq(space, r), kappa)
+    spaces = (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p"))
+    table = {space: [(r, _exponent(r)) for r in _list(sc, key, [1.0, 2.0, "inf"], "scaling")]
+             for space, key, _name in spaces}
+    # one batched fit per space serves its slope table and its verdicts' inputs
+    wanted = {space: [rv for _r, rv in table[space]] for space in table}
+    for space, ex in verdict_specs:
+        wanted[space] += (ex.q1, ex.q2) if space == "amalgam" else (ex.p1, ex.p2)
+    fits = {}
+    for space, rs in wanted.items():
+        rs = list(dict.fromkeys(rs))
+        if rs:
+            batch = (scalinglab.amalgam_scaling_slopes(fam, 2.0, rs) if space == "amalgam"
+                     else scalinglab.wiener_scaling_slopes(fam, rs, 2.0, kappa))
+            fits.update(((space, r), fit) for r, fit in zip(rs, batch))
 
     rows = [["space", "exponent", "eps", "norm"]]
-    for space, key, name in (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p")):
-        for r in _list(sc, key, [1.0, 2.0, "inf"], "scaling"):
-            rv = _exponent(r)
-            fit = slope_fit(space, rv)
+    for space, key, name in spaces:
+        for r, rv in table[space]:
+            fit = fits[space, rv]
             report["slopes"][f"{key}{r}"] = {
                 "slope": fit.slope, "expected": 0.0 if math.isinf(rv) else fam.n / rv,
                 "r_squared": fit.r_squared}
@@ -481,7 +488,7 @@ def cmd_scaling(args) -> int:
     verdicts = []
     for space, ex in verdict_specs:
         r1, r2, r = (ex.q1, ex.q2, ex.q) if space == "amalgam" else (ex.p1, ex.p2, ex.p)
-        slopes = (slope_fit(space, r1).slope, slope_fit(space, r2).slope)
+        slopes = (fits[space, r1].slope, fits[space, r2].slope)
         ps = scalinglab.bilinear_product_scaling(
             fam, fam, lambda u, v: np.ones(np.broadcast(u, v).shape), space, *pq(space, r),
             kappa=kappa)

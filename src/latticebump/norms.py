@@ -193,9 +193,15 @@ def amalgam_norm(f: GridFunction, p: float, q: float,
             warnings.warn(f"boundary cube shell holds {frac:.2e} of the mass "
                           f"(budget {tail_budget:.1e})", TailBudgetWarning,
                           stacklevel=2)
+    return lq_seq_norm(_cube_norms(f, p), q)
+
+
+def _cube_norms(f: GridFunction, p: float) -> np.ndarray:
+    """The L^p norm of f on each unit cube k + Q: the vector the amalgam
+    norm's outer l^q reads."""
     spec = f.spec
     blocks = _cube_blocks(f).reshape(spec.L**spec.n, spec.s**spec.n)
-    return lq_seq_norm(_power_norm(blocks, p, weight=spec.h**spec.n, axis=1), q)
+    return _power_norm(blocks, p, weight=spec.h**spec.n, axis=1)
 
 
 def _frequency_support_box(F: np.ndarray, spec) -> tuple[np.ndarray, np.ndarray] | None:

@@ -12,19 +12,27 @@ dilate always occupies the same fraction of the box.  The recorded tail
 fraction (|phi| mass outside the box, measured from the base profile's
 inverse transform) depends only on box_factor; the default 192 brings it
 under 1e-6 (the 16/eps floor would leave about 2e-2).
+
+The slope fits run eps by eps.  Each eps builds its dilate once per space
+and reduces it once: to its per-cube L^p profile (amalgam) or to the
+pointwise l^q pool of its band stack (Wiener).  Every requested exponent of
+that space reads its norm from that one reduction, and the eps's arrays are
+gone before the next eps is built, so one dilate at a time is alive.  The
+family keeps only floats across eps: sup |f_eps|, the scale of a product's
+degenerate check, one inverse transform per eps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bumps import BumpProfile, Window, make_bump, _axis_factor
 from .grid import GridFunction, GridSpec, idft, make_grid
-from .norms import (amalgam_norm, check_exponent, ExponentTuple, loglog_slope,
-                    lp_norm, wiener_norm)
+from .norms import (_cube_norms, _power_norm, amalgam_norm, check_exponent, ExponentTuple,
+                    loglog_slope, lp_norm, lq_seq_norm, wiener_band_values, wiener_norm)
 from .operators import _grouped_sum
 from .transference import AMALGAM_CITATION, WIENER_CITATION
 
@@ -35,7 +43,9 @@ __all__ = [
     "NecessityVerdict",
     "make_scaling_family",
     "amalgam_scaling_slope",
+    "amalgam_scaling_slopes",
     "wiener_scaling_slope",
+    "wiener_scaling_slopes",
     "bilinear_product_scaling",
     "necessity_verdict",
 ]
@@ -85,6 +95,8 @@ class ScalingFamily:
     min_q_modulus: float       # certified floor of |phi| on Q
     tail_fraction: float       # recorded |phi| l1 mass outside the box (per axis)
     specs: dict[float, GridSpec]
+    _sup: dict[float, float] = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     def scaled_profile(self, eps: float) -> BumpProfile:
         """phihat(eps^{-1}(. - xi0)) as a profile: radius eps * base radius."""
@@ -106,6 +118,12 @@ class ScalingFamily:
 
     def f(self, eps: float) -> GridFunction:
         return idft(self.f_hat(eps))
+
+    def sup_norm(self, eps: float) -> float:
+        """sup |f_eps|: one inverse transform per eps, kept as a float."""
+        if eps not in self._sup:
+            self._sup[eps] = lp_norm(self.f(eps), math.inf)
+        return self._sup[eps]
 
 
 def _phi_axis_data(base: BumpProfile, pad: int = 1 << 17,
@@ -145,7 +163,8 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
         raise ValueError("epsilons must be a decreasing list in (0, 1]")
     if box_factor < 16.0:
         raise ValueError("box policy requires L(eps) >= 16/eps")
-    xi0 = tuple(float(c) for c in np.atleast_1d(np.asarray(xi0, dtype=float)))
+    # a scalar centre is the same on every axis; a list names one per axis
+    xi0 = (float(xi0),) * n if np.ndim(xi0) == 0 else tuple(float(c) for c in xi0)
     if len(xi0) != n:
         raise ValueError(f"xi0 must have {n} components")
 
@@ -160,7 +179,12 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
     nodes = -r + 2 * r * np.arange(4096) / 4096
     weights = _axis_factor(base, 0, nodes) * (2 * r / 4096)
     probe = np.linspace(0.0, 0.5, 513)
-    phi_q = np.exp(2j * np.pi * np.outer(probe, nodes)) @ weights
+    # the phase matrix is filled 32 rows at a time, so no temporary of its
+    # size sits next to it; the one matvec over all of it keeps its bits
+    phases = np.empty((probe.size, nodes.size), dtype=complex)
+    for i in range(0, probe.size, 32):
+        phases[i:i + 32] = np.exp(2j * np.pi * np.outer(probe[i:i + 32], nodes))
+    phi_q = phases @ weights
     min_q_axis = float(np.min(np.abs(phi_q)))
     if min_q_axis <= 0:
         raise ValueError("|phi| vanishes on Q; choose a wider base bump")
@@ -189,39 +213,66 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
                          tail_fraction=float(tail), specs=specs)
 
 
-def amalgam_scaling_slope(fam: ScalingFamily, p: float, q: float) -> SlopeFit:
-    """Regression slope of log ||f_eps||_(L^p, l^q) against log(1/eps)."""
-    check_exponent(p), check_exponent(q)
+def _ladder_fits(fam: ScalingFamily, norms_at) -> list[SlopeFit]:
+    """One fit per exponent from ``norms_at(eps)``, the tuple of one eps's norms
+    (one per exponent).  The ladder runs eps by eps, and each eps's arrays are
+    gone before the next eps is built."""
     if len(fam.epsilons) < 3:
         raise ValueError("regression needs at least 3 epsilons")
-    norms = tuple(amalgam_norm(fam.f(e), p, q) for e in fam.epsilons)
-    slope, _, r2 = loglog_slope([1.0 / e for e in fam.epsilons], norms)
-    return SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons, norms=norms)
+    rows = [norms_at(e) for e in fam.epsilons]
+    x = [1.0 / e for e in fam.epsilons]
+    fits = []
+    for norms in zip(*rows):
+        slope, _, r2 = loglog_slope(x, norms)
+        fits.append(SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons,
+                             norms=tuple(norms)))
+    return fits
 
 
-def wiener_scaling_slope(fam: ScalingFamily, p: float, q: float,
-                         kappa: Window) -> SlopeFit:
-    """Regression slope of log ||f_eps||_W^{p,q} against log(1/eps).
+def amalgam_scaling_slopes(fam: ScalingFamily, p: float, qs) -> list[SlopeFit]:
+    """Regression slopes of log ||f_eps||_(L^p, l^q) against log(1/eps), one
+    per q in ``qs``: each eps builds f_eps once, and every q reads its one
+    per-cube L^p profile."""
+    p, qs = check_exponent(p), [check_exponent(q) for q in qs]
+
+    def norms_at(e):
+        cubes = _cube_norms(fam.f(e), p)
+        return tuple(lq_seq_norm(cubes, q) for q in qs)
+    return _ladder_fits(fam, norms_at)
+
+
+def amalgam_scaling_slope(fam: ScalingFamily, p: float, q: float) -> SlopeFit:
+    """Regression slope of log ||f_eps||_(L^p, l^q) against log(1/eps)."""
+    return amalgam_scaling_slopes(fam, p, [q])[0]
+
+
+def wiener_scaling_slopes(fam: ScalingFamily, ps, q: float, kappa: Window) -> list[SlopeFit]:
+    """Regression slopes of log ||f_eps||_W^{p,q} against log(1/eps), one per p
+    in ``ps``: each eps builds f_eps and its band stack once, and every p
+    reads its one pointwise l^q pool.
 
     Requires single-band concentration: the support radius of fhat_eps must
     stay inside the window plateau, so exactly one band is active.
     """
-    check_exponent(p), check_exponent(q)
-    if len(fam.epsilons) < 3:
-        raise ValueError("regression needs at least 3 epsilons")
-    norms = []
-    for e in fam.epsilons:
+    ps, q = [check_exponent(p) for p in ps], check_exponent(q)
+
+    def norms_at(e):
         rho = e * max(fam.base.radius)
         if rho >= kappa.plateau_radius:
             raise ValueError(
                 f"multi-band leakage: support radius {rho} at eps={e} reaches "
                 f"the window plateau {kappa.plateau_radius}")
-        f = fam.f(e)
-        wn = wiener_norm(f, p, q, kappa, offset=fam.xi0)
-        norms.append(wn)
-    slope, _, r2 = loglog_slope([1.0 / e for e in fam.epsilons], norms)
-    return SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons,
-                    norms=tuple(norms))
+        spec = fam.specs[e]
+        pooled = _power_norm(wiener_band_values(fam.f(e), kappa, offset=fam.xi0)[1], q, axis=0)
+        # lp_norm of the pool, without its complex copy
+        return tuple(_power_norm(pooled, p, weight=spec.h**spec.n) for p in ps)
+    return _ladder_fits(fam, norms_at)
+
+
+def wiener_scaling_slope(fam: ScalingFamily, p: float, q: float,
+                         kappa: Window) -> SlopeFit:
+    """Regression slope of log ||f_eps||_W^{p,q} against log(1/eps)."""
+    return wiener_scaling_slopes(fam, [p], q, kappa)[0]
 
 
 def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
@@ -266,7 +317,7 @@ def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
         else:
             off = np.asarray(fam1.xi0, dtype=float) + np.asarray(fam2.xi0, dtype=float)
             norms.append(wiener_norm(T, p, q, kappa, offset=off))
-        scales.append(lp_norm(idft(f1h), math.inf) * lp_norm(idft(f2h), math.inf))
+        scales.append(fam1.sup_norm(e) * fam2.sup_norm(e))
         if e == fam1.epsilons[-1]:
             x = spec.axis_x()
             core = np.abs(x) <= 1.0 / (2 * e)

@@ -341,10 +341,11 @@ class SearchParams:
     family.
 
     Invalid values raise ``ValueError``: every field must be a finite real
-    number, ``starts``, ``steps``, ``seed`` and ``torus_points`` integers (a
-    bool is not one; an integral float is read as its integer), ``starts``,
-    ``torus_points`` and ``stability_bound`` (a max/min spread is never
-    below 1) at least 1 and ``steps`` and ``seed`` at least 0.
+    number (a bool, Python's or numpy's, is not one, so a report never records
+    ``true``), ``starts``, ``steps``, ``seed`` and ``torus_points`` integers
+    (an integral float is read as its integer), ``starts``, ``torus_points``
+    and ``stability_bound`` (a max/min spread is never below 1) at least 1
+    and ``steps`` and ``seed`` at least 0.
     """
 
     starts: int = 32
@@ -354,11 +355,14 @@ class SearchParams:
     stability_bound: float = 10.0
 
     def __post_init__(self):
+        counts = ("starts", "steps", "seed", "torus_points")
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, (numbers.Real, np.bool_)) or not math.isfinite(value):
+            # a bool count is named below, as a non-integer
+            if (not isinstance(value, (numbers.Real, np.bool_)) or not math.isfinite(value)
+                    or isinstance(value, (bool, np.bool_)) and f.name not in counts):
                 raise ValueError(f"search {f.name} must be a finite number, got {value!r}")
-        for name in ("starts", "steps", "seed", "torus_points"):
+        for name in counts:
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
                 raise ValueError(f"search {name} must be an integer, got {value!r}")

@@ -167,6 +167,59 @@ def test_scaling_reports_slopes_and_verdicts(tmp_path):
     assert (out / "norms.csv").exists()
 
 
+def _readme_scaling():
+    """The README scaling config plus a Wiener verdict, so both verdicts run."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    doc = next(b for b in (json.loads(b.split("```")[0]) for b in text.split("```json")[1:])
+               if "scaling" in b)
+    doc["scaling"]["verdicts"].append({"space": "wiener",
+                                       "exponents": ["inf", "inf", 1, 2, 2, 2]})
+    return doc
+
+
+def test_scaling_determinism(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", _readme_scaling())
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["scaling", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["scaling", "--config", cfg, "--out", str(out2)]) == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
+
+
+def test_scaling_builds_two_band_stacks_per_eps(tmp_path, monkeypatch):
+    # the benchmark's scaling op: each eps builds one band stack for the
+    # Wiener slopes (every p reads it) and one for the Wiener verdict's product
+    from latticebump import norms, scalinglab
+    calls = []
+    band_values = norms.wiener_band_values
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].spec.L)
+        return band_values(*args, **kwargs)
+    monkeypatch.setattr(norms, "wiener_band_values", counted)
+    monkeypatch.setattr(scalinglab, "wiener_band_values", counted)
+    epsilons = [2.0 ** -j for j in range(1, 7)]
+    cfg = _write(tmp_path, "cfg.json", {"n": 1, "scaling": {
+        "epsilons": epsilons, "box_factor": 192, "s": 8, "xi0": 0.75,
+        "amalgam_q": [0.5, 1, 2, "inf"], "wiener_p": [0.5, 1, 2, "inf"],
+        "verdicts": [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]},
+                     {"space": "wiener", "exponents": ["inf", "inf", 1, 2, 2, 2]}]}})
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 2 * len(epsilons)
+    assert sorted(set(calls.count(L) for L in calls)) == [2]
+
+
+def test_scaling_n2_scalar_xi0_reaches_the_grid_budget(tmp_path, capsys):
+    # a scalar xi0 is the centre on every axis, so the README config at n = 2
+    # gets past the family's centre and stops at the 2^24-value grid budget
+    doc = _with(_readme_scaling(), ("n",), 2)
+    code = main(["scaling", "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: grid with ") and "exceeds budget" in err
+
+
 def test_scaling_two_point_ladder_is_config_error(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
         "n": 1, "scaling": {"epsilons": [0.5, 0.25]}})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from latticebump.bumps import make_window
 from latticebump.grid import GridFunction
 from latticebump.norms import ExponentTuple, amalgam_norm, lp_norm, wiener_norm
 from latticebump.operators import AliasingWarning
-from latticebump.scalinglab import (amalgam_scaling_slope,
+from latticebump.scalinglab import (amalgam_scaling_slope, amalgam_scaling_slopes,
                                     bilinear_product_scaling,
                                     make_scaling_family, necessity_verdict,
-                                    wiener_scaling_slope)
+                                    wiener_scaling_slope, wiener_scaling_slopes)
 
 ONE = lambda u, v: np.ones(np.broadcast(u, v).shape)
 
@@ -224,3 +225,54 @@ def test_dilation_law_improves_with_box(fam):
         n2 = lp_norm(family.f(0.25), 1.0)
         return abs(n2 / n1 - 2.0)
     assert dev(big) <= dev(small) + 1e-12
+
+
+def test_scalar_xi0_is_the_centre_on_every_axis():
+    fam2 = make_scaling_family(n=2, xi0=0.5, epsilons=(1.0, 0.75, 0.5))
+    assert fam2.xi0 == (0.5, 0.5)
+    with pytest.raises(ValueError, match="xi0 must have 2 components"):
+        make_scaling_family(n=2, xi0=[0.5], epsilons=(1.0, 0.75, 0.5))
+
+
+def test_family_build_stays_under_its_memory_bound():
+    # the Q-floor probe's 513 x 4096 phase matrix is filled in row blocks, so
+    # no temporary of its size (32 MiB) sits next to it
+    tracemalloc.start()
+    try:
+        make_scaling_family()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    # the benchmark's ladder: eps 1/2 ... 1/64 at a grid-aligned xi0
+    return make_scaling_family(xi0=0.75, epsilons=[2.0 ** -j for j in range(1, 7)],
+                               box_factor=192.0)
+
+
+EXPONENTS = [0.5, 1.0, 2.0, math.inf]
+
+
+def test_batched_amalgam_fits_equal_single_norms_bitwise(ladder):
+    fits = amalgam_scaling_slopes(ladder, 2.0, EXPONENTS)
+    for q, fit in zip(EXPONENTS, fits):
+        assert fit.norms == tuple(amalgam_norm(ladder.f(e), 2.0, q) for e in ladder.epsilons)
+        assert amalgam_scaling_slope(ladder, 2.0, q) == fit
+
+
+def test_batched_wiener_fits_equal_single_norms_bitwise(ladder, kap):
+    fits = wiener_scaling_slopes(ladder, EXPONENTS, 2.0, kap)
+    for p, fit in zip(EXPONENTS, fits):
+        assert fit.norms == tuple(wiener_norm(ladder.f(e), p, 2.0, kap, offset=ladder.xi0)
+                                  for e in ladder.epsilons)
+        assert wiener_scaling_slope(ladder, p, 2.0, kap) == fit
+
+
+def test_sup_norm_is_the_memoised_sup_of_each_dilate(ladder):
+    for e in ladder.epsilons:
+        assert ladder.sup_norm(e) == lp_norm(ladder.f(e), math.inf)
+    # the memo holds one float per eps, never an array
+    assert all(type(v) is float for v in ladder._sup.values())

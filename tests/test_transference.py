@@ -749,6 +749,14 @@ def test_search_params_reject_non_integer_counts(name, value):
         SearchParams(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "np.bool_"])
+def test_search_params_reject_a_bool_stability_bound(value):
+    # True once passed as 1 and was stored as True, so a report wrote
+    # "stability_bound": true
+    with pytest.raises(ValueError, match="search stability_bound must be a finite number"):
+        SearchParams(stability_bound=value)
+
+
 def test_search_params_reject_a_negative_seed():
     # seed -1 once failed inside np.random.default_rng, and only when a third
     # start was drawn

@@ -484,14 +484,16 @@ def cmd_scaling(args) -> int:
                 rows.append([space, f"{name}={r}", e, nv])
     _write_csv(out / "norms.csv", rows)
 
-    # necessity verdicts for configured exponent tuples
+    # necessity verdicts: all read one product T_1(f_eps, f_eps) per eps
+    outputs = [(space, *pq(space, ex.q if space == "amalgam" else ex.p))
+               for space, ex in verdict_specs]
+    products = scalinglab.bilinear_product_scaling(
+        fam, fam, lambda u, v: np.ones(np.broadcast(u, v).shape), outputs,
+        kappa=kappa) if outputs else []
     verdicts = []
-    for space, ex in verdict_specs:
-        r1, r2, r = (ex.q1, ex.q2, ex.q) if space == "amalgam" else (ex.p1, ex.p2, ex.p)
+    for (space, ex), ps in zip(verdict_specs, products):
+        r1, r2 = (ex.q1, ex.q2) if space == "amalgam" else (ex.p1, ex.p2)
         slopes = (fits[space, r1].slope, fits[space, r2].slope)
-        ps = scalinglab.bilinear_product_scaling(
-            fam, fam, lambda u, v: np.ones(np.broadcast(u, v).shape), space, *pq(space, r),
-            kappa=kappa)
         v = scalinglab.necessity_verdict(ex, space, slopes, ps.slope)
         verdicts.append({"space": space, "status": v.status, "gap": v.gap,
                          "citation": v.citation, "output_slope": v.output_slope,

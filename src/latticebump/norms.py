@@ -31,7 +31,6 @@ __all__ = [
     "wiener_norm",
     "wiener_band_values",
     "mixed_norm_check",
-    "bernstein_scaling_check",
     "loglog_slope",
 ]
 
@@ -285,24 +284,6 @@ def mixed_norm_check(F: np.ndarray, p: float, q: float) -> tuple[float, float]:
             _power_norm(_power_norm(F, q, axis=1), p))
 
 
-def _dilate_samples(f: GridFunction, lam: int) -> GridFunction:
-    """Samples of x -> f(lam x); integer lam maps grid points to grid points,
-    out-of-box arguments read as 0 (band-limited inputs decay)."""
-    spec = f.spec
-    N = spec.N
-    i = np.arange(N)
-    j = lam * (i - N // 2) + N // 2
-    valid = (j >= 0) & (j < N)
-    out = f.samples
-    for ax in range(spec.n):
-        sh_take = np.clip(j, 0, N - 1)
-        out = np.take(out, sh_take, axis=ax)
-        mask_shape = [1] * spec.n
-        mask_shape[ax] = N
-        out = out * valid.reshape(mask_shape)
-    return GridFunction(spec, "space", out)
-
-
 def loglog_slope(xs, ys) -> tuple[float, float, float]:
     """Least-squares slope of log(y) against log(x): (slope, intercept, R^2)."""
     lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
@@ -314,29 +295,3 @@ def loglog_slope(xs, ys) -> tuple[float, float, float]:
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
-
-
-def bernstein_scaling_check(f: GridFunction, r: float, s: float,
-                            dilations) -> float:
-    """Scaling exponent behind the band-limited L^r -> L^s comparison.
-
-    For f_lam(x) = f(lam x) the ratio ||f_lam||_s / ||f_lam||_r scales like
-    lam^(n/r - n/s); returns the fitted log-log slope (expected n/r - n/s).
-    """
-    r, s = check_exponent(r), check_exponent(s)
-    if r > s:
-        raise ValueError(f"requires r <= s, got r={r} > s={s}")
-    lams = [int(l) for l in dilations]
-    if len(lams) < 3:
-        raise ValueError("need at least 3 dilations for the regression")
-    if any(l < 1 for l in lams):
-        raise ValueError("dilations must be positive integers")
-    ratios = []
-    for lam in lams:
-        g = _dilate_samples(f, lam)
-        num, den = lp_norm(g, s), lp_norm(g, r)
-        if den == 0.0:
-            raise ValueError("degenerate input: zero norm")
-        ratios.append(num / den)
-    slope, _, _ = loglog_slope(lams, ratios)
-    return slope

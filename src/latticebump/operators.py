@@ -2,9 +2,10 @@
 
 * ``apply_T_sigma``   -- bilinear multiplier on the grid, the slow reference:
   T(x) = (1/L)^(2n) sum_{xi1,xi2} sigma fhat1 fhat2 e^{2pi i x.(xi1+xi2)},
-  evaluated over the support pairs of the two spectra, grouped by the output
-  frequency zeta = xi1+xi2 (``_grouped_sum``; it also serves the witness path
-  of transference, which evaluates sigma at those pairs only, and scalinglab).
+  evaluated over the support pairs of the two spectra that sigma can weight
+  (its nonzero xi1 rows and xi2 columns), grouped by the output frequency
+  zeta = xi1+xi2 (``_grouped_sum``; it also serves the witness path of
+  transference, which evaluates sigma at those pairs only, and scalinglab).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
   the truncated decomposition, contracted through its side factors
   b = sum_r outer(w1_r, w2_r), each multiplier built from the series rows of
@@ -161,16 +162,28 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> np
 def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """Slow reference path for the bilinear multiplier.
 
-    Cost O(N^(2n)) at most: the grouped double sum over the support pairs of
-    the two input spectra, with the symbol gathered at those pairs.
+    The grouped double sum over the pairs that sigma can weight: fhat1 is
+    zeroed at each xi1 where sigma vanishes identically, fhat2 at each such
+    xi2.  A dropped pair only added +-0, so no bit changes; it could have
+    spread an inf or a NaN, so non-finite samples are refused.  Past one
+    pass over the symbol, the cost follows its support, not N^(2n).
     """
     spec = sigma.spec
     if f1.spec != spec or f2.spec != spec:
         raise ValueError("grid spec mismatch")
     if f1.side != "space" or f2.side != "space":
         raise ValueError("inputs must be space-side GridFunctions")
-    samples = _grouped_sum(lambda idx: sigma.samples[idx], dft(f1).samples,
-                           dft(f2).samples, spec)
+    size = spec.N ** spec.n
+    weighted = (sigma.samples != 0).reshape(size, size)
+    rows, cols = weighted.any(axis=1), weighted.any(axis=0)
+    # inf and NaN are nonzero, so a non-finite sample lies in this block
+    block = sigma.samples.reshape(size, size)[np.ix_(rows, cols)]
+    for what, x in (("symbol", block), ("f1", f1.samples), ("f2", f2.samples)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} has non-finite samples")
+    samples = _grouped_sum(lambda idx: sigma.samples[idx],
+                           np.where(rows.reshape(spec.shape), dft(f1).samples, 0),
+                           np.where(cols.reshape(spec.shape), dft(f2).samples, 0), spec)
     return GridFunction(spec, "space", samples)
 
 

@@ -276,9 +276,10 @@ def wiener_scaling_slope(fam: ScalingFamily, p: float, q: float,
 
 
 def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
-                             space: str, p: float, q: float,
-                             kappa: Window | None = None) -> ProductScaling:
-    """Measured output-norm growth of T_sigma(f_eps, g_eps).
+                             measurements, kappa: Window | None = None) -> list[ProductScaling]:
+    """Measured output-norm growth of T_sigma(f_eps, g_eps), one
+    ProductScaling per (space, p, q) in ``measurements``: each eps forms the
+    product once, and every measurement reads its norm from it.
 
     ``sigma_fn(xi1, xi2)`` is a vectorized symbol callable, sampled on each
     per-eps grid (families must share their grid policy); it should be smooth
@@ -289,10 +290,11 @@ def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
     if fam1.epsilons != fam2.epsilons or fam1.s != fam2.s \
             or fam1.box_factor != fam2.box_factor or fam1.n != fam2.n:
         raise ValueError("families must share the eps ladder and grid policy")
-    if space not in ("amalgam", "wiener"):
-        raise ValueError("space must be 'amalgam' or 'wiener'")
-    if space == "wiener" and kappa is None:
-        raise ValueError("wiener measurement needs a window")
+    for space, _p, _q in measurements:
+        if space not in ("amalgam", "wiener"):
+            raise ValueError("space must be 'amalgam' or 'wiener'")
+        if space == "wiener" and kappa is None:
+            raise ValueError("wiener measurement needs a window")
     if fam1.n != 1:
         raise ValueError("product scaling is implemented for n = 1")
     center = np.asarray(fam1.xi0 + fam2.xi0, dtype=float)
@@ -302,8 +304,9 @@ def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
             raise ValueError(f"(xi0, eta0)={tuple(center)} is off the symbol grid")
     sig0 = complex(np.asarray(sigma_fn(np.asarray([fam1.xi0[0]]),
                                        np.asarray([fam2.xi0[0]]))).reshape(-1)[0])
+    off = np.asarray(fam1.xi0, dtype=float) + np.asarray(fam2.xi0, dtype=float)
 
-    norms, scales = [], []
+    norms, scales = [[] for _ in measurements], []
     min_core = math.inf
     for e in fam1.epsilons:
         spec = fam1.specs[e]
@@ -312,28 +315,27 @@ def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
         T = GridFunction(spec, "space", _grouped_sum(
             lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
             f1h.samples, f2h.samples, spec))
-        if space == "amalgam":
-            norms.append(amalgam_norm(T, p, q))
-        else:
-            off = np.asarray(fam1.xi0, dtype=float) + np.asarray(fam2.xi0, dtype=float)
-            norms.append(wiener_norm(T, p, q, kappa, offset=off))
+        for row, (space, p, q) in zip(norms, measurements):
+            row.append(amalgam_norm(T, p, q) if space == "amalgam"
+                       else wiener_norm(T, p, q, kappa, offset=off))
         scales.append(fam1.sup_norm(e) * fam2.sup_norm(e))
         if e == fam1.epsilons[-1]:
             x = spec.axis_x()
             core = np.abs(x) <= 1.0 / (2 * e)
             min_core = float(np.min(np.abs(T.samples[core])))
 
-    if max(norms) < 1e-12 * max(scales):
-        return ProductScaling(slope=None, r_squared=None, epsilons=fam1.epsilons,
-                              norms=tuple(norms), degenerate=True,
-                              sigma_at_center=sig0, min_modulus_on_core=min_core,
-                              half_bound_held=False, smallest_eps=fam1.epsilons[-1])
-    slope, _, r2 = loglog_slope([1.0 / e for e in fam1.epsilons], norms)
-    held = min_core >= 0.5 * abs(sig0)
-    return ProductScaling(slope=slope, r_squared=r2, epsilons=fam1.epsilons,
-                          norms=tuple(norms), degenerate=False,
-                          sigma_at_center=sig0, min_modulus_on_core=min_core,
-                          half_bound_held=held, smallest_eps=fam1.epsilons[-1])
+    out = []
+    for row in norms:
+        degenerate = max(row) < 1e-12 * max(scales)
+        slope = r2 = None
+        if not degenerate:
+            slope, _, r2 = loglog_slope([1.0 / e for e in fam1.epsilons], row)
+        out.append(ProductScaling(slope=slope, r_squared=r2, epsilons=fam1.epsilons,
+                                  norms=tuple(row), degenerate=degenerate,
+                                  sigma_at_center=sig0, min_modulus_on_core=min_core,
+                                  half_bound_held=not degenerate and min_core >= 0.5 * abs(sig0),
+                                  smallest_eps=fam1.epsilons[-1]))
+    return out
 
 
 def necessity_verdict(exponents: ExponentTuple, space: str,

@@ -14,6 +14,9 @@ That path contracts b one side at a time through its factorisation
 b = sum_r w1_r (x) w2_r over the xi1 and xi2 halves (``CMDecomposition.factors``).
 Every evaluation of the truncated series, here and there, takes its per-axis
 rows phi_k from ``_cm_rows`` and contracts them against the coefficients.
+
+The dense samplers ``synth_sigma`` and ``sigma_from_cm`` write each translate
+on its own support slab (``_translate_sum``): their cost follows supp sigma.
 """
 
 from __future__ import annotations
@@ -190,12 +193,34 @@ def sigma_eval(a: LatticeCoefficients, phi: BumpProfile, axes: list[np.ndarray])
     return out
 
 
+def _translate_sum(a: LatticeCoefficients, box, evaluate, spec: GridSpec) -> np.ndarray:
+    """sum_mu a(mu) F(xi - mu) on the (N,)*(2n) grid, for F given on the tensor
+    grid of 2n per-axis coordinate arrays by ``evaluate`` and zero off the
+    closed box ``box`` = (lo, hi).  Each translate is added on the grid points
+    of mu + box only, padded by one point per side: off them it is zero, which
+    would add only +-0, so the samples are those of the whole-grid loop.
+    """
+    if not all(np.isfinite(v) for v in a.entries.values()):
+        raise ValueError("coefficients must be finite")
+    xi, N = spec.axis_xi(), spec.N
+    out = np.zeros((N,) * (2 * spec.n), dtype=complex)
+    for (m1, m2), val in a.items():
+        mu = m1 + m2
+        slab = tuple(slice(max(int(np.searchsorted(xi, lo + m, "left")) - 1, 0),
+                           min(int(np.searchsorted(xi, hi + m, "right")) + 1, N))
+                     for lo, hi, m in zip(*box, mu))
+        out[slab] += val * evaluate([xi[sl] - m for sl, m in zip(slab, mu)])
+    return out
+
+
 def synth_sigma(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> SymbolGrid:
     """Sample sigma_{a,Phi} exactly at the frequency grid points."""
     _check_supports(a, phi, spec)
     check_symbol_budget(spec)
-    axes = np.meshgrid(*(spec.axis_xi(),) * (2 * spec.n), indexing="ij", sparse=True)
-    return SymbolGrid(spec, sigma_eval(a, phi, axes))
+    return SymbolGrid(spec, _translate_sum(
+        a, phi.support_box(),
+        lambda axes: bump_eval_axes(phi, np.meshgrid(*axes, indexing="ij", sparse=True)),
+        spec))
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +400,9 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
     if spec.n != d.n:
         raise ValueError("dimension mismatch between decomposition and grid")
     check_symbol_budget(spec)
-    xi = spec.axis_xi()
-    out = np.zeros((spec.N,) * (2 * spec.n), dtype=complex)
-    for (m1, m2), val in a.items():
-        out += val * _cm_on_axes(d, [xi - shift for shift in m1 + m2])
-    return SymbolGrid(spec, out)
+    lo, hi = d.cutoff.support_box()
+    return SymbolGrid(spec, _translate_sum(a, (np.tile(lo, 2), np.tile(hi, 2)),
+                                           lambda axes: _cm_on_axes(d, axes), spec))
 
 
 def _cm_rows(d: CMDecomposition, axis: int, u: np.ndarray) -> np.ndarray:

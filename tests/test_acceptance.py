@@ -287,14 +287,14 @@ def test_acceptance_10_necessity_verdicts(spec, phi04, theta, kappa):
     fam = make_scaling_family()
     one = lambda u, v: np.ones(np.broadcast(u, v).shape)
     s_in = amalgam_scaling_slope(fam, 2.0, 2.0).slope
-    out = bilinear_product_scaling(fam, fam, one, "amalgam", 2.0, 0.5).slope
+    out = bilinear_product_scaling(fam, fam, one, [("amalgam", 2.0, 0.5)])[0].slope
     v_a = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 0.5), "amalgam",
                             (s_in, s_in), out)
     assert v_a.status == "violated" and v_a.gap > 0.1
 
     w_in = wiener_scaling_slope(fam, math.inf, 2.0, kappa).slope
-    w_out = bilinear_product_scaling(fam, fam, one, "wiener", 1.0, 2.0,
-                                     kappa=kappa).slope
+    w_out = bilinear_product_scaling(fam, fam, one, [("wiener", 1.0, 2.0)],
+                                     kappa=kappa)[0].slope
     v_w = necessity_verdict(ExponentTuple(math.inf, math.inf, 1, 2, 2, 2),
                             "wiener", (w_in, w_in), w_out)
     assert v_w.status == "violated" and v_w.gap > 0.1

@@ -186,9 +186,18 @@ def test_scaling_determinism(tmp_path):
     assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
 
 
+# the benchmark's scaling op: eps 1/2 ... 1/64, both slope tables, both verdicts
+BENCH_EPSILONS = [2.0 ** -j for j in range(1, 7)]
+BENCH_SCALING = {"n": 1, "scaling": {
+    "epsilons": BENCH_EPSILONS, "box_factor": 192, "s": 8, "xi0": 0.75,
+    "amalgam_q": [0.5, 1, 2, "inf"], "wiener_p": [0.5, 1, 2, "inf"],
+    "verdicts": [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]},
+                 {"space": "wiener", "exponents": ["inf", "inf", 1, 2, 2, 2]}]}}
+
+
 def test_scaling_builds_two_band_stacks_per_eps(tmp_path, monkeypatch):
-    # the benchmark's scaling op: each eps builds one band stack for the
-    # Wiener slopes (every p reads it) and one for the Wiener verdict's product
+    # each eps builds one band stack for the Wiener slopes (every p reads it)
+    # and one for the Wiener verdict's product
     from latticebump import norms, scalinglab
     calls = []
     band_values = norms.wiener_band_values
@@ -198,15 +207,25 @@ def test_scaling_builds_two_band_stacks_per_eps(tmp_path, monkeypatch):
         return band_values(*args, **kwargs)
     monkeypatch.setattr(norms, "wiener_band_values", counted)
     monkeypatch.setattr(scalinglab, "wiener_band_values", counted)
-    epsilons = [2.0 ** -j for j in range(1, 7)]
-    cfg = _write(tmp_path, "cfg.json", {"n": 1, "scaling": {
-        "epsilons": epsilons, "box_factor": 192, "s": 8, "xi0": 0.75,
-        "amalgam_q": [0.5, 1, 2, "inf"], "wiener_p": [0.5, 1, 2, "inf"],
-        "verdicts": [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]},
-                     {"space": "wiener", "exponents": ["inf", "inf", 1, 2, 2, 2]}]}})
+    cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 2 * len(epsilons)
+    assert len(calls) == 2 * len(BENCH_EPSILONS)
     assert sorted(set(calls.count(L) for L in calls)) == [2]
+
+
+def test_scaling_forms_one_product_per_eps(tmp_path, monkeypatch):
+    # both verdicts read their output norms from one T_1(f_eps, f_eps) per eps
+    from latticebump import scalinglab
+    calls = []
+    grouped_sum = scalinglab._grouped_sum
+
+    def counted(sigma_at, F1, F2, spec):
+        calls.append(spec.L)
+        return grouped_sum(sigma_at, F1, F2, spec)
+    monkeypatch.setattr(scalinglab, "_grouped_sum", counted)
+    cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == len(set(calls)) == len(BENCH_EPSILONS)
 
 
 def test_scaling_n2_scalar_xi0_reaches_the_grid_budget(tmp_path, capsys):

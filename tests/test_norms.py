@@ -10,8 +10,8 @@ from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, mak
                                make_window)
 from latticebump.grid import _centered_ifftn, dft, freq_function, idft, make_grid, space_function
 from latticebump.norms import (ExponentTuple, _power_norm, TailBudgetWarning, amalgam_norm,
-                               bernstein_scaling_check, lp_norm, lp_norm_torus,
-                               lq_seq_norm, mixed_norm_check, wiener_band_values, wiener_norm)
+                               lp_norm, lp_norm_torus, lq_seq_norm, mixed_norm_check,
+                               wiener_band_values, wiener_norm)
 from latticebump.operators import _multiplier_samples, sequence_from_dict, trig_poly_from_dict
 from latticebump.transference import build_wiener_witness
 
@@ -182,31 +182,6 @@ def test_lp_norm_torus_matches_plancherel(rng):
     l2 = lp_norm_torus(F, 2.0)
     coeff = np.sqrt(sum(abs(c) ** 2 for c in F.coeffs.values()))
     assert l2 == pytest.approx(coeff, rel=1e-12)
-
-
-def _bernstein_input():
-    spec = make_grid(1, 32, 32)
-    prof = make_bump(1, "tensor-exp", radius=1.0)
-    return idft(freq_function(spec, lambda xi: bump_eval_axes(prof, [xi])))
-
-
-def test_bernstein_equal_exponents_zero_slope():
-    f = _bernstein_input()
-    assert abs(bernstein_scaling_check(f, 2.0, 2.0, [1, 2, 4])) <= 1e-12
-
-
-def test_bernstein_slopes():
-    f = _bernstein_input()
-    assert bernstein_scaling_check(f, 1.0, 2.0, [1, 2, 4]) == pytest.approx(0.5, abs=0.05)
-    assert bernstein_scaling_check(f, 1.0, math.inf, [1, 2, 4]) == pytest.approx(1.0, abs=0.05)
-
-
-def test_bernstein_needs_three_dilations():
-    f = _bernstein_input()
-    with pytest.raises(ValueError):
-        bernstein_scaling_check(f, 1.0, 2.0, [1, 2])
-    with pytest.raises(ValueError):
-        bernstein_scaling_check(f, 2.0, 1.0, [1, 2, 4])
 
 
 def test_exponent_tuple_hypotheses():

@@ -21,6 +21,8 @@ from latticebump.symbols import (CMDecomposition, cm_decompose, lattice_delta, l
                                  SymbolGrid)
 from latticebump.transference import build_amalgam_witness
 
+from test_symbols import _dense_synth_sigma
+
 
 def _band_limited(spec, seed, frac=4.0):
     rng = np.random.default_rng(seed)
@@ -203,6 +205,9 @@ def _bilinear_cases(spec, phi04):
     yield synth_sigma(a1, phi1, sp1), idft(GridFunction(sp1, "frequency", Fz)), f2
     sp2, phi2, a2, g1, g2 = _witness_inputs(2, 4, 8, 45)
     yield synth_sigma(a2, phi2, sp2), g1, g2
+    # overlapping translates: rows and columns where several translates meet
+    wide = make_bump(2, "tensor-exp", radius=0.9)
+    yield synth_sigma(a, wide, spec), _band_limited(spec, 46), _band_limited(spec, 47)
 
 
 def test_T_sigma_equals_dense_reference_bitwise(spec, phi04):
@@ -481,15 +486,56 @@ def test_fast_path_speedup():
     a = random_lattice_coefficients(1, 1, 9, seed=29)
     d = cm_decompose(phi, M=16)
     f1, f2 = _band_limited(spec, 30), _band_limited(spec, 31)
+    # the slow arm is the dense N^(2n) reference: the library's own slow
+    # path now costs in proportion to the support of sigma
     apply_T_aPhi_fast(a, d, f1, f2)  # warm up
-    apply_T_sigma(synth_sigma(a, phi, spec), f1, f2)
+    _dense_T_sigma(_dense_synth_sigma(a, phi, spec), f1, f2)
     # interleaved pairs cancel common-mode load; best pair decides
     ratios = []
     for _ in range(12):
-        t_slow = _timed(lambda: apply_T_sigma(synth_sigma(a, phi, spec), f1, f2))
+        t_slow = _timed(lambda: _dense_T_sigma(_dense_synth_sigma(a, phi, spec), f1, f2))
         t_fast = _timed(lambda: apply_T_aPhi_fast(a, d, f1, f2))
         ratios.append(t_slow / t_fast)
     assert max(ratios) >= 5.0, f"best slow/fast ratio {max(ratios):.2f}"
+
+
+def test_support_slabs_beat_the_dense_reference():
+    # the witness-chain grid, N^2 = 2^20 symbol values of which ~441 are nonzero
+    spec, phi, a, f1, f2 = _witness_inputs(1, 8, 128, 48)
+    sparse = lambda: apply_T_sigma(synth_sigma(a, phi, spec), f1, f2)
+    dense = lambda: _dense_T_sigma(_dense_synth_sigma(a, phi, spec), f1, f2)
+    sparse(), dense()  # warm up
+    ratios = [_timed(dense) / _timed(sparse) for _ in range(6)]
+    assert max(ratios) >= 5.0, f"best dense/slab ratio {max(ratios):.2f}"
+
+
+def test_T_sigma_peak_memory_follows_the_symbol_support():
+    spec = make_grid(1, 8, 128)
+    sigma = synth_sigma(random_lattice_coefficients(1, 1, 9, seed=49),
+                        make_bump(2, "tensor-exp", radius=0.4), spec)
+    rng = np.random.default_rng(50)
+    f1, f2 = (space_function(spec, rng.standard_normal(spec.N) + 1j * rng.standard_normal(spec.N))
+              for _ in range(2))
+    tracemalloc.start()
+    try:
+        apply_T_sigma(sigma, f1, f2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("where", ["symbol", "f1", "f2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_T_sigma_rejects_non_finite_samples(spec, phi04, where, bad):
+    # a pair the symbol cannot weight is skipped, so it no longer spreads an
+    # inf or a NaN: they are refused instead
+    sigma = synth_sigma(lattice_delta(1), phi04, spec)
+    f1, f2 = _band_limited(spec, 51), _band_limited(spec, 52)
+    target = {"symbol": sigma, "f1": f1, "f2": f2}[where]
+    target.samples[(0,) * target.samples.ndim] = bad
+    with pytest.raises(ValueError, match=f"{where} has non-finite samples"):
+        apply_T_sigma(sigma, f1, f2)
 
 
 def _timed(fn):

@@ -129,7 +129,7 @@ def test_regression_needs_three_points():
 
 
 def test_product_scaling_constant_symbol(fam):
-    ps = bilinear_product_scaling(fam, fam, ONE, "amalgam", 2.0, 2.0)
+    ps = bilinear_product_scaling(fam, fam, ONE, [("amalgam", 2.0, 2.0)])[0]
     assert not ps.degenerate
     assert ps.slope == pytest.approx(0.5, abs=0.1)
     assert ps.r_squared >= 0.99
@@ -138,13 +138,13 @@ def test_product_scaling_constant_symbol(fam):
 
 
 def test_product_scaling_wiener(fam, kap):
-    ps = bilinear_product_scaling(fam, fam, ONE, "wiener", 1.0, 2.0, kappa=kap)
+    ps = bilinear_product_scaling(fam, fam, ONE, [("wiener", 1.0, 2.0)], kappa=kap)[0]
     assert ps.slope == pytest.approx(1.0, abs=0.1)
 
 
 def test_product_scaling_degenerate_symbol(fam):
     vanish = lambda u, v: np.where((np.abs(u) > 0.2) & (np.abs(v) > 0.2), 1.0, 0.0)
-    ps = bilinear_product_scaling(fam, fam, vanish, "amalgam", 2.0, 2.0)
+    ps = bilinear_product_scaling(fam, fam, vanish, [("amalgam", 2.0, 2.0)])[0]
     assert ps.degenerate
     assert ps.slope is None
 
@@ -169,36 +169,46 @@ def _product_samples(sigma_fn, f1h, f2h):
 def test_product_scaling_equals_support_sum_reference(sigma_fn):
     # the benchmark's ladder: eps 1/2 ... 1/64 at a grid-aligned xi0
     fam = make_scaling_family(xi0=0.75, epsilons=[2.0 ** -j for j in range(1, 7)])
-    ps = bilinear_product_scaling(fam, fam, sigma_fn, "amalgam", 2.0, 1.0)
+    ps = bilinear_product_scaling(fam, fam, sigma_fn, [("amalgam", 2.0, 1.0)])[0]
     ref = [amalgam_norm(GridFunction(fam.specs[e], "space",
                                      _product_samples(sigma_fn, fam.f_hat(e), fam.f_hat(e))),
                         2.0, 1.0) for e in fam.epsilons]
     assert ps.norms == tuple(ref)
 
 
+def test_product_scaling_batch_equals_single_measurements(kap):
+    # one product per eps serves every measurement, bit for bit
+    fam = make_scaling_family(xi0=0.75, epsilons=[2.0 ** -j for j in range(1, 7)])
+    wanted = [("amalgam", 2.0, 0.5), ("wiener", 1.0, 2.0), ("amalgam", 2.0, 1.0)]
+    batch = bilinear_product_scaling(fam, fam, ONE, wanted, kappa=kap)
+    assert len(batch) == len(wanted)
+    for m, ps in zip(wanted, batch):
+        assert ps == bilinear_product_scaling(fam, fam, ONE, [m], kappa=kap)[0]
+
+
 def test_product_scaling_warns_when_output_folds():
     # 2 * xi0 = 5 lies outside the s = 8 frequency box [-4, 4)
     fam = make_scaling_family(xi0=2.5, s=8)
     with pytest.warns(AliasingWarning):
-        bilinear_product_scaling(fam, fam, ONE, "amalgam", 2.0, 2.0)
+        bilinear_product_scaling(fam, fam, ONE, [("amalgam", 2.0, 2.0)])
 
 
 def test_product_scaling_rejects_mismatched_families(fam):
     other = make_scaling_family(box_factor=256.0)
     with pytest.raises(ValueError):
-        bilinear_product_scaling(fam, other, ONE, "amalgam", 2.0, 2.0)
+        bilinear_product_scaling(fam, other, ONE, [("amalgam", 2.0, 2.0)])
 
 
 def test_necessity_verdicts_measured(fam, kap):
     # amalgam, boundary case (2,2,1): consistent
     in1 = amalgam_scaling_slope(fam, 2.0, 2.0).slope
-    ps1 = bilinear_product_scaling(fam, fam, ONE, "amalgam", 2.0, 1.0)
+    ps1 = bilinear_product_scaling(fam, fam, ONE, [("amalgam", 2.0, 1.0)])[0]
     v = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 1.0), "amalgam",
                           (in1, in1), ps1.slope)
     assert v.status == "consistent"
 
     # amalgam violation (2,2,1/2): output doubles the input growth
-    ps2 = bilinear_product_scaling(fam, fam, ONE, "amalgam", 2.0, 0.5)
+    ps2 = bilinear_product_scaling(fam, fam, ONE, [("amalgam", 2.0, 0.5)])[0]
     v2 = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 0.5), "amalgam",
                            (in1, in1), ps2.slope)
     assert v2.status == "violated"
@@ -207,7 +217,7 @@ def test_necessity_verdicts_measured(fam, kap):
 
     # wiener violation (inf, inf, 1)
     win = wiener_scaling_slope(fam, math.inf, 2.0, kap).slope
-    ps3 = bilinear_product_scaling(fam, fam, ONE, "wiener", 1.0, 2.0, kappa=kap)
+    ps3 = bilinear_product_scaling(fam, fam, ONE, [("wiener", 1.0, 2.0)], kappa=kap)[0]
     v3 = necessity_verdict(ExponentTuple(math.inf, math.inf, 1.0, 2, 2, 2),
                            "wiener", (win, win), ps3.slope)
     assert v3.status == "violated"

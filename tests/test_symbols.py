@@ -8,7 +8,7 @@ from latticebump.bumps import bump_eval, bump_eval_axes, make_bump, make_plateau
 from latticebump.grid import BudgetError, make_grid
 from latticebump.symbols import (CMDecomposition, _cm_on_axes, cm_decompose, cm_reconstruct,
                                  lattice_delta, lattice_from_dict, random_lattice_coefficients,
-                                 sigma_from_cm, synth_sigma, SymbolGrid)
+                                 sigma_eval, sigma_from_cm, synth_sigma, SymbolGrid)
 
 from conftest import BUMP_INTEGRAL
 
@@ -19,6 +19,88 @@ def _quad_bump_coefficient(r, K, k):
     val, _ = integrate.quad(fn, -r * (1 - 1e-14), r * (1 - 1e-14),
                             epsabs=1e-14, limit=800)
     return val / K
+
+
+def _dense_synth_sigma(a, phi, spec):
+    """Reference oracle: every translate of Phi evaluated on the whole
+    (N,)*(2n) grid and added there, the loop the support slabs replace."""
+    axes = np.meshgrid(*(spec.axis_xi(),) * (2 * spec.n), indexing="ij", sparse=True)
+    return SymbolGrid(spec, sigma_eval(a, phi, axes))
+
+
+def _dense_sigma_from_cm(a, d, spec):
+    """Reference oracle: the truncated series of every translate contracted
+    on the whole grid."""
+    xi = spec.axis_xi()
+    out = np.zeros((spec.N,) * (2 * spec.n), dtype=complex)
+    for (m1, m2), val in a.items():
+        out += val * _cm_on_axes(d, [xi - shift for shift in m1 + m2])
+    return out
+
+
+def _slab_cases():
+    """(a, Phi, spec): overlapping translates (radius 0.9 at L = 8), a
+    support at the L // 4 limit, and a single delta, for both kinds of Phi
+    at n = 1 and n = 2."""
+    for kind in ("tensor-exp", "radial-exp"):
+        for n, L, s in ((1, 8, 32), (2, 8, 4)):
+            spec = make_grid(n, L, s)
+            yield (random_lattice_coefficients(n, 1, 9, seed=60),
+                   make_bump(2 * n, kind, radius=0.9), spec)
+            yield (random_lattice_coefficients(n, L // 4, 12, seed=61),
+                   make_bump(2 * n, kind, radius=0.4), spec)
+            yield lattice_delta(n, (1,) * n, (-2,) * n), make_bump(2 * n, kind, radius=0.6), spec
+
+
+@pytest.mark.parametrize("case", list(_slab_cases()), ids=lambda c: (
+    f"{c[1].kind}-n{c[2].n}-r{c[1].radius[0]}-{len(c[0])}"))
+def test_synth_sigma_equals_dense_loop_bitwise(case):
+    a, phi, spec = case
+    got = synth_sigma(a, phi, spec).samples
+    assert np.array_equal(got.view(np.uint64), _dense_synth_sigma(a, phi, spec).samples.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, L, s", [(1, 8, 32), (2, 4, 8)])
+def test_sigma_from_cm_equals_dense_contraction(n, L, s):
+    # the slabs change only the shapes of the contractions, so the samples
+    # move by roundoff alone
+    spec = make_grid(n, L, s)
+    d = cm_decompose(make_bump(2 * n, "tensor-exp", radius=0.4), M=6)
+    a = random_lattice_coefficients(n, 1, 9, seed=62)
+    gap = np.max(np.abs(sigma_from_cm(a, d, spec).samples - _dense_sigma_from_cm(a, d, spec)))
+    assert gap <= 1e-15 * a.sup_norm()
+
+
+def test_synth_sigma_peak_memory_is_its_output():
+    spec = make_grid(1, 8, 128)
+    phi = make_bump(2, "tensor-exp", radius=0.4)
+    a = random_lattice_coefficients(1, 1, 9, seed=63)
+    tracemalloc.start()
+    try:
+        sig = synth_sigma(a, phi, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sig.samples.nbytes == 16 * 2**20
+    assert peak <= 1.1 * sig.samples.nbytes
+
+
+NON_FINITE = [np.nan, np.inf, complex(0.0, -np.inf)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_synth_sigma_rejects_non_finite_coefficients(spec, phi04, bad):
+    # a translate adds nothing off its slab, so it can no longer spread a NaN
+    a = lattice_from_dict(1, {((0,), (0,)): 1.0, ((1,), (0,)): bad})
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        synth_sigma(a, phi04, spec)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_sigma_from_cm_rejects_non_finite_coefficients(spec, phi04, bad):
+    a = lattice_from_dict(1, {((0,), (0,)): 1.0, ((1,), (0,)): bad})
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        sigma_from_cm(a, cm_decompose(phi04, M=4), spec)
 
 
 def test_synth_sigma_delta_is_phi(spec, phi04):

@@ -11,8 +11,7 @@ from .grid import (BudgetError, GridFunction, GridSpec, dft, idft, make_grid,
 from .bumps import (BumpProfile, ConditionBResult, ThetaPair, Window,
                     bump_eval, bump_eval_axes, check_condition_B, make_bump,
                     make_plateau, make_theta_pair, make_window,
-                    profile_from_json, profile_to_json, translate_slack,
-                    window_eval, window_eval_axes)
+                    translate_slack, window_eval, window_eval_axes)
 from .symbols import (CMDecomposition, LatticeCoefficients, SymbolGrid,
                       cm_decompose, cm_reconstruct, lattice_delta,
                       lattice_from_dict, random_lattice_coefficients,
@@ -21,7 +20,7 @@ from .operators import (AliasingWarning, Sequence, TrigPolynomial, apply_S,
                         apply_T_aPhi_fast, apply_T_period, apply_T_sigma,
                         apply_linear_mult, band_project, sequence_from_dict,
                         trig_poly_from_dict)
-from .norms import (ExponentTuple, TailBudgetWarning, amalgam_norm, lp_norm,
+from .norms import (ExponentTuple, amalgam_norm, lp_norm,
                     lp_norm_torus, lq_seq_norm, mixed_norm_check, wiener_norm)
 from .transference import (AMALGAM_CITATION, WIENER_CITATION,
                            ExponentHypothesisError, NormEstimate, SearchParams,
@@ -35,6 +34,6 @@ from .transference import (AMALGAM_CITATION, WIENER_CITATION,
 from .scalinglab import (NecessityVerdict, ProductScaling, ScalingFamily,
                          SlopeFit, amalgam_scaling_slope,
                          bilinear_product_scaling, make_scaling_family,
-                         necessity_verdict, wiener_scaling_slope)
+                         necessity_verdict, scaling_slopes, wiener_scaling_slope)
 
 __version__ = "0.1.0"

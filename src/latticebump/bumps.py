@@ -17,7 +17,6 @@ partition of unity holds pointwise by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -40,8 +39,6 @@ __all__ = [
     "check_condition_B",
     "translate_slack",
     "make_theta_pair",
-    "profile_to_json",
-    "profile_from_json",
 ]
 
 _KINDS = ("radial-exp", "tensor-exp", "plateau")
@@ -229,22 +226,19 @@ def _window_axis(w: Window, axis: int, u: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def window_eval_axes(w: Window, axes: list[np.ndarray], shift=None) -> np.ndarray:
-    """Evaluate kappa(xi - shift) on the tensor grid of per-axis arrays."""
+def window_eval_axes(w: Window, axes: list[np.ndarray]) -> np.ndarray:
+    """Evaluate kappa(xi) on the tensor grid of per-axis arrays."""
     if len(axes) != w.d:
         raise ValueError(f"expected {w.d} axis arrays, got {len(axes)}")
-    if shift is None:
-        shift = (0.0,) * w.d
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
     out = 1.0 + 0j
     for j, u in enumerate(axes):
-        out = out * _window_axis(w, j, np.asarray(u, dtype=float) - shift[j])
+        out = out * _window_axis(w, j, u)
     return out
 
 
-def window_eval(w: Window, x, shift=None) -> np.ndarray | complex:
+def window_eval(w: Window, x) -> np.ndarray | complex:
     """Evaluate at a point or points (same conventions as bump_eval)."""
-    return _at_points(lambda axes: window_eval_axes(w, axes, shift=shift), w.d, x)
+    return _at_points(lambda axes: window_eval_axes(w, axes), w.d, x)
 
 
 # ---------------------------------------------------------------------------
@@ -463,31 +457,3 @@ def make_theta_pair(phi: BumpProfile, xi0, eps: float, spec: GridSpec) -> ThetaP
                              xi0=xi0, eps=current, g_eval=rule)
         current *= 0.5
     raise ValueError(f"no rescaling achieves min_Q|g| >= 1 after {THETA_HALVINGS} halvings")
-
-
-# ---------------------------------------------------------------------------
-# JSON fixtures
-# ---------------------------------------------------------------------------
-
-
-def profile_to_json(b: BumpProfile) -> str:
-    doc = {
-        "d": b.d,
-        "kind": b.kind,
-        "center": list(b.center),
-        "radius": list(b.radius),
-        "amplitude": [b.amplitude.real, b.amplitude.imag],
-    }
-    if b.inner is not None:
-        doc["inner"] = list(b.inner)
-    return json.dumps(doc, sort_keys=True)
-
-
-def profile_from_json(text: str) -> BumpProfile:
-    doc = json.loads(text)
-    amp = complex(doc["amplitude"][0], doc["amplitude"][1])
-    if doc["kind"] == "plateau":
-        return make_plateau(doc["d"], doc["inner"], doc["radius"],
-                            center=doc["center"], amplitude=amp)
-    return make_bump(doc["d"], doc["kind"], center=doc["center"],
-                     radius=doc["radius"], amplitude=amp)

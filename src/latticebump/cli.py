@@ -429,7 +429,11 @@ def cmd_scaling(args) -> int:
         if space not in ("amalgam", "wiener"):
             raise ConfigError(f"verdict {tup!r} needs 'space': 'amalgam' or 'wiener'")
         _check_keys(tup, KEYS["verdict"], "verdict")
-        verdict_specs.append((space, _exponent_tuple(tup.get("exponents"))))
+        ex = _exponent_tuple(tup.get("exponents"))
+        # each space scales in one exponent (amalgam q, Wiener p): the verdict
+        # compares the growth in r of its output against that in r1 and r2
+        rs = (ex.q1, ex.q2, ex.q) if space == "amalgam" else (ex.p1, ex.p2, ex.p)
+        verdict_specs.append((space, ex, rs))
     eps = tuple(_number(e, "scaling epsilons")
                 for e in _list(sc, "epsilons", [0.5, 0.25, 0.125], "scaling"))
     if len(eps) < 3:
@@ -454,23 +458,18 @@ def cmd_scaling(args) -> int:
                     "tail_fraction": fam.tail_fraction,
                     "min_q_modulus": fam.min_q_modulus, "slopes": {}}
 
-    # each space scales in one exponent (amalgam q, Wiener p); the other is 2
-    def pq(space, r):
-        return (2.0, r) if space == "amalgam" else (r, 2.0)
-
     spaces = (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p"))
     table = {space: [(r, _exponent(r)) for r in _list(sc, key, [1.0, 2.0, "inf"], "scaling")]
              for space, key, _name in spaces}
     # one batched fit per space serves its slope table and its verdicts' inputs
     wanted = {space: [rv for _r, rv in table[space]] for space in table}
-    for space, ex in verdict_specs:
-        wanted[space] += (ex.q1, ex.q2) if space == "amalgam" else (ex.p1, ex.p2)
+    for space, _ex, rs in verdict_specs:
+        wanted[space] += rs[:2]
     fits = {}
     for space, rs in wanted.items():
         rs = list(dict.fromkeys(rs))
         if rs:
-            batch = (scalinglab.amalgam_scaling_slopes(fam, 2.0, rs) if space == "amalgam"
-                     else scalinglab.wiener_scaling_slopes(fam, rs, 2.0, kappa))
+            batch = scalinglab.scaling_slopes(fam, space, rs, kappa)
             fits.update(((space, r), fit) for r, fit in zip(rs, batch))
 
     rows = [["space", "exponent", "eps", "norm"]]
@@ -485,14 +484,12 @@ def cmd_scaling(args) -> int:
     _write_csv(out / "norms.csv", rows)
 
     # necessity verdicts: all read one product T_1(f_eps, f_eps) per eps
-    outputs = [(space, *pq(space, ex.q if space == "amalgam" else ex.p))
-               for space, ex in verdict_specs]
+    outputs = [(space, rs[2]) for space, _ex, rs in verdict_specs]
     products = scalinglab.bilinear_product_scaling(
-        fam, fam, lambda u, v: np.ones(np.broadcast(u, v).shape), outputs,
+        fam, lambda u, v: np.ones(np.broadcast(u, v).shape), outputs,
         kappa=kappa) if outputs else []
     verdicts = []
-    for (space, ex), ps in zip(verdict_specs, products):
-        r1, r2 = (ex.q1, ex.q2) if space == "amalgam" else (ex.p1, ex.p2)
+    for (space, ex, (r1, r2, _r)), ps in zip(verdict_specs, products):
         slopes = (fits[space, r1].slope, fits[space, r2].slope)
         v = scalinglab.necessity_verdict(ex, space, slopes, ps.slope)
         verdicts.append({"space": space, "status": v.status, "gap": v.gap,

@@ -11,7 +11,6 @@ the amalgam norm exploits by rolling and reshaping.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .operators import TrigPolynomial, _multiplier_samples
 
 __all__ = [
     "ExponentTuple",
-    "TailBudgetWarning",
     "check_exponent",
     "lp_norm",
     "lq_seq_norm",
@@ -39,10 +37,6 @@ __all__ = [
 SUPPORT_TOL = 1e-13
 
 _TINY = np.finfo(float).tiny  # smallest normal float
-
-
-class TailBudgetWarning(UserWarning):
-    """Mass near the box boundary exceeded the experiment's tail budget."""
 
 
 def check_exponent(p: float) -> float:
@@ -161,37 +155,14 @@ def _cube_blocks(f: GridFunction) -> np.ndarray:
     return arr.transpose(order)
 
 
-def boundary_mass_fraction(f: GridFunction) -> float:
-    """|f|-mass share of the outermost cube shell (tail report for experiments)."""
-    blocks = _cube_blocks(f)
-    n, L = f.spec.n, f.spec.L
-    mags = np.abs(blocks)
-    total = float(np.sum(mags))
-    if total == 0.0:
-        return 0.0
-    inner = mags
-    for j in range(n):
-        inner = np.take(inner, np.arange(1, L - 1), axis=j)
-    return float((total - np.sum(inner)) / total)
-
-
-def amalgam_norm(f: GridFunction, p: float, q: float,
-                 tail_budget: float | None = None) -> float:
+def amalgam_norm(f: GridFunction, p: float, q: float) -> float:
     """Amalgam quasi-norm: inner L^p over unit cubes k + Q, outer l^q over k.
 
-    With p == q this equals the plain L^p norm.  When ``tail_budget`` is set,
-    the boundary-shell mass fraction is checked against it (periodized
-    witnesses intentionally fill the torus, so the check is opt-in).
+    With p == q this equals the plain L^p norm.
     """
     p, q = check_exponent(p), check_exponent(q)
     if f.side != "space":
         raise ValueError("amalgam_norm expects a space-side GridFunction")
-    if tail_budget is not None:
-        frac = boundary_mass_fraction(f)
-        if frac > tail_budget:
-            warnings.warn(f"boundary cube shell holds {frac:.2e} of the mass "
-                          f"(budget {tail_budget:.1e})", TailBudgetWarning,
-                          stacklevel=2)
     return lq_seq_norm(_cube_norms(f, p), q)
 
 

@@ -13,26 +13,30 @@ fraction (|phi| mass outside the box, measured from the base profile's
 inverse transform) depends only on box_factor; the default 192 brings it
 under 1e-6 (the 16/eps floor would leave about 2e-2).
 
-The slope fits run eps by eps.  Each eps builds its dilate once per space
-and reduces it once: to its per-cube L^p profile (amalgam) or to the
-pointwise l^q pool of its band stack (Wiener).  Every requested exponent of
-that space reads its norm from that one reduction, and the eps's arrays are
-gone before the next eps is built, so one dilate at a time is alive.  The
-family keeps only floats across eps: sup |f_eps|, the scale of a product's
-degenerate check, one inverse transform per eps.
+The second, companion exponent of a space cannot move a slope (amalgam
+norms grow like eps^{-n/q} whatever the inner p, Wiener norms like
+eps^{-n/p} whatever the outer q), so it is fixed at 2 in one place,
+``_reduce``.  The slope fits run eps by eps: each eps builds its dilate once
+per space and reduces it once, to its per-cube L^2 profile (amalgam) or to
+the pointwise l^2 pool of its band stack (Wiener), and every requested
+exponent of that space reads its norm from that one reduction.  The eps's
+arrays are gone before the next eps is built, so one dilate at a time is
+alive.  A bilinear product builds f_hat once per eps, takes sup |f_eps| (the
+scale of its degenerate check) from that same array, and reduces the
+product once per space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bumps import BumpProfile, Window, make_bump, _axis_factor
 from .grid import GridFunction, GridSpec, idft, make_grid
-from .norms import (_cube_norms, _power_norm, amalgam_norm, check_exponent, ExponentTuple,
-                    loglog_slope, lp_norm, lq_seq_norm, wiener_band_values, wiener_norm)
+from .norms import (_cube_norms, _power_norm, check_exponent, ExponentTuple, loglog_slope,
+                    lp_norm, wiener_band_values)
 from .operators import _grouped_sum
 from .transference import AMALGAM_CITATION, WIENER_CITATION
 
@@ -42,10 +46,9 @@ __all__ = [
     "ProductScaling",
     "NecessityVerdict",
     "make_scaling_family",
+    "scaling_slopes",
     "amalgam_scaling_slope",
-    "amalgam_scaling_slopes",
     "wiener_scaling_slope",
-    "wiener_scaling_slopes",
     "bilinear_product_scaling",
     "necessity_verdict",
 ]
@@ -95,8 +98,6 @@ class ScalingFamily:
     min_q_modulus: float       # certified floor of |phi| on Q
     tail_fraction: float       # recorded |phi| l1 mass outside the box (per axis)
     specs: dict[float, GridSpec]
-    _sup: dict[float, float] = field(default_factory=dict, init=False, repr=False,
-                                     compare=False)
 
     def scaled_profile(self, eps: float) -> BumpProfile:
         """phihat(eps^{-1}(. - xi0)) as a profile: radius eps * base radius."""
@@ -118,12 +119,6 @@ class ScalingFamily:
 
     def f(self, eps: float) -> GridFunction:
         return idft(self.f_hat(eps))
-
-    def sup_norm(self, eps: float) -> float:
-        """sup |f_eps|: one inverse transform per eps, kept as a float."""
-        if eps not in self._sup:
-            self._sup[eps] = lp_norm(self.f(eps), math.inf)
-        return self._sup[eps]
 
 
 def _phi_axis_data(base: BumpProfile, pad: int = 1 << 17,
@@ -159,8 +154,10 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
     if not 0 < base_radius <= 1:
         raise ValueError("base radius must lie in (0, 1]")
     eps_list = tuple(float(e) for e in epsilons)
-    if any(not 0 < e <= 1 for e in eps_list) or list(eps_list) != sorted(eps_list, reverse=True):
-        raise ValueError("epsilons must be a decreasing list in (0, 1]")
+    # a repeated eps would give the regression a point with no new information
+    if any(not 0 < e <= 1 for e in eps_list) or any(a <= b for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"epsilons must be a strictly decreasing list in (0, 1], got "
+                         f"{list(eps_list)}")
     if box_factor < 16.0:
         raise ValueError("box policy requires L(eps) >= 16/eps")
     # a scalar centre is the same on every axis; a list names one per axis
@@ -213,113 +210,105 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
                          tail_fraction=float(tail), specs=specs)
 
 
-def _ladder_fits(fam: ScalingFamily, norms_at) -> list[SlopeFit]:
-    """One fit per exponent from ``norms_at(eps)``, the tuple of one eps's norms
-    (one per exponent).  The ladder runs eps by eps, and each eps's arrays are
-    gone before the next eps is built."""
+def _check_space(space: str, kappa: Window | None) -> None:
+    if space not in ("amalgam", "wiener"):
+        raise ValueError("space must be 'amalgam' or 'wiener'")
+    if space == "wiener" and kappa is None:
+        raise ValueError("wiener measurement needs a window")
+
+
+def _reduce(g: GridFunction, space: str, kappa: Window | None,
+            offset) -> tuple[np.ndarray, float]:
+    """g reduced once at companion exponent 2, as (values, weight): its
+    amalgam (L^2, l^r) or Wiener W^{r,2} norm is _power_norm(values, r, weight)
+    for every r."""
+    if space == "amalgam":
+        return _cube_norms(g, 2.0), 1.0
+    spec = g.spec
+    return (_power_norm(wiener_band_values(g, kappa, offset=offset)[1], 2.0, axis=0),
+            spec.h**spec.n)
+
+
+def scaling_slopes(fam: ScalingFamily, space: str, rs, kappa: Window | None = None
+                   ) -> list[SlopeFit]:
+    """Regression slopes of log ||f_eps|| against log(1/eps), one per r in
+    ``rs``: the amalgam (L^2, l^r) or the Wiener W^{r,2} norm.  Each eps builds
+    f_eps and reduces it once, and every r reads its norm from that reduction.
+
+    Wiener slopes require single-band concentration: the support radius of
+    fhat_eps must stay inside the window plateau, so exactly one band is active.
+    """
+    _check_space(space, kappa)
+    rs = [check_exponent(r) for r in rs]
     if len(fam.epsilons) < 3:
         raise ValueError("regression needs at least 3 epsilons")
-    rows = [norms_at(e) for e in fam.epsilons]
+    e = fam.epsilons[0]  # the widest spectrum
+    rho = e * max(fam.base.radius)
+    if space == "wiener" and rho >= kappa.plateau_radius:
+        raise ValueError(f"multi-band leakage: support radius {rho} at eps={e} reaches "
+                         f"the window plateau {kappa.plateau_radius}")
+    rows = []
+    for e in fam.epsilons:
+        values, weight = _reduce(fam.f(e), space, kappa, fam.xi0)
+        rows.append([_power_norm(values, r, weight) for r in rs])
     x = [1.0 / e for e in fam.epsilons]
     fits = []
     for norms in zip(*rows):
         slope, _, r2 = loglog_slope(x, norms)
-        fits.append(SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons,
-                             norms=tuple(norms)))
+        fits.append(SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons, norms=norms))
     return fits
 
 
-def amalgam_scaling_slopes(fam: ScalingFamily, p: float, qs) -> list[SlopeFit]:
-    """Regression slopes of log ||f_eps||_(L^p, l^q) against log(1/eps), one
-    per q in ``qs``: each eps builds f_eps once, and every q reads its one
-    per-cube L^p profile."""
-    p, qs = check_exponent(p), [check_exponent(q) for q in qs]
-
-    def norms_at(e):
-        cubes = _cube_norms(fam.f(e), p)
-        return tuple(lq_seq_norm(cubes, q) for q in qs)
-    return _ladder_fits(fam, norms_at)
+def amalgam_scaling_slope(fam: ScalingFamily, q: float) -> SlopeFit:
+    """Regression slope of log ||f_eps||_(L^2, l^q) against log(1/eps)."""
+    return scaling_slopes(fam, "amalgam", [q])[0]
 
 
-def amalgam_scaling_slope(fam: ScalingFamily, p: float, q: float) -> SlopeFit:
-    """Regression slope of log ||f_eps||_(L^p, l^q) against log(1/eps)."""
-    return amalgam_scaling_slopes(fam, p, [q])[0]
+def wiener_scaling_slope(fam: ScalingFamily, p: float, kappa: Window) -> SlopeFit:
+    """Regression slope of log ||f_eps||_W^{p,2} against log(1/eps)."""
+    return scaling_slopes(fam, "wiener", [p], kappa)[0]
 
 
-def wiener_scaling_slopes(fam: ScalingFamily, ps, q: float, kappa: Window) -> list[SlopeFit]:
-    """Regression slopes of log ||f_eps||_W^{p,q} against log(1/eps), one per p
-    in ``ps``: each eps builds f_eps and its band stack once, and every p
-    reads its one pointwise l^q pool.
-
-    Requires single-band concentration: the support radius of fhat_eps must
-    stay inside the window plateau, so exactly one band is active.
-    """
-    ps, q = [check_exponent(p) for p in ps], check_exponent(q)
-
-    def norms_at(e):
-        rho = e * max(fam.base.radius)
-        if rho >= kappa.plateau_radius:
-            raise ValueError(
-                f"multi-band leakage: support radius {rho} at eps={e} reaches "
-                f"the window plateau {kappa.plateau_radius}")
-        spec = fam.specs[e]
-        pooled = _power_norm(wiener_band_values(fam.f(e), kappa, offset=fam.xi0)[1], q, axis=0)
-        # lp_norm of the pool, without its complex copy
-        return tuple(_power_norm(pooled, p, weight=spec.h**spec.n) for p in ps)
-    return _ladder_fits(fam, norms_at)
-
-
-def wiener_scaling_slope(fam: ScalingFamily, p: float, q: float,
-                         kappa: Window) -> SlopeFit:
-    """Regression slope of log ||f_eps||_W^{p,q} against log(1/eps)."""
-    return wiener_scaling_slopes(fam, [p], q, kappa)[0]
-
-
-def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
-                             measurements, kappa: Window | None = None) -> list[ProductScaling]:
-    """Measured output-norm growth of T_sigma(f_eps, g_eps), one
-    ProductScaling per (space, p, q) in ``measurements``: each eps forms the
-    product once, and every measurement reads its norm from it.
+def bilinear_product_scaling(fam: ScalingFamily, sigma_fn, measurements,
+                             kappa: Window | None = None) -> list[ProductScaling]:
+    """Measured output-norm growth of T_sigma(f_eps, f_eps), one
+    ProductScaling per (space, r) in ``measurements``: the amalgam (L^2, l^r)
+    or the Wiener W^{r,2} norm.  Each eps builds f_hat once, forms the product
+    once and reduces it once per space, and every measurement reads its norm
+    from that reduction.
 
     ``sigma_fn(xi1, xi2)`` is a vectorized symbol callable, sampled on each
-    per-eps grid (families must share their grid policy); it should be smooth
-    and nonzero at (xi0, eta0) for the growth to match the space exponent.
-    Also records the pointwise floor 2^{-1}|sigma(xi0, eta0)| check on the
-    core box |x| <= 1/(2 eps) at the smallest eps.
+    per-eps grid; it should be smooth and nonzero at (xi0, xi0) for the growth
+    to match the space exponent.  Also records the pointwise floor
+    2^{-1}|sigma(xi0, xi0)| check on the core box |x| <= 1/(2 eps) at the
+    smallest eps.
     """
-    if fam1.epsilons != fam2.epsilons or fam1.s != fam2.s \
-            or fam1.box_factor != fam2.box_factor or fam1.n != fam2.n:
-        raise ValueError("families must share the eps ladder and grid policy")
-    for space, _p, _q in measurements:
-        if space not in ("amalgam", "wiener"):
-            raise ValueError("space must be 'amalgam' or 'wiener'")
-        if space == "wiener" and kappa is None:
-            raise ValueError("wiener measurement needs a window")
-    if fam1.n != 1:
+    measurements = [(space, check_exponent(r)) for space, r in measurements]
+    spaces = dict.fromkeys(space for space, _r in measurements)
+    for space in spaces:
+        _check_space(space, kappa)
+    if fam.n != 1:
         raise ValueError("product scaling is implemented for n = 1")
-    center = np.asarray(fam1.xi0 + fam2.xi0, dtype=float)
-    for e in fam1.epsilons:
-        L = fam1.specs[e].L
-        if np.any(np.abs(center * L - np.round(center * L)) > 1e-9):
-            raise ValueError(f"(xi0, eta0)={tuple(center)} is off the symbol grid")
-    sig0 = complex(np.asarray(sigma_fn(np.asarray([fam1.xi0[0]]),
-                                       np.asarray([fam2.xi0[0]]))).reshape(-1)[0])
-    off = np.asarray(fam1.xi0, dtype=float) + np.asarray(fam2.xi0, dtype=float)
+    center = np.asarray(fam.xi0)
+    sig0 = complex(np.asarray(sigma_fn(center, center)).reshape(-1)[0])
+    offset = 2 * center  # the product's spectrum is centred at 2 * xi0
 
     norms, scales = [[] for _ in measurements], []
     min_core = math.inf
-    for e in fam1.epsilons:
-        spec = fam1.specs[e]
-        f1h, f2h = fam1.f_hat(e), fam2.f_hat(e)
+    for e in fam.epsilons:
+        spec = fam.specs[e]
+        fh = fam.f_hat(e)
+        sup = lp_norm(idft(fh), math.inf)
+        scales.append(sup * sup)
         xi = spec.axis_xi()
         T = GridFunction(spec, "space", _grouped_sum(
             lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
-            f1h.samples, f2h.samples, spec))
-        for row, (space, p, q) in zip(norms, measurements):
-            row.append(amalgam_norm(T, p, q) if space == "amalgam"
-                       else wiener_norm(T, p, q, kappa, offset=off))
-        scales.append(fam1.sup_norm(e) * fam2.sup_norm(e))
-        if e == fam1.epsilons[-1]:
+            fh.samples, fh.samples, spec))
+        reduced = {space: _reduce(T, space, kappa, offset) for space in spaces}
+        for row, (space, r) in zip(norms, measurements):
+            values, weight = reduced[space]
+            row.append(_power_norm(values, r, weight))
+        if e == fam.epsilons[-1]:
             x = spec.axis_x()
             core = np.abs(x) <= 1.0 / (2 * e)
             min_core = float(np.min(np.abs(T.samples[core])))
@@ -329,12 +318,12 @@ def bilinear_product_scaling(fam1: ScalingFamily, fam2: ScalingFamily, sigma_fn,
         degenerate = max(row) < 1e-12 * max(scales)
         slope = r2 = None
         if not degenerate:
-            slope, _, r2 = loglog_slope([1.0 / e for e in fam1.epsilons], row)
-        out.append(ProductScaling(slope=slope, r_squared=r2, epsilons=fam1.epsilons,
+            slope, _, r2 = loglog_slope([1.0 / e for e in fam.epsilons], row)
+        out.append(ProductScaling(slope=slope, r_squared=r2, epsilons=fam.epsilons,
                                   norms=tuple(row), degenerate=degenerate,
                                   sigma_at_center=sig0, min_modulus_on_core=min_core,
                                   half_bound_held=not degenerate and min_core >= 0.5 * abs(sig0),
-                                  smallest_eps=fam1.epsilons[-1]))
+                                  smallest_eps=fam.epsilons[-1]))
     return out
 
 

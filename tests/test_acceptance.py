@@ -134,7 +134,7 @@ def test_acceptance_5_scaling_slopes():
     kap = make_window(1, 0.6)
     lines = []
     for q in (1.0, 2.0, math.inf):
-        fit = amalgam_scaling_slope(fam, 2.0, q)
+        fit = amalgam_scaling_slope(fam, q)
         expected = 0.0 if math.isinf(q) else 1.0 / q
         assert abs(fit.slope - expected) <= 0.1
         if math.isinf(q):
@@ -144,7 +144,7 @@ def test_acceptance_5_scaling_slopes():
             assert fit.r_squared >= 0.99
         lines.append(f"amalgam q={q}: {fit.slope:+.3f}")
     for p in (1.0, 2.0, math.inf):
-        fit = wiener_scaling_slope(fam, p, 2.0, kap)
+        fit = wiener_scaling_slope(fam, p, kap)
         expected = 0.0 if math.isinf(p) else 1.0 / p
         assert abs(fit.slope - expected) <= 0.1
         if math.isinf(p):
@@ -286,14 +286,14 @@ def test_acceptance_10_necessity_verdicts(spec, phi04, theta, kappa):
     # measured slope gaps exceed 0.1 in the violated direction
     fam = make_scaling_family()
     one = lambda u, v: np.ones(np.broadcast(u, v).shape)
-    s_in = amalgam_scaling_slope(fam, 2.0, 2.0).slope
-    out = bilinear_product_scaling(fam, fam, one, [("amalgam", 2.0, 0.5)])[0].slope
+    s_in = amalgam_scaling_slope(fam, 2.0).slope
+    out = bilinear_product_scaling(fam, one, [("amalgam", 0.5)])[0].slope
     v_a = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 0.5), "amalgam",
                             (s_in, s_in), out)
     assert v_a.status == "violated" and v_a.gap > 0.1
 
-    w_in = wiener_scaling_slope(fam, math.inf, 2.0, kappa).slope
-    w_out = bilinear_product_scaling(fam, fam, one, [("wiener", 1.0, 2.0)],
+    w_in = wiener_scaling_slope(fam, math.inf, kappa).slope
+    w_out = bilinear_product_scaling(fam, one, [("wiener", 1.0)],
                                      kappa=kappa)[0].slope
     v_w = necessity_verdict(ExponentTuple(math.inf, math.inf, 1, 2, 2, 2),
                             "wiener", (w_in, w_in), w_out)

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from latticebump.bumps import (bump_eval, bump_eval_axes, check_condition_B,
                                make_bump, make_plateau, make_theta_pair,
-                               make_window, profile_from_json, profile_to_json,
-                               translate_slack, window_eval)
+                               make_window, translate_slack, window_eval)
 from latticebump.grid import make_grid
 
 
@@ -225,13 +222,3 @@ def test_theta_pair_rejects_non_separable_phi(spec):
     with pytest.raises(ValueError) as theta:
         make_theta_pair(radial, (0.0, 0.0), 0.1, spec)
     assert str(theta.value) == str(cond_b.value)
-
-
-def test_profile_json_round_trip():
-    for b in (make_bump(2, "tensor-exp", center=(0.5, -0.25), radius=(0.4, 0.3),
-                        amplitude=2 - 1j),
-              make_plateau(1, 0.4, 0.6, amplitude=1j)):
-        doc = profile_to_json(b)
-        back = profile_from_json(doc)
-        assert back == b
-        json.loads(doc)  # valid JSON

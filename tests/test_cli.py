@@ -287,6 +287,14 @@ def test_transfer_non_numeric_exponent_is_config_error(tmp_path, capsys):
     assert _exit_code(tmp_path, capsys, "transfer", doc) == 2
 
 
+def test_scaling_repeated_eps_is_config_error(tmp_path, capsys):
+    # a repeated eps gives the slope fits no new point: no verdict from it
+    doc = {"n": 1, "scaling": {"epsilons": [0.5, 0.5, 0.5],
+                               "verdicts": [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]}]}}
+    assert _exit_code(tmp_path, capsys, "scaling", doc) == 2
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_scaling_zero_verdict_exponent_is_config_error(tmp_path, capsys):
     doc = {"n": 1, "scaling": {"epsilons": [0.5, 0.25, 0.125], "amalgam_q": [2.0],
                                "wiener_p": [2.0],

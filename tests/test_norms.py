@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window)
 from latticebump.grid import _centered_ifftn, dft, freq_function, idft, make_grid, space_function
-from latticebump.norms import (ExponentTuple, _power_norm, TailBudgetWarning, amalgam_norm,
+from latticebump.norms import (ExponentTuple, _power_norm, amalgam_norm,
                                lp_norm, lp_norm_torus, lq_seq_norm, mixed_norm_check,
                                wiener_band_values, wiener_norm)
 from latticebump.operators import _multiplier_samples, sequence_from_dict, trig_poly_from_dict
@@ -99,14 +99,6 @@ def test_amalgam_homogeneity_small_p(spec, rng):
     g = space_function(spec, -2.5 * f.samples)
     assert amalgam_norm(g, 0.5, 0.25) == pytest.approx(
         2.5 * amalgam_norm(f, 0.5, 0.25), rel=1e-12)
-
-
-def test_amalgam_tail_budget_warning(spec):
-    f = space_function(spec, np.ones(spec.shape))  # fills the torus
-    with pytest.warns(TailBudgetWarning):
-        amalgam_norm(f, 2.0, 2.0, tail_budget=1e-8)
-    # opt-out: no warning
-    amalgam_norm(f, 2.0, 2.0)
 
 
 def test_wiener_single_band_is_lp(spec, kappa):

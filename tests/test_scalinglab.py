@@ -7,11 +7,10 @@ import pytest
 from latticebump.bumps import make_window
 from latticebump.grid import GridFunction
 from latticebump.norms import ExponentTuple, amalgam_norm, lp_norm, wiener_norm
-from latticebump.operators import AliasingWarning
-from latticebump.scalinglab import (amalgam_scaling_slope, amalgam_scaling_slopes,
-                                    bilinear_product_scaling,
-                                    make_scaling_family, necessity_verdict,
-                                    wiener_scaling_slope, wiener_scaling_slopes)
+from latticebump.operators import AliasingWarning, _grouped_sum
+from latticebump.scalinglab import (ScalingFamily, amalgam_scaling_slope,
+                                    bilinear_product_scaling, make_scaling_family,
+                                    necessity_verdict, scaling_slopes, wiener_scaling_slope)
 
 ONE = lambda u, v: np.ones(np.broadcast(u, v).shape)
 
@@ -61,6 +60,8 @@ def test_frequency_support_is_exact(fam):
 def test_family_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_scaling_family(epsilons=(0.25, 0.5))  # not decreasing
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        make_scaling_family(epsilons=(0.5, 0.5, 0.5))  # a repeated eps adds no point
     with pytest.raises(ValueError):
         make_scaling_family(box_factor=8.0)  # below the 16/eps policy
     with pytest.raises(ValueError):
@@ -87,7 +88,7 @@ def test_exact_dilation_law(fam):
 
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
 def test_amalgam_slopes(fam, q):
-    fit = amalgam_scaling_slope(fam, 2.0, q)
+    fit = amalgam_scaling_slope(fam, q)
     expected = 0.0 if math.isinf(q) else 1.0 / q
     assert fit.slope == pytest.approx(expected, abs=0.1)
     if not math.isinf(q):
@@ -99,7 +100,7 @@ def test_amalgam_slopes(fam, q):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_wiener_slopes(fam, kap, p):
-    fit = wiener_scaling_slope(fam, p, 2.0, kap)
+    fit = wiener_scaling_slope(fam, p, kap)
     expected = 0.0 if math.isinf(p) else 1.0 / p
     assert fit.slope == pytest.approx(expected, abs=0.1)
     if not math.isinf(p):
@@ -119,17 +120,17 @@ def test_wiener_single_band_collapse(fam, kap):
 def test_wiener_rejects_leaky_family(kap):
     wide = make_scaling_family(base_radius=1.0, box_factor=96.0, tail_budget=1e-2)
     with pytest.raises(ValueError):
-        wiener_scaling_slope(wide, 2.0, 2.0, kap)
+        wiener_scaling_slope(wide, 2.0, kap)
 
 
 def test_regression_needs_three_points():
     fam2 = make_scaling_family(epsilons=(0.5, 0.25))
     with pytest.raises(ValueError):
-        amalgam_scaling_slope(fam2, 2.0, 2.0)
+        amalgam_scaling_slope(fam2, 2.0)
 
 
 def test_product_scaling_constant_symbol(fam):
-    ps = bilinear_product_scaling(fam, fam, ONE, [("amalgam", 2.0, 2.0)])[0]
+    ps = bilinear_product_scaling(fam, ONE, [("amalgam", 2.0)])[0]
     assert not ps.degenerate
     assert ps.slope == pytest.approx(0.5, abs=0.1)
     assert ps.r_squared >= 0.99
@@ -138,13 +139,13 @@ def test_product_scaling_constant_symbol(fam):
 
 
 def test_product_scaling_wiener(fam, kap):
-    ps = bilinear_product_scaling(fam, fam, ONE, [("wiener", 1.0, 2.0)], kappa=kap)[0]
+    ps = bilinear_product_scaling(fam, ONE, [("wiener", 1.0)], kappa=kap)[0]
     assert ps.slope == pytest.approx(1.0, abs=0.1)
 
 
 def test_product_scaling_degenerate_symbol(fam):
     vanish = lambda u, v: np.where((np.abs(u) > 0.2) & (np.abs(v) > 0.2), 1.0, 0.0)
-    ps = bilinear_product_scaling(fam, fam, vanish, [("amalgam", 2.0, 2.0)])[0]
+    ps = bilinear_product_scaling(fam, vanish, [("amalgam", 2.0)])[0]
     assert ps.degenerate
     assert ps.slope is None
 
@@ -169,7 +170,7 @@ def _product_samples(sigma_fn, f1h, f2h):
 def test_product_scaling_equals_support_sum_reference(sigma_fn):
     # the benchmark's ladder: eps 1/2 ... 1/64 at a grid-aligned xi0
     fam = make_scaling_family(xi0=0.75, epsilons=[2.0 ** -j for j in range(1, 7)])
-    ps = bilinear_product_scaling(fam, fam, sigma_fn, [("amalgam", 2.0, 1.0)])[0]
+    ps = bilinear_product_scaling(fam, sigma_fn, [("amalgam", 1.0)])[0]
     ref = [amalgam_norm(GridFunction(fam.specs[e], "space",
                                      _product_samples(sigma_fn, fam.f_hat(e), fam.f_hat(e))),
                         2.0, 1.0) for e in fam.epsilons]
@@ -179,36 +180,30 @@ def test_product_scaling_equals_support_sum_reference(sigma_fn):
 def test_product_scaling_batch_equals_single_measurements(kap):
     # one product per eps serves every measurement, bit for bit
     fam = make_scaling_family(xi0=0.75, epsilons=[2.0 ** -j for j in range(1, 7)])
-    wanted = [("amalgam", 2.0, 0.5), ("wiener", 1.0, 2.0), ("amalgam", 2.0, 1.0)]
-    batch = bilinear_product_scaling(fam, fam, ONE, wanted, kappa=kap)
+    wanted = [("amalgam", 0.5), ("wiener", 1.0), ("amalgam", 1.0)]
+    batch = bilinear_product_scaling(fam, ONE, wanted, kappa=kap)
     assert len(batch) == len(wanted)
     for m, ps in zip(wanted, batch):
-        assert ps == bilinear_product_scaling(fam, fam, ONE, [m], kappa=kap)[0]
+        assert ps == bilinear_product_scaling(fam, ONE, [m], kappa=kap)[0]
 
 
 def test_product_scaling_warns_when_output_folds():
     # 2 * xi0 = 5 lies outside the s = 8 frequency box [-4, 4)
     fam = make_scaling_family(xi0=2.5, s=8)
     with pytest.warns(AliasingWarning):
-        bilinear_product_scaling(fam, fam, ONE, [("amalgam", 2.0, 2.0)])
-
-
-def test_product_scaling_rejects_mismatched_families(fam):
-    other = make_scaling_family(box_factor=256.0)
-    with pytest.raises(ValueError):
-        bilinear_product_scaling(fam, other, ONE, [("amalgam", 2.0, 2.0)])
+        bilinear_product_scaling(fam, ONE, [("amalgam", 2.0)])
 
 
 def test_necessity_verdicts_measured(fam, kap):
     # amalgam, boundary case (2,2,1): consistent
-    in1 = amalgam_scaling_slope(fam, 2.0, 2.0).slope
-    ps1 = bilinear_product_scaling(fam, fam, ONE, [("amalgam", 2.0, 1.0)])[0]
+    in1 = amalgam_scaling_slope(fam, 2.0).slope
+    ps1 = bilinear_product_scaling(fam, ONE, [("amalgam", 1.0)])[0]
     v = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 1.0), "amalgam",
                           (in1, in1), ps1.slope)
     assert v.status == "consistent"
 
     # amalgam violation (2,2,1/2): output doubles the input growth
-    ps2 = bilinear_product_scaling(fam, fam, ONE, [("amalgam", 2.0, 0.5)])[0]
+    ps2 = bilinear_product_scaling(fam, ONE, [("amalgam", 0.5)])[0]
     v2 = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 0.5), "amalgam",
                            (in1, in1), ps2.slope)
     assert v2.status == "violated"
@@ -216,8 +211,8 @@ def test_necessity_verdicts_measured(fam, kap):
     assert "1/q <= 1/q1 + 1/q2" in v2.citation
 
     # wiener violation (inf, inf, 1)
-    win = wiener_scaling_slope(fam, math.inf, 2.0, kap).slope
-    ps3 = bilinear_product_scaling(fam, fam, ONE, [("wiener", 1.0, 2.0)], kappa=kap)[0]
+    win = wiener_scaling_slope(fam, math.inf, kap).slope
+    ps3 = bilinear_product_scaling(fam, ONE, [("wiener", 1.0)], kappa=kap)[0]
     v3 = necessity_verdict(ExponentTuple(math.inf, math.inf, 1.0, 2, 2, 2),
                            "wiener", (win, win), ps3.slope)
     assert v3.status == "violated"
@@ -267,22 +262,53 @@ EXPONENTS = [0.5, 1.0, 2.0, math.inf]
 
 
 def test_batched_amalgam_fits_equal_single_norms_bitwise(ladder):
-    fits = amalgam_scaling_slopes(ladder, 2.0, EXPONENTS)
+    fits = scaling_slopes(ladder, "amalgam", EXPONENTS)
     for q, fit in zip(EXPONENTS, fits):
         assert fit.norms == tuple(amalgam_norm(ladder.f(e), 2.0, q) for e in ladder.epsilons)
-        assert amalgam_scaling_slope(ladder, 2.0, q) == fit
+        assert amalgam_scaling_slope(ladder, q) == fit
 
 
 def test_batched_wiener_fits_equal_single_norms_bitwise(ladder, kap):
-    fits = wiener_scaling_slopes(ladder, EXPONENTS, 2.0, kap)
+    fits = scaling_slopes(ladder, "wiener", EXPONENTS, kap)
     for p, fit in zip(EXPONENTS, fits):
         assert fit.norms == tuple(wiener_norm(ladder.f(e), p, 2.0, kap, offset=ladder.xi0)
                                   for e in ladder.epsilons)
-        assert wiener_scaling_slope(ladder, p, 2.0, kap) == fit
+        assert wiener_scaling_slope(ladder, p, kap) == fit
 
 
-def test_sup_norm_is_the_memoised_sup_of_each_dilate(ladder):
+def test_scaling_slopes_rejects_an_unknown_space_or_a_missing_window(ladder):
+    with pytest.raises(ValueError, match="space must be"):
+        scaling_slopes(ladder, "besov", [2.0])
+    with pytest.raises(ValueError, match="needs a window"):
+        scaling_slopes(ladder, "wiener", [2.0])
+
+
+def test_product_norms_equal_the_companion_2_norms_of_the_product_bitwise(ladder, kap):
+    # every product norm is the amalgam (L^2, l^r) or the Wiener W^{r,2} norm
+    # of T_1(f_eps, f_eps), whose spectrum is centred at 2 * xi0
+    wanted = [(space, r) for space in ("amalgam", "wiener") for r in EXPONENTS]
+    batch = bilinear_product_scaling(ladder, ONE, wanted, kappa=kap)
+    offset = 2 * np.asarray(ladder.xi0)
+    products = []
     for e in ladder.epsilons:
-        assert ladder.sup_norm(e) == lp_norm(ladder.f(e), math.inf)
-    # the memo holds one float per eps, never an array
-    assert all(type(v) is float for v in ladder._sup.values())
+        spec, fh = ladder.specs[e], ladder.f_hat(e).samples
+        xi = spec.axis_xi()
+        products.append(GridFunction(spec, "space", _grouped_sum(
+            lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex), fh, fh, spec)))
+    for (space, r), ps in zip(wanted, batch):
+        assert ps.norms == tuple(amalgam_norm(T, 2.0, r) if space == "amalgam"
+                                 else wiener_norm(T, r, 2.0, kap, offset=offset)
+                                 for T in products)
+
+
+def test_product_scaling_builds_one_dilate_per_eps(ladder, kap, monkeypatch):
+    # one f_hat per eps serves both factors and the sup of the degenerate check
+    calls = []
+    f_hat = ScalingFamily.f_hat
+
+    def counted(self, eps):
+        calls.append(eps)
+        return f_hat(self, eps)
+    monkeypatch.setattr(ScalingFamily, "f_hat", counted)
+    bilinear_product_scaling(ladder, ONE, [("amalgam", 0.5), ("wiener", 1.0)], kappa=kap)
+    assert calls == list(ladder.epsilons)

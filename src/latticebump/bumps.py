@@ -214,16 +214,23 @@ def make_window(d: int, outer: float) -> Window:
 def _window_axis(w: Window, axis: int, u: np.ndarray) -> np.ndarray:
     """Per-axis window factor P(u)/sum_m P(u - m) (translate sum has <= 3 terms).
 
-    A valid window (outer > 1/2) has a strictly positive translate sum; a
-    corrupted base with cover gaps evaluates to 0 there, which downstream
-    partition checks then catch."""
+    Evaluated only on the support slab |u - c| < outer of P; elsewhere P,
+    and so the factor, is exactly 0.  Every value is computed pointwise, so
+    the slab changes no bit.  A valid window (outer > 1/2) has a strictly
+    positive translate sum; a corrupted base with cover gaps evaluates to 0
+    there, which downstream partition checks then catch."""
     u = np.asarray(u, dtype=float)
-    num = _axis_factor(w.base, axis, u)
+    c = w.base.center[axis]
+    out = np.zeros_like(u)
+    slab = np.abs(u - c) < w.base.radius[axis]
+    us = u[slab]
+    num = _axis_factor(w.base, axis, us)
     den = np.zeros_like(num)
-    k0 = np.floor(u - w.base.center[axis]).astype(int)
+    k0 = np.floor(us - c).astype(int)
     for off in (-1, 0, 1, 2):
-        den = den + _axis_factor(w.base, axis, u - (k0 + off))
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        den = den + _axis_factor(w.base, axis, us - (k0 + off))
+    out[slab] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return out
 
 
 def window_eval_axes(w: Window, axes: list[np.ndarray]) -> np.ndarray:

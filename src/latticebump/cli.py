@@ -461,16 +461,17 @@ def cmd_scaling(args) -> int:
     spaces = (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p"))
     table = {space: [(r, _exponent(r)) for r in _list(sc, key, [1.0, 2.0, "inf"], "scaling")]
              for space, key, _name in spaces}
-    # one batched fit per space serves its slope table and its verdicts' inputs
+    # one pass over the eps ladder serves the slope table, the verdicts'
+    # input slopes and their output norms (one T_1(f_eps, f_eps) per eps)
     wanted = {space: [rv for _r, rv in table[space]] for space in table}
     for space, _ex, rs in verdict_specs:
         wanted[space] += rs[:2]
-    fits = {}
-    for space, rs in wanted.items():
-        rs = list(dict.fromkeys(rs))
-        if rs:
-            batch = scalinglab.scaling_slopes(fam, space, rs, kappa)
-            fits.update(((space, r), fit) for r, fit in zip(rs, batch))
+    wanted = {space: list(dict.fromkeys(rs)) for space, rs in wanted.items() if rs}
+    outputs = [(space, rs[2]) for space, _ex, rs in verdict_specs]
+    batches, products = scalinglab._scaling_pass(
+        fam, wanted, outputs, kappa, lambda u, v: np.ones(np.broadcast(u, v).shape))
+    fits = {(space, r): fit for space, rs in wanted.items()
+            for r, fit in zip(rs, batches[space])}
 
     rows = [["space", "exponent", "eps", "norm"]]
     for space, key, name in spaces:
@@ -483,11 +484,6 @@ def cmd_scaling(args) -> int:
                 rows.append([space, f"{name}={r}", e, nv])
     _write_csv(out / "norms.csv", rows)
 
-    # necessity verdicts: all read one product T_1(f_eps, f_eps) per eps
-    outputs = [(space, rs[2]) for space, _ex, rs in verdict_specs]
-    products = scalinglab.bilinear_product_scaling(
-        fam, lambda u, v: np.ones(np.broadcast(u, v).shape), outputs,
-        kappa=kappa) if outputs else []
     verdicts = []
     for (space, ex, (r1, r2, _r)), ps in zip(verdict_specs, products):
         slopes = (fits[space, r1].slope, fits[space, r2].slope)

@@ -37,6 +37,8 @@ __all__ = [
 SUPPORT_TOL = 1e-13
 
 _TINY = np.finfo(float).tiny  # smallest normal float
+# a log-log ladder whose values spread by at most this many ulps is flat
+FLAT_ULPS = 4
 
 
 def check_exponent(p: float) -> float:
@@ -256,10 +258,18 @@ def mixed_norm_check(F: np.ndarray, p: float, q: float) -> tuple[float, float]:
 
 
 def loglog_slope(xs, ys) -> tuple[float, float, float]:
-    """Least-squares slope of log(y) against log(x): (slope, intercept, R^2)."""
-    lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
+    """Least-squares slope of log(y) against log(x): (slope, intercept, R^2).
+
+    Values that agree within FLAT_ULPS ulps of the largest are a flat ladder:
+    its spread is rounding, not growth, so the fit is (0, mean log y, 1)
+    instead of a slope and an R^2 fitted to that noise."""
+    ys = np.asarray(ys, dtype=float)
+    lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(ys)
     if lx.size < 2:
         raise ValueError("regression needs at least two points")
+    top = np.max(ys)
+    if top - np.min(ys) <= FLAT_ULPS * np.spacing(top):
+        return 0.0, float(np.mean(ly)), 1.0
     slope, intercept = np.polyfit(lx, ly, 1)
     fit = slope * lx + intercept
     ss_res = float(np.sum((ly - fit) ** 2))

@@ -13,17 +13,23 @@ fraction (|phi| mass outside the box, measured from the base profile's
 inverse transform) depends only on box_factor; the default 192 brings it
 under 1e-6 (the 16/eps floor would leave about 2e-2).
 
+The certified floor min_Q |phi| >= 1 needs one quadrature only: each axis
+factor of phi decreases on [0, 1/2] for an even, nonnegative base of radius
+<= 1, so its minimum on Q sits at the corner |x_j| = 1/2 (``_q_floor``).
+
 The second, companion exponent of a space cannot move a slope (amalgam
 norms grow like eps^{-n/q} whatever the inner p, Wiener norms like
 eps^{-n/p} whatever the outer q), so it is fixed at 2 in one place,
-``_reduce``.  The slope fits run eps by eps: each eps builds its dilate once
-per space and reduces it once, to its per-cube L^2 profile (amalgam) or to
-the pointwise l^2 pool of its band stack (Wiener), and every requested
-exponent of that space reads its norm from that one reduction.  The eps's
-arrays are gone before the next eps is built, so one dilate at a time is
-alive.  A bilinear product builds f_hat once per eps, takes sup |f_eps| (the
-scale of its degenerate check) from that same array, and reduces the
-product once per space.
+``_reduce``.  Every measurement runs in one eps-major pass
+(``_scaling_pass``, behind ``scaling_slopes``, ``bilinear_product_scaling``
+and the ``scaling`` command): each eps builds f_hat once and f_eps = its
+inverse transform once, reduces f_eps once per space, to its per-cube L^2
+profile (amalgam) or to the pointwise l^2 pool of its band stack (Wiener),
+and every requested exponent of that space reads its norm from that one
+reduction.  The same f_eps gives sup |f_eps| (the scale of the products'
+degenerate check), and the same f_hat gives the product T_sigma(f_eps,
+f_eps), formed once and reduced once per space.  The eps's arrays are gone
+before the next eps is built, so one eps's arrays are alive at a time.
 """
 
 from __future__ import annotations
@@ -140,6 +146,29 @@ def _phi_axis_data(base: BumpProfile, pad: int = 1 << 17,
     return x[keep][order], np.abs(F[keep][order])
 
 
+def _q_floor(base: BumpProfile) -> float:
+    """min over Q = [-1/2, 1/2] of |phi_1d|, the inverse transform of one
+    axis of the tensor-exp base, from a 4096-node direct quadrature at
+    x = 1/2 alone.
+
+    The axis factor phihat is even, >= 0 and supported in [-r, r] with
+    r <= 1, so phi(x) = int phihat(u) cos(2 pi x u) du is even and
+    phi'(x) = -int 2 pi u phihat(u) sin(2 pi x u) du <= 0 on [0, 1/2]
+    (t sin t >= 0 for |t| <= pi).  The same holds term by term for the
+    quadrature, whose weights are >= 0 and whose nodes are symmetric (the
+    unpaired node -r carries weight phihat(-r) = 0).  So phi decreases on
+    [0, 1/2] and its minimum modulus on Q is |phi(1/2)|, unless
+    phi(1/2) <= 0, in which case phi has a zero on Q.  (The FFT ladder of
+    ``_phi_axis_data`` resolves tails, not this corner value.)
+    """
+    r = base.radius[0]
+    u = -r + 2 * r * np.arange(4096) / 4096
+    phi_half = np.exp(1j * np.pi * u) @ (_axis_factor(base, 0, u) * (2 * r / 4096))
+    if phi_half.real <= 0:
+        raise ValueError("|phi| vanishes on Q; choose a wider base bump")
+    return float(abs(phi_half))
+
+
 def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
                         s: int = 8, box_factor: float = 192.0,
                         base_radius: float = 0.3,
@@ -148,8 +177,10 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
 
     The base frequency bump has per-axis radius ``base_radius`` (<= 1); small
     radii keep the Fourier support of every f_eps inside window plateaus for
-    the Wiener experiments.  The amplitude is chosen from a fine probe so
-    that |phi| >= 1 on Q; if that fails the base is too narrow.
+    the Wiener experiments.  The amplitude is chosen so that |phi| >= 1 on
+    Q: |phi| is a product of per-axis factors, each smallest at the corner
+    |x_j| = 1/2 (see ``_q_floor``), so one quadrature at x = 1/2 certifies
+    the floor; a phi that vanishes on Q is refused.
     """
     if not 0 < base_radius <= 1:
         raise ValueError("base radius must lie in (0, 1]")
@@ -170,21 +201,7 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
     dx = x[1] - x[0]
     total = 2.0 * np.trapezoid(mag, dx=dx)
     tail = 2.0 * np.trapezoid(mag[x > box_factor / 2], dx=dx) / total
-    # Q-floor from an endpoint-inclusive probe with a fine direct quadrature
-    # (the FFT ladder above resolves tails, not the minimum at |x| = 1/2)
-    r = base.radius[0]
-    nodes = -r + 2 * r * np.arange(4096) / 4096
-    weights = _axis_factor(base, 0, nodes) * (2 * r / 4096)
-    probe = np.linspace(0.0, 0.5, 513)
-    # the phase matrix is filled 32 rows at a time, so no temporary of its
-    # size sits next to it; the one matvec over all of it keeps its bits
-    phases = np.empty((probe.size, nodes.size), dtype=complex)
-    for i in range(0, probe.size, 32):
-        phases[i:i + 32] = np.exp(2j * np.pi * np.outer(probe[i:i + 32], nodes))
-    phi_q = phases @ weights
-    min_q_axis = float(np.min(np.abs(phi_q)))
-    if min_q_axis <= 0:
-        raise ValueError("|phi| vanishes on Q; choose a wider base bump")
+    min_q_axis = _q_floor(base)
     # |phi_nd| = prod |phi_1d(x_j)|; one global amplitude lifts the Q-floor to 1
     amplitude = (1.0 + 1e-6) / min_q_axis**n
 
@@ -229,6 +246,100 @@ def _reduce(g: GridFunction, space: str, kappa: Window | None,
             spec.h**spec.n)
 
 
+def _norms(g: GridFunction, measurements, kappa: Window | None, offset) -> list[float]:
+    """The norm of g for each (space, r) in ``measurements``, from one
+    reduction per space."""
+    reduced = {space: _reduce(g, space, kappa, offset)
+               for space in dict.fromkeys(space for space, _r in measurements)}
+    return [_power_norm(reduced[space][0], r, reduced[space][1])
+            for space, r in measurements]
+
+
+def _product_row(fam: ScalingFamily, e: float, fh: GridFunction, products, kappa,
+                 sigma_fn) -> tuple[list[float], float | None]:
+    """The (space, r) norms of T_sigma(f_eps, f_eps) from its spectrum ``fh``,
+    and min |T| on the core box |x| <= 1/(2 eps) at the smallest eps."""
+    spec = fam.specs[e]
+    xi = spec.axis_xi()
+    T = GridFunction(spec, "space", _grouped_sum(
+        lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
+        fh.samples, fh.samples, spec))
+    min_core = None
+    if e == fam.epsilons[-1]:
+        core = np.abs(spec.axis_x()) <= 1.0 / (2 * e)
+        min_core = float(np.min(np.abs(T.samples[core])))
+    # the product's spectrum is centred at 2 * xi0
+    return _norms(T, products, kappa, 2 * np.asarray(fam.xi0)), min_core
+
+
+def _eps_row(fam: ScalingFamily, e: float, ladders, products, kappa, sigma_fn):
+    """One eps of the pass: (ladder norms, product norms, min |T| on the core
+    box, sup |f_eps|).  Every array of the eps dies before it returns."""
+    fh = fam.f_hat(e)
+    product_norms, min_core = (_product_row(fam, e, fh, products, kappa, sigma_fn)
+                               if products else ([], None))
+    f = idft(fh)
+    del fh  # not needed while f_eps is reduced
+    sup = lp_norm(f, math.inf) if products else None
+    return _norms(f, ladders, kappa, fam.xi0), product_norms, min_core, sup
+
+
+def _scaling_pass(fam: ScalingFamily, slopes, products, kappa: Window | None = None,
+                  sigma_fn=None) -> tuple[dict[str, list[SlopeFit]], list[ProductScaling]]:
+    """Every scaling measurement of one family in one eps-major pass.
+
+    ``slopes`` maps a space to the exponents r whose norms of f_eps are
+    fitted against log(1/eps); ``products`` lists the (space, r) norms of
+    T_sigma(f_eps, f_eps) for the vectorized symbol ``sigma_fn``.  Each eps
+    builds f_hat and its inverse transform once, reduces f_eps once per
+    slope space, takes sup |f_eps| from that same array and forms and
+    reduces the product once per space.  Returns one SlopeFit per r of each
+    slope space and one ProductScaling per product measurement.
+    """
+    ladders = [(space, check_exponent(r)) for space, rs in slopes.items() for r in rs]
+    products = [(space, check_exponent(r)) for space, r in products]
+    for space in dict.fromkeys([*slopes, *(space for space, _r in products)]):
+        _check_space(space, kappa)
+    if slopes and len(fam.epsilons) < 3:
+        raise ValueError("regression needs at least 3 epsilons")
+    e = fam.epsilons[0]  # the widest spectrum
+    rho = e * max(fam.base.radius)
+    if "wiener" in slopes and rho >= kappa.plateau_radius:
+        raise ValueError(f"multi-band leakage: support radius {rho} at eps={e} reaches "
+                         f"the window plateau {kappa.plateau_radius}")
+    if products and fam.n != 1:
+        raise ValueError("product scaling is implemented for n = 1")
+
+    fits = {space: [] for space in slopes}
+    if not ladders and not products:
+        return fits, []
+    ladder_rows, product_rows, cores, sups = zip(*(
+        _eps_row(fam, e, ladders, products, kappa, sigma_fn) for e in fam.epsilons))
+    x = [1.0 / e for e in fam.epsilons]
+    for (space, _r), norms in zip(ladders, zip(*ladder_rows)):
+        slope, _, r2 = loglog_slope(x, norms)
+        fits[space].append(SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons,
+                                    norms=norms))
+    if not products:
+        return fits, []
+    center = np.asarray(fam.xi0)
+    sig0 = complex(np.asarray(sigma_fn(center, center)).reshape(-1)[0])
+    scale = max(sup * sup for sup in sups)
+    min_core = cores[-1]
+    out = []
+    for norms in zip(*product_rows):
+        degenerate = max(norms) < 1e-12 * scale
+        slope = r2 = None
+        if not degenerate:
+            slope, _, r2 = loglog_slope(x, norms)
+        out.append(ProductScaling(slope=slope, r_squared=r2, epsilons=fam.epsilons,
+                                  norms=norms, degenerate=degenerate,
+                                  sigma_at_center=sig0, min_modulus_on_core=min_core,
+                                  half_bound_held=not degenerate and min_core >= 0.5 * abs(sig0),
+                                  smallest_eps=fam.epsilons[-1]))
+    return fits, out
+
+
 def scaling_slopes(fam: ScalingFamily, space: str, rs, kappa: Window | None = None
                    ) -> list[SlopeFit]:
     """Regression slopes of log ||f_eps|| against log(1/eps), one per r in
@@ -238,25 +349,7 @@ def scaling_slopes(fam: ScalingFamily, space: str, rs, kappa: Window | None = No
     Wiener slopes require single-band concentration: the support radius of
     fhat_eps must stay inside the window plateau, so exactly one band is active.
     """
-    _check_space(space, kappa)
-    rs = [check_exponent(r) for r in rs]
-    if len(fam.epsilons) < 3:
-        raise ValueError("regression needs at least 3 epsilons")
-    e = fam.epsilons[0]  # the widest spectrum
-    rho = e * max(fam.base.radius)
-    if space == "wiener" and rho >= kappa.plateau_radius:
-        raise ValueError(f"multi-band leakage: support radius {rho} at eps={e} reaches "
-                         f"the window plateau {kappa.plateau_radius}")
-    rows = []
-    for e in fam.epsilons:
-        values, weight = _reduce(fam.f(e), space, kappa, fam.xi0)
-        rows.append([_power_norm(values, r, weight) for r in rs])
-    x = [1.0 / e for e in fam.epsilons]
-    fits = []
-    for norms in zip(*rows):
-        slope, _, r2 = loglog_slope(x, norms)
-        fits.append(SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons, norms=norms))
-    return fits
+    return _scaling_pass(fam, {space: rs}, [], kappa)[0][space]
 
 
 def amalgam_scaling_slope(fam: ScalingFamily, q: float) -> SlopeFit:
@@ -283,48 +376,7 @@ def bilinear_product_scaling(fam: ScalingFamily, sigma_fn, measurements,
     2^{-1}|sigma(xi0, xi0)| check on the core box |x| <= 1/(2 eps) at the
     smallest eps.
     """
-    measurements = [(space, check_exponent(r)) for space, r in measurements]
-    spaces = dict.fromkeys(space for space, _r in measurements)
-    for space in spaces:
-        _check_space(space, kappa)
-    if fam.n != 1:
-        raise ValueError("product scaling is implemented for n = 1")
-    center = np.asarray(fam.xi0)
-    sig0 = complex(np.asarray(sigma_fn(center, center)).reshape(-1)[0])
-    offset = 2 * center  # the product's spectrum is centred at 2 * xi0
-
-    norms, scales = [[] for _ in measurements], []
-    min_core = math.inf
-    for e in fam.epsilons:
-        spec = fam.specs[e]
-        fh = fam.f_hat(e)
-        sup = lp_norm(idft(fh), math.inf)
-        scales.append(sup * sup)
-        xi = spec.axis_xi()
-        T = GridFunction(spec, "space", _grouped_sum(
-            lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
-            fh.samples, fh.samples, spec))
-        reduced = {space: _reduce(T, space, kappa, offset) for space in spaces}
-        for row, (space, r) in zip(norms, measurements):
-            values, weight = reduced[space]
-            row.append(_power_norm(values, r, weight))
-        if e == fam.epsilons[-1]:
-            x = spec.axis_x()
-            core = np.abs(x) <= 1.0 / (2 * e)
-            min_core = float(np.min(np.abs(T.samples[core])))
-
-    out = []
-    for row in norms:
-        degenerate = max(row) < 1e-12 * max(scales)
-        slope = r2 = None
-        if not degenerate:
-            slope, _, r2 = loglog_slope([1.0 / e for e in fam.epsilons], row)
-        out.append(ProductScaling(slope=slope, r_squared=r2, epsilons=fam.epsilons,
-                                  norms=tuple(row), degenerate=degenerate,
-                                  sigma_at_center=sig0, min_modulus_on_core=min_core,
-                                  half_bound_held=not degenerate and min_core >= 0.5 * abs(sig0),
-                                  smallest_eps=fam.epsilons[-1]))
-    return out
+    return _scaling_pass(fam, {}, measurements, kappa, sigma_fn)[1]
 
 
 def necessity_verdict(exponents: ExponentTuple, space: str,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from latticebump.bumps import (bump_eval, bump_eval_axes, check_condition_B,
-                               make_bump, make_plateau, make_theta_pair,
+from latticebump.bumps import (Window, _axis_factor, _window_axis, bump_eval, bump_eval_axes,
+                               check_condition_B, make_bump, make_plateau, make_theta_pair,
                                make_window, translate_slack, window_eval)
 from latticebump.grid import make_grid
 
@@ -87,6 +87,32 @@ def test_window_eval_rejects_points_with_extra_components():
         window_eval(make_window(2, 0.6), [0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match="points must have 2 components"):
         bump_eval(make_bump(2, "tensor-exp", radius=0.4), [0.1, 0.2, 0.3])
+
+
+def _full_axis_window(w, axis, u):
+    # the window factor evaluated on every point of u, support or not
+    u = np.asarray(u, dtype=float)
+    num = _axis_factor(w.base, axis, u)
+    den = np.zeros_like(num)
+    k0 = np.floor(u - w.base.center[axis]).astype(int)
+    for off in (-1, 0, 1, 2):
+        den = den + _axis_factor(w.base, axis, u - (k0 + off))
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+@pytest.mark.parametrize("outer", [0.51, 0.6, 0.99])
+@pytest.mark.parametrize("center", [0.0, 0.3, -1.25])
+def test_window_axis_on_its_support_slab_is_the_full_axis_bitwise(rng, outer, center):
+    w = Window(base=make_plateau(1, inner=1.0 - outer, outer=outer, center=center))
+    spec = make_grid(1, 8, 32)
+    inputs = [spec.axis_xi(), spec.axis_xi() - 0.5 / spec.L,  # on and off the grid
+              rng.uniform(-4.0, 4.0, 2000), rng.uniform(-4.0, 4.0, (50, 1)),
+              center + outer * np.array([-1.0, 1.0]),      # the support's edges
+              np.float64(center + 0.2), np.asarray(center + 3.0), np.float64(center + outer)]
+    for u in inputs:
+        got, want = _window_axis(w, 0, u), _full_axis_window(w, 0, u)
+        assert got.shape == want.shape == np.shape(u)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_window_rejects_radii_outside_half_one():

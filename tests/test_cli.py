@@ -228,6 +228,28 @@ def test_scaling_forms_one_product_per_eps(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) == len(BENCH_EPSILONS)
 
 
+def test_scaling_builds_and_transforms_each_dilate_once(tmp_path, monkeypatch):
+    # one f_hat and one inverse transform per eps serve both slope tables,
+    # the verdicts' input slopes and their products
+    from latticebump import scalinglab
+    dilates, transforms = [], []
+    f_hat, idft_ = scalinglab.ScalingFamily.f_hat, scalinglab.idft
+
+    def counted_f_hat(self, eps):
+        dilates.append(eps)
+        return f_hat(self, eps)
+
+    def counted_idft(g):
+        transforms.append(g.spec.L)
+        return idft_(g)
+    monkeypatch.setattr(scalinglab.ScalingFamily, "f_hat", counted_f_hat)
+    monkeypatch.setattr(scalinglab, "idft", counted_idft)
+    cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert dilates == BENCH_EPSILONS
+    assert len(transforms) == len(set(transforms)) == len(BENCH_EPSILONS)
+
+
 def test_scaling_n2_scalar_xi0_reaches_the_grid_budget(tmp_path, capsys):
     # a scalar xi0 is the centre on every axis, so the README config at n = 2
     # gets past the family's centre and stops at the 2^24-value grid budget
@@ -237,6 +259,21 @@ def test_scaling_n2_scalar_xi0_reaches_the_grid_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: grid with ") and "exceeds budget" in err
+
+
+def test_scaling_n2_verdict_is_config_error_before_any_dilate(tmp_path, capsys, monkeypatch):
+    # products are implemented for n = 1: the pass refuses before it builds
+    # the slope table's dilates (about 1 GB at this ladder)
+    from latticebump import scalinglab
+
+    def refused(self, eps):
+        raise AssertionError("dilate built")
+    monkeypatch.setattr(scalinglab.ScalingFamily, "f_hat", refused)
+    doc = _with(_with(_readme_scaling(), ("n",), 2), ("scaling", "epsilons"), [1, 0.75, 0.5])
+    code = main(["scaling", "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: product scaling is implemented")
 
 
 def test_scaling_two_point_ladder_is_config_error(tmp_path):

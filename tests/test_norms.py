@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window)
 from latticebump.grid import _centered_ifftn, dft, freq_function, idft, make_grid, space_function
-from latticebump.norms import (ExponentTuple, _power_norm, amalgam_norm,
+from latticebump.norms import (ExponentTuple, _power_norm, amalgam_norm, loglog_slope,
                                lp_norm, lp_norm_torus, lq_seq_norm, mixed_norm_check,
                                wiener_band_values, wiener_norm)
 from latticebump.operators import _multiplier_samples, sequence_from_dict, trig_poly_from_dict
@@ -328,3 +328,17 @@ def test_wiener_band_stack_is_built_band_by_band():
                        for mu in bands])
     assert np.array_equal(stack, spec.s**2 * _centered_ifftn(pieces, axes=(1, 2)))
     assert peak <= 2 * stack.nbytes
+
+
+@pytest.mark.parametrize("ulps", [[0, 0, 0, 0, 0, 0], [0, 2, 1, 0, 2, 1], [2, 0, 0, 1, 0, 0]])
+def test_loglog_slope_of_a_ladder_flat_to_two_ulps_is_exactly_flat(ulps):
+    base = 1.0735427826163053
+    ys = []
+    for k in ulps:
+        y = base
+        for _ in range(k):
+            y = np.nextafter(y, 2.0)
+        ys.append(y)
+    slope, _intercept, r2 = loglog_slope([2.0 ** j for j in range(1, 7)], ys)
+    assert (slope, r2) == (0.0, 1.0)
+

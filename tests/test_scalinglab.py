@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latticebump.bumps import make_window
+from latticebump.bumps import _axis_factor, make_bump, make_window
 from latticebump.grid import GridFunction
-from latticebump.norms import ExponentTuple, amalgam_norm, lp_norm, wiener_norm
+from latticebump.norms import ExponentTuple, amalgam_norm, loglog_slope, lp_norm, wiener_norm
 from latticebump.operators import AliasingWarning, _grouped_sum
-from latticebump.scalinglab import (ScalingFamily, amalgam_scaling_slope,
+from latticebump.scalinglab import (ScalingFamily, _q_floor, amalgam_scaling_slope,
                                     bilinear_product_scaling, make_scaling_family,
                                     necessity_verdict, scaling_slopes, wiener_scaling_slope)
 
@@ -240,8 +240,8 @@ def test_scalar_xi0_is_the_centre_on_every_axis():
 
 
 def test_family_build_stays_under_its_memory_bound():
-    # the Q-floor probe's 513 x 4096 phase matrix is filled in row blocks, so
-    # no temporary of its size (32 MiB) sits next to it
+    # a loose bound: the Q-floor is one quadrature at x = 1/2, and no
+    # probe-sized phase matrix is built at all
     tracemalloc.start()
     try:
         make_scaling_family()
@@ -249,6 +249,47 @@ def test_family_build_stays_under_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+def test_family_build_stays_under_8_mib():
+    # the Q-floor reads one point; the FFT tail ladder (2^17 samples) is
+    # the largest array of the build
+    tracemalloc.start()
+    try:
+        make_scaling_family()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def _dense_q_floor(base):
+    # min |phi_1d| over an endpoint-inclusive 513-point probe of [0, 1/2],
+    # with the same 4096-node quadrature as the one-point floor
+    r = base.radius[0]
+    nodes = -r + 2 * r * np.arange(4096) / 4096
+    weights = _axis_factor(base, 0, nodes) * (2 * r / 4096)
+    probe = np.linspace(0.0, 0.5, 513)
+    return float(np.min(np.abs(np.exp(2j * np.pi * np.outer(probe, nodes)) @ weights)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_point_q_floor_is_the_dense_probe_minimum(n):
+    radii = list(np.linspace(0.04, 1.0, 25))
+    assert radii[-1] == 1.0
+    for r in radii:
+        base = make_bump(n, "tensor-exp", radius=r)
+        dense = _dense_q_floor(base)
+        assert abs(_q_floor(base) - dense) <= 1e-15 * dense, r
+
+
+def test_family_amplitude_reads_the_q_floor_at_n2():
+    fam2 = make_scaling_family(n=2, xi0=0.5, epsilons=(1.0, 0.75, 0.5))
+    floor = _q_floor(fam2.base)
+    assert fam2.amplitude == (1.0 + 1e-6) / floor**2
+    assert fam2.amplitude == pytest.approx((1.0 + 1e-6) / _dense_q_floor(fam2.base)**2,
+                                           rel=3e-15)
+    assert fam2.min_q_modulus >= 1.0
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +353,20 @@ def test_product_scaling_builds_one_dilate_per_eps(ladder, kap, monkeypatch):
     monkeypatch.setattr(ScalingFamily, "f_hat", counted)
     bilinear_product_scaling(ladder, ONE, [("amalgam", 0.5), ("wiener", 1.0)], kappa=kap)
     assert calls == list(ladder.epsilons)
+
+
+def test_flat_ladder_fits_zero_slope_and_a_growing_ladder_keeps_its_fit(ladder, kap):
+    # the Wiener p = inf norms of the benchmark ladder agree to a few ulps:
+    # their fit is exactly flat, not a slope fitted to rounding
+    fit = scaling_slopes(ladder, "wiener", [math.inf], kap)[0]
+    assert max(fit.norms) - min(fit.norms) <= 4 * np.spacing(max(fit.norms))
+    assert (fit.slope, fit.r_squared) == (0.0, 1.0)
+    # the amalgam q = inf norms grow by about 6e-3: the least-squares fit stands
+    norms = scaling_slopes(ladder, "amalgam", [math.inf])[0].norms
+    assert max(norms) / min(norms) - 1 > 1e-3
+    lx, ly = np.log([1.0 / e for e in ladder.epsilons]), np.log(norms)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    r2 = 1.0 - float(np.sum((ly - (slope * lx + intercept)) ** 2)) / float(
+        np.sum((ly - np.mean(ly)) ** 2))
+    assert loglog_slope([1.0 / e for e in ladder.epsilons], norms) == (
+        float(slope), float(intercept), r2)

@@ -5,7 +5,10 @@ Finite-p norms factor out the largest modulus before powering
 (||x|| = alpha * ||x / alpha||) so small p and large entry counts stay inside
 the float range.  Cubes k + Q with Q = (-1/2, 1/2]^n partition the torus; a
 cube's samples form one contiguous cyclic block of s points per axis, which
-the amalgam norm exploits by rolling and reshaping.
+the amalgam norm exploits by rolling and reshaping.  The Wiener amalgam norm
+is read from band projections kappa(D - k) f, a frequency-side object: it
+takes f on either side, and a spectrum the caller already holds costs no
+forward transform.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import Window
+from .bumps import Window, window_eval_axes
 from .grid import GridFunction, _centered_ifftn, dft
-from .operators import TrigPolynomial, _multiplier_samples
+from .operators import TrigPolynomial
 
 __all__ = [
     "ExponentTuple",
@@ -176,32 +179,46 @@ def _cube_norms(f: GridFunction, p: float) -> np.ndarray:
     return _power_norm(blocks, p, weight=spec.h**spec.n, axis=1)
 
 
-def _frequency_support_box(F: np.ndarray, spec) -> tuple[np.ndarray, np.ndarray] | None:
+def _axis_spans(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Per axis, the first and last index of a line on which a nonempty
+    ``mask`` holds somewhere."""
+    spans = []
+    for j in range(mask.ndim):
+        line = mask.any(axis=tuple(k for k in range(mask.ndim) if k != j))
+        nz = np.flatnonzero(line)
+        spans.append((int(nz[0]), int(nz[-1])))
+    return spans
+
+
+def _frequency_support_box(F: np.ndarray) -> list[tuple[int, int]] | None:
+    """Per-axis index spans of the entries above SUPPORT_TOL of the peak
+    (None for a zero spectrum)."""
     mags = np.abs(F)
     peak = mags.max()
     if peak == 0.0:
         return None
-    mask = mags > SUPPORT_TOL * peak
-    xi = spec.axis_xi()
-    lo, hi = [], []
-    for j in range(spec.n):
-        axes = tuple(k for k in range(spec.n) if k != j)
-        line = mask.any(axis=axes) if spec.n > 1 else mask
-        nz = np.nonzero(line)[0]
-        lo.append(xi[nz[0]])
-        hi.append(xi[nz[-1]])
-    return np.asarray(lo), np.asarray(hi)
+    return _axis_spans(mags > SUPPORT_TOL * peak)
 
 
 def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
     """Band projections kappa(D - k - offset) f for the minimal covering set of
-    bands; returns (band indices, stacked space samples)."""
+    bands; returns (band indices, stacked space samples).
+
+    A frequency-side ``f`` is the spectrum itself (``dft`` convention) and is
+    used as it is; a space-side ``f`` is transformed once.  Each band's window
+    is evaluated only on the bounding slab of the spectrum's exact nonzeros:
+    outside it the product with the spectrum is exactly 0 anyway.
+    Non-finite samples on either side are refused.
+    """
     spec = f.spec
-    F = dft(f).samples
-    box = _frequency_support_box(F, spec)
+    if not np.isfinite(f.samples).all():
+        raise ValueError(f"{f.side}-side input has non-finite samples")
+    F = f.samples if f.side == "frequency" else dft(f).samples
+    box = _frequency_support_box(F)
     if box is None:
         return [], np.zeros((0,) + spec.shape, dtype=complex)
-    lo, hi = box
+    xi = spec.axis_xi()
+    lo, hi = [xi[a] for a, _b in box], [xi[b] for _a, b in box]
     off = np.zeros(spec.n) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
     r = kappa.outer
     ranges = [np.arange(int(np.ceil(lo[j] - off[j] - r)),
@@ -213,12 +230,19 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
                              "the frequency box")
     grids = np.meshgrid(*ranges, indexing="ij")
     bands = [tuple(int(c) for c in mu) for mu in np.stack([g.ravel() for g in grids], axis=-1)]
+    slab = tuple(slice(a, b + 1) for a, b in _axis_spans(F != 0))
+    axes = [xi[sl].reshape([-1 if k == j else 1 for k in range(spec.n)])
+            for j, sl in enumerate(slab)]
+    F_slab = F[slab]
     # one band at a time: a batched transform would hold several
-    # stack-sized temporaries next to the stack
+    # stack-sized temporaries next to the stack; outside the slab the
+    # product stays 0
+    prod = np.zeros(spec.shape, dtype=complex)
     stack = np.empty((len(bands),) + spec.shape, dtype=complex)
     for i, mu in enumerate(bands):
-        mult = _multiplier_samples(kappa, spec, shift=np.asarray(mu, dtype=float) + off)
-        stack[i] = spec.s**spec.n * _centered_ifftn(mult * F)
+        shift = np.asarray(mu, dtype=float) + off
+        prod[slab] = window_eval_axes(kappa, [ax - shift[j] for j, ax in enumerate(axes)]) * F_slab
+        np.multiply(spec.s**spec.n, _centered_ifftn(prod), out=stack[i])
     return bands, stack
 
 
@@ -228,6 +252,8 @@ def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,
 
     ``offset`` shifts the band lattice to offset + Z^n (grid-aligned), matching
     witnesses whose frequency support is centered off the integer lattice.
+    ``f`` may be given on either side (see ``wiener_band_values``): a caller
+    that holds the exact spectrum passes it and no forward transform runs.
     """
     p, q = check_exponent(p), check_exponent(q)
     return _pooled_band_norm(wiener_band_values(f, kappa, offset=offset)[1], f.spec, p, q)

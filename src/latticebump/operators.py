@@ -4,8 +4,9 @@
   T(x) = (1/L)^(2n) sum_{xi1,xi2} sigma fhat1 fhat2 e^{2pi i x.(xi1+xi2)},
   evaluated over the support pairs of the two spectra that sigma can weight
   (its nonzero xi1 rows and xi2 columns), grouped by the output frequency
-  zeta = xi1+xi2 (``_grouped_sum``; it also serves the witness path of
-  transference, which evaluates sigma at those pairs only, and scalinglab).
+  zeta = xi1+xi2 (``_grouped_sum``, which returns T on both sides; it also
+  serves the witness path of transference, which evaluates sigma at those
+  pairs only, and scalinglab, whose Wiener norms read T's spectrum).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
   the truncated decomposition, contracted through its side factors
   b = sum_r outer(w1_r, w2_r), each multiplier built from the series rows of
@@ -121,16 +122,20 @@ def apply_T_period(a: LatticeCoefficients, F1: TrigPolynomial,
     return TrigPolynomial(a.n, s.entries)
 
 
-def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Space samples of (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)}.
+def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray,
+                 spec: GridSpec) -> tuple[GridFunction, GridFunction]:
+    """T = (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)} on both
+    sides: (space samples, spectrum).
 
     The double sum runs over the support pairs only: ``sigma_at(idx)`` gives
     the symbol at the 2n per-axis frequency indices ``idx`` (those of xi1,
     then those of xi2), which broadcast to one row per nonzero F1 entry and
     one column per nonzero F2 entry.  Exact zeros only add +-0 to the
     sequential bincount sums, so skipping them changes no bit.  Output
-    frequencies are grouped per axis modulo the box; the folded share of the
-    mass is checked against ALIAS_TOL.
+    frequencies are grouped per axis modulo the box into G; the folded share
+    of the mass is checked against ALIAS_TOL.  The space samples are
+    N^n * ifft(G), and the spectrum in the ``dft`` convention is L^n * G, so
+    a caller that reads T's spectrum needs no forward transform.
     """
     n, N = spec.n, spec.N
     i1 = np.flatnonzero(F1 != 0)
@@ -156,7 +161,10 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> np
             warnings.warn(f"bilinear output folded {frac:.2e} of its mass back "
                           f"into the frequency box", AliasingWarning, stacklevel=3)
 
-    return N**n * _centered_ifftn(G.reshape(spec.shape))
+    G = G.reshape(spec.shape)
+    space = N**n * _centered_ifftn(G)
+    G *= spec.L**n
+    return GridFunction(spec, "space", space), GridFunction(spec, "frequency", G)
 
 
 def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> GridFunction:
@@ -181,10 +189,9 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
     for what, x in (("symbol", block), ("f1", f1.samples), ("f2", f2.samples)):
         if not np.isfinite(x).all():
             raise ValueError(f"{what} has non-finite samples")
-    samples = _grouped_sum(lambda idx: sigma.samples[idx],
-                           np.where(rows.reshape(spec.shape), dft(f1).samples, 0),
-                           np.where(cols.reshape(spec.shape), dft(f2).samples, 0), spec)
-    return GridFunction(spec, "space", samples)
+    return _grouped_sum(lambda idx: sigma.samples[idx],
+                        np.where(rows.reshape(spec.shape), dft(f1).samples, 0),
+                        np.where(cols.reshape(spec.shape), dft(f2).samples, 0), spec)[0]
 
 
 def _multiplier_samples(m, spec: GridSpec, shift=None) -> np.ndarray:

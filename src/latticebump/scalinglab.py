@@ -23,13 +23,15 @@ eps^{-n/p} whatever the outer q), so it is fixed at 2 in one place,
 ``_reduce``.  Every measurement runs in one eps-major pass
 (``_scaling_pass``, behind ``scaling_slopes``, ``bilinear_product_scaling``
 and the ``scaling`` command): each eps builds f_hat once and f_eps = its
-inverse transform once, reduces f_eps once per space, to its per-cube L^2
-profile (amalgam) or to the pointwise l^2 pool of its band stack (Wiener),
-and every requested exponent of that space reads its norm from that one
+inverse transform once, and reduces f_eps once per space, to its per-cube
+L^2 profile (amalgam, from the space samples) or to the pointwise l^2 pool
+of its band stack (Wiener, from f_hat itself: no forward transform), and
+every requested exponent of that space reads its norm from that one
 reduction.  The same f_eps gives sup |f_eps| (the scale of the products'
 degenerate check), and the same f_hat gives the product T_sigma(f_eps,
-f_eps), formed once and reduced once per space.  The eps's arrays are gone
-before the next eps is built, so one eps's arrays are alive at a time.
+f_eps), formed once as space samples and spectrum and reduced once per
+space in the same way.  The eps's arrays are gone before the next eps is
+built, so one eps's arrays are alive at a time.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ class ScalingFamily:
 def _phi_axis_data(base: BumpProfile, pad: int = 1 << 17,
                    samples: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """(x, |phi_1d(x)|) for the 1-D inverse transform of one base axis,
-    via a zero-padded FFT (x >= 0 branch)."""
+    via a zero-padded real FFT: its first pad/2 bins are the x >= 0 branch,
+    in increasing order."""
     r = base.radius[0]
     u = -r + 2 * r * np.arange(samples) / samples
     vals = _axis_factor(base, 0, u)
@@ -139,11 +142,9 @@ def _phi_axis_data(base: BumpProfile, pad: int = 1 << 17,
     half = samples // 2
     padded[:half] = vals[half:]
     padded[-half:] = vals[:half]
-    F = np.fft.fft(padded) * du  # inverse transform up to conjugation; modulus is equal
-    x = np.fft.fftfreq(pad, d=du)
-    keep = x >= 0
-    order = np.argsort(x[keep])
-    return x[keep][order], np.abs(F[keep][order])
+    # inverse transform up to conjugation; the modulus is equal
+    F = np.fft.rfft(padded)[: pad // 2] * du
+    return np.fft.rfftfreq(pad, d=du)[: pad // 2], np.abs(F)
 
 
 def _q_floor(base: BumpProfile) -> float:
@@ -234,22 +235,24 @@ def _check_space(space: str, kappa: Window | None) -> None:
         raise ValueError("wiener measurement needs a window")
 
 
-def _reduce(g: GridFunction, space: str, kappa: Window | None,
+def _reduce(g: GridFunction, ghat: GridFunction, space: str, kappa: Window | None,
             offset) -> tuple[np.ndarray, float]:
-    """g reduced once at companion exponent 2, as (values, weight): its
-    amalgam (L^2, l^r) or Wiener W^{r,2} norm is _power_norm(values, r, weight)
-    for every r."""
+    """g, with spectrum ghat, reduced once at companion exponent 2, as
+    (values, weight): its amalgam (L^2, l^r) norm, read from the space
+    samples, or its Wiener W^{r,2} norm, read from the spectrum, is
+    _power_norm(values, r, weight) for every r."""
     if space == "amalgam":
         return _cube_norms(g, 2.0), 1.0
     spec = g.spec
-    return (_power_norm(wiener_band_values(g, kappa, offset=offset)[1], 2.0, axis=0),
+    return (_power_norm(wiener_band_values(ghat, kappa, offset=offset)[1], 2.0, axis=0),
             spec.h**spec.n)
 
 
-def _norms(g: GridFunction, measurements, kappa: Window | None, offset) -> list[float]:
-    """The norm of g for each (space, r) in ``measurements``, from one
-    reduction per space."""
-    reduced = {space: _reduce(g, space, kappa, offset)
+def _norms(g: GridFunction, ghat: GridFunction, measurements, kappa: Window | None,
+           offset) -> list[float]:
+    """The norm of g (spectrum ghat) for each (space, r) in ``measurements``,
+    from one reduction per space."""
+    reduced = {space: _reduce(g, ghat, space, kappa, offset)
                for space in dict.fromkeys(space for space, _r in measurements)}
     return [_power_norm(reduced[space][0], r, reduced[space][1])
             for space, r in measurements]
@@ -257,19 +260,20 @@ def _norms(g: GridFunction, measurements, kappa: Window | None, offset) -> list[
 
 def _product_row(fam: ScalingFamily, e: float, fh: GridFunction, products, kappa,
                  sigma_fn) -> tuple[list[float], float | None]:
-    """The (space, r) norms of T_sigma(f_eps, f_eps) from its spectrum ``fh``,
-    and min |T| on the core box |x| <= 1/(2 eps) at the smallest eps."""
+    """The (space, r) norms of T_sigma(f_eps, f_eps), formed from the
+    spectrum ``fh`` of f_eps, and min |T| on the core box |x| <= 1/(2 eps) at
+    the smallest eps."""
     spec = fam.specs[e]
     xi = spec.axis_xi()
-    T = GridFunction(spec, "space", _grouped_sum(
+    T, T_hat = _grouped_sum(
         lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
-        fh.samples, fh.samples, spec))
+        fh.samples, fh.samples, spec)
     min_core = None
     if e == fam.epsilons[-1]:
         core = np.abs(spec.axis_x()) <= 1.0 / (2 * e)
         min_core = float(np.min(np.abs(T.samples[core])))
     # the product's spectrum is centred at 2 * xi0
-    return _norms(T, products, kappa, 2 * np.asarray(fam.xi0)), min_core
+    return _norms(T, T_hat, products, kappa, 2 * np.asarray(fam.xi0)), min_core
 
 
 def _eps_row(fam: ScalingFamily, e: float, ladders, products, kappa, sigma_fn):
@@ -279,9 +283,8 @@ def _eps_row(fam: ScalingFamily, e: float, ladders, products, kappa, sigma_fn):
     product_norms, min_core = (_product_row(fam, e, fh, products, kappa, sigma_fn)
                                if products else ([], None))
     f = idft(fh)
-    del fh  # not needed while f_eps is reduced
     sup = lp_norm(f, math.inf) if products else None
-    return _norms(f, ladders, kappa, fam.xi0), product_norms, min_core, sup
+    return _norms(f, fh, ladders, kappa, fam.xi0), product_norms, min_core, sup
 
 
 def _scaling_pass(fam: ScalingFamily, slopes, products, kappa: Window | None = None,

@@ -14,6 +14,8 @@ Riemann rule (the symbol path never forms g; the model path never forms the
 symbol), so the residuals isolate implementation errors rather than quadrature
 gaps.  The symbol path evaluates sigma at the support pairs of the witnesses'
 exact spectra only, never on the N^(2n) grid, so n = 2 runs on working grids.
+Wiener norms read those exact spectra, and the output's grouped spectrum,
+directly: no Wiener path runs a forward transform.
 Operator norms are reported as lower bounds found by a seeded multi-start
 search on normalized ratios; the theorems' constants are never asserted, only
 family-wise ratio stability against a configured bound.
@@ -165,9 +167,10 @@ def wiener_witness_norm_identity(w: WitnessPair, j: int, p: float, q: float,
                                  kappa: Window, spec: GridSpec) -> tuple[float, float]:
     """Both sides of the exact witness norm identity
     ||f_j||_{W^{p,q}} = ||b_j||_{l^q} * ||F^{-1} theta_j||_{L^p}."""
-    f, b, theta = (w.f1, w.b1, w.theta.theta1) if j == 1 else (w.f2, w.b2, w.theta.theta2)
+    fhat, b, theta = ((w.fhat1, w.b1, w.theta.theta1) if j == 1
+                      else (w.fhat2, w.b2, w.theta.theta2))
     xi0_j = w.theta.xi0[: spec.n] if j == 1 else w.theta.xi0[spec.n:]
-    lhs = wiener_norm(f, p, q, kappa, offset=xi0_j)
+    lhs = wiener_norm(fhat, p, q, kappa, offset=xi0_j)
     theta_samples = _witness_fhat({(0,) * spec.n: 1.0 + 0j}, theta, spec)
     theta_inv = idft(GridFunction(spec, "frequency", theta_samples))
     rhs = lq_seq_norm(b.entries, q) * lp_norm(theta_inv, p)
@@ -196,16 +199,16 @@ class WienerFactorizationCheck:
 
 
 def _T_aPhi_witness(a: LatticeCoefficients, phi: BumpProfile, w: WitnessPair,
-                    spec: GridSpec) -> GridFunction:
-    """T_{a,Phi}(f1, f2) of a witness: the grouped sum over the support pairs
-    of its exact spectra, with sigma evaluated at those pairs only."""
+                    spec: GridSpec) -> tuple[GridFunction, GridFunction]:
+    """T_{a,Phi}(f1, f2) of a witness as (space samples, spectrum): the
+    grouped sum over the support pairs of its exact spectra, with sigma
+    evaluated at those pairs only."""
     _check_supports(a, phi, spec)
     if w.fhat1.spec != spec:
         raise ValueError("grid spec mismatch")
     xi = spec.axis_xi()
-    samples = _grouped_sum(lambda idx: sigma_eval(a, phi, [xi[i] for i in idx]),
-                           w.fhat1.samples, w.fhat2.samples, spec)
-    return GridFunction(spec, "space", samples)
+    return _grouped_sum(lambda idx: sigma_eval(a, phi, [xi[i] for i in idx]),
+                        w.fhat1.samples, w.fhat2.samples, spec)
 
 
 def _trig_values(tp: TrigPolynomial, spec: GridSpec) -> np.ndarray:
@@ -231,7 +234,7 @@ def verify_amalgam_factorization(a: LatticeCoefficients, phi: BumpProfile,
     """
     if w.provenance != "amalgam" or w.F1 is None:
         raise ValueError("witness must come from build_amalgam_witness")
-    lhs = _T_aPhi_witness(a, phi, w, spec).samples
+    lhs = _T_aPhi_witness(a, phi, w, spec)[0].samples
     tper = _trig_values(apply_T_period(a, w.F1, w.F2), spec)
     rhs = tper * w.g.samples
     scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
@@ -256,14 +259,14 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
     """
     if w.provenance != "wiener" or w.b1 is None:
         raise ValueError("witness must come from build_wiener_witness")
-    lhs_gf = _T_aPhi_witness(a, phi, w, spec)
+    lhs_gf, lhs_hat = _T_aPhi_witness(a, phi, w, spec)
     lhs = lhs_gf.samples
     sab = apply_S(a, w.b1, w.b2)
     rhs = _trig_values(TrigPolynomial(spec.n, sab.entries), spec) * w.g.samples
     scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     residual = float(np.max(np.abs(lhs - rhs)) / scale)
 
-    bands, stack = wiener_band_values(lhs_gf, kappa, offset=np.asarray(w.theta.xi0_sum, float))
+    bands, stack = wiener_band_values(lhs_hat, kappa, offset=np.asarray(w.theta.xi0_sum, float))
     position = {mu: i for i, mu in enumerate(bands)}
     band_res = 0.0
     coeff_rel = 0.0
@@ -765,12 +768,12 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
         if space == "amalgam":
             w = build_amalgam_witness(TrigPolynomial(n, c1), TrigPolynomial(n, c2), theta, spec)
             n1, n2 = amalgam_norm(w.f1, ex.p1, ex.q1), amalgam_norm(w.f2, ex.p2, ex.q2)
-            no = amalgam_norm(_T_aPhi_witness(a, phi, w, spec), ex.p, ex.q)
+            no = amalgam_norm(_T_aPhi_witness(a, phi, w, spec)[0], ex.p, ex.q)
         else:
             w = build_wiener_witness(Sequence(n, c1), Sequence(n, c2), theta, spec, kappa)
-            n1 = wiener_norm(w.f1, ex.p1, ex.q1, kappa, offset=xi0[:n])
-            n2 = wiener_norm(w.f2, ex.p2, ex.q2, kappa, offset=xi0[n:])
-            no = wiener_norm(_T_aPhi_witness(a, phi, w, spec), ex.p, ex.q, kappa,
+            n1 = wiener_norm(w.fhat1, ex.p1, ex.q1, kappa, offset=xi0[:n])
+            n2 = wiener_norm(w.fhat2, ex.p2, ex.q2, kappa, offset=xi0[n:])
+            no = wiener_norm(_T_aPhi_witness(a, phi, w, spec)[1], ex.p, ex.q, kappa,
                              offset=xi0[:n] + xi0[n:])
         val = 0.0 if n1 == 0.0 or n2 == 0.0 else no / (n1 * n2)
         if val > best.value:

@@ -250,6 +250,23 @@ def test_scaling_builds_and_transforms_each_dilate_once(tmp_path, monkeypatch):
     assert len(transforms) == len(set(transforms)) == len(BENCH_EPSILONS)
 
 
+def test_scaling_makes_no_forward_transform(tmp_path, monkeypatch):
+    # every Wiener norm reads a spectrum the pass already holds: f_hat for
+    # the ladders, the grouped sum's spectrum for the products (12 forward
+    # transforms of f_eps and T when the norms read space samples)
+    from latticebump import grid
+    calls = []
+    fftn = grid._centered_fftn
+
+    def counted(a):
+        calls.append(a.shape)
+        return fftn(a)
+    monkeypatch.setattr(grid, "_centered_fftn", counted)
+    cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == []
+
+
 def test_scaling_n2_scalar_xi0_reaches_the_grid_budget(tmp_path, capsys):
     # a scalar xi0 is the centre on every axis, so the README config at n = 2
     # gets past the family's centre and stops at the 2^24-value grid budget

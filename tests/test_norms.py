@@ -124,6 +124,21 @@ def test_wiener_margin_violation(spec, kappa):
         wiener_norm(f, 2.0, 2.0, kappa)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["space", "frequency"])
+def test_wiener_refuses_non_finite_samples(spec, kappa, side, bad):
+    # one bad sample would spread over the whole spectrum and leave no
+    # support box to cover: it is named instead
+    env = make_bump(1, "tensor-exp", radius=0.3)
+    F = freq_function(spec, lambda xi: bump_eval_axes(env, [xi - 1]))
+    f = F if side == "frequency" else idft(F)
+    f.samples[7] = bad
+    with pytest.raises(ValueError, match=f"{side}-side input has non-finite samples"):
+        wiener_band_values(f, kappa)
+    with pytest.raises(ValueError, match=f"{side}-side input has non-finite samples"):
+        wiener_norm(f, 2.0, 2.0, kappa)
+
+
 def test_wiener_window_equivalence_reported(spec, rng):
     # two admissible windows give equivalent quasi-norms; record the factor
     k1, k2 = make_window(1, 0.55), make_window(1, 0.75)
@@ -328,6 +343,25 @@ def test_wiener_band_stack_is_built_band_by_band():
                        for mu in bands])
     assert np.array_equal(stack, spec.s**2 * _centered_ifftn(pieces, axes=(1, 2)))
     assert peak <= 2 * stack.nbytes
+
+
+def test_spectrum_side_band_stack_is_the_full_window_product_bitwise():
+    # an exact witness spectrum is 0 off its theta balls: the window is
+    # evaluated on the bounding slab of its nonzeros only, and no bit moves
+    spec = make_grid(2, 8, 32)
+    phi = make_bump(4, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    theta = make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    kappa = make_window(2, 0.6)
+    b1 = sequence_from_dict(2, {(0, 0): 1.0, (1, -1): 0.5j})
+    fhat = build_wiener_witness(b1, b1, theta, spec, kappa).fhat1
+    offset = theta.xi0[:2]
+    bands, stack = wiener_band_values(fhat, kappa, offset=offset)
+    rows, cols = np.nonzero(fhat.samples)
+    assert np.ptp(rows) < spec.N // 4 and np.ptp(cols) < spec.N // 4
+    for mu, band in zip(bands, stack):
+        mult = _multiplier_samples(kappa, spec, shift=np.asarray(mu, float) + offset)
+        assert np.array_equal(band, spec.s**2 * _centered_ifftn(mult * fhat.samples))
 
 
 @pytest.mark.parametrize("ulps", [[0, 0, 0, 0, 0, 0], [0, 2, 1, 0, 2, 1], [2, 0, 0, 1, 0, 0]])

@@ -6,11 +6,13 @@ import pytest
 
 from latticebump.bumps import _axis_factor, make_bump, make_window
 from latticebump.grid import GridFunction
-from latticebump.norms import ExponentTuple, amalgam_norm, loglog_slope, lp_norm, wiener_norm
+from latticebump.norms import (ExponentTuple, amalgam_norm, loglog_slope, lp_norm,
+                               wiener_band_values, wiener_norm)
 from latticebump.operators import AliasingWarning, _grouped_sum
-from latticebump.scalinglab import (ScalingFamily, _q_floor, amalgam_scaling_slope,
-                                    bilinear_product_scaling, make_scaling_family,
-                                    necessity_verdict, scaling_slopes, wiener_scaling_slope)
+from latticebump.scalinglab import (ScalingFamily, _phi_axis_data, _q_floor,
+                                    amalgam_scaling_slope, bilinear_product_scaling,
+                                    make_scaling_family, necessity_verdict, scaling_slopes,
+                                    wiener_scaling_slope)
 
 ONE = lambda u, v: np.ones(np.broadcast(u, v).shape)
 
@@ -263,6 +265,25 @@ def test_family_build_stays_under_8_mib():
     assert peak < 8 * 2**20
 
 
+def test_phi_axis_data_is_the_nonnegative_branch_of_the_full_transform(fam):
+    # oracle: the complex FFT of the same zero-padded samples, its x >= 0
+    # bins sorted; the real FFT gives the same points, each modulus to 1e-12
+    # relative of the peak (the family's tail fraction moved by 3.9e-10
+    # relative when it switched)
+    x, mag = _phi_axis_data(fam.base)
+    pad, samples, r = 1 << 17, 2048, fam.base.radius[0]
+    vals = _axis_factor(fam.base, 0, -r + 2 * r * np.arange(samples) / samples)
+    padded = np.zeros(pad)
+    padded[:samples // 2], padded[-(samples // 2):] = vals[samples // 2:], vals[:samples // 2]
+    du = 2 * r / samples
+    x_full = np.fft.fftfreq(pad, d=du)
+    keep = x_full >= 0
+    order = np.argsort(x_full[keep])
+    assert np.array_equal(x, x_full[keep][order])
+    ref = np.abs(np.fft.fft(padded) * du)[keep][order]
+    assert np.max(np.abs(mag - ref)) <= 1e-12 * np.max(ref)
+
+
 def _dense_q_floor(base):
     # min |phi_1d| over an endpoint-inclusive 513-point probe of [0, 1/2],
     # with the same 4096-node quadrature as the one-point floor
@@ -310,9 +331,10 @@ def test_batched_amalgam_fits_equal_single_norms_bitwise(ladder):
 
 
 def test_batched_wiener_fits_equal_single_norms_bitwise(ladder, kap):
+    # the ladder reads each Wiener norm from the exact spectrum f_hat
     fits = scaling_slopes(ladder, "wiener", EXPONENTS, kap)
     for p, fit in zip(EXPONENTS, fits):
-        assert fit.norms == tuple(wiener_norm(ladder.f(e), p, 2.0, kap, offset=ladder.xi0)
+        assert fit.norms == tuple(wiener_norm(ladder.f_hat(e), p, 2.0, kap, offset=ladder.xi0)
                                   for e in ladder.epsilons)
         assert wiener_scaling_slope(ladder, p, kap) == fit
 
@@ -325,8 +347,8 @@ def test_scaling_slopes_rejects_an_unknown_space_or_a_missing_window(ladder):
 
 
 def test_product_norms_equal_the_companion_2_norms_of_the_product_bitwise(ladder, kap):
-    # every product norm is the amalgam (L^2, l^r) or the Wiener W^{r,2} norm
-    # of T_1(f_eps, f_eps), whose spectrum is centred at 2 * xi0
+    # every product norm is the amalgam (L^2, l^r) norm of T_1(f_eps, f_eps)
+    # or the Wiener W^{r,2} norm of its grouped spectrum, centred at 2 * xi0
     wanted = [(space, r) for space in ("amalgam", "wiener") for r in EXPONENTS]
     batch = bilinear_product_scaling(ladder, ONE, wanted, kappa=kap)
     offset = 2 * np.asarray(ladder.xi0)
@@ -334,12 +356,42 @@ def test_product_norms_equal_the_companion_2_norms_of_the_product_bitwise(ladder
     for e in ladder.epsilons:
         spec, fh = ladder.specs[e], ladder.f_hat(e).samples
         xi = spec.axis_xi()
-        products.append(GridFunction(spec, "space", _grouped_sum(
-            lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex), fh, fh, spec)))
+        products.append(_grouped_sum(
+            lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex), fh, fh, spec))
     for (space, r), ps in zip(wanted, batch):
         assert ps.norms == tuple(amalgam_norm(T, 2.0, r) if space == "amalgam"
-                                 else wiener_norm(T, r, 2.0, kap, offset=offset)
-                                 for T in products)
+                                 else wiener_norm(T_hat, r, 2.0, kap, offset=offset)
+                                 for T, T_hat in products)
+
+
+def test_spectrum_side_wiener_norms_match_the_space_side(ladder, kap):
+    # reading the exact spectrum skips an idft -> dft round trip: the same
+    # bands, and norms within 1e-12 relative (about 4e-14 seen at p = 0.5)
+    for e in ladder.epsilons:
+        fh, f = ladder.f_hat(e), ladder.f(e)
+        bands, stack = wiener_band_values(fh, kap, offset=ladder.xi0)
+        bands_space, stack_space = wiener_band_values(f, kap, offset=ladder.xi0)
+        assert bands == bands_space
+        assert np.max(np.abs(stack - stack_space)) <= 1e-12 * np.max(np.abs(stack_space))
+        for p in EXPONENTS:
+            assert wiener_norm(fh, p, 2.0, kap, offset=ladder.xi0) == pytest.approx(
+                wiener_norm(f, p, 2.0, kap, offset=ladder.xi0), rel=1e-12, abs=0)
+
+
+def test_spectrum_side_band_stack_stays_under_its_memory_bound(ladder, kap):
+    # eps = 1/64 of the benchmark ladder, 98,304 points: one band, a zeroed
+    # product and the inverse transform's temporaries (about 6.8 MiB seen;
+    # the space side adds a forward transform, about 9.0 MiB)
+    e = ladder.epsilons[-1]
+    fh = ladder.f_hat(e)
+    tracemalloc.start()
+    try:
+        bands, _stack = wiener_band_values(fh, kap, offset=ladder.xi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bands) == 1
+    assert peak < 7.5 * 2**20
 
 
 def test_product_scaling_builds_one_dilate_per_eps(ladder, kap, monkeypatch):

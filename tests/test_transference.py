@@ -161,6 +161,31 @@ def test_wiener_factorization_random(spec, phi04, theta, kappa, rng):
     assert chk.lower_bound_gap >= -1e-10
 
 
+def test_wiener_witness_paths_make_no_forward_transform(monkeypatch, spec, phi04, theta,
+                                                        kappa, rng):
+    # the Wiener verify, the Wiener estimate and the witness norm identity
+    # read the witnesses' exact spectra and the grouped spectrum of T
+    from latticebump import grid
+    calls = []
+    fftn = grid._centered_fftn
+
+    def counted(a):
+        calls.append(a.shape)
+        return fftn(a)
+    monkeypatch.setattr(grid, "_centered_fftn", counted)
+    a = random_lattice_coefficients(1, 1, 6, seed=51)
+    w = build_wiener_witness(_random_seq(rng, (-1, 0)), _random_seq(rng, (0, 1)), theta,
+                             spec, kappa)
+    assert verify_wiener_factorization(a, phi04, w, kappa, spec).residual <= 1e-6
+    model = estimate_norm_S(a, 2, 2, 2, LIGHT)
+    est = estimate_norm_T_aPhi(a, phi04, ExponentTuple(2, 2, 2, 2, 2, 2), "wiener", theta,
+                               spec, kappa=kappa, model_estimate=model)
+    assert est.value > 0
+    lhs, rhs = wiener_witness_norm_identity(w, 1, 2.0, 1.0, kappa, spec)
+    assert lhs == pytest.approx(rhs, rel=1e-9)
+    assert calls == []
+
+
 def test_wiener_lower_bound_with_q_restriction(spec, phi04, theta, kappa, rng):
     # ||T||_W >= ||S_a(b1,b2)||_q * min(1, ||g||_{L^p(Q)})
     a = random_lattice_coefficients(1, 1, 6, seed=51)
@@ -1005,7 +1030,7 @@ def test_witness_symbol_path_matches_dense_oracle(n, L, s, kind):
     w = build_amalgam_witness(TrigPolynomial(n, _random_modes(rng, n)),
                               TrigPolynomial(n, _random_modes(rng, n)), theta_, spec_)
     a = random_lattice_coefficients(n, 1, 9, seed=97)
-    got = transference._T_aPhi_witness(a, sym, w, spec_).samples
+    got = transference._T_aPhi_witness(a, sym, w, spec_)[0].samples
     ref = apply_T_sigma(synth_sigma(a, sym, spec_), w.f1, w.f2).samples
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the spectra keep their exact zeros: one theta ball of nodes per mode

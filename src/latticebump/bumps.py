@@ -11,8 +11,9 @@ Three kinds are provided, all built from the transition exp(-1/t):
 
 Supports are tracked symbolically as boxes (never by thresholding), which is
 what makes the translate-geometry decision in :func:`check_condition_B` exact.
-Windows are plateau profiles normalized by their integer-translate sum, so the
-partition of unity holds pointwise by construction.
+A window is a plateau of inner radius 1 - outer: its smoothstep S satisfies
+S(t) + S(1 - t) = 1, so the integer translates already sum to one and the
+window is evaluated as the plateau itself.
 """
 
 from __future__ import annotations
@@ -181,7 +182,17 @@ def bump_eval(b: BumpProfile, x) -> np.ndarray | complex:
 
 @dataclass(frozen=True)
 class Window:
-    """Partition-of-unity window kappa = base / sum_k base(. - k)."""
+    """Partition-of-unity window kappa = base, a plateau of inner radius
+    1 - outer and outer radius ``outer`` per axis.
+
+    On the overlap 1 - outer <= u <= outer of an axis only base(u) and
+    base(u - 1) are nonzero, at transition parameters t and 1 - t, so they
+    sum to S(t) + S(1 - t) = 1 for S(t) = a / (a + b), a = e^{-1/t},
+    b = e^{-1/(1-t)}; the d-dimensional sum is the product of the axis sums.
+    In floating point the sum is 1 to rounding (a few ulps, more as outer
+    nears 1/2).  ``make_window`` builds valid windows; a hand-built base
+    with gaps or overlaps breaks the partition, and checks see it.
+    """
 
     base: BumpProfile
 
@@ -202,8 +213,9 @@ class Window:
 def make_window(d: int, outer: float) -> Window:
     """Window from a plateau base with support radius ``outer`` in (1/2, 1).
 
-    The translate sum is strictly positive (no gaps) exactly when outer > 1/2,
-    and the window is identically 1 on |xi|_inf < 1 - outer.
+    Inner radius 1 - outer makes the translates sum to one (see ``Window``);
+    outer in (1/2, 1) keeps 0 < 1 - outer < outer, so the transition has
+    positive width, and the window is identically 1 on |xi|_inf <= 1 - outer.
     """
     if not 0.5 < outer < 1.0:
         raise ValueError(f"window outer radius must lie in (1/2, 1), got {outer}")
@@ -211,36 +223,10 @@ def make_window(d: int, outer: float) -> Window:
     return Window(base=base)
 
 
-def _window_axis(w: Window, axis: int, u: np.ndarray) -> np.ndarray:
-    """Per-axis window factor P(u)/sum_m P(u - m) (translate sum has <= 3 terms).
-
-    Evaluated only on the support slab |u - c| < outer of P; elsewhere P,
-    and so the factor, is exactly 0.  Every value is computed pointwise, so
-    the slab changes no bit.  A valid window (outer > 1/2) has a strictly
-    positive translate sum; a corrupted base with cover gaps evaluates to 0
-    there, which downstream partition checks then catch."""
-    u = np.asarray(u, dtype=float)
-    c = w.base.center[axis]
-    out = np.zeros_like(u)
-    slab = np.abs(u - c) < w.base.radius[axis]
-    us = u[slab]
-    num = _axis_factor(w.base, axis, us)
-    den = np.zeros_like(num)
-    k0 = np.floor(us - c).astype(int)
-    for off in (-1, 0, 1, 2):
-        den = den + _axis_factor(w.base, axis, us - (k0 + off))
-    out[slab] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return out
-
-
 def window_eval_axes(w: Window, axes: list[np.ndarray]) -> np.ndarray:
-    """Evaluate kappa(xi) on the tensor grid of per-axis arrays."""
-    if len(axes) != w.d:
-        raise ValueError(f"expected {w.d} axis arrays, got {len(axes)}")
-    out = 1.0 + 0j
-    for j, u in enumerate(axes):
-        out = out * _window_axis(w, j, u)
-    return out
+    """Evaluate kappa(xi) on the tensor grid of per-axis arrays: the base
+    plateau itself, whose translates already sum to one."""
+    return bump_eval_axes(w.base, axes)
 
 
 def window_eval(w: Window, x) -> np.ndarray | complex:

@@ -487,7 +487,7 @@ def cmd_scaling(args) -> int:
     verdicts = []
     for (space, ex, (r1, r2, _r)), ps in zip(verdict_specs, products):
         slopes = (fits[space, r1].slope, fits[space, r2].slope)
-        v = scalinglab.necessity_verdict(ex, space, slopes, ps.slope)
+        v = scalinglab.necessity_verdict(space, slopes, ps.slope)
         verdicts.append({"space": space, "status": v.status, "gap": v.gap,
                          "citation": v.citation, "output_slope": v.output_slope,
                          "input_slopes": list(v.input_slopes)})
@@ -621,14 +621,19 @@ def main(argv=None) -> int:
         prog="latticebump",
         description="lattice bump bilinear multiplier experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("synth", cmd_synth), ("decompose", cmd_decompose),
-                     ("opnorm", cmd_opnorm), ("transfer", cmd_transfer),
-                     ("scaling", cmd_scaling)):
+    seed = ("--seed", {"type": int, "default": None})
+    grid_ = ("--grid", {"default": None, "help": "L,s override"})
+    # each command takes only the flags it reads, so argparse rejects the rest
+    for name, fn, flags in (("synth", cmd_synth, (seed, grid_)),
+                            ("decompose", cmd_decompose, ()),
+                            ("opnorm", cmd_opnorm, (seed, grid_)),
+                            ("transfer", cmd_transfer, (seed, grid_)),
+                            ("scaling", cmd_scaling, (seed,))):
         p = sub.add_parser(name)
         p.add_argument("--config", required=False)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--grid", default=None, help="L,s override")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
     p = sub.add_parser("selftest")
     p.add_argument("--seed", type=int, default=None)

@@ -85,7 +85,7 @@ def _power_norm(vals: np.ndarray, p: float, weight: float = 1.0, axis: int | Non
     float result is numpy's scalar power and that of an array is its array
     power, which may differ from it in the last bit.
     """
-    mags = np.abs(np.asarray(vals, dtype=complex))
+    mags = np.abs(vals)
     if axis is None:
         mags = mags.ravel()
     red = -1 if axis is None else axis
@@ -168,7 +168,7 @@ def amalgam_norm(f: GridFunction, p: float, q: float) -> float:
     p, q = check_exponent(p), check_exponent(q)
     if f.side != "space":
         raise ValueError("amalgam_norm expects a space-side GridFunction")
-    return lq_seq_norm(_cube_norms(f, p), q)
+    return _power_norm(_cube_norms(f, p), q)
 
 
 def _cube_norms(f: GridFunction, p: float) -> np.ndarray:
@@ -262,8 +262,7 @@ def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,
 def _pooled_band_norm(stack: np.ndarray, spec, p: float, q: float) -> float:
     """L^p norm of the pointwise l^q pool of a ``wiener_band_values`` stack
     (0 for an empty stack)."""
-    pooled = _power_norm(stack, q, axis=0)
-    return lp_norm(GridFunction(spec, "space", pooled.astype(complex)), p)
+    return _power_norm(_power_norm(stack, q, axis=0), p, spec.h**spec.n)
 
 
 def mixed_norm_check(F: np.ndarray, p: float, q: float) -> tuple[float, float]:

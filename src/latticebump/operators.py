@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import BumpProfile, Window, bump_eval_axes, window_eval_axes
+from .bumps import BumpProfile, Window, bump_eval_axes
 from .grid import (GridFunction, GridSpec, _as_int_tuple, _centered_ifftn, check_budget,
                    dft, idft)
 from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid, _cm_rows, _contract
@@ -201,8 +201,8 @@ def _multiplier_samples(m, spec: GridSpec, shift=None) -> np.ndarray:
     if shift is not None:
         shift = np.atleast_1d(np.asarray(shift, dtype=float))
         axes = [ax - shift[j] for j, ax in enumerate(axes)]
-    if isinstance(m, Window):
-        return np.asarray(window_eval_axes(m, axes), dtype=complex)
+    if isinstance(m, Window):  # a window is its plateau base
+        m = m.base
     if isinstance(m, BumpProfile):
         return np.asarray(bump_eval_axes(m, axes), dtype=complex)
     if isinstance(m, GridFunction):

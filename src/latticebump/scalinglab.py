@@ -43,7 +43,7 @@ import numpy as np
 
 from .bumps import BumpProfile, Window, make_bump, _axis_factor
 from .grid import GridFunction, GridSpec, idft, make_grid
-from .norms import (_cube_norms, _power_norm, check_exponent, ExponentTuple, loglog_slope,
+from .norms import (_cube_norms, _power_norm, check_exponent, loglog_slope,
                     lp_norm, wiener_band_values)
 from .operators import _grouped_sum
 from .transference import AMALGAM_CITATION, WIENER_CITATION
@@ -382,13 +382,14 @@ def bilinear_product_scaling(fam: ScalingFamily, sigma_fn, measurements,
     return _scaling_pass(fam, {}, measurements, kappa, sigma_fn)[1]
 
 
-def necessity_verdict(exponents: ExponentTuple, space: str,
-                      input_slopes: tuple[float, float],
+def necessity_verdict(space: str, input_slopes: tuple[float, float],
                       output_slope: float) -> NecessityVerdict:
     """Compare measured output growth against the product of input growths.
 
-    Boundedness forces output <= input1 + input2 (up to measurement error);
-    a gap beyond 0.1 certifies the exponent tuple impossible in that space.
+    The slopes are measured at one exponent tuple's (r1, r2, r) in ``space``
+    (amalgam q, Wiener p).  Boundedness forces output <= input1 + input2 (up
+    to measurement error); a gap beyond 0.1 certifies that tuple impossible
+    in that space.
     """
     if space == "amalgam":
         citation = AMALGAM_CITATION

@@ -288,15 +288,13 @@ def test_acceptance_10_necessity_verdicts(spec, phi04, theta, kappa):
     one = lambda u, v: np.ones(np.broadcast(u, v).shape)
     s_in = amalgam_scaling_slope(fam, 2.0).slope
     out = bilinear_product_scaling(fam, one, [("amalgam", 0.5)])[0].slope
-    v_a = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 0.5), "amalgam",
-                            (s_in, s_in), out)
+    v_a = necessity_verdict("amalgam", (s_in, s_in), out)
     assert v_a.status == "violated" and v_a.gap > 0.1
 
     w_in = wiener_scaling_slope(fam, math.inf, kappa).slope
     w_out = bilinear_product_scaling(fam, one, [("wiener", 1.0)],
                                      kappa=kappa)[0].slope
-    v_w = necessity_verdict(ExponentTuple(math.inf, math.inf, 1, 2, 2, 2),
-                            "wiener", (w_in, w_in), w_out)
+    v_w = necessity_verdict("wiener", (w_in, w_in), w_out)
     assert v_w.status == "violated" and v_w.gap > 0.1
     print(f"\nACCEPTANCE 10 PASS: necessity rejections carry the scaling citations; "
           f"measured gaps amalgam {v_a.gap:.2f}, wiener {v_w.gap:.2f} > 0.1")

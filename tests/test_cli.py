@@ -310,6 +310,25 @@ def test_selftest_fault_injection(capsys):
     assert "window partition of unity" in out and "FAIL" in out
 
 
+def test_selftest_catches_an_overlapping_window(capsys):
+    # inner 1.15 > 1 - outer: the translates overlap on the plateau and sum to 2
+    code = main(["selftest", "--force-window-outer", "1.2"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "window partition of unity" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("decompose", "--seed", "3"), ("decompose", "--grid", "not-a-grid"),
+    ("scaling", "--grid", "x")])
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, command, flag, value):
+    cfg = _write(tmp_path, "cfg.json", {"n": 1})
+    with pytest.raises(SystemExit) as e:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), flag, value])
+    assert e.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_selftest_seed_changes_nothing(capsys):
     assert main(["selftest", "--seed", "7"]) == 0
     out1 = capsys.readouterr().out

@@ -222,6 +222,18 @@ def test_power_norm_axis_rows_match_flat_calls(p, weight):
     np.testing.assert_allclose(cols, rows, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("axis", [None, 0, -1])
+def test_power_norm_of_real_input_equals_its_complex_cast_bitwise(p, axis):
+    # |x| = hypot(x, 0) bit for bit, so a real array needs no complex copy
+    vals = np.random.default_rng(12).standard_normal((6, 40))
+    vals[2] = 0.0
+    vals[4] *= 1e-300
+    got = _power_norm(vals, p, 0.37, axis=axis)
+    want = _power_norm(vals.astype(complex), p, 0.37, axis=axis)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # scale-stable power sums at the ends of the float range
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from latticebump.bumps import _axis_factor, make_bump, make_window
 from latticebump.grid import GridFunction
-from latticebump.norms import (ExponentTuple, amalgam_norm, loglog_slope, lp_norm,
-                               wiener_band_values, wiener_norm)
+from latticebump.norms import (amalgam_norm, loglog_slope, lp_norm, wiener_band_values,
+                               wiener_norm)
 from latticebump.operators import AliasingWarning, _grouped_sum
 from latticebump.scalinglab import (ScalingFamily, _phi_axis_data, _q_floor,
                                     amalgam_scaling_slope, bilinear_product_scaling,
@@ -200,14 +200,12 @@ def test_necessity_verdicts_measured(fam, kap):
     # amalgam, boundary case (2,2,1): consistent
     in1 = amalgam_scaling_slope(fam, 2.0).slope
     ps1 = bilinear_product_scaling(fam, ONE, [("amalgam", 1.0)])[0]
-    v = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 1.0), "amalgam",
-                          (in1, in1), ps1.slope)
+    v = necessity_verdict("amalgam", (in1, in1), ps1.slope)
     assert v.status == "consistent"
 
     # amalgam violation (2,2,1/2): output doubles the input growth
     ps2 = bilinear_product_scaling(fam, ONE, [("amalgam", 0.5)])[0]
-    v2 = necessity_verdict(ExponentTuple(2, 2, 2, 2, 2, 0.5), "amalgam",
-                           (in1, in1), ps2.slope)
+    v2 = necessity_verdict("amalgam", (in1, in1), ps2.slope)
     assert v2.status == "violated"
     assert v2.gap > 0.1
     assert "1/q <= 1/q1 + 1/q2" in v2.citation
@@ -215,8 +213,7 @@ def test_necessity_verdicts_measured(fam, kap):
     # wiener violation (inf, inf, 1)
     win = wiener_scaling_slope(fam, math.inf, kap).slope
     ps3 = bilinear_product_scaling(fam, ONE, [("wiener", 1.0)], kappa=kap)[0]
-    v3 = necessity_verdict(ExponentTuple(math.inf, math.inf, 1.0, 2, 2, 2),
-                           "wiener", (win, win), ps3.slope)
+    v3 = necessity_verdict("wiener", (win, win), ps3.slope)
     assert v3.status == "violated"
     assert v3.gap > 0.1
     assert "1/p <= 1/p1 + 1/p2" in v3.citation

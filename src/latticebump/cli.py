@@ -513,8 +513,11 @@ def _selftest_checks(seed: int, window_outer: float):
     if 0.5 < window_outer < 1.0:
         w = bumps.make_window(1, window_outer)
     else:
-        w = bumps.Window(base=bumps.make_plateau(1, max(window_outer - 0.05, 0.01),
-                                                 window_outer))
+        try:
+            w = bumps.Window(base=bumps.make_plateau(1, max(window_outer - 0.05, 0.01),
+                                                     window_outer))
+        except ValueError as e:  # no plateau has this outer radius
+            raise ConfigError(f"--force-window-outer {window_outer}: {e}") from None
     xs = np.linspace(-2.0, 2.0, 801)
     tot = sum(np.asarray(bumps.window_eval(w, xs - k)) for k in range(-4, 5))
     dev = float(np.max(np.abs(tot - 1)))
@@ -605,7 +608,7 @@ def _selftest_checks(seed: int, window_outer: float):
 
 def cmd_selftest(args) -> int:
     seed = args.seed if args.seed is not None else 42
-    outer = args.force_window_outer if args.force_window_outer else 0.6
+    outer = args.force_window_outer if args.force_window_outer is not None else 0.6
     rows = list(_selftest_checks(seed, outer))
     width = max(len(name) for name, _ok, _v in rows)
     all_ok = True
@@ -651,7 +654,8 @@ def main(argv=None) -> int:
         print(f"hypothesis violation: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ValueError as e:  # ConfigError, BudgetError and every value the library rejects
-        if args.fn is cmd_selftest:  # reads no config: a ValueError there is a bug
+        # selftest reads only its flags: any other ValueError there is a bug
+        if args.fn is cmd_selftest and not isinstance(e, ConfigError):
             raise
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,7 @@ Riemann sums on the box/torus and is exactly invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +80,15 @@ class GridSpec:
         return (np.arange(self.N) - self.N // 2) / self.s
 
     def axis_xi(self) -> np.ndarray:
-        """Frequency coordinates along one axis, centered order."""
-        return (np.arange(self.N) - self.N // 2) / self.L
+        """Frequency coordinates along one axis, centered order (read-only,
+        built once per spec)."""
+        return self._axis_xi
+
+    @cached_property
+    def _axis_xi(self) -> np.ndarray:
+        xi = (np.arange(self.N) - self.N // 2) / self.L
+        xi.flags.writeable = False
+        return xi
 
     def space_points(self) -> list[np.ndarray]:
         """Open meshgrid of space coordinates (one array per axis)."""
@@ -143,6 +151,13 @@ def make_grid(n: int, L: int, s: int) -> GridSpec:
     return GridSpec(n=int(n), L=int(L), s=int(s))
 
 
+def _padded_slice(axis: np.ndarray, lo: float, hi: float) -> slice:
+    """The indices of the sorted ``axis`` in [lo, hi], padded by one point
+    per side (clipped to the axis)."""
+    return slice(max(int(np.searchsorted(axis, lo, "left")) - 1, 0),
+                 min(int(np.searchsorted(axis, hi, "right")) + 1, len(axis)))
+
+
 def space_function(spec: GridSpec, values) -> GridFunction:
     """Wrap samples (array or callable on space coordinates) as a space GridFunction."""
     if callable(values):
@@ -164,8 +179,11 @@ def _centered_fftn(a: np.ndarray) -> np.ndarray:
 
 
 def _centered_ifftn(a: np.ndarray, axes=None) -> np.ndarray:
-    """Inverse FFT over ``axes`` (all by default) of centred-order samples."""
-    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(a, axes=axes), axes=axes), axes=axes)
+    """Inverse FFT over ``axes`` (all by default) of centred-order samples, in
+    one buffer: one shifted copy in, transformed in place, one shifted copy out."""
+    buf = np.fft.ifftshift(np.asarray(a, dtype=complex), axes=axes)
+    np.fft.ifftn(buf, axes=axes, out=buf)
+    return np.fft.fftshift(buf, axes=axes)
 
 
 def dft(f: GridFunction) -> GridFunction:
@@ -183,7 +201,8 @@ def idft(F: GridFunction) -> GridFunction:
     """Inverse transform: f(x_i) = (1/L)^n * sum_k F(xi_k) e^{+2pi i x_i.xi_k}."""
     if F.side != "frequency":
         raise ValueError("idft expects a frequency-side GridFunction")
-    out = float(F.spec.s) ** F.spec.n * _centered_ifftn(F.samples)
+    out = _centered_ifftn(F.samples)
+    out *= float(F.spec.s) ** F.spec.n
     return GridFunction(F.spec, "space", out)
 
 

@@ -8,7 +8,10 @@ cube's samples form one contiguous cyclic block of s points per axis, which
 the amalgam norm exploits by rolling and reshaping.  The Wiener amalgam norm
 is read from band projections kappa(D - k) f, a frequency-side object: it
 takes f on either side, and a spectrum the caller already holds costs no
-forward transform.
+forward transform.  Bands and windows are read on the slab of the
+spectrum's nonzeros: a band whose window is 0 there gets an exact-zero row,
+and where a single plateau covers it (``_plateau_band``) the stack's pool is
+|idft(f)| and needs no band.  Transforms hold one buffer, scaled in place.
 """
 
 from __future__ import annotations
@@ -85,25 +88,41 @@ def _power_norm(vals: np.ndarray, p: float, weight: float = 1.0, axis: int | Non
     float result is numpy's scalar power and that of an array is its array
     power, which may differ from it in the last bit.
     """
+    return _power_norms(vals, (p,), weight, axis)[0]
+
+
+def _power_norms(vals: np.ndarray, ps, weight: float = 1.0, axis: int | None = None) -> list:
+    """``[_power_norm(vals, p, weight, axis) for p in ps]`` bit for bit, from
+    one modulus, one peak and one division by it."""
     mags = np.abs(vals)
     if axis is None:
         mags = mags.ravel()
     red = -1 if axis is None else axis
     peak = mags.max(axis=red, keepdims=True, initial=0.0)
-    norm = peak.squeeze(red)
-    if not math.isinf(p):
+    top = peak.squeeze(red)
+    finite = [i for i, p in enumerate(ps) if not math.isinf(p)]
+    if finite:
         mags /= np.where(peak == 0.0, 1.0, peak)  # in place: one temporary
-        mags **= p
-        scale, root = weight ** (1.0 / p), mags.sum(axis=red) ** (1.0 / p)
-        lead = norm * scale
-        top, norm = norm, lead * root
-        if scale < 1.0:
-            # a tiny peak times the weight factor can underflow before the
-            # root (>= 1) lifts the product back into range: reorder there only
-            low = lead < _TINY
-            if low.any():
-                norm = np.where(low, top * (scale * root), norm)
-    return float(norm) if axis is None else norm
+    out = []
+    for i, p in enumerate(ps):
+        norm = top
+        if not math.isinf(p):
+            if i == finite[-1]:  # the last power needs no copy
+                mags **= p
+                powered = mags
+            else:
+                powered = mags ** p
+            scale, root = weight ** (1.0 / p), powered.sum(axis=red) ** (1.0 / p)
+            lead = top * scale
+            norm = lead * root
+            if scale < 1.0:
+                # a tiny peak times the weight factor can underflow before the
+                # root (>= 1) lifts the product back into range: reorder there only
+                low = lead < _TINY
+                if low.any():
+                    norm = np.where(low, top * (scale * root), norm)
+        out.append(float(norm) if axis is None else norm)
+    return out
 
 
 def lp_norm(f: GridFunction, p: float, region=None) -> float:
@@ -145,15 +164,13 @@ def lp_norm_torus(F: TrigPolynomial, p: float, points_per_axis: int = 256) -> fl
     return _power_norm(F.evaluate(*axes), p, weight=points_per_axis ** (-F.n))
 
 
-def _cube_blocks(f: GridFunction) -> np.ndarray:
-    """Reorder samples into shape (L,)*n + (s,)*n: leading axes index cubes
-    k + Q (k from -L/2 to L/2-1, torus-wrapped), trailing axes the s^n samples
-    inside each cube."""
-    spec = f.spec
+def _cube_blocks(samples: np.ndarray, spec) -> np.ndarray:
+    """Reorder grid samples into shape (L,)*n + (s,)*n: leading axes index
+    cubes k + Q (k from -L/2 to L/2-1, torus-wrapped), trailing axes the s^n
+    samples inside each cube."""
     L, s, n = spec.L, spec.s, spec.n
-    arr = f.samples
     roll = (s + 1) // 2 - 1  # aligns cube boundaries with block boundaries
-    arr = np.roll(arr, shift=(roll,) * n, axis=tuple(range(n)))
+    arr = np.roll(samples, shift=(roll,) * n, axis=tuple(range(n)))
     arr = arr.reshape(sum(((L, s) for _ in range(n)), ()))
     # axes now (L, s, L, s, ...) -> bring cube axes forward
     order = [2 * j for j in range(n)] + [2 * j + 1 for j in range(n)]
@@ -168,14 +185,13 @@ def amalgam_norm(f: GridFunction, p: float, q: float) -> float:
     p, q = check_exponent(p), check_exponent(q)
     if f.side != "space":
         raise ValueError("amalgam_norm expects a space-side GridFunction")
-    return _power_norm(_cube_norms(f, p), q)
+    return _power_norm(_cube_norms(f.samples, f.spec, p), q)
 
 
-def _cube_norms(f: GridFunction, p: float) -> np.ndarray:
-    """The L^p norm of f on each unit cube k + Q: the vector the amalgam
-    norm's outer l^q reads."""
-    spec = f.spec
-    blocks = _cube_blocks(f).reshape(spec.L**spec.n, spec.s**spec.n)
+def _cube_norms(samples: np.ndarray, spec, p: float) -> np.ndarray:
+    """The L^p norm on each unit cube k + Q of the space samples (complex, or
+    their moduli): the vector the amalgam norm's outer l^q reads."""
+    blocks = _cube_blocks(samples, spec).reshape(spec.L**spec.n, spec.s**spec.n)
     return _power_norm(blocks, p, weight=spec.h**spec.n, axis=1)
 
 
@@ -190,14 +206,42 @@ def _axis_spans(mask: np.ndarray) -> list[tuple[int, int]]:
     return spans
 
 
-def _frequency_support_box(F: np.ndarray) -> list[tuple[int, int]] | None:
-    """Per-axis index spans of the entries above SUPPORT_TOL of the peak
-    (None for a zero spectrum)."""
-    mags = np.abs(F)
-    peak = mags.max()
-    if peak == 0.0:
-        return None
-    return _axis_spans(mags > SUPPORT_TOL * peak)
+def _band_windows(F: np.ndarray, spec, kappa: Window, offset):
+    """(bands, slab, windows): the minimal covering set of bands of the box of
+    F's entries above SUPPORT_TOL of the peak, the bounding slab of F's exact
+    nonzeros (empty for a zero F), and each band's window kappa(xi - mu -
+    offset) on that slab, yielded one at a time."""
+    off = np.zeros(spec.n) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
+    nonzero = F != 0
+    if not nonzero.any():
+        return [], (), iter(())
+    slab = tuple(slice(a, b + 1) for a, b in _axis_spans(nonzero))
+    mags = np.abs(F[slab])
+    xi = spec.axis_xi()
+    box = [(xi[sl.start + a], xi[sl.start + b])
+           for sl, (a, b) in zip(slab, _axis_spans(mags > SUPPORT_TOL * mags.max()))]
+    r = kappa.outer
+    ranges = [np.arange(int(np.ceil(lo - off[j] - r)), int(np.floor(hi - off[j] + r)) + 1)
+              for j, (lo, hi) in enumerate(box)]
+    for j in range(spec.n):
+        if (ranges[j][0] + off[j] - r < -spec.s / 2 - 1e-12
+                or ranges[j][-1] + off[j] + r > spec.s / 2 + 1e-12):
+            raise ValueError("window margin violation: a covering band leaves "
+                             "the frequency box")
+    grids = np.meshgrid(*ranges, indexing="ij")
+    bands = [tuple(int(c) for c in mu) for mu in np.stack([g.ravel() for g in grids], axis=-1)]
+    axes = np.meshgrid(*(xi[sl] for sl in slab), indexing="ij", sparse=True)
+    shifts = (np.asarray(mu, dtype=float) + off for mu in bands)
+    return bands, slab, (window_eval_axes(kappa, [ax - c for ax, c in zip(axes, shift)])
+                         for shift in shifts)
+
+
+def _plateau_band(F: np.ndarray, spec, kappa: Window, offset) -> bool:
+    """Whether one covering band's window is exactly 1 on the slab of the
+    nonzero spectrum F and every other band's is 0 there: then the pointwise
+    l^2 pool of the band stack is |idft(F)| bit for bit."""
+    live = [w for w in _band_windows(F, spec, kappa, offset)[2] if w.any()]
+    return len(live) == 1 and bool((live[0] == 1).all())
 
 
 def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
@@ -207,42 +251,25 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
     A frequency-side ``f`` is the spectrum itself (``dft`` convention) and is
     used as it is; a space-side ``f`` is transformed once.  Each band's window
     is evaluated only on the bounding slab of the spectrum's exact nonzeros:
-    outside it the product with the spectrum is exactly 0 anyway.
-    Non-finite samples on either side are refused.
+    outside it the product with the spectrum is exactly 0 anyway, and a band
+    whose window is 0 on the whole slab keeps its place with an exact-zero
+    row and no transform.  Non-finite samples on either side are refused.
     """
     spec = f.spec
     if not np.isfinite(f.samples).all():
         raise ValueError(f"{f.side}-side input has non-finite samples")
     F = f.samples if f.side == "frequency" else dft(f).samples
-    box = _frequency_support_box(F)
-    if box is None:
-        return [], np.zeros((0,) + spec.shape, dtype=complex)
-    xi = spec.axis_xi()
-    lo, hi = [xi[a] for a, _b in box], [xi[b] for _a, b in box]
-    off = np.zeros(spec.n) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
-    r = kappa.outer
-    ranges = [np.arange(int(np.ceil(lo[j] - off[j] - r)),
-                        int(np.floor(hi[j] - off[j] + r)) + 1) for j in range(spec.n)]
-    for j in range(spec.n):
-        if (ranges[j][0] + off[j] - r < -spec.s / 2 - 1e-12
-                or ranges[j][-1] + off[j] + r > spec.s / 2 + 1e-12):
-            raise ValueError("window margin violation: a covering band leaves "
-                             "the frequency box")
-    grids = np.meshgrid(*ranges, indexing="ij")
-    bands = [tuple(int(c) for c in mu) for mu in np.stack([g.ravel() for g in grids], axis=-1)]
-    slab = tuple(slice(a, b + 1) for a, b in _axis_spans(F != 0))
-    axes = [xi[sl].reshape([-1 if k == j else 1 for k in range(spec.n)])
-            for j, sl in enumerate(slab)]
+    bands, slab, windows = _band_windows(F, spec, kappa, offset)
+    stack = np.zeros((len(bands),) + spec.shape, dtype=complex)
     F_slab = F[slab]
     # one band at a time: a batched transform would hold several
     # stack-sized temporaries next to the stack; outside the slab the
     # product stays 0
     prod = np.zeros(spec.shape, dtype=complex)
-    stack = np.empty((len(bands),) + spec.shape, dtype=complex)
-    for i, mu in enumerate(bands):
-        shift = np.asarray(mu, dtype=float) + off
-        prod[slab] = window_eval_axes(kappa, [ax - shift[j] for j, ax in enumerate(axes)]) * F_slab
-        np.multiply(spec.s**spec.n, _centered_ifftn(prod), out=stack[i])
+    for i, window in enumerate(windows):
+        if window.any():
+            prod[slab] = window * F_slab
+            np.multiply(spec.s**spec.n, _centered_ifftn(prod), out=stack[i])
     return bands, stack
 
 

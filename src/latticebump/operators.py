@@ -139,7 +139,7 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray,
     """
     n, N = spec.n, spec.N
     i1 = np.flatnonzero(F1 != 0)
-    i2 = np.flatnonzero(F2 != 0)
+    i2 = i1 if F2 is F1 else np.flatnonzero(F2 != 0)
     u1 = tuple(u[:, None] for u in np.unravel_index(i1, spec.shape))
     u2 = tuple(u[None, :] for u in np.unravel_index(i2, spec.shape))
     W = sigma_at(u1 + u2) * np.outer(F1.ravel()[i1], F2.ravel()[i2]) * spec.dxi ** (2 * n)
@@ -162,7 +162,8 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray,
                           f"into the frequency box", AliasingWarning, stacklevel=3)
 
     G = G.reshape(spec.shape)
-    space = N**n * _centered_ifftn(G)
+    space = _centered_ifftn(G)
+    space *= N**n
     G *= spec.L**n
     return GridFunction(spec, "space", space), GridFunction(spec, "frequency", G)
 

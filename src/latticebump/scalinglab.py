@@ -20,31 +20,33 @@ factor of phi decreases on [0, 1/2] for an even, nonnegative base of radius
 The second, companion exponent of a space cannot move a slope (amalgam
 norms grow like eps^{-n/q} whatever the inner p, Wiener norms like
 eps^{-n/p} whatever the outer q), so it is fixed at 2 in one place,
-``_reduce``.  Every measurement runs in one eps-major pass
+``_norms``.  Every measurement runs in one eps-major pass
 (``_scaling_pass``, behind ``scaling_slopes``, ``bilinear_product_scaling``
-and the ``scaling`` command): each eps builds f_hat once and f_eps = its
-inverse transform once, and reduces f_eps once per space, to its per-cube
-L^2 profile (amalgam, from the space samples) or to the pointwise l^2 pool
-of its band stack (Wiener, from f_hat itself: no forward transform), and
-every requested exponent of that space reads its norm from that one
-reduction.  The same f_eps gives sup |f_eps| (the scale of the products'
-degenerate check), and the same f_hat gives the product T_sigma(f_eps,
-f_eps), formed once as space samples and spectrum and reduced once per
-space in the same way.  The eps's arrays are gone before the next eps is
-built, so one eps's arrays are alive at a time.
+and the ``scaling`` command): each eps builds f_hat once, on its support
+slab, transforms it once and takes |f_eps| once, for the per-cube L^2
+profile (amalgam), sup |f_eps| and the Wiener pool.  The band lattice is
+offset to xi0 and the support radius stays under the window plateau, so one
+band's window is exactly 1 on the spectrum's slab and the pool of the band
+stack is |f_eps| bit for bit (``norms._plateau_band`` checks it; where it
+fails the stack is built from f_hat).  Every exponent of a space reads one
+normalised reduction.  The same f_hat gives the product T_sigma(f_eps,
+f_eps), as space samples and spectrum; |T| gives its cube profile and the
+core minimum, and its Wiener norms keep their band transform: T's samples
+are N^n ifft(G), not the idft of its spectrum, and would move them in the
+last bits.  So each eps makes three inverse transforms, and its arrays are
+gone before the next eps is built.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bumps import BumpProfile, Window, make_bump, _axis_factor
-from .grid import GridFunction, GridSpec, idft, make_grid
-from .norms import (_cube_norms, _power_norm, check_exponent, loglog_slope,
-                    lp_norm, wiener_band_values)
+from .grid import GridFunction, GridSpec, _padded_slice, idft, make_grid
+from .norms import (_cube_norms, _plateau_band, _power_norm, _power_norms, check_exponent,
+                    loglog_slope, wiener_band_values)
 from .operators import _grouped_sum
 from .transference import AMALGAM_CITATION, WIENER_CITATION
 
@@ -117,12 +119,18 @@ class ScalingFamily:
             else tuple(eps * r for r in self.base.inner))
 
     def f_hat(self, eps: float) -> GridFunction:
-        """Frequency samples eps^{-n} phihat(eps^{-1}(xi - xi0))."""
+        """Frequency samples eps^{-n} phihat(eps^{-1}(xi - xi0)), evaluated
+        on the support slab |xi - xi0|_inf <= eps * radius padded by one bin
+        per side: off it every sample is 0."""
         spec = self.specs[eps]
         prof = self.scaled_profile(eps)
-        out = np.full(spec.shape, eps ** (-self.n) * prof.amplitude, dtype=complex)
-        for j, xi in enumerate(spec.freq_points()):
-            out = out * _axis_factor(prof, j, xi)
+        xi = spec.axis_xi()
+        slab = tuple(_padded_slice(xi, c - r, c + r) for c, r in zip(prof.center, prof.radius))
+        vals = eps ** (-self.n) * prof.amplitude
+        for j, u in enumerate(np.meshgrid(*(xi[sl] for sl in slab), indexing="ij", sparse=True)):
+            vals = vals * _axis_factor(prof, j, u)
+        out = np.zeros(spec.shape, dtype=complex)
+        out[slab] = vals
         return GridFunction(spec, "frequency", out)
 
     def f(self, eps: float) -> GridFunction:
@@ -235,27 +243,26 @@ def _check_space(space: str, kappa: Window | None) -> None:
         raise ValueError("wiener measurement needs a window")
 
 
-def _reduce(g: GridFunction, ghat: GridFunction, space: str, kappa: Window | None,
-            offset) -> tuple[np.ndarray, float]:
-    """g, with spectrum ghat, reduced once at companion exponent 2, as
-    (values, weight): its amalgam (L^2, l^r) norm, read from the space
-    samples, or its Wiener W^{r,2} norm, read from the spectrum, is
-    _power_norm(values, r, weight) for every r."""
-    if space == "amalgam":
-        return _cube_norms(g, 2.0), 1.0
-    spec = g.spec
-    return (_power_norm(wiener_band_values(ghat, kappa, offset=offset)[1], 2.0, axis=0),
-            spec.h**spec.n)
-
-
-def _norms(g: GridFunction, ghat: GridFunction, measurements, kappa: Window | None,
-           offset) -> list[float]:
-    """The norm of g (spectrum ghat) for each (space, r) in ``measurements``,
-    from one reduction per space."""
-    reduced = {space: _reduce(g, ghat, space, kappa, offset)
-               for space in dict.fromkeys(space for space, _r in measurements)}
-    return [_power_norm(reduced[space][0], r, reduced[space][1])
-            for space, r in measurements]
+def _norms(mod: np.ndarray, ghat: GridFunction, measurements, kappa: Window | None,
+           offset, exact: bool) -> list[float]:
+    """The norm for each (space, r) in ``measurements`` of the function with
+    space-side modulus ``mod`` and spectrum ``ghat``: its amalgam (L^2, l^r)
+    or Wiener W^{r,2} norm, one reduction and normalisation per space.  The
+    Wiener pool is ``mod`` when that is |idft(ghat)| bit for bit (``exact``)
+    and a single plateau covers the spectrum."""
+    spec = ghat.spec
+    norms = {}
+    for space in dict.fromkeys(space for space, _r in measurements):
+        if space == "amalgam":
+            values, weight = _cube_norms(mod, spec, 2.0), 1.0
+        elif exact and _plateau_band(ghat.samples, spec, kappa, offset):
+            values, weight = mod, spec.h**spec.n
+        else:
+            values = _power_norm(wiener_band_values(ghat, kappa, offset=offset)[1], 2.0, axis=0)
+            weight = spec.h**spec.n
+        norms[space] = iter(_power_norms(values, [r for sp, r in measurements if sp == space],
+                                         weight))
+    return [next(norms[space]) for space, _r in measurements]
 
 
 def _product_row(fam: ScalingFamily, e: float, fh: GridFunction, products, kappa,
@@ -268,23 +275,24 @@ def _product_row(fam: ScalingFamily, e: float, fh: GridFunction, products, kappa
     T, T_hat = _grouped_sum(
         lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
         fh.samples, fh.samples, spec)
+    mod = np.abs(T.samples)
     min_core = None
     if e == fam.epsilons[-1]:
-        core = np.abs(spec.axis_x()) <= 1.0 / (2 * e)
-        min_core = float(np.min(np.abs(T.samples[core])))
+        min_core = float(np.min(mod[np.abs(spec.axis_x()) <= 1.0 / (2 * e)]))
     # the product's spectrum is centred at 2 * xi0
-    return _norms(T, T_hat, products, kappa, 2 * np.asarray(fam.xi0)), min_core
+    return _norms(mod, T_hat, products, kappa, 2 * np.asarray(fam.xi0), False), min_core
 
 
 def _eps_row(fam: ScalingFamily, e: float, ladders, products, kappa, sigma_fn):
     """One eps of the pass: (ladder norms, product norms, min |T| on the core
-    box, sup |f_eps|).  Every array of the eps dies before it returns."""
+    box, sup |f_eps|).  f_eps is transformed once and its modulus taken once;
+    every array of the eps dies before it returns."""
     fh = fam.f_hat(e)
     product_norms, min_core = (_product_row(fam, e, fh, products, kappa, sigma_fn)
                                if products else ([], None))
-    f = idft(fh)
-    sup = lp_norm(f, math.inf) if products else None
-    return _norms(f, fh, ladders, kappa, fam.xi0), product_norms, min_core, sup
+    mod = np.abs(idft(fh).samples)
+    return (_norms(mod, fh, ladders, kappa, fam.xi0, True), product_norms, min_core,
+            float(mod.max()))
 
 
 def _scaling_pass(fam: ScalingFamily, slopes, products, kappa: Window | None = None,

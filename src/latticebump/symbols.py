@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bumps import BumpProfile, _axis_factor, bump_eval_axes, make_plateau
-from .grid import GridSpec, _as_int_tuple, check_budget
+from .grid import GridSpec, _as_int_tuple, _padded_slice, check_budget
 
 __all__ = [
     "LatticeCoefficients",
@@ -202,13 +202,11 @@ def _translate_sum(a: LatticeCoefficients, box, evaluate, spec: GridSpec) -> np.
     """
     if not all(np.isfinite(v) for v in a.entries.values()):
         raise ValueError("coefficients must be finite")
-    xi, N = spec.axis_xi(), spec.N
-    out = np.zeros((N,) * (2 * spec.n), dtype=complex)
+    xi = spec.axis_xi()
+    out = np.zeros((spec.N,) * (2 * spec.n), dtype=complex)
     for (m1, m2), val in a.items():
         mu = m1 + m2
-        slab = tuple(slice(max(int(np.searchsorted(xi, lo + m, "left")) - 1, 0),
-                           min(int(np.searchsorted(xi, hi + m, "right")) + 1, N))
-                     for lo, hi, m in zip(*box, mu))
+        slab = tuple(_padded_slice(xi, lo + m, hi + m) for lo, hi, m in zip(*box, mu))
         out[slab] += val * evaluate([xi[sl] - m for sl, m in zip(slab, mu)])
     return out
 

@@ -195,9 +195,9 @@ BENCH_SCALING = {"n": 1, "scaling": {
                  {"space": "wiener", "exponents": ["inf", "inf", 1, 2, 2, 2]}]}}
 
 
-def test_scaling_builds_two_band_stacks_per_eps(tmp_path, monkeypatch):
-    # each eps builds one band stack for the Wiener slopes (every p reads it)
-    # and one for the Wiener verdict's product
+def test_scaling_builds_one_band_stack_per_eps(tmp_path, monkeypatch):
+    # the Wiener slopes read f_eps's single plateau band from |f_eps| itself:
+    # each eps builds one band stack only, for the Wiener verdict's product
     from latticebump import norms, scalinglab
     calls = []
     band_values = norms.wiener_band_values
@@ -209,8 +209,7 @@ def test_scaling_builds_two_band_stacks_per_eps(tmp_path, monkeypatch):
     monkeypatch.setattr(scalinglab, "wiener_band_values", counted)
     cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 2 * len(BENCH_EPSILONS)
-    assert sorted(set(calls.count(L) for L in calls)) == [2]
+    assert len(calls) == len(set(calls)) == len(BENCH_EPSILONS)
 
 
 def test_scaling_forms_one_product_per_eps(tmp_path, monkeypatch):
@@ -316,6 +315,22 @@ def test_selftest_catches_an_overlapping_window(capsys):
     out = capsys.readouterr().out
     assert code == 4
     assert "window partition of unity" in out and "FAIL" in out
+
+
+def test_selftest_fault_injection_below_the_window_range(capsys):
+    code = main(["selftest", "--force-window-outer", "0.3"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "window partition of unity" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("outer", ["0", "-1"])
+def test_selftest_window_outer_that_builds_no_window_is_a_config_error(capsys, outer):
+    # 0 is read, not mistaken for an absent flag; no plateau has outer radius <= 0
+    assert main(["selftest", "--force-window-outer", outer]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("config error:") == 1 and "outer" in captured.err
 
 
 @pytest.mark.parametrize("command, flag, value", [

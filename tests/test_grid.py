@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from latticebump.bumps import bump_eval_axes, make_bump
-from latticebump.grid import (dft, freq_function, idft, make_grid, poisson_check,
-                              space_function)
+from latticebump.grid import (GridSpec, _centered_ifftn, dft, freq_function, idft, make_grid,
+                              poisson_check, space_function)
 
 from conftest import BUMP_INTEGRAL
 
@@ -38,6 +38,32 @@ def test_axes_cover_boxes():
     xi = g.axis_xi()
     assert xi[0] == -8.0 and xi[-1] == 8.0 - 1 / 8
     assert g.freq_index((1,)) == (g.N // 2 + g.L,)
+
+
+def test_axis_xi_is_built_once_and_read_only():
+    g = make_grid(1, 8, 16)
+    xi = g.axis_xi()
+    assert g.axis_xi() is xi
+    with pytest.raises(ValueError, match="read-only"):
+        xi[0] = 1.0
+    # the cached array is not a field: equality and hash stay those of (n, L, s)
+    assert g == GridSpec(1, 8, 16) and hash(g) == hash(GridSpec(1, 8, 16))
+    assert g != make_grid(1, 8, 32)
+
+
+def _shifted_ifftn(a, axes=None):
+    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(a, axes=axes), axes=axes), axes=axes)
+
+
+@pytest.mark.parametrize("shape, axes", [((3072 * 2**k,), None) for k in range(6)]
+                         + [((96, 160), None), ((3, 64, 48), (1, 2)), ((64, 5), (0,))])
+def test_centered_ifftn_in_one_buffer_is_the_shifted_transform_bitwise(shape, axes):
+    rng = np.random.default_rng(len(shape) * 7919 + shape[-1])
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    before = a.copy()
+    got = _centered_ifftn(a, axes=axes)
+    assert got.tobytes() == _shifted_ifftn(a, axes=axes).tobytes()
+    assert a.tobytes() == before.tobytes()  # the input is not touched
 
 
 def test_dft_of_zero_is_zero(spec):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window)
 from latticebump.grid import _centered_ifftn, dft, freq_function, idft, make_grid, space_function
-from latticebump.norms import (ExponentTuple, _power_norm, amalgam_norm, loglog_slope,
+from latticebump.norms import (ExponentTuple, _power_norm, _power_norms, amalgam_norm, loglog_slope,
                                lp_norm, lp_norm_torus, lq_seq_norm, mixed_norm_check,
                                wiener_band_values, wiener_norm)
 from latticebump.operators import _multiplier_samples, sequence_from_dict, trig_poly_from_dict
@@ -234,6 +234,19 @@ def test_power_norm_of_real_input_equals_its_complex_cast_bitwise(p, axis):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("axis", [None, 0, -1])
+@pytest.mark.parametrize("ps", [[0.5, 1.0, 2.0, math.inf], [math.inf, 3.0, 3.0, 0.05], [2.0],
+                                [math.inf]])
+def test_power_norms_equal_one_call_per_exponent_bitwise(ps, axis):
+    # one modulus, peak and division serve every exponent
+    vals = np.random.default_rng(13).standard_normal((6, 40)) + 1j
+    vals[2] = 0.0
+    vals[4] *= 1e-300
+    got = _power_norms(vals, ps, 0.37, axis=axis)
+    assert [np.asarray(g).tobytes() for g in got] == [
+        np.asarray(_power_norm(vals, p, 0.37, axis=axis)).tobytes() for p in ps]
+
+
 # ---------------------------------------------------------------------------
 # scale-stable power sums at the ends of the float range
 # ---------------------------------------------------------------------------
@@ -355,6 +368,29 @@ def test_wiener_band_stack_is_built_band_by_band():
                        for mu in bands])
     assert np.array_equal(stack, spec.s**2 * _centered_ifftn(pieces, axes=(1, 2)))
     assert peak <= 2 * stack.nbytes
+
+
+def test_band_whose_window_is_zero_on_the_slab_is_an_exact_zero_row(monkeypatch):
+    # the spectrum's top bin sits at 0.4 = 1 - outer: band 1's window touches
+    # it at its outer edge, where it is exactly 0, so band 1 covers the box
+    # and keeps its place, with a zero row and no transform
+    spec = make_grid(1, 10, 4)
+    kappa = make_window(1, 0.6)
+    F = np.zeros(spec.shape, dtype=complex)
+    F[spec.N // 2 + 2: spec.N // 2 + 5] = [1.0, 2.0 - 1j, 0.5j]  # xi = 0.2, 0.3, 0.4
+    transforms = []
+    ifftn = np.fft.ifftn
+
+    def counted(*args, **kwargs):
+        transforms.append(args[0].shape)
+        return ifftn(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    bands, stack = wiener_band_values(freq_function(spec, F), kappa)
+    assert bands == [(0,), (1,)]
+    assert len(transforms) == 1
+    assert stack[1].tobytes() == np.zeros(spec.shape, dtype=complex).tobytes()
+    mult = _multiplier_samples(kappa, spec, shift=np.zeros(1))
+    assert np.array_equal(stack[0], spec.s * _centered_ifftn(mult * F))
 
 
 def test_spectrum_side_band_stack_is_the_full_window_product_bitwise():

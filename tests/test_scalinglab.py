@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from latticebump.bumps import _axis_factor, make_bump, make_window
-from latticebump.grid import GridFunction
+from latticebump.grid import GridFunction, idft
 from latticebump.norms import (amalgam_norm, loglog_slope, lp_norm, wiener_band_values,
                                wiener_norm)
 from latticebump.operators import AliasingWarning, _grouped_sum
-from latticebump.scalinglab import (ScalingFamily, _phi_axis_data, _q_floor,
+from latticebump.norms import _plateau_band
+from latticebump.scalinglab import (ScalingFamily, _eps_row, _phi_axis_data, _q_floor,
+                                    _scaling_pass,
                                     amalgam_scaling_slope, bilinear_product_scaling,
                                     make_scaling_family, necessity_verdict, scaling_slopes,
                                     wiener_scaling_slope)
@@ -57,6 +59,18 @@ def test_frequency_support_is_exact(fam):
     xi = F.spec.axis_xi()
     outside = np.abs(xi) > e * max(fam.base.radius)
     assert np.all(F.samples[outside] == 0)
+
+
+@pytest.mark.parametrize("n, xi0", [(1, 0.75), (1, -3.5), (2, (0.5, -0.25))])
+def test_f_hat_on_its_support_slab_is_the_whole_grid_product_bitwise(n, xi0):
+    fam = make_scaling_family(n=n, xi0=xi0, epsilons=(1.0, 0.5, 0.25), box_factor=16.0,
+                              tail_budget=1.0)
+    for e in fam.epsilons:
+        spec, prof = fam.specs[e], fam.scaled_profile(e)
+        want = np.full(spec.shape, e ** (-n) * prof.amplitude, dtype=complex)
+        for j, xi in enumerate(spec.freq_points()):
+            want = want * _axis_factor(prof, j, xi)
+        assert fam.f_hat(e).samples.tobytes() == want.tobytes()
 
 
 def test_family_rejects_bad_parameters():
@@ -419,3 +433,60 @@ def test_flat_ladder_fits_zero_slope_and_a_growing_ladder_keeps_its_fit(ladder, 
         np.sum((ly - np.mean(ly)) ** 2))
     assert loglog_slope([1.0 / e for e in ladder.epsilons], norms) == (
         float(slope), float(intercept), r2)
+
+
+@pytest.mark.parametrize("xi0", [0.0, 0.25, 0.5])
+def test_scaling_pass_makes_three_inverse_transforms_per_eps(xi0, kap, monkeypatch):
+    # per eps: f_eps, the product T and T's one band; the ladder's Wiener
+    # band is f_eps itself (its window is exactly 1 on the spectrum's slab)
+    fam = make_scaling_family(xi0=xi0, epsilons=(0.5, 0.25, 0.125))
+    shapes = []
+    ifftn = np.fft.ifftn
+
+    def counted(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return ifftn(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    _scaling_pass(fam, {"amalgam": EXPONENTS, "wiener": EXPONENTS},
+                  [("amalgam", 0.5), ("wiener", 1.0)], kap, ONE)
+    assert shapes == [spec.shape for spec in fam.specs.values() for _ in range(3)]
+
+
+@pytest.mark.parametrize("family, outer, with_products", [
+    (None, 0.6, True),
+    ({"n": 2, "xi0": 0.5, "epsilons": (1.0, 0.75, 0.5), "box_factor": 16.0,
+      "tail_budget": 1.0}, 0.6, False),
+    # the plateau 0.2 is narrower than the support radius 0.3 at eps = 1:
+    # there the ladder's Wiener norms fall back to the band transform
+    ({"xi0": 0.5, "epsilons": (1.0, 0.5, 0.25)}, 0.8, True)],
+    ids=["benchmark-ladder", "n2-ladder", "plateau-fallback"])
+def test_eps_rows_equal_the_public_norms_bitwise(family, outer, with_products, ladder):
+    fam = ladder if family is None else make_scaling_family(**family)
+    kappa = make_window(fam.n, outer)
+    ladders = [(space, r) for space in ("amalgam", "wiener") for r in EXPONENTS]
+    products = ladders if with_products else []
+    plateau = []
+    for e in fam.epsilons:
+        norms, product_norms, min_core, sup = _eps_row(fam, e, ladders, products, kappa, ONE)
+        fh = fam.f_hat(e)
+        f = idft(fh)
+        plateau.append(_plateau_band(fh.samples, fh.spec, kappa, fam.xi0))
+        assert norms == [amalgam_norm(f, 2.0, r) if space == "amalgam"
+                         else wiener_norm(fh, r, 2.0, kappa, offset=fam.xi0)
+                         for space, r in ladders]
+        assert sup == lp_norm(f, math.inf)
+        if not with_products:
+            continue
+        spec = fh.spec
+        xi = spec.axis_xi()
+        T, T_hat = _grouped_sum(
+            lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex),
+            fh.samples, fh.samples, spec)
+        assert product_norms == [
+            amalgam_norm(T, 2.0, r) if space == "amalgam"
+            else wiener_norm(T_hat, r, 2.0, kappa, offset=2 * np.asarray(fam.xi0))
+            for space, r in products]
+        core = np.abs(spec.axis_x()) <= 1.0 / (2 * e)
+        assert min_core == (float(np.min(np.abs(T.samples[core])))
+                            if e == fam.epsilons[-1] else None)
+    assert plateau == ([False, True, True] if outer == 0.8 else [True] * len(fam.epsilons))

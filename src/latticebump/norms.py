@@ -11,7 +11,8 @@ takes f on either side, and a spectrum the caller already holds costs no
 forward transform.  Bands and windows are read on the slab of the
 spectrum's nonzeros: a band whose window is 0 there gets an exact-zero row,
 and where a single plateau covers it (``_plateau_band``) the stack's pool is
-|idft(f)| and needs no band.  Transforms hold one buffer, scaled in place.
+|idft(f)| and needs no band.  Inverse transforms hold one buffer
+(``grid._centered_ifftn``).
 """
 
 from __future__ import annotations
@@ -231,9 +232,8 @@ def _band_windows(F: np.ndarray, spec, kappa: Window, offset):
     grids = np.meshgrid(*ranges, indexing="ij")
     bands = [tuple(int(c) for c in mu) for mu in np.stack([g.ravel() for g in grids], axis=-1)]
     axes = np.meshgrid(*(xi[sl] for sl in slab), indexing="ij", sparse=True)
-    shifts = (np.asarray(mu, dtype=float) + off for mu in bands)
-    return bands, slab, (window_eval_axes(kappa, [ax - c for ax, c in zip(axes, shift)])
-                         for shift in shifts)
+    return bands, slab, (window_eval_axes(kappa, [ax - (m + c) for ax, m, c in zip(axes, mu, off)])
+                         for mu in bands)
 
 
 def _plateau_band(F: np.ndarray, spec, kappa: Window, offset) -> bool:

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window)
 from latticebump.grid import _centered_ifftn, dft, freq_function, idft, make_grid, space_function
-from latticebump.norms import (ExponentTuple, _power_norm, _power_norms, amalgam_norm, loglog_slope,
-                               lp_norm, lp_norm_torus, lq_seq_norm, mixed_norm_check,
-                               wiener_band_values, wiener_norm)
+from latticebump.norms import (ExponentTuple, _power_norm, _power_norms, amalgam_norm,
+                               loglog_slope, lp_norm, lp_norm_torus, lq_seq_norm,
+                               mixed_norm_check, wiener_band_values, wiener_norm)
 from latticebump.operators import _multiplier_samples, sequence_from_dict, trig_poly_from_dict
 from latticebump.transference import build_wiener_witness
 

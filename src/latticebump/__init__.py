@@ -18,8 +18,7 @@ from .symbols import (CMDecomposition, LatticeCoefficients, SymbolGrid,
                       sigma_from_cm, synth_sigma)
 from .operators import (AliasingWarning, Sequence, TrigPolynomial, apply_S,
                         apply_T_aPhi_fast, apply_T_period, apply_T_sigma,
-                        apply_linear_mult, band_project, sequence_from_dict,
-                        trig_poly_from_dict)
+                        band_project, sequence_from_dict, trig_poly_from_dict)
 from .norms import (ExponentTuple, amalgam_norm, lp_norm,
                     lp_norm_torus, lq_seq_norm, mixed_norm_check, wiener_norm)
 from .transference import (AMALGAM_CITATION, WIENER_CITATION,

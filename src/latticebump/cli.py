@@ -223,8 +223,10 @@ def _coeffs_from(cfg: dict, n: int, seed: int) -> symbols.LatticeCoefficients:
             if not isinstance(row, list) or len(row) != 4:
                 raise ConfigError(f"a.entries row {row!r}: expected [m1, m2, re, im]")
             m1, m2, re, im = row
-            entries[(_multi_index(m1, n), _multi_index(m2, n))] = complex(
-                _number(re, "a.entries re"), _number(im, "a.entries im"))
+            key = (_multi_index(m1, n), _multi_index(m2, n))
+            if key in entries:  # a later row would silently replace the earlier one
+                raise ConfigError(f"a.entries index {key} is given more than once")
+            entries[key] = complex(_number(re, "a.entries re"), _number(im, "a.entries im"))
         return symbols.LatticeCoefficients(n, entries)
     r = _section(a, "random", "a.random")
     if r is not None:
@@ -262,8 +264,8 @@ def _theta_from(phi: bumps.BumpProfile, spec: grid.GridSpec):
     """The condition-(B) result of Phi and the theta pair built on its witness."""
     cb = bumps.check_condition_B(phi)
     if not cb.holds:
-        raise ConfigError("Phi fixture fails condition (B); "
-                          "no witness-pool estimation possible")
+        raise ConfigError(f"Phi fixture fails condition (B) ({cb.detail}); "
+                          f"no witness-pool estimation possible")
     return cb, bumps.make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
 
 

@@ -98,20 +98,6 @@ class GridSpec:
         """Open meshgrid of frequency coordinates (one array per axis)."""
         return list(np.meshgrid(*(self.axis_xi(),) * self.n, indexing="ij", sparse=True))
 
-    def freq_index(self, mu) -> tuple[int, ...]:
-        """Array index of the integer frequency mu in Z^n.
-
-        Raises ValueError if mu falls outside [-s/2, s/2).
-        """
-        mu = _as_int_tuple(mu, self.n)
-        idx = []
-        for m in mu:
-            k = m * self.L + self.N // 2
-            if not 0 <= k < self.N:
-                raise ValueError(f"integer frequency {mu} outside the frequency box")
-            idx.append(k)
-        return tuple(idx)
-
 
 @dataclass
 class GridFunction:

@@ -126,26 +126,12 @@ def _power_norms(vals: np.ndarray, ps, weight: float = 1.0, axis: int | None = N
     return out
 
 
-def lp_norm(f: GridFunction, p: float, region=None) -> float:
-    """Riemann L^p norm (h^n sum |f|^p)^(1/p); sup over the region for p = inf.
-
-    region: None for the whole grid, or (lo, hi) per-axis bounds selecting the
-    half-open box {lo < x <= hi} (grid-aligned cubes come out exact).
-    """
+def lp_norm(f: GridFunction, p: float) -> float:
+    """Riemann L^p norm (h^n sum |f|^p)^(1/p); the sup for p = inf."""
     p = check_exponent(p)
-    spec = f.spec
     if f.side != "space":
         raise ValueError("lp_norm expects a space-side GridFunction")
-    vals = f.samples
-    if region is not None:
-        lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in region)
-        mask = np.ones(spec.shape, dtype=bool)
-        for j, x in enumerate(spec.space_points()):
-            # half-open (lo, hi]: keep the right endpoint under float fuzz,
-            # drop the left one
-            mask &= (x > lo[j] + 1e-12) & (x <= hi[j] + 1e-12)
-        vals = vals[mask]
-    return _power_norm(vals, p, weight=spec.h**spec.n)
+    return _power_norm(f.samples, p, weight=f.spec.h**f.spec.n)
 
 
 def lq_seq_norm(v, q: float) -> float:

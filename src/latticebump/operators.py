@@ -15,8 +15,8 @@
 * ``apply_T_period``  -- periodic bilinear operator on trig polynomials,
   computed in coefficient space.
 * ``apply_S``         -- the sequence model, an a-weighted convolution.
-* ``apply_linear_mult`` / ``band_project`` -- linear multipliers m(D) and the
-  translated-window projections used by Wiener amalgam norms.
+* ``band_project``    -- the translated-window projection kappa(D - mu) f of
+  one band of a Wiener amalgam norm.
 
 Products at grid points fold output frequencies modulo the box (that is what
 pointwise evaluation of e^{2pi i x.zeta} on the grid does); inputs in the
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import BumpProfile, Window, bump_eval_axes
+from .bumps import Window, window_eval_axes
 from .grid import (GridFunction, GridSpec, _as_int_tuple, _centered_ifftn, check_budget,
                    dft, idft)
 from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid, _cm_rows, _contract
@@ -44,8 +44,9 @@ __all__ = [
     "apply_T_aPhi_fast",
     "apply_T_period",
     "apply_S",
-    "apply_linear_mult",
     "band_project",
+    "sequence_from_dict",
+    "trig_poly_from_dict",
 ]
 
 
@@ -82,9 +83,6 @@ class Sequence:
 
     n: int
     entries: dict[tuple[int, ...], complex]
-
-    def drop_zeros(self, tol: float = 0.0) -> "Sequence":
-        return Sequence(self.n, {k: v for k, v in self.entries.items() if abs(v) > tol})
 
 
 def sequence_from_dict(n: int, entries: dict) -> Sequence:
@@ -195,39 +193,6 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
                         np.where(cols.reshape(spec.shape), dft(f2).samples, 0), spec)[0]
 
 
-def _multiplier_samples(m, spec: GridSpec, shift=None) -> np.ndarray:
-    """Normalize a multiplier (array, GridFunction, profile, window, callable)
-    to frequency samples, optionally translated by ``shift``."""
-    axes = spec.freq_points()
-    if shift is not None:
-        shift = np.atleast_1d(np.asarray(shift, dtype=float))
-        axes = [ax - shift[j] for j, ax in enumerate(axes)]
-    if isinstance(m, Window):  # a window is its plateau base
-        m = m.base
-    if isinstance(m, BumpProfile):
-        return np.asarray(bump_eval_axes(m, axes), dtype=complex)
-    if isinstance(m, GridFunction):
-        if m.side != "frequency":
-            raise ValueError("multiplier GridFunction must be frequency-side")
-        if shift is not None:
-            raise ValueError("cannot shift sampled multipliers")
-        return m.samples
-    if callable(m):
-        return np.asarray(m(*axes), dtype=complex)
-    arr = np.asarray(m, dtype=complex)
-    if arr.shape != spec.shape:
-        raise ValueError(f"multiplier shape {arr.shape} != grid shape {spec.shape}")
-    if shift is not None:
-        raise ValueError("cannot shift sampled multipliers")
-    return arr
-
-
-def apply_linear_mult(m, f: GridFunction) -> GridFunction:
-    """Linear Fourier multiplier m(D)f = idft(m * dft(f))."""
-    samples = _multiplier_samples(m, f.spec)
-    return idft(GridFunction(f.spec, "frequency", samples * dft(f).samples))
-
-
 def band_project(kappa: Window, mu, f: GridFunction, offset=None) -> GridFunction:
     """kappa(D - mu - offset) f: the window translated to the band at mu."""
     spec = f.spec
@@ -237,7 +202,7 @@ def band_project(kappa: Window, mu, f: GridFunction, offset=None) -> GridFunctio
     total = mu + (0 if offset is None else np.atleast_1d(np.asarray(offset, dtype=float)))
     if np.any(np.abs(total) + kappa.outer > spec.s / 2):
         raise ValueError(f"band at {tuple(total)} leaves the frequency box")
-    samples = _multiplier_samples(kappa, spec, shift=total)
+    samples = window_eval_axes(kappa, [ax - t for ax, t in zip(spec.freq_points(), total)])
     return idft(GridFunction(spec, "frequency", samples * dft(f).samples))
 
 

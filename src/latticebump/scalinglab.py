@@ -82,7 +82,6 @@ class ProductScaling:
     sigma_at_center: complex
     min_modulus_on_core: float   # min |T| over |x|_inf <= 1/(2 eps_min)
     half_bound_held: bool        # min >= 0.5 |sigma(xi0, eta0)| at smallest eps
-    smallest_eps: float
 
 
 @dataclass
@@ -103,7 +102,6 @@ class ScalingFamily:
     xi0: tuple[float, ...]
     epsilons: tuple[float, ...]
     s: int
-    box_factor: float
     amplitude: float           # scale applied so min_Q |phi| >= 1
     min_q_modulus: float       # certified floor of |phi| on Q
     tail_fraction: float       # recorded |phi| l1 mass outside the box (per axis)
@@ -231,7 +229,7 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
         raise ValueError(f"measured tail fraction {tail:.2e} exceeds the budget "
                          f"{tail_budget:.1e}; increase box_factor")
     return ScalingFamily(n=n, base=base, xi0=xi0, epsilons=eps_list, s=s,
-                         box_factor=float(box_factor), amplitude=float(amplitude),
+                         amplitude=float(amplitude),
                          min_q_modulus=float(min_q_axis**n * amplitude),
                          tail_fraction=float(tail), specs=specs)
 
@@ -346,8 +344,7 @@ def _scaling_pass(fam: ScalingFamily, slopes, products, kappa: Window | None = N
         out.append(ProductScaling(slope=slope, r_squared=r2, epsilons=fam.epsilons,
                                   norms=norms, degenerate=degenerate,
                                   sigma_at_center=sig0, min_modulus_on_core=min_core,
-                                  half_bound_held=not degenerate and min_core >= 0.5 * abs(sig0),
-                                  smallest_eps=fam.epsilons[-1]))
+                                  half_bound_held=not degenerate and min_core >= 0.5 * abs(sig0)))
     return fits, out
 
 

@@ -101,15 +101,13 @@ class ExponentHypothesisError(ValueError):
 
 @dataclass
 class WitnessPair:
-    """Test functions from the proof machinery, with the kernel g attached."""
+    """Test functions from the proof machinery with their theta pair (kernel g);
+    F1, F2 are set on an amalgam witness, b1, b2 on a Wiener one."""
 
     f1: GridFunction
     f2: GridFunction
     fhat1: GridFunction  # the exact spectra that f1, f2 are the idft of
     fhat2: GridFunction
-    provenance: str  # "amalgam" | "wiener"
-    g: GridFunction
-    m: float
     theta: ThetaPair
     F1: TrigPolynomial | None = None
     F2: TrigPolynomial | None = None
@@ -138,7 +136,7 @@ def _witness(c1: dict, c2: dict, theta: ThetaPair, spec: GridSpec, **models) -> 
                 raise ValueError(f"mode {nu} pushes the theta ball out of the frequency box")
         fhat.append(GridFunction(spec, "frequency", _witness_fhat(coeffs, t, spec)))
     return WitnessPair(f1=idft(fhat[0]), f2=idft(fhat[1]), fhat1=fhat[0], fhat2=fhat[1],
-                       g=theta.g, m=theta.m, theta=theta, **models)
+                       theta=theta, **models)
 
 
 def build_amalgam_witness(F1: TrigPolynomial, F2: TrigPolynomial,
@@ -146,7 +144,7 @@ def build_amalgam_witness(F1: TrigPolynomial, F2: TrigPolynomial,
     """f_j = F_j * (inverse transform of theta_j), realized frequency-side."""
     if F1.n != spec.n or F2.n != spec.n:
         raise ValueError("dimension mismatch")
-    return _witness(F1.coeffs, F2.coeffs, theta, spec, provenance="amalgam", F1=F1, F2=F2)
+    return _witness(F1.coeffs, F2.coeffs, theta, spec, F1=F1, F2=F2)
 
 
 def build_wiener_witness(b1: Sequence, b2: Sequence, theta: ThetaPair,
@@ -160,7 +158,7 @@ def build_wiener_witness(b1: Sequence, b2: Sequence, theta: ThetaPair,
         raise ValueError(
             f"window plateau {kappa.plateau_radius} is smaller than 2*eps = "
             f"{2 * theta.eps}; band projections would leak across bands")
-    return _witness(b1.entries, b2.entries, theta, spec, provenance="wiener", b1=b1, b2=b2)
+    return _witness(b1.entries, b2.entries, theta, spec, b1=b1, b2=b2)
 
 
 def wiener_witness_norm_identity(w: WitnessPair, j: int, p: float, q: float,
@@ -185,8 +183,6 @@ def wiener_witness_norm_identity(w: WitnessPair, j: int, p: float, q: float,
 @dataclass
 class FactorizationCheck:
     residual: float
-    lhs_max: float
-    rhs_max: float
     domination_margin: float  # min over Q grid points of |lhs| - |T_period|
 
 
@@ -232,18 +228,16 @@ def verify_amalgam_factorization(a: LatticeCoefficients, phi: BumpProfile,
     the implementation (and is at roundoff level when both sides share the
     grid's frequency rule).
     """
-    if w.provenance != "amalgam" or w.F1 is None:
+    if w.F1 is None:
         raise ValueError("witness must come from build_amalgam_witness")
     lhs = _T_aPhi_witness(a, phi, w, spec)[0].samples
     tper = _trig_values(apply_T_period(a, w.F1, w.F2), spec)
-    rhs = tper * w.g.samples
+    rhs = tper * w.theta.g.samples
     scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     residual = float(np.max(np.abs(lhs - rhs)) / scale)
     qm = _q_mask(spec)
     margin = float(np.min(np.abs(lhs[qm]) - np.abs(tper[qm])))
-    return FactorizationCheck(residual=residual, lhs_max=float(np.max(np.abs(lhs))),
-                              rhs_max=float(np.max(np.abs(rhs))),
-                              domination_margin=margin)
+    return FactorizationCheck(residual=residual, domination_margin=margin)
 
 
 def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
@@ -257,12 +251,13 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
     stack the Wiener norm pools; a mode outside its covering set has a zero
     band.
     """
-    if w.provenance != "wiener" or w.b1 is None:
+    if w.b1 is None:
         raise ValueError("witness must come from build_wiener_witness")
     lhs_gf, lhs_hat = _T_aPhi_witness(a, phi, w, spec)
     lhs = lhs_gf.samples
     sab = apply_S(a, w.b1, w.b2)
-    rhs = _trig_values(TrigPolynomial(spec.n, sab.entries), spec) * w.g.samples
+    g = w.theta.g
+    rhs = _trig_values(TrigPolynomial(spec.n, sab.entries), spec) * g.samples
     scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     residual = float(np.max(np.abs(lhs - rhs)) / scale)
 
@@ -270,9 +265,9 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
     position = {mu: i for i, mu in enumerate(bands)}
     band_res = 0.0
     coeff_rel = 0.0
-    gnorm2 = float(np.sum(np.abs(w.g.samples) ** 2))
+    gnorm2 = float(np.sum(np.abs(g.samples) ** 2))
     for mu, val in sorted(sab.entries.items()):
-        profile = _trig_values(TrigPolynomial(spec.n, {mu: 1.0}), spec) * w.g.samples
+        profile = _trig_values(TrigPolynomial(spec.n, {mu: 1.0}), spec) * g.samples
         band = stack[position[mu]] if mu in position else np.zeros(spec.shape, complex)
         expected = val * profile
         sc = 1.0 + np.max(np.abs(expected))
@@ -281,7 +276,7 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
         if abs(val) > 0:
             coeff_rel = max(coeff_rel, abs(recovered - val) / abs(val))
 
-    bound = lq_seq_norm(sab.entries, 2.0) * lp_norm(w.g, 2.0)
+    bound = lq_seq_norm(sab.entries, 2.0) * lp_norm(g, 2.0)
     gap = float(_pooled_band_norm(stack, spec, 2.0, 2.0) - bound)
     return WienerFactorizationCheck(residual=residual, band_residual=band_res,
                                     coeff_recovery_rel=coeff_rel,
@@ -644,14 +639,14 @@ def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synth
 
     v1, v2 live on the support boxes of a widened by ``margin``, the output
     on the sums m1 + m2 of ``pairs(box1, box2)``; ``synthesis(modes)`` is the
-    E of coefficients on ``modes``.  The
-    search runs on a / sup|a|, so scaling a scales the estimate exactly.  The
+    E of coefficients on ``modes``.  The search runs on a / sup|a|, so scaling
+    a scales the estimate exactly (an a with sup|a| = 0 is refused).  The
     witness holds the nonzero entries of the best vectors under ``keys``.
     """
     p1, p2, p = (check_exponent(x) for x in exponents)
-    if len(a) == 0:
-        raise ValueError("empty coefficient array")
     anorm = a.sup_norm()
+    if anorm == 0:
+        raise ValueError("coefficient array has no nonzero entry (sup|a| = 0)")
     supp1, supp2 = ({pair[k] for pair in a.entries} for k in (0, 1))
     box1, box2 = (_index_box(supp, a.n, margin) for supp in (supp1, supp2))
     i1, i2 = ({m: i for i, m in enumerate(box)} for box in (box1, box2))

@@ -554,3 +554,40 @@ _SYNTH = {"n": 1, "phi": "tensor-0.4", "a": {"entries": [[[0], [0], 1.0, 0.0]]},
         "entry-index-non-integral", "cm-K-nan-string", "cm-K-NaN", "cm-K-too-small"])
 def test_bad_float_field_or_entry_row_is_config_error(tmp_path, capsys, command, doc):
     assert _exit_code(tmp_path, capsys, command, doc) == 2
+
+
+def _config_error(tmp_path, capsys, command, doc) -> str:
+    """The one stderr line of a run that must end in exit 2."""
+    code = main([command, "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("command, family", [("transfer", None), ("opnorm", "S"),
+                                             ("opnorm", "T_period")])
+def test_all_zero_coefficients_are_one_config_error_and_no_report(tmp_path, capsys,
+                                                                 command, family):
+    # sup|a| = 0 leaves nothing to normalise the search by: refused, not a
+    # ZeroDivisionError traceback
+    doc = _with(_TRANSFER, ("a", "entries"), [[[0], [0], 0.0, 0.0]])
+    if family is not None:
+        doc = dict(doc, family=family)
+    _config_error(tmp_path, capsys, command, doc)
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("rows", [
+    [[[0], [1], 1.0, 0.0], [[0], [1], 2.0, 0.0]],
+    [[0, [1], 1.0, 0.0], [[0], 1, 2.0, 0.0]],  # 0 and [0] are one index
+], ids=["same-rows", "bare-and-list-index"])
+def test_repeated_entries_index_is_a_config_error_naming_it(tmp_path, capsys, rows):
+    doc = _with(_SYNTH, ("a", "entries"), rows)
+    assert "((0,), (1,))" in _config_error(tmp_path, capsys, "synth", doc)
+
+
+def test_condition_b_failure_names_the_axis(tmp_path, capsys):
+    # plateau-wide covers (-1, 1) on every axis: the certificate says where
+    line = _config_error(tmp_path, capsys, "transfer", dict(_TRANSFER, phi="plateau-wide"))
+    assert "condition (B)" in line and "axis" in line

@@ -37,7 +37,7 @@ def test_axes_cover_boxes():
     assert x[0] == -4.0 and x[-1] == 4.0 - 1 / 16
     xi = g.axis_xi()
     assert xi[0] == -8.0 and xi[-1] == 8.0 - 1 / 8
-    assert g.freq_index((1,)) == (g.N // 2 + g.L,)
+    assert xi[g.N // 2 + g.L] == 1.0  # integer frequencies sit at index offsets mu * L
 
 
 def test_axis_xi_is_built_once_and_read_only():
@@ -74,7 +74,7 @@ def test_dft_of_zero_is_zero(spec):
 def test_dft_of_standard_bump_matches_quadrature_oracle(spec):
     b1 = make_bump(1, "tensor-exp", radius=1.0)
     f = space_function(spec, lambda x: bump_eval_axes(b1, [x]))
-    val = dft(f).samples[spec.freq_index((0,))]
+    val = dft(f).samples[spec.N // 2]
     assert abs(val - BUMP_INTEGRAL) <= 1e-6
 
 
@@ -99,7 +99,7 @@ def test_idft_inverts_dft_exactly(spec, rng):
 
 def test_idft_of_unit_mass_single_mode(spec):
     F = np.zeros(spec.shape, dtype=complex)
-    F[spec.freq_index((1,))] = spec.L  # unit mass: (1/L) * L = 1
+    F[spec.N // 2 + spec.L] = spec.L  # xi = 1, unit mass: (1/L) * L = 1
     f = idft(freq_function(spec, F))
     x = spec.axis_x()
     assert np.max(np.abs(f.samples - np.exp(2j * np.pi * x))) <= 1e-12
@@ -175,7 +175,7 @@ def test_poisson_single_frequency_term():
     xi = (2 / g.L,)
     x = (1 / g.s,)
     lhs, rhs = poisson_check(f, xi, x, 4)
-    only = dft(f).samples[g.freq_index((0,))[0] + 2]
+    only = dft(f).samples[g.N // 2 + 2]
     assert abs(lhs - only) <= 1e-12
     assert abs(lhs - rhs) <= 5e-3  # spatial truncation at M=4 for this width
 

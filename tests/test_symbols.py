@@ -123,7 +123,7 @@ def test_synth_sigma_overlap_sum_matches_pointwise_oracle(spec):
     a = lattice_from_dict(1, {((i,), (j,)): 1.0 for i in (0, 1) for j in (0, 1)})
     sig = synth_sigma(a, phi, spec)
     pt = (0.5, 0.5)
-    idx = tuple(spec.freq_index((0,))[0] + spec.L // 2 for _ in range(2))
+    idx = (spec.N // 2 + spec.L // 2,) * 2  # xi1 = xi2 = 1/2
     oracle = sum(bump_eval(phi, (pt[0] - i, pt[1] - j))
                  for i in (0, 1) for j in (0, 1))
     assert sig.samples[idx] == pytest.approx(oracle, rel=1e-12)

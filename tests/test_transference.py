@@ -12,7 +12,7 @@ from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, mak
                                make_window)
 from latticebump.cli import main
 from latticebump.grid import BudgetError, dft, make_grid
-from latticebump.norms import amalgam_norm, lp_norm, lp_norm_torus, lq_seq_norm, \
+from latticebump.norms import _power_norm, amalgam_norm, lp_norm, lp_norm_torus, lq_seq_norm, \
     wiener_norm, ExponentTuple
 from latticebump.operators import (Sequence, TrigPolynomial, apply_S, apply_T_period,
                                    apply_T_sigma, sequence_from_dict, trig_poly_from_dict)
@@ -38,6 +38,11 @@ def _random_trig(rng, modes=(-1, 0, 1)):
 
 def _random_seq(rng, modes):
     return sequence_from_dict(1, {m: complex(*rng.standard_normal(2)) for m in modes})
+
+
+def _lp_on_q(f, p):
+    """Riemann L^p norm of the space samples of f on the unit cube Q."""
+    return _power_norm(f.samples[transference._q_mask(f.spec)], p, weight=f.spec.h ** f.spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def test_wiener_lower_bound_with_q_restriction(spec, phi04, theta, kappa, rng):
     p = q = 2.0
     wn = wiener_norm(out, p, q, kappa, offset=np.asarray(theta.xi0_sum))
     sab = apply_S(a, b1, b2)
-    g_q = lp_norm(w.g, p, region=((-0.5,), (0.5,)))
+    g_q = _lp_on_q(w.theta.g, p)
     assert wn >= lq_seq_norm(sab.entries, q) * min(1.0, g_q) * (1 - 1e-10)
 
 
@@ -837,7 +842,7 @@ def test_estimate_T_aPhi_witness_chain(spec, phi04, theta):
     out = apply_T_sigma(synth_sigma(a, phi04, spec), w.f1, w.f2)
     p = q = 2.0
     full = amalgam_norm(out, p, q)
-    on_q = lp_norm(out, p, region=((-0.5,), (0.5,)))
+    on_q = _lp_on_q(out, p)
     tper = apply_T_period(a, F1, F2)
     x = spec.axis_x()
     vals = tper.evaluate(x)
@@ -973,9 +978,9 @@ def test_wiener_sweep_estimate_dominates_sequence_model(spec, phi04, theta, kapp
         out = apply_T_sigma(synth_sigma(a, phi04, spec), w.f1, w.f2)
         wn = wiener_norm(out, ex.p, ex.q, kappa, offset=np.asarray(theta.xi0_sum))
         sab = apply_S(a, b1, b2)
-        ident = lq_seq_norm(sab.entries, ex.q) * lp_norm(w.g, ex.p)
+        ident = lq_seq_norm(sab.entries, ex.q) * lp_norm(w.theta.g, ex.p)
         assert wn == pytest.approx(ident, rel=1e-10)   # exact band factorization
-        floor = lq_seq_norm(sab.entries, ex.q) * w.m   # |g| >= m on the unit cube
+        floor = lq_seq_norm(sab.entries, ex.q) * w.theta.m   # |g| >= m on the unit cube
         assert wn >= floor * (1 - 1e-10)
         n1 = wiener_norm(w.f1, ex.p1, ex.q1, kappa, offset=np.asarray(theta.xi0[:1]))
         n2 = wiener_norm(w.f2, ex.p2, ex.q2, kappa, offset=np.asarray(theta.xi0[1:]))

@@ -4,9 +4,9 @@
   T(x) = (1/L)^(2n) sum_{xi1,xi2} sigma fhat1 fhat2 e^{2pi i x.(xi1+xi2)},
   evaluated over the support pairs of the two spectra that sigma can weight
   (its nonzero xi1 rows and xi2 columns), grouped by the output frequency
-  zeta = xi1+xi2 (``_grouped_sum``, which returns T on both sides; it also
-  serves the witness path of transference, which evaluates sigma at those
-  pairs only, and scalinglab, whose Wiener norms read T's spectrum).
+  zeta = xi1+xi2 (``_grouped_sum``, which returns T's spectrum; T is its
+  ``idft``.  It also serves the witness path of transference, which
+  evaluates sigma at those pairs only, and scalinglab's products).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
   the truncated decomposition, contracted through its side factors
   b = sum_r outer(w1_r, w2_r), each multiplier built from the series rows of
@@ -120,10 +120,10 @@ def apply_T_period(a: LatticeCoefficients, F1: TrigPolynomial,
     return TrigPolynomial(a.n, s.entries)
 
 
-def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray,
-                 spec: GridSpec) -> tuple[GridFunction, GridFunction]:
-    """T = (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)} on both
-    sides: (space samples, spectrum).
+def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> GridFunction:
+    """The spectrum, in the ``dft`` convention, of
+    T = (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)}; T itself
+    is its ``idft``.
 
     The double sum runs over the support pairs only: ``sigma_at(idx)`` gives
     the symbol at the 2n per-axis frequency indices ``idx`` (those of xi1,
@@ -131,9 +131,9 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray,
     one column per nonzero F2 entry.  Exact zeros only add +-0 to the
     sequential bincount sums, so skipping them changes no bit.  Output
     frequencies are grouped per axis modulo the box into G; the folded share
-    of the mass is checked against ALIAS_TOL.  The space samples are
-    N^n * ifft(G), and the spectrum in the ``dft`` convention is L^n * G, so
-    a caller that reads T's spectrum needs no forward transform.
+    of the mass is checked against ALIAS_TOL.  The spectrum is L^n * G: a
+    caller that reads only the spectrum runs no transform, and one that reads
+    T's samples calls ``idft``, so every caller sees the same T bit for bit.
     """
     n, N = spec.n, spec.N
     i1 = np.flatnonzero(F1 != 0)
@@ -160,10 +160,8 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray,
                           f"into the frequency box", AliasingWarning, stacklevel=3)
 
     G = G.reshape(spec.shape)
-    space = _centered_ifftn(G)
-    space *= N**n
     G *= spec.L**n
-    return GridFunction(spec, "space", space), GridFunction(spec, "frequency", G)
+    return GridFunction(spec, "frequency", G)
 
 
 def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> GridFunction:
@@ -188,9 +186,9 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
     for what, x in (("symbol", block), ("f1", f1.samples), ("f2", f2.samples)):
         if not np.isfinite(x).all():
             raise ValueError(f"{what} has non-finite samples")
-    return _grouped_sum(lambda idx: sigma.samples[idx],
-                        np.where(rows.reshape(spec.shape), dft(f1).samples, 0),
-                        np.where(cols.reshape(spec.shape), dft(f2).samples, 0), spec)[0]
+    return idft(_grouped_sum(lambda idx: sigma.samples[idx],
+                             np.where(rows.reshape(spec.shape), dft(f1).samples, 0),
+                             np.where(cols.reshape(spec.shape), dft(f2).samples, 0), spec))
 
 
 def band_project(kappa: Window, mu, f: GridFunction, offset=None) -> GridFunction:

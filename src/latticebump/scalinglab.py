@@ -29,12 +29,11 @@ offset to xi0 and the support radius stays under the window plateau, so one
 band's window is exactly 1 on the spectrum's slab and the pool of the band
 stack is |f_eps| bit for bit (``norms._plateau_band`` checks it; where it
 fails the stack is built from f_hat).  Every exponent of a space reads one
-normalised reduction.  The same f_hat gives the product T_sigma(f_eps,
-f_eps), as space samples and spectrum; |T| gives its cube profile and the
-core minimum, and its Wiener norms keep their band transform: T's samples
-are N^n ifft(G), not the idft of its spectrum, and would move them in the
-last bits.  So each eps makes three inverse transforms, and its arrays are
-gone before the next eps is built.
+normalised reduction.  The same f_hat gives the spectrum of the product
+T_sigma(f_eps, f_eps), and T is its idft, so the same single-plateau rule
+(offset to 2 xi0) serves it: |T| gives its cube profile, the core minimum
+and its Wiener pool.  So each eps makes two inverse transforms, and its
+arrays are gone before the next eps is built.
 """
 
 from __future__ import annotations
@@ -242,18 +241,18 @@ def _check_space(space: str, kappa: Window | None) -> None:
 
 
 def _norms(mod: np.ndarray, ghat: GridFunction, measurements, kappa: Window | None,
-           offset, exact: bool) -> list[float]:
+           offset) -> list[float]:
     """The norm for each (space, r) in ``measurements`` of the function with
-    space-side modulus ``mod`` and spectrum ``ghat``: its amalgam (L^2, l^r)
-    or Wiener W^{r,2} norm, one reduction and normalisation per space.  The
-    Wiener pool is ``mod`` when that is |idft(ghat)| bit for bit (``exact``)
-    and a single plateau covers the spectrum."""
+    spectrum ``ghat`` and space-side modulus ``mod`` = |idft(ghat)|: its
+    amalgam (L^2, l^r) or Wiener W^{r,2} norm, one reduction and
+    normalisation per space.  The Wiener pool is ``mod`` when a single
+    plateau covers the spectrum."""
     spec = ghat.spec
     norms = {}
     for space in dict.fromkeys(space for space, _r in measurements):
         if space == "amalgam":
             values, weight = _cube_norms(mod, spec, 2.0), 1.0
-        elif exact and _plateau_band(ghat.samples, spec, kappa, offset):
+        elif _plateau_band(ghat.samples, spec, kappa, offset):
             values, weight = mod, spec.h**spec.n
         else:
             values = _power_norm(wiener_band_values(ghat, kappa, offset=offset)[1], 2.0, axis=0)
@@ -270,15 +269,15 @@ def _product_row(fam: ScalingFamily, e: float, fh: GridFunction, products, kappa
     the smallest eps."""
     spec = fam.specs[e]
     xi = spec.axis_xi()
-    T, T_hat = _grouped_sum(
+    T_hat = _grouped_sum(
         lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
         fh.samples, fh.samples, spec)
-    mod = np.abs(T.samples)
+    mod = np.abs(idft(T_hat).samples)
     min_core = None
     if e == fam.epsilons[-1]:
         min_core = float(np.min(mod[np.abs(spec.axis_x()) <= 1.0 / (2 * e)]))
     # the product's spectrum is centred at 2 * xi0
-    return _norms(mod, T_hat, products, kappa, 2 * np.asarray(fam.xi0), False), min_core
+    return _norms(mod, T_hat, products, kappa, 2 * np.asarray(fam.xi0)), min_core
 
 
 def _eps_row(fam: ScalingFamily, e: float, ladders, products, kappa, sigma_fn):
@@ -289,7 +288,7 @@ def _eps_row(fam: ScalingFamily, e: float, ladders, products, kappa, sigma_fn):
     product_norms, min_core = (_product_row(fam, e, fh, products, kappa, sigma_fn)
                                if products else ([], None))
     mod = np.abs(idft(fh).samples)
-    return (_norms(mod, fh, ladders, kappa, fam.xi0, True), product_norms, min_core,
+    return (_norms(mod, fh, ladders, kappa, fam.xi0), product_norms, min_core,
             float(mod.max()))
 
 

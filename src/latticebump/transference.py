@@ -15,7 +15,8 @@ symbol), so the residuals isolate implementation errors rather than quadrature
 gaps.  The symbol path evaluates sigma at the support pairs of the witnesses'
 exact spectra only, never on the N^(2n) grid, so n = 2 runs on working grids.
 Wiener norms read those exact spectra, and the output's grouped spectrum,
-directly: no Wiener path runs a forward transform.
+directly: no Wiener path runs a forward transform, and the Wiener estimate
+runs no inverse transform of the output either.
 Operator norms are reported as lower bounds found by a seeded multi-start
 search on normalized ratios; the theorems' constants are never asserted, only
 family-wise ratio stability against a configured bound.
@@ -195,9 +196,9 @@ class WienerFactorizationCheck:
 
 
 def _T_aPhi_witness(a: LatticeCoefficients, phi: BumpProfile, w: WitnessPair,
-                    spec: GridSpec) -> tuple[GridFunction, GridFunction]:
-    """T_{a,Phi}(f1, f2) of a witness as (space samples, spectrum): the
-    grouped sum over the support pairs of its exact spectra, with sigma
+                    spec: GridSpec) -> GridFunction:
+    """The spectrum of T_{a,Phi}(f1, f2) of a witness (T is its ``idft``):
+    the grouped sum over the support pairs of its exact spectra, with sigma
     evaluated at those pairs only."""
     _check_supports(a, phi, spec)
     if w.fhat1.spec != spec:
@@ -230,7 +231,7 @@ def verify_amalgam_factorization(a: LatticeCoefficients, phi: BumpProfile,
     """
     if w.F1 is None:
         raise ValueError("witness must come from build_amalgam_witness")
-    lhs = _T_aPhi_witness(a, phi, w, spec)[0].samples
+    lhs = idft(_T_aPhi_witness(a, phi, w, spec)).samples
     tper = _trig_values(apply_T_period(a, w.F1, w.F2), spec)
     rhs = tper * w.theta.g.samples
     scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
@@ -253,8 +254,8 @@ def verify_wiener_factorization(a: LatticeCoefficients, phi: BumpProfile,
     """
     if w.b1 is None:
         raise ValueError("witness must come from build_wiener_witness")
-    lhs_gf, lhs_hat = _T_aPhi_witness(a, phi, w, spec)
-    lhs = lhs_gf.samples
+    lhs_hat = _T_aPhi_witness(a, phi, w, spec)
+    lhs = idft(lhs_hat).samples
     sab = apply_S(a, w.b1, w.b2)
     g = w.theta.g
     rhs = _trig_values(TrigPolynomial(spec.n, sab.entries), spec) * g.samples
@@ -739,14 +740,15 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
     coefficients.  Returns the best ratio (the first of equals), tagged with
     its pool, ``witness-indicator`` or ``witness-model``.  Norm conventions:
     amalgam ratios use the (L^p, l^q) grid norms; Wiener ratios use windows
-    translated to the witness frequencies.
+    translated to the witness frequencies.  An a with sup|a| = 0 is refused,
+    as by the model estimators.
     """
     if space not in ("amalgam", "wiener"):
         raise ValueError("space must be 'amalgam' or 'wiener'")
     if space == "wiener" and kappa is None:
         raise ValueError("wiener estimation needs a window")
-    if len(a) == 0:
-        return NormEstimate(value=0.0, witness={}, trace={"family": "T_aPhi", "pool": "empty"})
+    if a.sup_norm() == 0:
+        raise ValueError("coefficient array has no nonzero entry (sup|a| = 0)")
     n, ex, xi0 = spec.n, exponents, np.asarray(theta.xi0, dtype=float)
 
     candidates = [("witness-indicator",
@@ -763,12 +765,12 @@ def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,
         if space == "amalgam":
             w = build_amalgam_witness(TrigPolynomial(n, c1), TrigPolynomial(n, c2), theta, spec)
             n1, n2 = amalgam_norm(w.f1, ex.p1, ex.q1), amalgam_norm(w.f2, ex.p2, ex.q2)
-            no = amalgam_norm(_T_aPhi_witness(a, phi, w, spec)[0], ex.p, ex.q)
+            no = amalgam_norm(idft(_T_aPhi_witness(a, phi, w, spec)), ex.p, ex.q)
         else:
             w = build_wiener_witness(Sequence(n, c1), Sequence(n, c2), theta, spec, kappa)
             n1 = wiener_norm(w.fhat1, ex.p1, ex.q1, kappa, offset=xi0[:n])
             n2 = wiener_norm(w.fhat2, ex.p2, ex.q2, kappa, offset=xi0[n:])
-            no = wiener_norm(_T_aPhi_witness(a, phi, w, spec)[1], ex.p, ex.q, kappa,
+            no = wiener_norm(_T_aPhi_witness(a, phi, w, spec), ex.p, ex.q, kappa,
                              offset=xi0[:n] + xi0[n:])
         val = 0.0 if n1 == 0.0 or n2 == 0.0 else no / (n1 * n2)
         if val > best.value:

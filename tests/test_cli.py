@@ -195,9 +195,9 @@ BENCH_SCALING = {"n": 1, "scaling": {
                  {"space": "wiener", "exponents": ["inf", "inf", 1, 2, 2, 2]}]}}
 
 
-def test_scaling_builds_one_band_stack_per_eps(tmp_path, monkeypatch):
-    # the Wiener slopes read f_eps's single plateau band from |f_eps| itself:
-    # each eps builds one band stack only, for the Wiener verdict's product
+def test_scaling_builds_no_band_stack(tmp_path, monkeypatch):
+    # the Wiener slopes read f_eps's single plateau band from |f_eps| itself,
+    # and the Wiener verdict's product from |T|, by the same rule
     from latticebump import norms, scalinglab
     calls = []
     band_values = norms.wiener_band_values
@@ -209,7 +209,7 @@ def test_scaling_builds_one_band_stack_per_eps(tmp_path, monkeypatch):
     monkeypatch.setattr(scalinglab, "wiener_band_values", counted)
     cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == len(set(calls)) == len(BENCH_EPSILONS)
+    assert calls == []
 
 
 def test_scaling_forms_one_product_per_eps(tmp_path, monkeypatch):
@@ -228,25 +228,28 @@ def test_scaling_forms_one_product_per_eps(tmp_path, monkeypatch):
 
 
 def test_scaling_builds_and_transforms_each_dilate_once(tmp_path, monkeypatch):
-    # one f_hat and one inverse transform per eps serve both slope tables,
-    # the verdicts' input slopes and their products
+    # one f_hat and one inverse transform of it per eps serve both slope
+    # tables, the verdicts' input slopes and their products; the only other
+    # inverse transform of the eps is that of the product's spectrum
     from latticebump import scalinglab
-    dilates, transforms = [], []
+    dilates, spectra, transforms = [], [], []
     f_hat, idft_ = scalinglab.ScalingFamily.f_hat, scalinglab.idft
 
     def counted_f_hat(self, eps):
         dilates.append(eps)
-        return f_hat(self, eps)
+        spectra.append(f_hat(self, eps))
+        return spectra[-1]
 
     def counted_idft(g):
-        transforms.append(g.spec.L)
+        transforms.append((g.spec.L, "f" if any(g is fh for fh in spectra) else "T"))
         return idft_(g)
     monkeypatch.setattr(scalinglab.ScalingFamily, "f_hat", counted_f_hat)
     monkeypatch.setattr(scalinglab, "idft", counted_idft)
     cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert dilates == BENCH_EPSILONS
-    assert len(transforms) == len(set(transforms)) == len(BENCH_EPSILONS)
+    assert sorted(transforms) == sorted((fh.spec.L, kind) for fh in spectra for kind in "fT")
+    assert len({L for L, _kind in transforms}) == len(BENCH_EPSILONS)
 
 
 def test_scaling_makes_no_forward_transform(tmp_path, monkeypatch):
@@ -566,12 +569,23 @@ def _config_error(tmp_path, capsys, command, doc) -> str:
 
 
 @pytest.mark.parametrize("command, family", [("transfer", None), ("opnorm", "S"),
-                                             ("opnorm", "T_period")])
+                                             ("opnorm", "T_period"), ("opnorm", "T_aPhi")])
 def test_all_zero_coefficients_are_one_config_error_and_no_report(tmp_path, capsys,
                                                                  command, family):
     # sup|a| = 0 leaves nothing to normalise the search by: refused, not a
-    # ZeroDivisionError traceback
+    # ZeroDivisionError traceback (nor, for T_aPhi, a reported 0)
     doc = _with(_TRANSFER, ("a", "entries"), [[[0], [0], 0.0, 0.0]])
+    if family is not None:
+        doc = dict(doc, family=family)
+    _config_error(tmp_path, capsys, command, doc)
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, family", [("transfer", None), ("opnorm", "S"),
+                                             ("opnorm", "T_period"), ("opnorm", "T_aPhi")])
+def test_empty_coefficients_are_one_config_error_and_no_report(tmp_path, capsys,
+                                                               command, family):
+    doc = _with(_TRANSFER, ("a", "entries"), [])
     if family is not None:
         doc = dict(doc, family=family)
     _config_error(tmp_path, capsys, command, doc)

@@ -17,10 +17,11 @@ from latticebump.operators import (AliasingWarning, TrigPolynomial,
                                    band_project,
                                    sequence_from_dict, trig_poly_from_dict)
 from latticebump.symbols import (CMDecomposition, cm_decompose, lattice_delta, lattice_from_dict,
-                                 random_lattice_coefficients, synth_sigma,
+                                 random_lattice_coefficients, sigma_eval, synth_sigma,
                                  SymbolGrid)
 from latticebump.norms import wiener_band_values
 from latticebump.transference import build_amalgam_witness
+from latticebump import operators, transference
 
 from test_symbols import _dense_synth_sigma
 
@@ -231,6 +232,64 @@ def test_T_sigma_equals_dense_reference_when_aliasing(spec):
     with pytest.warns(AliasingWarning):
         out = apply_T_sigma(one, f, f).samples
     assert np.array_equal(out, ref)
+
+
+def _folded_space_samples(sigma_at, F1, F2, spec):
+    """T's samples in the convention the kernel used before it returned only
+    the spectrum: N^n ifft(G) of the support-pair sum G, folded with
+    np.add.at (T is now the idft of L^n G)."""
+    n, N = spec.n, spec.N
+    i1, i2 = np.flatnonzero(F1), np.flatnonzero(F2)
+    u1 = tuple(u[:, None] for u in np.unravel_index(i1, spec.shape))
+    u2 = tuple(u[None, :] for u in np.unravel_index(i2, spec.shape))
+    W = sigma_at(u1 + u2) * np.outer(F1.ravel()[i1], F2.ravel()[i2]) * spec.dxi ** (2 * n)
+    flat = np.ravel_multi_index(
+        [np.broadcast_to((v1 + v2 - N // 2) % N, W.shape) for v1, v2 in zip(u1, u2)], spec.shape)
+    G = np.zeros(N**n, dtype=complex)
+    np.add.at(G, flat.ravel(), W.ravel())
+    return N**n * np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(G.reshape(spec.shape))))
+
+
+@pytest.mark.parametrize("n, L, s", [(1, 8, 32), (2, 4, 8)])
+def test_T_sigma_is_the_idft_of_the_grouped_spectrum(n, L, s, monkeypatch):
+    spec, phi, a, f1, f2 = _witness_inputs(n, L, s, 48)
+    spectra = []
+    grouped_sum = operators._grouped_sum
+
+    def kept(*args):
+        spectra.append(grouped_sum(*args))
+        return spectra[-1]
+    monkeypatch.setattr(operators, "_grouped_sum", kept)
+    T = apply_T_sigma(synth_sigma(a, phi, spec), f1, f2)
+    assert spectra[0].side == "frequency"
+    assert np.array_equal(T.samples, idft(spectra[0]).samples)
+
+
+@pytest.mark.parametrize("n, L, s", [(1, 8, 32), (1, 8, 128), (2, 4, 8), (1, 12, 8), (2, 6, 8)])
+def test_witness_product_samples_against_the_folded_convention(n, L, s):
+    # T = idft(L^n G) equals the former N^n ifft(G) bit for bit where L and s
+    # are powers of two (every scaling is exact), so the transfer and
+    # witness-chain grids see the same bits; elsewhere the two differ in the
+    # last bits only (about 3e-16 relative)
+    spec = make_grid(n, L, s)
+    phi = make_bump(2 * n, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    theta = make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    rng = np.random.default_rng(5)
+    F1, F2 = (TrigPolynomial(n, {tuple(c - 1 for c in m): complex(*rng.standard_normal(2))
+                                 for m in np.ndindex(*(3,) * n)}) for _ in range(2))
+    w = build_amalgam_witness(F1, F2, theta, spec)
+    a = random_lattice_coefficients(n, 1, 9, seed=5)
+    T_hat = transference._T_aPhi_witness(a, phi, w, spec)
+    xi = spec.axis_xi()
+    old = _folded_space_samples(lambda idx: sigma_eval(a, phi, [xi[i] for i in idx]),
+                                w.fhat1.samples, w.fhat2.samples, spec)
+    new = idft(T_hat).samples
+    if (L * s) & (L * s - 1) == 0:
+        assert np.array_equal(new, old)
+    else:
+        gap = np.max(np.abs(new - old)) / np.max(np.abs(old))
+        assert 0 < gap <= 1e-15
 
 
 def _phase_matrix(N: int, L: int, M: int, K: float) -> np.ndarray:

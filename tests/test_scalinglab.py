@@ -168,7 +168,7 @@ def test_product_scaling_degenerate_symbol(fam):
 
 def _product_samples(sigma_fn, f1h, f2h):
     """Reference oracle (n = 1): T_sigma(f1, f2) by direct summation over the
-    support nodes, folded with np.add.at."""
+    support nodes, folded with np.add.at; T is the idft of its spectrum L * G."""
     spec = f1h.spec
     xi = spec.axis_xi()
     i1 = np.nonzero(np.abs(f1h.samples) > 0)[0]
@@ -178,7 +178,7 @@ def _product_samples(sigma_fn, f1h, f2h):
     folded = (i1[:, None] + i2[None, :] - spec.N // 2) % spec.N
     G = np.zeros(spec.N, dtype=complex)
     np.add.at(G, folded.ravel(), W.ravel())
-    return spec.N * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(G)))
+    return idft(GridFunction(spec, "frequency", spec.L * G)).samples
 
 
 @pytest.mark.parametrize("sigma_fn", [ONE, lambda u, v: np.exp(-(u - v) ** 2) + 0.5j * u],
@@ -367,8 +367,9 @@ def test_product_norms_equal_the_companion_2_norms_of_the_product_bitwise(ladder
     for e in ladder.epsilons:
         spec, fh = ladder.specs[e], ladder.f_hat(e).samples
         xi = spec.axis_xi()
-        products.append(_grouped_sum(
-            lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex), fh, fh, spec))
+        T_hat = _grouped_sum(
+            lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex), fh, fh, spec)
+        products.append((idft(T_hat), T_hat))
     for (space, r), ps in zip(wanted, batch):
         assert ps.norms == tuple(amalgam_norm(T, 2.0, r) if space == "amalgam"
                                  else wiener_norm(T_hat, r, 2.0, kap, offset=offset)
@@ -436,9 +437,9 @@ def test_flat_ladder_fits_zero_slope_and_a_growing_ladder_keeps_its_fit(ladder, 
 
 
 @pytest.mark.parametrize("xi0", [0.0, 0.25, 0.5])
-def test_scaling_pass_makes_three_inverse_transforms_per_eps(xi0, kap, monkeypatch):
-    # per eps: f_eps, the product T and T's one band; the ladder's Wiener
-    # band is f_eps itself (its window is exactly 1 on the spectrum's slab)
+def test_scaling_pass_makes_two_inverse_transforms_per_eps(xi0, kap, monkeypatch):
+    # per eps: f_eps and the product T; each Wiener band is the function
+    # itself (its window is exactly 1 on the spectrum's slab)
     fam = make_scaling_family(xi0=xi0, epsilons=(0.5, 0.25, 0.125))
     shapes = []
     ifftn = np.fft.ifftn
@@ -449,7 +450,7 @@ def test_scaling_pass_makes_three_inverse_transforms_per_eps(xi0, kap, monkeypat
     monkeypatch.setattr(np.fft, "ifftn", counted)
     _scaling_pass(fam, {"amalgam": EXPONENTS, "wiener": EXPONENTS},
                   [("amalgam", 0.5), ("wiener", 1.0)], kap, ONE)
-    assert shapes == [spec.shape for spec in fam.specs.values() for _ in range(3)]
+    assert shapes == [spec.shape for spec in fam.specs.values() for _ in range(2)]
 
 
 @pytest.mark.parametrize("family, outer, with_products", [
@@ -479,9 +480,10 @@ def test_eps_rows_equal_the_public_norms_bitwise(family, outer, with_products, l
             continue
         spec = fh.spec
         xi = spec.axis_xi()
-        T, T_hat = _grouped_sum(
+        T_hat = _grouped_sum(
             lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex),
             fh.samples, fh.samples, spec)
+        T = idft(T_hat)
         assert product_norms == [
             amalgam_norm(T, 2.0, r) if space == "amalgam"
             else wiener_norm(T_hat, r, 2.0, kappa, offset=2 * np.asarray(fam.xi0))

@@ -11,7 +11,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window)
 from latticebump.cli import main
-from latticebump.grid import BudgetError, dft, make_grid
+from latticebump.grid import BudgetError, dft, idft, make_grid
 from latticebump.norms import _power_norm, amalgam_norm, lp_norm, lp_norm_torus, lq_seq_norm, \
     wiener_norm, ExponentTuple
 from latticebump.operators import (Sequence, TrigPolynomial, apply_S, apply_T_period,
@@ -825,11 +825,13 @@ def test_search_params_reject_invalid(bad):
         SearchParams(**bad)
 
 
-def test_estimate_T_aPhi_zero(spec, phi04, theta):
-    est = estimate_norm_T_aPhi(lattice_from_dict(1, {}), phi04,
-                               ExponentTuple(2, 2, 2, 2, 2, 2), "amalgam",
-                               theta, spec)
-    assert est.value == 0.0
+def test_estimate_T_aPhi_zero(spec, phi04, theta, kappa):
+    # an empty or all-zero a is refused as the model estimators refuse it
+    for entries, space in itertools.product([{}, {(0, 0): 0.0}], ["amalgam", "wiener"]):
+        with pytest.raises(ValueError, match=r"sup\|a\| = 0"):
+            estimate_norm_T_aPhi(lattice_from_dict(1, entries), phi04,
+                                 ExponentTuple(2, 2, 2, 2, 2, 2), space, theta, spec,
+                                 kappa=kappa)
 
 
 def test_estimate_T_aPhi_witness_chain(spec, phi04, theta):
@@ -1035,7 +1037,7 @@ def test_witness_symbol_path_matches_dense_oracle(n, L, s, kind):
     w = build_amalgam_witness(TrigPolynomial(n, _random_modes(rng, n)),
                               TrigPolynomial(n, _random_modes(rng, n)), theta_, spec_)
     a = random_lattice_coefficients(n, 1, 9, seed=97)
-    got = transference._T_aPhi_witness(a, sym, w, spec_)[0].samples
+    got = idft(transference._T_aPhi_witness(a, sym, w, spec_)).samples
     ref = apply_T_sigma(synth_sigma(a, sym, spec_), w.f1, w.f2).samples
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the spectra keep their exact zeros: one theta ball of nodes per mode

@@ -249,7 +249,6 @@ def test_scaling_builds_and_transforms_each_dilate_once(tmp_path, monkeypatch):
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert dilates == BENCH_EPSILONS
     assert sorted(transforms) == sorted((fh.spec.L, kind) for fh in spectra for kind in "fT")
-    assert len({L for L, _kind in transforms}) == len(BENCH_EPSILONS)
 
 
 def test_scaling_makes_no_forward_transform(tmp_path, monkeypatch):
@@ -573,23 +572,14 @@ def _config_error(tmp_path, capsys, command, doc) -> str:
 def test_all_zero_coefficients_are_one_config_error_and_no_report(tmp_path, capsys,
                                                                  command, family):
     # sup|a| = 0 leaves nothing to normalise the search by: refused, not a
-    # ZeroDivisionError traceback (nor, for T_aPhi, a reported 0)
-    doc = _with(_TRANSFER, ("a", "entries"), [[[0], [0], 0.0, 0.0]])
-    if family is not None:
-        doc = dict(doc, family=family)
-    _config_error(tmp_path, capsys, command, doc)
-    assert not (tmp_path / "o" / "report.json").exists()
-
-
-@pytest.mark.parametrize("command, family", [("transfer", None), ("opnorm", "S"),
-                                             ("opnorm", "T_period"), ("opnorm", "T_aPhi")])
-def test_empty_coefficients_are_one_config_error_and_no_report(tmp_path, capsys,
-                                                               command, family):
-    doc = _with(_TRANSFER, ("a", "entries"), [])
-    if family is not None:
-        doc = dict(doc, family=family)
-    _config_error(tmp_path, capsys, command, doc)
-    assert not (tmp_path / "o" / "report.json").exists()
+    # ZeroDivisionError traceback (nor, for T_aPhi, a reported 0); an empty
+    # a is refused alike
+    for entries in ([[[0], [0], 0.0, 0.0]], []):
+        doc = _with(_TRANSFER, ("a", "entries"), entries)
+        if family is not None:
+            doc = dict(doc, family=family)
+        _config_error(tmp_path, capsys, command, doc)
+        assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("rows", [

@@ -1,9 +1,11 @@
 """Command-line front end: deterministic experiment runs with JSON/CSV output.
 
 Subcommands: synth, decompose, opnorm, transfer, scaling, selftest.
-Every run reads one JSON config (--config), writes a deterministic
-``report.json`` (sorted keys; no timestamps) plus CSV tables into --out, and
-puts wall-clock metadata into a separate ``meta.json`` so reports stay
+The five config commands run in one frame (``_run``): it reads one JSON
+config (--config), resolves the output directory (--out, else the config's
+``out``, else ``<command>-out``), and around the command's own CSV tables
+writes a deterministic ``report.json`` (sorted keys; no timestamps) and a
+separate ``meta.json`` of wall-clock metadata, so reports stay
 byte-identical across reruns with the same config and seed.
 
 Exit codes: 0 pass, 2 config error, 3 exponent-hypothesis violation,
@@ -140,20 +142,6 @@ def _phi_fixture(name: str, n: int) -> bumps.BumpProfile:
     if name == "plateau-wide":
         return bumps.make_plateau(2 * n, inner=0.9, outer=1.0)
     raise ConfigError(f"unknown Phi fixture {name!r}")
-
-
-def _load_config(args) -> dict:
-    """The config object at ``args.config``, with only the command's top-level keys."""
-    if args.config is None:
-        raise ConfigError("--config PATH is required for this command")
-    p = Path(args.config)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {args.config}")
-    cfg = json.loads(p.read_text())  # a JSONDecodeError is a ValueError: exit 2
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, KEYS[args.command], f"{args.command} config")
-    return cfg
 
 
 def _seed(cfg: dict, args) -> int:
@@ -304,20 +292,37 @@ def _write_csv(path: Path, rows: list[list]) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _finish(out: Path, report: dict, t0: float) -> None:
-    _write_json(out / "report.json", report)
+def _run(args) -> int:
+    """The run frame of a config command: load the config at ``args.config``
+    with only the command's top-level keys, resolve the output directory, run
+    ``args.fn(cfg, args, out)`` and write the ``report.json`` it returns
+    (with its ``"command"``) and the run's ``meta.json``.  Returns the
+    command's exit code."""
+    t0 = time.time()
+    if args.config is None:
+        raise ConfigError("--config PATH is required for this command")
+    p = Path(args.config)
+    if not p.exists():
+        raise ConfigError(f"config file not found: {args.config}")
+    cfg = json.loads(p.read_text())  # a JSONDecodeError is a ValueError: exit 2
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    _check_keys(cfg, KEYS[args.command], f"{args.command} config")
+    if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
+        raise ConfigError(f"out must be a non-empty string, got {cfg['out']!r}")
+    out = Path(args.out or cfg.get("out", f"{args.command}-out"))
+    report, code = args.fn(cfg, args, out)
+    _write_json(out / "report.json", dict(report, command=args.command))
     _write_json(out / "meta.json", {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                                     "runtime_seconds": round(time.time() - t0, 3)})
+    return code
 
 
-def cmd_synth(args) -> int:
-    t0 = time.time()
-    cfg = _load_config(args)
+def cmd_synth(cfg: dict, args, out: Path) -> tuple[dict, int]:
     spec = _grid_from(cfg, args)
     seed = _seed(cfg, args)
     phi = _phi_from(cfg, spec.n)
     a = _coeffs_from(cfg, spec.n, seed)
-    out = Path(args.out or cfg.get("out", "synth-out"))
     out.mkdir(parents=True, exist_ok=True)
 
     sigma = symbols.synth_sigma(a, phi, spec)
@@ -336,40 +341,30 @@ def cmd_synth(args) -> int:
                      - bumps.bump_eval(phi, np.zeros(2 * spec.n)))
         rows.append([m, sup_err, float(center), dm.tail])
     _write_csv(out / "recon_error.csv", rows)
-    _finish(out, {"command": "synth", "grid": {"n": spec.n, "L": spec.L, "s": spec.s},
-                  "entries": len(a), "cm_M": d.M, "cm_tail": d.tail, "seed": seed},
-            t0)
-    return EXIT_OK
+    return {"grid": {"n": spec.n, "L": spec.L, "s": spec.s}, "entries": len(a),
+            "cm_M": d.M, "cm_tail": d.tail, "seed": seed}, EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    t0 = time.time()
-    cfg = _load_config(args)
+def cmd_decompose(cfg: dict, args, out: Path) -> tuple[dict, int]:
     n = _dimension(cfg)
     phi = _phi_from(cfg, n)
     d = _cm_from(cfg, phi)
-    out = Path(args.out or cfg.get("out", "decompose-out"))
     out.mkdir(parents=True, exist_ok=True)
     (out / "cm.json").write_text(d.to_json())
     ks = range(-d.M, d.M + 1) if n == 1 else ()
     rows = [["k1", "k2", "abs_b"]] + [[k1, k2, abs(d.coefficient((k1, k2)))]
                                       for k1, k2 in itertools.product(ks, ks)]
     _write_csv(out / "decay.csv", rows)
-    _finish(out, {"command": "decompose", "K": d.K, "M": d.M, "tail": d.tail,
-                  "decay_C4": d.decay_constant(4)}, t0)
-    return EXIT_OK
+    return {"K": d.K, "M": d.M, "tail": d.tail, "decay_C4": d.decay_constant(4)}, EXIT_OK
 
 
-def cmd_opnorm(args) -> int:
-    t0 = time.time()
-    cfg = _load_config(args)
+def cmd_opnorm(cfg: dict, args, out: Path) -> tuple[dict, int]:
     spec = _grid_from(cfg, args)
     seed = _seed(cfg, args)
     a = _coeffs_from(cfg, spec.n, seed)
     ex = _exponent_tuple(cfg.get("exponents"))
     params = _search_from(cfg, seed)
     family = cfg.get("family", "S")
-    out = Path(args.out or cfg.get("out", "opnorm-out"))
 
     if family == "S":
         est = transference.estimate_norm_S(a, ex.q1, ex.q2, ex.q, params)
@@ -384,14 +379,11 @@ def cmd_opnorm(args) -> int:
     else:
         raise ConfigError(f"unknown family {family!r} (S | T_period | T_aPhi)")
     trace = {k: v for k, v in est.trace.items() if k not in ("vectors", "boxes")}
-    _finish(out, {"command": "opnorm", "family": family, "value": est.value,
-                  "witness": est.witness, "trace": trace, "seed": seed}, t0)
-    return EXIT_OK
+    return {"family": family, "value": est.value, "witness": est.witness, "trace": trace,
+            "seed": seed}, EXIT_OK
 
 
-def cmd_transfer(args) -> int:
-    t0 = time.time()
-    cfg = _load_config(args)
+def cmd_transfer(cfg: dict, args, out: Path) -> tuple[dict, int]:
     spec = _grid_from(cfg, args)
     seed = _seed(cfg, args)
     phi = _phi_from(cfg, spec.n)
@@ -399,7 +391,6 @@ def cmd_transfer(args) -> int:
     space = cfg.get("space", "amalgam")
     params = _search_from(cfg, seed)
     family = _family_from(cfg, spec.n, seed)
-    out = Path(args.out or cfg.get("out", "transfer-out"))
 
     cb, theta = _theta_from(phi, spec)
     kappa = _window_from(cfg, spec.n)
@@ -407,22 +398,19 @@ def cmd_transfer(args) -> int:
                                               spec, kappa=kappa, params=params)
     _write_csv(out / "ratios.csv", report.csv_rows())
     doc = report.to_json_dict()
-    doc.update({"command": "transfer", "seed": seed, "members": len(family),
+    doc.update({"seed": seed, "members": len(family),
                 "witness_fixture": {"xi0": list(theta.xi0), "eps": theta.eps,
                                     "slack": cb.slack, "min_q_kernel": theta.m,
                                     "window_outer": kappa.outer}})
-    _finish(out, doc, t0)
     if not (report.all_finite and report.stable):
         print(f"transfer: ratio stability failed "
               f"(spread {report.ratio_spread:.3g} vs bound {report.stability_bound})",
               file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+        return doc, EXIT_ASSERTION
+    return doc, EXIT_OK
 
 
-def cmd_scaling(args) -> int:
-    t0 = time.time()
-    cfg = _load_config(args)
+def cmd_scaling(cfg: dict, args, out: Path) -> tuple[dict, int]:
     seed = _seed(cfg, args)
     sc = _section(cfg, "scaling", "scaling block") or {}
     verdict_specs = []
@@ -434,8 +422,8 @@ def cmd_scaling(args) -> int:
         ex = _exponent_tuple(tup.get("exponents"))
         # each space scales in one exponent (amalgam q, Wiener p): the verdict
         # compares the growth in r of its output against that in r1 and r2
-        rs = (ex.q1, ex.q2, ex.q) if space == "amalgam" else (ex.p1, ex.p2, ex.p)
-        verdict_specs.append((space, ex, rs))
+        verdict_specs.append((space, (ex.q1, ex.q2, ex.q) if space == "amalgam"
+                              else (ex.p1, ex.p2, ex.p)))
     eps = tuple(_number(e, "scaling epsilons")
                 for e in _list(sc, "epsilons", [0.5, 0.25, 0.125], "scaling"))
     if len(eps) < 3:
@@ -453,11 +441,8 @@ def cmd_scaling(args) -> int:
         raise ConfigError(f"scaling xi0 {fam.xi0}: the verdict products' spectrum and window "
                           f"reach {reach:g}, outside the frequency box [-{fam.s / 2:g}, "
                           f"{fam.s / 2:g}]")
-    out = Path(args.out or cfg.get("out", "scaling-out"))
-    out.mkdir(parents=True, exist_ok=True)
 
-    report: dict = {"command": "scaling", "seed": seed,
-                    "tail_fraction": fam.tail_fraction,
+    report: dict = {"seed": seed, "tail_fraction": fam.tail_fraction,
                     "min_q_modulus": fam.min_q_modulus, "slopes": {}}
 
     spaces = (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p"))
@@ -465,15 +450,11 @@ def cmd_scaling(args) -> int:
              for space, key, _name in spaces}
     # one pass over the eps ladder serves the slope table, the verdicts'
     # input slopes and their output norms (one T_1(f_eps, f_eps) per eps)
-    wanted = {space: [rv for _r, rv in table[space]] for space in table}
-    for space, _ex, rs in verdict_specs:
-        wanted[space] += rs[:2]
-    wanted = {space: list(dict.fromkeys(rs)) for space, rs in wanted.items() if rs}
-    outputs = [(space, rs[2]) for space, _ex, rs in verdict_specs]
-    batches, products = scalinglab._scaling_pass(
-        fam, wanted, outputs, kappa, lambda u, v: np.ones(np.broadcast(u, v).shape))
-    fits = {(space, r): fit for space, rs in wanted.items()
-            for r, fit in zip(rs, batches[space])}
+    fits, products = scalinglab._scaling_pass(
+        fam, [(space, rv) for space, rows in table.items() for _r, rv in rows]
+        + [(space, r) for space, rs in verdict_specs for r in rs[:2]],
+        [(space, rs[2]) for space, rs in verdict_specs], kappa,
+        lambda u, v: np.ones(np.broadcast(u, v).shape))
 
     rows = [["space", "exponent", "eps", "norm"]]
     for space, key, name in spaces:
@@ -487,15 +468,14 @@ def cmd_scaling(args) -> int:
     _write_csv(out / "norms.csv", rows)
 
     verdicts = []
-    for (space, ex, (r1, r2, _r)), ps in zip(verdict_specs, products):
+    for (space, (r1, r2, _r)), ps in zip(verdict_specs, products):
         slopes = (fits[space, r1].slope, fits[space, r2].slope)
         v = scalinglab.necessity_verdict(space, slopes, ps.slope)
         verdicts.append({"space": space, "status": v.status, "gap": v.gap,
                          "citation": v.citation, "output_slope": v.output_slope,
                          "input_slopes": list(v.input_slopes)})
     report["verdicts"] = verdicts
-    _finish(out, report, t0)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _selftest_checks(seed: int, window_outer: float):
@@ -651,7 +631,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            return args.fn(args)
+            return args.fn(args) if args.fn is cmd_selftest else _run(args)
     except transference.ExponentHypothesisError as e:
         print(f"hypothesis violation: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS

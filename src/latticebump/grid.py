@@ -160,15 +160,12 @@ def freq_function(spec: GridSpec, values) -> GridFunction:
     return GridFunction(spec, "frequency", arr)
 
 
-def _centered_fftn(a: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(a)))
-
-
-def _centered_ifftn(a: np.ndarray, axes=None) -> np.ndarray:
-    """Inverse FFT over ``axes`` (all by default) of centred-order samples, in
-    one buffer: one shifted copy in, transformed in place, one shifted copy out."""
+def _centered(transform, a: np.ndarray, axes=None) -> np.ndarray:
+    """``transform`` (``np.fft.fftn`` or ``np.fft.ifftn``) over ``axes`` (all
+    by default) of centred-order samples, in one buffer: one shifted copy in,
+    transformed in place, one shifted copy out."""
     buf = np.fft.ifftshift(np.asarray(a, dtype=complex), axes=axes)
-    np.fft.ifftn(buf, axes=axes, out=buf)
+    transform(buf, axes=axes, out=buf)
     return np.fft.fftshift(buf, axes=axes)
 
 
@@ -179,7 +176,8 @@ def dft(f: GridFunction) -> GridFunction:
     """
     if f.side != "space":
         raise ValueError("dft expects a space-side GridFunction")
-    out = f.spec.h**f.spec.n * _centered_fftn(f.samples)
+    out = _centered(np.fft.fftn, f.samples)
+    out *= f.spec.h**f.spec.n
     return GridFunction(f.spec, "frequency", out)
 
 
@@ -187,7 +185,7 @@ def idft(F: GridFunction) -> GridFunction:
     """Inverse transform: f(x_i) = (1/L)^n * sum_k F(xi_k) e^{+2pi i x_i.xi_k}."""
     if F.side != "frequency":
         raise ValueError("idft expects a frequency-side GridFunction")
-    out = _centered_ifftn(F.samples)
+    out = _centered(np.fft.ifftn, F.samples)
     out *= float(F.spec.s) ** F.spec.n
     return GridFunction(F.spec, "space", out)
 

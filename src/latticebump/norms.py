@@ -12,7 +12,7 @@ forward transform.  Bands and windows are read on the slab of the
 spectrum's nonzeros: a band whose window is 0 there gets an exact-zero row,
 and where a single plateau covers it (``_plateau_band``) the stack's pool is
 |idft(f)| and needs no band.  Inverse transforms hold one buffer
-(``grid._centered_ifftn``).
+(``grid._centered``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Window, window_eval_axes
-from .grid import GridFunction, _centered_ifftn, dft
+from .grid import GridFunction, _centered, dft
 from .operators import TrigPolynomial
 
 __all__ = [
@@ -255,7 +255,7 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
     for i, window in enumerate(windows):
         if window.any():
             prod[slab] = window * F_slab
-            np.multiply(spec.s**spec.n, _centered_ifftn(prod), out=stack[i])
+            np.multiply(spec.s**spec.n, _centered(np.fft.ifftn, prod), out=stack[i])
     return bands, stack
 
 

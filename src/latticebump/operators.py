@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Window, window_eval_axes
-from .grid import (GridFunction, GridSpec, _as_int_tuple, _centered_ifftn, check_budget,
+from .grid import (GridFunction, GridSpec, _as_int_tuple, _centered, check_budget,
                    dft, idft)
 from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid, _cm_rows, _contract
 
@@ -243,7 +243,7 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
             rows = [_cm_rows(d, j, xi - c) for j, c in enumerate(mu)]
             mult = np.stack([_contract(factor[side], rows) for factor in d.factors])
             mult *= fhat
-            out[mu] = (spec.s**n * _centered_ifftn(mult, axes=sp_axes)).reshape(terms, N**n)
+            out[mu] = (spec.s**n * _centered(np.fft.ifftn, mult, axes=sp_axes)).reshape(terms, N**n)
         return out
 
     H1 = bands(f1, mus1, 0)

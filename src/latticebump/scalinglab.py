@@ -293,41 +293,42 @@ def _eps_row(fam: ScalingFamily, e: float, ladders, products, kappa, sigma_fn):
 
 
 def _scaling_pass(fam: ScalingFamily, slopes, products, kappa: Window | None = None,
-                  sigma_fn=None) -> tuple[dict[str, list[SlopeFit]], list[ProductScaling]]:
+                  sigma_fn=None) -> tuple[dict[tuple[str, float], SlopeFit],
+                                          list[ProductScaling]]:
     """Every scaling measurement of one family in one eps-major pass.
 
-    ``slopes`` maps a space to the exponents r whose norms of f_eps are
-    fitted against log(1/eps); ``products`` lists the (space, r) norms of
-    T_sigma(f_eps, f_eps) for the vectorized symbol ``sigma_fn``.  Each eps
-    builds f_hat and its inverse transform once, reduces f_eps once per
-    slope space, takes sup |f_eps| from that same array and forms and
-    reduces the product once per space.  Returns one SlopeFit per r of each
-    slope space and one ProductScaling per product measurement.
+    ``slopes`` lists the (space, r) norms of f_eps fitted against
+    log(1/eps), a repeated pair fitted once; ``products`` lists the
+    (space, r) norms of T_sigma(f_eps, f_eps) for the vectorized symbol
+    ``sigma_fn``.  Each eps builds f_hat and its inverse transform once,
+    reduces f_eps once per slope space, takes sup |f_eps| from that same
+    array and forms and reduces the product once per space.  Returns the
+    SlopeFits keyed by (space, r), r a float (``check_exponent``), and one
+    ProductScaling per product measurement.
     """
-    ladders = [(space, check_exponent(r)) for space, rs in slopes.items() for r in rs]
+    ladders = list(dict.fromkeys((space, check_exponent(r)) for space, r in slopes))
     products = [(space, check_exponent(r)) for space, r in products]
-    for space in dict.fromkeys([*slopes, *(space for space, _r in products)]):
+    for space in dict.fromkeys(space for space, _r in [*ladders, *products]):
         _check_space(space, kappa)
-    if slopes and len(fam.epsilons) < 3:
+    if ladders and len(fam.epsilons) < 3:
         raise ValueError("regression needs at least 3 epsilons")
     e = fam.epsilons[0]  # the widest spectrum
     rho = e * max(fam.base.radius)
-    if "wiener" in slopes and rho >= kappa.plateau_radius:
+    if any(space == "wiener" for space, _r in ladders) and rho >= kappa.plateau_radius:
         raise ValueError(f"multi-band leakage: support radius {rho} at eps={e} reaches "
                          f"the window plateau {kappa.plateau_radius}")
     if products and fam.n != 1:
         raise ValueError("product scaling is implemented for n = 1")
 
-    fits = {space: [] for space in slopes}
     if not ladders and not products:
-        return fits, []
+        return {}, []
     ladder_rows, product_rows, cores, sups = zip(*(
         _eps_row(fam, e, ladders, products, kappa, sigma_fn) for e in fam.epsilons))
     x = [1.0 / e for e in fam.epsilons]
-    for (space, _r), norms in zip(ladders, zip(*ladder_rows)):
+    fits = {}
+    for key, norms in zip(ladders, zip(*ladder_rows)):
         slope, _, r2 = loglog_slope(x, norms)
-        fits[space].append(SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons,
-                                    norms=norms))
+        fits[key] = SlopeFit(slope=slope, r_squared=r2, epsilons=fam.epsilons, norms=norms)
     if not products:
         return fits, []
     center = np.asarray(fam.xi0)
@@ -356,7 +357,8 @@ def scaling_slopes(fam: ScalingFamily, space: str, rs, kappa: Window | None = No
     Wiener slopes require single-band concentration: the support radius of
     fhat_eps must stay inside the window plateau, so exactly one band is active.
     """
-    return _scaling_pass(fam, {space: rs}, [], kappa)[0][space]
+    fits = _scaling_pass(fam, [(space, r) for r in rs], [], kappa)[0]
+    return [fits[space, check_exponent(r)] for r in rs]
 
 
 def amalgam_scaling_slope(fam: ScalingFamily, q: float) -> SlopeFit:

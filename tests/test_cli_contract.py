@@ -139,6 +139,36 @@ def test_inline_phi_equal_to_the_fixture_runs():
     assert _run("transfer", _PHI_INLINE)[0] == 0
 
 
+# with neither --out nor an "out" key each config command writes into
+# <command>-out under the current directory
+@pytest.mark.parametrize("command, doc", [("synth", _SYNTH), ("decompose", _DECOMPOSE),
+                                          ("opnorm", _OPNORM), ("transfer", _TRANSFER),
+                                          ("scaling", _SCALING)])
+def test_run_frame_writes_report_and_meta_to_the_default_out(command, doc, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(doc))
+    assert main([command, "--config", "cfg.json"]) == 0
+    out = tmp_path / f"{command}-out"
+    assert json.loads((out / "report.json").read_text())["command"] == command
+    assert (out / "meta.json").is_file()
+
+
+# a non-string out once ended in a TypeError traceback, and "" wrote the
+# report into the current directory
+@pytest.mark.parametrize("out", [5, None, True, {}, ["a"], ""],
+                         ids=["5", "null", "true", "object", "list", "empty"])
+@pytest.mark.parametrize("command, doc", [("decompose", _DECOMPOSE), ("transfer", _TRANSFER)])
+def test_out_that_is_not_a_nonempty_string_is_config_error(command, doc, out, tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(dict(doc, out=out)))
+    assert main([command, "--config", "cfg.json"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: out must be"), lines
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # (command, base config, extra argv): the README transfer in both spaces
 # (the amalgam one with the inline phi), opnorm for each family, synth,
 # decompose and scaling

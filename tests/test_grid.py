@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latticebump.bumps import bump_eval_axes, make_bump
-from latticebump.grid import (GridSpec, _centered_ifftn, dft, freq_function, idft, make_grid,
+from latticebump.grid import (GridSpec, _centered, dft, freq_function, idft, make_grid,
                               poisson_check, space_function)
 
 from conftest import BUMP_INTEGRAL
@@ -51,19 +51,21 @@ def test_axis_xi_is_built_once_and_read_only():
     assert g != make_grid(1, 8, 32)
 
 
-def _shifted_ifftn(a, axes=None):
-    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(a, axes=axes), axes=axes), axes=axes)
-
-
 @pytest.mark.parametrize("shape, axes", [((3072 * 2**k,), None) for k in range(6)]
-                         + [((96, 160), None), ((3, 64, 48), (1, 2)), ((64, 5), (0,))])
+                         + [((96, 160), None), ((3, 64, 48), (1, 2)), ((64, 5), (0,))]
+                         + [((n,), None) for n in (1, 96, 256, 1024)]
+                         + [((n, n), None) for n in (32, 48, 64, 256)])
 def test_centered_ifftn_in_one_buffer_is_the_shifted_transform_bitwise(shape, axes):
+    # both directions: dft and idft share the one-buffer helper
     rng = np.random.default_rng(len(shape) * 7919 + shape[-1])
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     before = a.copy()
-    got = _centered_ifftn(a, axes=axes)
-    assert got.tobytes() == _shifted_ifftn(a, axes=axes).tobytes()
-    assert a.tobytes() == before.tobytes()  # the input is not touched
+    for transform in (np.fft.ifftn, np.fft.fftn):
+        got = _centered(transform, a, axes=axes)
+        shifted = np.fft.fftshift(transform(np.fft.ifftshift(a, axes=axes), axes=axes),
+                                  axes=axes)
+        assert got.tobytes() == shifted.tobytes()
+        assert a.tobytes() == before.tobytes()  # the input is not touched
 
 
 def test_dft_of_zero_is_zero(spec):

@@ -1,3 +1,6 @@
+import ctypes
+import glob
+import os
 import time
 import tracemalloc
 import warnings
@@ -544,6 +547,17 @@ def test_fast_path_delta(spec, phi04):
     slow = apply_T_sigma(synth_sigma(lattice_delta(1), phi04, spec), f1, f2).samples
     fast = apply_T_aPhi_fast(lattice_delta(1), cm_decompose(phi04, M=128), f1, f2).samples
     assert np.max(np.abs(fast - slow)) <= 1e-5 * np.max(np.abs(slow))
+
+
+def test_blas_runs_the_pinned_thread_count():
+    # the wall-clock tests below need the root conftest's pin to reach
+    # OpenBLAS, which reads it only when numpy is first imported
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*"))
+    if not libs or "OPENBLAS_NUM_THREADS" not in os.environ:
+        pytest.skip("no bundled OpenBLAS or no thread pin")
+    threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_()
+    assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])
 
 
 def test_fast_path_speedup():

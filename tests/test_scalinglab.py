@@ -448,9 +448,26 @@ def test_scaling_pass_makes_two_inverse_transforms_per_eps(xi0, kap, monkeypatch
         shapes.append(args[0].shape)
         return ifftn(*args, **kwargs)
     monkeypatch.setattr(np.fft, "ifftn", counted)
-    _scaling_pass(fam, {"amalgam": EXPONENTS, "wiener": EXPONENTS},
+    _scaling_pass(fam, [(space, r) for space in ("amalgam", "wiener") for r in EXPONENTS],
                   [("amalgam", 0.5), ("wiener", 1.0)], kap, ONE)
     assert shapes == [spec.shape for spec in fam.specs.values() for _ in range(2)]
+
+
+def test_a_repeated_pair_is_fitted_once_and_read_by_key(fam, monkeypatch):
+    from latticebump import scalinglab
+    fitted = []
+
+    def counted(x, y):
+        fitted.append(y)
+        return loglog_slope(x, y)
+    monkeypatch.setattr(scalinglab, "loglog_slope", counted)
+    fits, products = _scaling_pass(fam, [("amalgam", 1), ("amalgam", 2), ("amalgam", 1.0)], [])
+    assert list(fits) == [("amalgam", 1.0), ("amalgam", 2.0)] and products == []
+    assert len(fitted) == 2
+    fitted.clear()
+    one, again = scaling_slopes(fam, "amalgam", [1, 1.0])
+    assert one == again and len(fitted) == 1
+    assert one == fits["amalgam", 1.0]
 
 
 @pytest.mark.parametrize("family, outer, with_products", [

@@ -7,7 +7,13 @@ per output file.  ``meta.json`` holds wall-clock telemetry and is skipped;
 ``stdout.txt``.  The configs:
 
 * the README ``transfer`` config, in amalgam and in Wiener space;
-* the README ``scaling`` config;
+* the same ``transfer`` off all-2, so the greedy engine and the torus run
+  under a full search: amalgam at ``[1,1,1,1,1,0.5]`` (4.7 s) and Wiener at
+  ``[1,1,0.5,2,2,2]`` (0.4 s);
+* an n = 2 Wiener ``transfer`` on the (8, 32) grid, 2 members, 4 starts
+  (0.3 s);
+* the README ``scaling`` config, and its n = 2 ladder ``[1, 0.75, 0.5]``
+  without verdicts (1.6 s, peak RSS 0.34 GB);
 * the benchmark ``scaling`` config at each of its 13 grid-aligned xi0;
 * ``synth``, ``decompose`` and ``opnorm`` (``S``, ``T_period``, ``T_aPhi``);
 * ``selftest``.
@@ -16,7 +22,8 @@ With ``--against DIR`` (the OUT of another checkout), it then prints, for
 each JSON or CSV file whose bytes differ, the largest relative difference
 over its numeric fields, and names every other file that differs or is
 missing on one side.  Only the standard library and ``latticebump`` are
-used; the ``latticebump`` on the import path is the one digested:
+used; the ``latticebump`` on the import path is the one digested.  The
+times above are single runs on a 2-core Xeon with one BLAS thread:
 
     PYTHONPATH=src python tools/digest.py OUT [--against DIR]
 """
@@ -65,7 +72,17 @@ def configs() -> list[tuple[str, str, dict | None]]:
     """(name, command, config) for every run; selftest reads no config."""
     runs = [("transfer-amalgam", "transfer", README_TRANSFER),
             ("transfer-wiener", "transfer", dict(README_TRANSFER, space="wiener")),
-            ("scaling-readme", "scaling", README_SCALING)]
+            ("transfer-amalgam-lp", "transfer",
+             dict(README_TRANSFER, exponents=[1, 1, 1, 1, 1, 0.5])),
+            ("transfer-wiener-lp", "transfer",
+             dict(README_TRANSFER, space="wiener", exponents=[1, 1, 0.5, 2, 2, 2])),
+            ("transfer-wiener-n2", "transfer", dict(
+                README_TRANSFER, n=2, space="wiener",
+                a_family=dict(README_TRANSFER["a_family"], members=2),
+                search=dict(README_TRANSFER["search"], starts=4))),
+            ("scaling-readme", "scaling", README_SCALING),
+            ("scaling-n2", "scaling", {"n": 2, "scaling": dict(
+                README_SCALING["scaling"], epsilons=[1, 0.75, 0.5], verdicts=[])})]
     runs += [(f"scaling-bench-xi0={k / 4:g}", "scaling", _bench_scaling(k / 4))
              for k in range(-6, 7)]
     runs += [("synth", "synth", {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",

@@ -276,19 +276,20 @@ def _axis_free_cells(lo: float, hi: float) -> list[tuple[float, float]]:
 
 
 def translate_slack(b: BumpProfile, xi0) -> float:
-    """Sup-norm distance from xi0 to the nearest nonzero-translate support box."""
+    """Sup-norm distance from xi0 to the nearest nonzero-translate support box.
+
+    That distance is a max over axes, so the nearest nonzero translate moves
+    one axis to its nearest nonzero shift and keeps every other axis at its
+    nearest shift (among the shifts within reach of xi0 on each axis)."""
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     lo, hi = b.support_box()
-    best = np.inf
-    ranges = [np.arange(int(np.floor(xi0[j] - hi[j])) - 1,
-                        int(np.ceil(xi0[j] - lo[j])) + 2) for j in range(b.d)]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    for mu in np.stack([g.ravel() for g in grids], axis=-1):
-        if not np.any(mu):
-            continue
-        dj = np.maximum(0.0, np.maximum(lo + mu - xi0, xi0 - (hi + mu)))
-        best = min(best, float(np.max(dj)))
-    return best
+    near, moved = [], []
+    for j in range(b.d):
+        m = np.arange(int(np.floor(xi0[j] - hi[j])) - 1, int(np.ceil(xi0[j] - lo[j])) + 2)
+        dist = np.maximum(0.0, np.maximum(lo[j] + m - xi0[j], xi0[j] - (hi[j] + m)))
+        near.append(dist.min())
+        moved.append(dist[m != 0].min())
+    return float(min(max([moved[k], *near[:k], *near[k + 1:]]) for k in range(b.d)))
 
 
 def check_condition_B(phi: BumpProfile) -> ConditionBResult:

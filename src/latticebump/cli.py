@@ -227,6 +227,8 @@ def _family_from(cfg: dict, n: int, seed: int) -> list[symbols.LatticeCoefficien
     fam = _section(cfg, "a_family")
     if fam is None:
         return [_coeffs_from(cfg, n, seed)]
+    if "a" in cfg:
+        raise ConfigError("give 'a' or 'a_family', not both: an 'a_family' run reads no 'a'")
     radius, count, base, members = _integers(fam, "a_family", radius=1, count=9,
                                              seed=seed, members=20)
     if members < 1:
@@ -310,7 +312,9 @@ def _run(args) -> int:
     _check_keys(cfg, KEYS[args.command], f"{args.command} config")
     if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
         raise ConfigError(f"out must be a non-empty string, got {cfg['out']!r}")
-    out = Path(args.out or cfg.get("out", f"{args.command}-out"))
+    if args.out == "":
+        raise ConfigError("--out must be a non-empty path, got ''")
+    out = Path(args.out if args.out is not None else cfg.get("out", f"{args.command}-out"))
     report, code = args.fn(cfg, args, out)
     _write_json(out / "report.json", dict(report, command=args.command))
     _write_json(out / "meta.json", {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -359,25 +363,29 @@ def cmd_decompose(cfg: dict, args, out: Path) -> tuple[dict, int]:
 
 
 def cmd_opnorm(cfg: dict, args, out: Path) -> tuple[dict, int]:
+    family = cfg.get("family", "S")
+    if family not in ("S", "T_period", "T_aPhi"):
+        raise ConfigError(f"unknown family {family!r} (S | T_period | T_aPhi)")
+    # the model families read no profile, space or window, T_aPhi no search
+    unread = [k for k in (("search",) if family == "T_aPhi" else ("phi", "space", "window"))
+              if k in cfg]
+    if unread:
+        raise ConfigError(f"opnorm family {family} does not read {', '.join(map(repr, unread))}")
     spec = _grid_from(cfg, args)
     seed = _seed(cfg, args)
     a = _coeffs_from(cfg, spec.n, seed)
     ex = _exponent_tuple(cfg.get("exponents"))
-    params = _search_from(cfg, seed)
-    family = cfg.get("family", "S")
 
     if family == "S":
-        est = transference.estimate_norm_S(a, ex.q1, ex.q2, ex.q, params)
+        est = transference.estimate_norm_S(a, ex.q1, ex.q2, ex.q, _search_from(cfg, seed))
     elif family == "T_period":
-        est = transference.estimate_norm_T_period(a, ex.p1, ex.p2, ex.p, params)
-    elif family == "T_aPhi":
+        est = transference.estimate_norm_T_period(a, ex.p1, ex.p2, ex.p, _search_from(cfg, seed))
+    else:
         phi = _phi_from(cfg, spec.n)
         _cb, theta = _theta_from(phi, spec)
         space = cfg.get("space", "amalgam")
         kappa = _window_from(cfg, spec.n)
         est = transference.estimate_norm_T_aPhi(a, phi, ex, space, theta, spec, kappa=kappa)
-    else:
-        raise ConfigError(f"unknown family {family!r} (S | T_period | T_aPhi)")
     trace = {k: v for k, v in est.trace.items() if k not in ("vectors", "boxes")}
     return {"family": family, "value": est.value, "witness": est.witness, "trace": trace,
             "seed": seed}, EXIT_OK

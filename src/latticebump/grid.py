@@ -144,6 +144,25 @@ def _padded_slice(axis: np.ndarray, lo: float, hi: float) -> slice:
                  min(int(np.searchsorted(axis, hi, "right")) + 1, len(axis)))
 
 
+def _translate_sum(terms, box, evaluate, spec: GridSpec) -> np.ndarray:
+    """sum_mu c(mu) F(xi - mu) over the (mu, c) ``terms`` on the (N,)*d
+    frequency grid, d = len(mu), for F given by ``evaluate`` on an open
+    meshgrid of d per-axis coordinate arrays and zero off the closed box
+    ``box`` = (lo, hi).  Each translate is added on the grid points of
+    mu + box only, padded by one point per side: off them it is zero, which
+    would add only +-0, so the samples are those of the whole-grid loop.
+    """
+    xi = spec.axis_xi()
+    out = np.zeros((spec.N,) * len(box[0]), dtype=complex)
+    for mu, c in terms:
+        if not np.isfinite(c):
+            raise ValueError("coefficients must be finite")
+        slab = tuple(_padded_slice(xi, lo + m, hi + m) for lo, hi, m in zip(*box, mu))
+        out[slab] += c * evaluate(np.meshgrid(*(xi[sl] - m for sl, m in zip(slab, mu)),
+                                              indexing="ij", sparse=True))
+    return out
+
+
 def space_function(spec: GridSpec, values) -> GridFunction:
     """Wrap samples (array or callable on space coordinates) as a space GridFunction."""
     if callable(values):

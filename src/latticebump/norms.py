@@ -17,6 +17,7 @@ and where a single plateau covers it (``_plateau_band``) the stack's pool is
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -208,15 +209,14 @@ def _band_windows(F: np.ndarray, spec, kappa: Window, offset):
     box = [(xi[sl.start + a], xi[sl.start + b])
            for sl, (a, b) in zip(slab, _axis_spans(mags > SUPPORT_TOL * mags.max()))]
     r = kappa.outer
-    ranges = [np.arange(int(np.ceil(lo - off[j] - r)), int(np.floor(hi - off[j] + r)) + 1)
+    ranges = [range(int(np.ceil(lo - off[j] - r)), int(np.floor(hi - off[j] + r)) + 1)
               for j, (lo, hi) in enumerate(box)]
     for j in range(spec.n):
         if (ranges[j][0] + off[j] - r < -spec.s / 2 - 1e-12
                 or ranges[j][-1] + off[j] + r > spec.s / 2 + 1e-12):
             raise ValueError("window margin violation: a covering band leaves "
                              "the frequency box")
-    grids = np.meshgrid(*ranges, indexing="ij")
-    bands = [tuple(int(c) for c in mu) for mu in np.stack([g.ravel() for g in grids], axis=-1)]
+    bands = list(itertools.product(*ranges))
     axes = np.meshgrid(*(xi[sl] for sl in slab), indexing="ij", sparse=True)
     return bands, slab, (window_eval_axes(kappa, [ax - (m + c) for ax, m, c in zip(axes, mu, off)])
                          for mu in bands)

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import BumpProfile, Window, make_bump, _axis_factor
-from .grid import GridFunction, GridSpec, _padded_slice, idft, make_grid
+from .bumps import BumpProfile, Window, _axis_factor, bump_eval_axes, make_bump
+from .grid import GridFunction, GridSpec, _translate_sum, idft, make_grid
 from .norms import (_cube_norms, _plateau_band, _power_norm, _power_norms, check_exponent,
                     loglog_slope, wiener_band_values)
 from .operators import _grouped_sum
@@ -116,19 +116,14 @@ class ScalingFamily:
             else tuple(eps * r for r in self.base.inner))
 
     def f_hat(self, eps: float) -> GridFunction:
-        """Frequency samples eps^{-n} phihat(eps^{-1}(xi - xi0)), evaluated
-        on the support slab |xi - xi0|_inf <= eps * radius padded by one bin
-        per side: off it every sample is 0."""
+        """Frequency samples eps^{-n} phihat(eps^{-1}(xi - xi0)): the one
+        translate (0, 1) of the scaled profile times eps^{-n}, written on its
+        support slab."""
+        prof = self.scaled_profile(eps).scaled(eps ** (-self.n))
         spec = self.specs[eps]
-        prof = self.scaled_profile(eps)
-        xi = spec.axis_xi()
-        slab = tuple(_padded_slice(xi, c - r, c + r) for c, r in zip(prof.center, prof.radius))
-        vals = eps ** (-self.n) * prof.amplitude
-        for j, u in enumerate(np.meshgrid(*(xi[sl] for sl in slab), indexing="ij", sparse=True)):
-            vals = vals * _axis_factor(prof, j, u)
-        out = np.zeros(spec.shape, dtype=complex)
-        out[slab] = vals
-        return GridFunction(spec, "frequency", out)
+        return GridFunction(spec, "frequency", _translate_sum(
+            [((0,) * self.n, 1.0)], prof.support_box(), lambda axes: bump_eval_axes(prof, axes),
+            spec))
 
     def f(self, eps: float) -> GridFunction:
         return idft(self.f_hat(eps))

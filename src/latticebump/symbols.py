@@ -16,7 +16,9 @@ Every evaluation of the truncated series, here and there, takes its per-axis
 rows phi_k from ``_cm_rows`` and contracts them against the coefficients.
 
 The dense samplers ``synth_sigma`` and ``sigma_from_cm`` write each translate
-on its own support slab (``_translate_sum``): their cost follows supp sigma.
+on its own support slab through ``grid._translate_sum``, the one writer of
+every translate sum (sigma here, the witness spectra and the scaling
+dilates): their cost follows supp sigma.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .bumps import BumpProfile, _axis_factor, bump_eval_axes, make_plateau
-from .grid import GridSpec, _as_int_tuple, _padded_slice, check_budget
+from .grid import GridSpec, _as_int_tuple, _translate_sum, check_budget
 
 __all__ = [
     "LatticeCoefficients",
@@ -193,32 +195,13 @@ def sigma_eval(a: LatticeCoefficients, phi: BumpProfile, axes: list[np.ndarray])
     return out
 
 
-def _translate_sum(a: LatticeCoefficients, box, evaluate, spec: GridSpec) -> np.ndarray:
-    """sum_mu a(mu) F(xi - mu) on the (N,)*(2n) grid, for F given on the tensor
-    grid of 2n per-axis coordinate arrays by ``evaluate`` and zero off the
-    closed box ``box`` = (lo, hi).  Each translate is added on the grid points
-    of mu + box only, padded by one point per side: off them it is zero, which
-    would add only +-0, so the samples are those of the whole-grid loop.
-    """
-    if not all(np.isfinite(v) for v in a.entries.values()):
-        raise ValueError("coefficients must be finite")
-    xi = spec.axis_xi()
-    out = np.zeros((spec.N,) * (2 * spec.n), dtype=complex)
-    for (m1, m2), val in a.items():
-        mu = m1 + m2
-        slab = tuple(_padded_slice(xi, lo + m, hi + m) for lo, hi, m in zip(*box, mu))
-        out[slab] += val * evaluate([xi[sl] - m for sl, m in zip(slab, mu)])
-    return out
-
-
 def synth_sigma(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> SymbolGrid:
     """Sample sigma_{a,Phi} exactly at the frequency grid points."""
     _check_supports(a, phi, spec)
     check_symbol_budget(spec)
-    return SymbolGrid(spec, _translate_sum(
-        a, phi.support_box(),
-        lambda axes: bump_eval_axes(phi, np.meshgrid(*axes, indexing="ij", sparse=True)),
-        spec))
+    return SymbolGrid(spec, _translate_sum(((m1 + m2, v) for (m1, m2), v in a.items()),
+                                           phi.support_box(),
+                                           lambda axes: bump_eval_axes(phi, axes), spec))
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +382,9 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
         raise ValueError("dimension mismatch between decomposition and grid")
     check_symbol_budget(spec)
     lo, hi = d.cutoff.support_box()
-    return SymbolGrid(spec, _translate_sum(a, (np.tile(lo, 2), np.tile(hi, 2)),
-                                           lambda axes: _cm_on_axes(d, axes), spec))
+    return SymbolGrid(spec, _translate_sum(
+        ((m1 + m2, v) for (m1, m2), v in a.items()), (np.tile(lo, 2), np.tile(hi, 2)),
+        lambda axes: _cm_on_axes(d, [u.ravel() for u in axes]), spec))
 
 
 def _cm_rows(d: CMDecomposition, axis: int, u: np.ndarray) -> np.ndarray:

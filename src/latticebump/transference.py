@@ -12,8 +12,10 @@ condition-(B) point:
 Both sides are computed by independent code paths over the same frequency
 Riemann rule (the symbol path never forms g; the model path never forms the
 symbol), so the residuals isolate implementation errors rather than quadrature
-gaps.  The symbol path evaluates sigma at the support pairs of the witnesses'
-exact spectra only, never on the N^(2n) grid, so n = 2 runs on working grids.
+gaps.  The witness spectra are written translate by translate on their
+support slabs (``grid._translate_sum``).  The symbol path evaluates sigma at
+the support pairs of the witnesses' exact spectra only, never on the N^(2n)
+grid, so n = 2 runs on working grids.
 Wiener norms read those exact spectra, and the output's grouped spectrum,
 directly: no Wiener path runs a forward transform, and the Wiener estimate
 runs no inverse transform of the output either.
@@ -21,11 +23,12 @@ Operator norms are reported as lower bounds found by a seeded multi-start
 search on normalized ratios; the theorems' constants are never asserted, only
 family-wise ratio stability against a configured bound.
 
-One estimator serves both models, since T_period_a acts on trig polynomials
-as S_a acts on their coefficients: the norms of S_a see the coefficients
-through the identity synthesis, and those of T_period the trig-polynomial
-values at torus points.  At all-2 exponents the two are one l^2 x l^2 -> l^2
-bilinear form (Parseval), so T_period runs the S_a model and builds no torus,
+One function (``_estimate_model``) makes both models from the family and the
+exponents, since T_period_a acts on trig polynomials as S_a acts on their
+coefficients: the norms of S_a see the coefficients through the identity
+synthesis, and those of T_period the trig-polynomial values at torus points.
+At all-2 exponents the two are one l^2 x l^2 -> l^2 bilinear form
+(Parseval), so T_period gets the S_a model and no torus (its torus is 0),
 and the search alternates exact block steps: with one vector fixed the ratio
 is a matrix spectral norm, maximised by a top singular vector (De Lathauwer,
 De Moor and Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000), with periodic
@@ -49,7 +52,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .bumps import BumpProfile, ThetaPair, Window, bump_eval_axes
-from .grid import GridFunction, GridSpec, check_budget, idft
+from .grid import GridFunction, GridSpec, _translate_sum, check_budget, idft
 from .norms import (_pooled_band_norm, _power_norm, amalgam_norm, check_exponent,
                     ExponentTuple, lp_norm, lq_seq_norm, wiener_band_values, wiener_norm)
 from .operators import Sequence, TrigPolynomial, _grouped_sum, apply_S, apply_T_period
@@ -117,12 +120,10 @@ class WitnessPair:
 
 
 def _witness_fhat(coeffs: dict, theta: BumpProfile, spec: GridSpec) -> np.ndarray:
-    """Samples of sum_nu c(nu) theta(xi - nu) on the frequency grid."""
-    out = np.zeros(spec.shape, dtype=complex)
-    xi = spec.freq_points()
-    for nu, c in coeffs.items():
-        out += c * bump_eval_axes(theta, [ax - nu[j] for j, ax in enumerate(xi)])
-    return out
+    """Samples of sum_nu c(nu) theta(xi - nu) on the frequency grid, each
+    translate written on its support slab."""
+    return _translate_sum(coeffs.items(), theta.support_box(),
+                          lambda axes: bump_eval_axes(theta, axes), spec)
 
 
 def _witness(c1: dict, c2: dict, theta: ThetaPair, spec: GridSpec, **models) -> WitnessPair:
@@ -384,11 +385,9 @@ class NormEstimate:
 def _index_box(points: set[tuple[int, ...]], n: int, margin: int) -> list[tuple[int, ...]]:
     if not points:
         raise ValueError("empty coefficient support")
-    lo = [min(p[j] for p in points) - margin for j in range(n)]
-    hi = [max(p[j] for p in points) + margin for j in range(n)]
-    ranges = [np.arange(lo[j], hi[j] + 1) for j in range(n)]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return [tuple(int(c) for c in p) for p in np.stack([g.ravel() for g in grids], axis=-1)]
+    return list(itertools.product(*(range(min(p[j] for p in points) - margin,
+                                          max(p[j] for p in points) + margin + 1)
+                                    for j in range(n))))
 
 
 @dataclass
@@ -632,74 +631,79 @@ def _search(model: _Model, box1, box2, supp1, supp2, params: SearchParams):
     return ratio, vecs, history, "alternating" if alternating else "greedy", capped
 
 
-def _estimate_model(a: LatticeCoefficients, exponents, margin: int, pairs, synthesis,
-                    weight: float, family: str, keys: tuple[str, str],
+def _estimate_model(a: LatticeCoefficients, exponents, family: str,
                     params: SearchParams) -> NormEstimate:
-    """Lower bound on the norm of a model operator of ``a``: the largest
-    ratio of its ``_Model`` that the search finds.
+    """Lower bound on the norm of the model operator ``family`` (``S`` or
+    ``T_period``) of ``a``: the largest ratio of its ``_Model`` that the
+    search finds.
 
-    v1, v2 live on the support boxes of a widened by ``margin``, the output
-    on the sums m1 + m2 of ``pairs(box1, box2)``; ``synthesis(modes)`` is the
-    E of coefficients on ``modes``.  The search runs on a / sup|a|, so scaling
-    a scales the estimate exactly (an a with sup|a| = 0 is refused).  The
-    witness holds the nonzero entries of the best vectors under ``keys``.
+    The norms see the coefficients (the identity synthesis) for S_a, and
+    for T_period at all-2 exponents (Parseval): v1, v2 live on the support
+    boxes of a widened by SUPPORT_MARGIN, the output on the sums a reaches.
+    Otherwise the torus is P = torus_points per axis, and the norms see the
+    trig-polynomial values at its P^n points: v1, v2 live on boxes widened
+    by MODE_MARGIN, the output on every sum of the two.  The search runs on
+    a / sup|a|, so scaling a scales the estimate exactly (an a with
+    sup|a| = 0 is refused).  The witness holds the nonzero entries of the
+    best vectors under b1, b2 (S) or F1, F2 (T_period).
     """
-    p1, p2, p = (check_exponent(x) for x in exponents)
+    exponents = tuple(check_exponent(x) for x in exponents)
     anorm = a.sup_norm()
     if anorm == 0:
         raise ValueError("coefficient array has no nonzero entry (sup|a| = 0)")
+    P = 0 if family == "S" or exponents == (2.0, 2.0, 2.0) else params.torus_points
     supp1, supp2 = ({pair[k] for pair in a.entries} for k in (0, 1))
-    box1, box2 = (_index_box(supp, a.n, margin) for supp in (supp1, supp2))
+    box1, box2 = (_index_box(supp, a.n, MODE_MARGIN if P else SUPPORT_MARGIN)
+                  for supp in (supp1, supp2))
     i1, i2 = ({m: i for i, m in enumerate(box)} for box in (box1, box2))
-    outs = sorted({tuple(x + y for x, y in zip(m1, m2)) for m1, m2 in pairs(box1, box2)})
+    sums = itertools.product(box1, box2) if P else a.entries
+    outs = sorted({tuple(x + y for x, y in zip(m1, m2)) for m1, m2 in sums})
     io = {m: i for i, m in enumerate(outs)}
     triples = np.array([(i1[m1], i2[m2], io[tuple(x + y for x, y in zip(m1, m2))])
                         for m1, m2 in a.entries]).T
+    if P:
+        u = np.arange(P) / P
+        pts = np.stack([g.ravel() for g in np.meshgrid(*(u,) * a.n, indexing="ij")], axis=-1)
+    E = []
+    for modes in (box1, box2, outs):
+        if P:
+            check_budget(len(modes) * P ** a.n, "torus phase matrix")
+            dots = pts @ np.asarray(modes, dtype=float).T  # (P^n, len(modes))
+            phases = np.multiply(2j * np.pi, dots, out=np.empty(dots.shape, dtype=complex))
+            del dots  # one complex buffer at the peak, not three arrays
+        E.append(np.exp(phases, out=phases).T if P else np.eye(len(modes), dtype=complex))
     model = _Model(index=triples, coef=np.array([v / anorm for v in a.entries.values()]),
-                   sizes=(len(box1), len(box2), len(outs)),
-                   E=tuple(synthesis(modes) for modes in (box1, box2, outs)),
-                   exponents=(p1, p2, p), weight=weight)
+                   sizes=(len(box1), len(box2), len(outs)), E=tuple(E),
+                   exponents=exponents, weight=float(P) ** (-a.n) if P else 1.0)
     val, vecs, hist, engine, capped = _search(model, box1, box2, supp1, supp2, params)
+    keys = ("b1", "b2") if family == "S" else ("F1", "F2")
     witness = {key: {str(m): [v[i].real, v[i].imag] for m, i in index.items() if abs(v[i]) > 0}
                for key, v, index in zip(keys, vecs, (i1, i2))}
     return NormEstimate(value=anorm * val, witness=witness,
                         trace={"seed": params.seed, "iterations": len(hist),
                                "history": [anorm * h for h in hist],
-                               "family": family, "exponents": [p1, p2, p],
+                               "family": family, "exponents": list(exponents),
                                "engine": engine, "capped": capped,
                                "vectors": vecs, "boxes": [box1, box2]})
-
-
-def _estimate_S_model(a: LatticeCoefficients, exponents, family: str, keys: tuple[str, str],
-                      params: SearchParams) -> NormEstimate:
-    """The model estimator with the identity as synthesis (the norms see
-    the coefficients), outputs on the sums a reaches."""
-    return _estimate_model(a, exponents, margin=SUPPORT_MARGIN,
-                           pairs=lambda _box1, _box2: a.entries,
-                           synthesis=lambda modes: np.eye(len(modes), dtype=complex),
-                           weight=1.0, family=family,
-                           keys=keys, params=params)
 
 
 def estimate_norm_S(a: LatticeCoefficients, q1: float, q2: float, q: float,
                     params: SearchParams | None = None) -> NormEstimate:
     """Lower bound on the sequence-model norm l^q1 x l^q2 -> l^q."""
-    return _estimate_S_model(a, (q1, q2, q), "S", ("b1", "b2"), params or SearchParams())
+    return _estimate_model(a, (q1, q2, q), "S", params or SearchParams())
 
 
 def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: float,
                            params: SearchParams | None = None) -> NormEstimate:
-    """Lower bound on the periodic-model norm L^p1 x L^p2 -> L^p: the model
-    estimator with exact trig-polynomial values at the torus_points^n torus
-    points as synthesis, outputs on every sum of the two mode boxes.
+    """Lower bound on the periodic-model norm L^p1 x L^p2 -> L^p (the model
+    estimator with the T_period synthesis).
 
     ``torus_points`` below the width w1 + w2 - 1 of the output mode box along
     some axis is refused, since a nonzero trig polynomial on those modes can
-    then vanish at every torus point; so are the torus and the phase
-    matrices over budget, all before a phase matrix is built.  At all-2
-    exponents every torus the width admits sees the L^2 norms exactly
-    (Parseval), so the estimate is the S_a model's, value for value, and no
-    torus or phase matrix is built.
+    then vanish at every torus point; so are the torus and each phase matrix
+    over budget, before that matrix is built.  At all-2 exponents the
+    estimate is the S_a model's, value for value, and no torus or phase
+    matrix is built.
     """
     params = params or SearchParams()
     P = params.torus_points
@@ -710,21 +714,7 @@ def estimate_norm_T_period(a: LatticeCoefficients, p1: float, p2: float, p: floa
             raise ValueError(f"torus_points {P} is below the width {width} of the output mode "
                              f"box: a trig polynomial can vanish at every torus point")
     check_budget(P ** a.n, "torus")
-    if all(check_exponent(x) == 2.0 for x in (p1, p2, p)):
-        return _estimate_S_model(a, (p1, p2, p), "T_period", ("F1", "F2"), params)
-    u = np.arange(P) / P
-    pts = np.stack([g.ravel() for g in np.meshgrid(*(u,) * a.n, indexing="ij")], axis=-1)
-
-    def phase_matrix(modes):
-        check_budget(len(modes) * P ** a.n, "torus phase matrix")
-        dots = pts @ np.asarray(modes, dtype=float).T  # (P^n, len(modes))
-        phases = np.multiply(2j * np.pi, dots, out=np.empty(dots.shape, dtype=complex))
-        del dots  # one complex buffer at the peak, not three arrays
-        return np.exp(phases, out=phases).T  # (modes, P^n)
-
-    return _estimate_model(a, (p1, p2, p), margin=MODE_MARGIN, pairs=itertools.product,
-                           synthesis=phase_matrix, weight=float(P) ** (-a.n),
-                           family="T_period", keys=("F1", "F2"), params=params)
+    return _estimate_model(a, (p1, p2, p), "T_period", params)
 
 
 def estimate_norm_T_aPhi(a: LatticeCoefficients, phi: BumpProfile,

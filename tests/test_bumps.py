@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,38 @@ def test_condition_b_agrees_with_brute_force(phi, expected):
     if res.holds:
         assert abs(bump_eval(phi, res.witness)) > 0
         assert translate_slack(phi, res.witness) > 0
+
+
+def _slack_over_every_translate(b, xi0):
+    """translate_slack as a loop over the product of the per-axis shift
+    ranges: the distance to every nonzero translate's box, then the min."""
+    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
+    lo, hi = b.support_box()
+    best = np.inf
+    ranges = [np.arange(int(np.floor(xi0[j] - hi[j])) - 1, int(np.ceil(xi0[j] - lo[j])) + 2)
+              for j in range(b.d)]
+    for mu in itertools.product(*ranges):
+        mu = np.array(mu)
+        if np.any(mu):
+            dj = np.maximum(0.0, np.maximum(lo + mu - xi0, xi0 - (hi + mu)))
+            best = min(best, float(np.max(dj)))
+    return best
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_per_axis_slack_is_the_product_loop_bitwise(d, rng):
+    for k in range(12):
+        center, radius = rng.uniform(-1, 1, d), rng.uniform(0.1, 1.5, d)
+        b = (make_bump(d, "tensor-exp", center=center, radius=radius) if k % 2 else
+             make_plateau(d, 0.5 * radius, radius, center=center))
+        # inside the support box, then outside it on some axes (up to 3 radii)
+        for scale in (rng.uniform(-1, 1, d), rng.choice([-1, 1], d) * rng.uniform(0.5, 3, d)):
+            xi0 = center + scale * radius
+            assert translate_slack(b, xi0) == _slack_over_every_translate(b, xi0)
+    # on a box edge and at a point whose nearest translate ties on two axes
+    b = make_bump(d, "tensor-exp", radius=0.4)
+    for xi0 in (np.full(d, 0.4), np.full(d, 0.5), np.zeros(d)):
+        assert translate_slack(b, xi0) == _slack_over_every_translate(b, xi0)
 
 
 def test_condition_b_witness_examples():

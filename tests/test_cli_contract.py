@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from latticebump.cli import main
 
-from test_cli import _with
+from test_cli import _with, _write
 
 _README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 _BLOCKS = [json.loads(b.split("```")[0]) for b in _README.split("```json")[1:]]
@@ -29,9 +29,13 @@ _TRANSFER = next(b for b in _BLOCKS if "a_family" in b)
 _TRANSFER = _with(_with(_with(_TRANSFER, ("a_family", "members"), 1),
                         ("search", "starts"), 1), ("search", "steps"), 1)
 _SCALING = next(b for b in _BLOCKS if "scaling" in b)
-# the transfer keys an opnorm run reads, on one random a
-_OPNORM = dict({k: v for k, v in _TRANSFER.items() if k != "a_family"},
+# the transfer keys an opnorm run of the model families (S, T_period) reads,
+# on one random a; T_aPhi reads phi, space and window in place of search
+_OPNORM = dict({k: v for k, v in _TRANSFER.items()
+                if k not in ("a_family", "phi", "space", "window")},
                a={"random": {"radius": 1, "count": 9, "seed": 3}})
+_OPNORM_T_APHI = dict({k: v for k, v in _OPNORM.items() if k != "search"}, family="T_aPhi",
+                      **{k: _TRANSFER[k] for k in ("phi", "space", "window")})
 _SYNTH = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",
           "a": {"random": {"radius": 1, "count": 9, "seed": 3}}, "cm": {"M": 8}}
 _DECOMPOSE = {"n": 1, "phi": "tensor-0.4", "cm": {"M": 16}}
@@ -67,7 +71,7 @@ _PHI_INLINE = dict(_TRANSFER, phi=_PHI)
     ("transfer", dict(_TRANSFER, space="foo")),
     ("transfer", dict(_TRANSFER, space=5)),
     ("transfer", dict(_TRANSFER, space=None)),
-    ("opnorm", dict(_OPNORM, family="T_aPhi", space="foo")),
+    ("opnorm", dict(_OPNORM_T_APHI, space="foo")),
     ("transfer", _with(_TRANSFER, ("grid",), {"L": 8, "s": 1})),
     ("transfer", _with(_TRANSFER, ("grid",), {"L": 2, "s": 32})),
     ("transfer", dict({k: v for k, v in _TRANSFER.items() if k != "a_family"},
@@ -169,6 +173,41 @@ def test_out_that_is_not_a_nonempty_string_is_config_error(command, doc, out, tm
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+# --out "" was read as no --out: the run went to the config's out, or to
+# <command>-out
+@pytest.mark.parametrize("command, doc", [("decompose", _DECOMPOSE), ("transfer", _TRANSFER)])
+@pytest.mark.parametrize("config_out", [None, "cfg-out"])
+def test_empty_out_flag_is_config_error(command, doc, config_out, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(doc if config_out is None
+                                           else dict(doc, out=config_out)))
+    assert main([command, "--config", "cfg.json", "--out", ""]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: --out must be"), lines
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+# keys that no reader of the run uses were accepted and ignored: the model
+# families of opnorm read no phi, space or window, T_aPhi reads no search,
+# and a transfer with an a_family reads no a
+@pytest.mark.parametrize("command, doc, key", [
+    *(("opnorm", dict(_OPNORM, family=family, **{key: _TRANSFER[key]}), key)
+      for family in ("S", "T_period") for key in ("phi", "space", "window")),
+    ("opnorm", dict(_OPNORM_T_APHI, search=_TRANSFER["search"]), "search"),
+    ("transfer", dict(_TRANSFER, a={"entries": "garbage"}), "a"),
+], ids=[f"{family}-{key}" for family in ("S", "T_period") for key in ("phi", "space", "window")]
+    + ["T_aPhi-search", "transfer-a-and-a_family"])
+def test_key_the_run_does_not_read_is_one_config_error_and_no_report(command, doc, key,
+                                                                     tmp_path, capsys):
+    code = main([command, "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert f"'{key}'" in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
 # (command, base config, extra argv): the README transfer in both spaces
 # (the amalgam one with the inline phi), opnorm for each family, synth,
 # decompose and scaling
@@ -177,7 +216,7 @@ _BASES = [
     ("transfer", dict(_TRANSFER, space="wiener"), ()),
     ("opnorm", dict(_OPNORM, family="S"), ()),
     ("opnorm", dict(_OPNORM, family="T_period"), ()),
-    ("opnorm", dict(_OPNORM, family="T_aPhi"), ()),
+    ("opnorm", _OPNORM_T_APHI, ()),
     ("synth", _SYNTH, ("--grid", "4,8")),
     ("decompose", _DECOMPOSE, ()),
     ("scaling", _SCALING, ()),

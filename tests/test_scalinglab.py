@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from latticebump.bumps import _axis_factor, make_bump, make_window
-from latticebump.grid import GridFunction, idft
+from latticebump.grid import GridFunction, _padded_slice, idft
 from latticebump.norms import (amalgam_norm, loglog_slope, lp_norm, wiener_band_values,
                                wiener_norm)
 from latticebump.operators import AliasingWarning, _grouped_sum
@@ -71,6 +71,28 @@ def test_f_hat_on_its_support_slab_is_the_whole_grid_product_bitwise(n, xi0):
         for j, xi in enumerate(spec.freq_points()):
             want = want * _axis_factor(prof, j, xi)
         assert fam.f_hat(e).samples.tobytes() == want.tobytes()
+
+
+def _slab_f_hat(fam, e):
+    """f_hat as the scaling lab wrote it before the one slab writer: the
+    product of the per-axis factors on the support slab, zero elsewhere."""
+    spec, prof = fam.specs[e], fam.scaled_profile(e)
+    xi = spec.axis_xi()
+    slab = tuple(_padded_slice(xi, c - r, c + r) for c, r in zip(prof.center, prof.radius))
+    vals = e ** (-fam.n) * prof.amplitude
+    for j, u in enumerate(np.meshgrid(*(xi[sl] for sl in slab), indexing="ij", sparse=True)):
+        vals = vals * _axis_factor(prof, j, u)
+    out = np.zeros(spec.shape, dtype=complex)
+    out[slab] = vals
+    return out
+
+
+@pytest.mark.parametrize("xi0", [k / 4 for k in range(-6, 7)])
+def test_f_hat_is_the_slab_product_bitwise_on_the_benchmark_ladder(xi0):
+    fam = make_scaling_family(xi0=xi0, epsilons=[2.0 ** -j for j in range(1, 7)], s=8,
+                              box_factor=192)
+    for e in fam.epsilons:
+        assert fam.f_hat(e).samples.tobytes() == _slab_f_hat(fam, e).tobytes()
 
 
 def test_family_rejects_bad_parameters():

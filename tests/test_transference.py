@@ -71,6 +71,29 @@ def test_amalgam_witness_spectrum_confined(spec, theta, rng):
     assert outside <= 1e-10 * np.sum(np.abs(F) ** 2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_witness_spectra_on_their_slabs_are_the_whole_grid_loop_bitwise(n, rng):
+    # each translate of theta_j is written on its support slab only; the
+    # whole-grid loop adds every translate at every grid point
+    spec = make_grid(n, 8, 32)
+    phi = make_bump(2 * n, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    theta = make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    modes = list(itertools.product(range(-2, 3), repeat=n))
+    c1, c2 = ({m: complex(*rng.standard_normal(2)) for m in modes} for _ in range(2))
+    witnesses = [build_amalgam_witness(TrigPolynomial(n, c1), TrigPolynomial(n, c2),
+                                       theta, spec),
+                 build_wiener_witness(Sequence(n, c1), Sequence(n, c2), theta, spec,
+                                      make_window(n, 0.6))]
+    for w in witnesses:
+        for fhat, coeffs, t in ((w.fhat1, c1, theta.theta1), (w.fhat2, c2, theta.theta2)):
+            want = np.zeros(spec.shape, dtype=complex)
+            for nu, c in coeffs.items():
+                want += c * bump_eval_axes(t, [ax - nu[j]
+                                               for j, ax in enumerate(spec.freq_points())])
+            assert fhat.samples.tobytes() == want.tobytes()
+
+
 def test_amalgam_witness_norm_constant_reported(spec, theta, rng):
     # fitted constant of ||f_j||_(p,q) <= c ||F_j||_{L^p(T)} over a family
     ratios = []

@@ -15,15 +15,22 @@ per output file.  ``meta.json`` holds wall-clock telemetry and is skipped;
 * the README ``scaling`` config, and its n = 2 ladder ``[1, 0.75, 0.5]``
   without verdicts (1.6 s, peak RSS 0.34 GB);
 * the benchmark ``scaling`` config at each of its 13 grid-aligned xi0;
-* ``synth``, ``decompose`` and ``opnorm`` (``S``, ``T_period``, ``T_aPhi``);
-* ``selftest``.
+* ``synth``, ``decompose`` and ``opnorm`` (``S``, ``T_period``, ``T_aPhi``),
+  each ``opnorm`` config with only the keys its family reads;
+* ``selftest``;
+* the benchmark ``witness-chain`` ops 0-2 at seeds 5 and 41, run in-process
+  through ``perfbench/workloads.py``: per op the raw bytes of the fast and
+  the slow bilinear arrays of each grid (``op0-n1-fast.bin``, ...) and its
+  output records (``op0-records.json``).
 
 With ``--against DIR`` (the OUT of another checkout), it then prints, for
 each JSON or CSV file whose bytes differ, the largest relative difference
 over its numeric fields, and names every other file that differs or is
-missing on one side.  Only the standard library and ``latticebump`` are
-used; the ``latticebump`` on the import path is the one digested.  The
-times above are single runs on a 2-core Xeon with one BLAS thread:
+missing on one side.  It uses the standard library, ``latticebump`` and
+this checkout's ``perfbench/workloads.py``, imported read-only; the
+``latticebump`` on the import path is the one digested.  The times above
+are single runs on a 2-core Xeon with one BLAS thread; the witness chain
+takes about 1 s and the whole digest about 10 s:
 
     PYTHONPATH=src python tools/digest.py OUT [--against DIR]
 """
@@ -41,6 +48,9 @@ from pathlib import Path
 
 from latticebump import cli
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's witness-chain workload)
+
 README_TRANSFER = {
     "n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4", "space": "amalgam",
     "exponents": [2, 2, 2, 2, 2, 2],
@@ -52,9 +62,11 @@ README_SCALING = {"n": 1, "scaling": {
     "amalgam_q": [1.0, 2.0, "inf"], "wiener_p": [1.0, 2.0, "inf"],
     "verdicts": [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]}]}}
 A = {"random": {"radius": 1, "count": 9, "seed": 3}}
-OPNORM = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4", "a": A,
-          "exponents": [1, 1, 1, 1, 1, 0.5], "search": {"starts": 4, "steps": 20},
+OPNORM = {"n": 1, "grid": {"L": 8, "s": 32}, "a": A, "exponents": [1, 1, 1, 1, 1, 0.5],
           "seed": 7}
+SEARCH = {"starts": 4, "steps": 20}
+WITNESS_CHAIN_SEEDS = (5, 41)
+WITNESS_CHAIN_OPS = 3
 
 
 def _bench_scaling(xi0: float) -> dict:
@@ -88,9 +100,9 @@ def configs() -> list[tuple[str, str, dict | None]]:
     runs += [("synth", "synth", {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",
                                  "a": A, "cm": {"M": 8}}),
              ("decompose", "decompose", {"n": 1, "phi": "tensor-0.4", "cm": {"M": 8}}),
-             ("opnorm-S", "opnorm", dict(OPNORM, family="S")),
-             ("opnorm-T_period", "opnorm", dict(OPNORM, family="T_period")),
-             ("opnorm-T_aPhi", "opnorm", dict(OPNORM, family="T_aPhi",
+             ("opnorm-S", "opnorm", dict(OPNORM, family="S", search=SEARCH)),
+             ("opnorm-T_period", "opnorm", dict(OPNORM, family="T_period", search=SEARCH)),
+             ("opnorm-T_aPhi", "opnorm", dict(OPNORM, family="T_aPhi", phi="tensor-0.4",
                                               exponents=[2, 2, 2, 2, 2, 2])),
              ("selftest", "selftest", None)]
     return runs
@@ -111,6 +123,21 @@ def run_all(out: Path) -> list[str]:
             code = cli.main([command, "--config", str(path), "--out", str(d)])
         if code != 0:
             failed.append(f"{name} (exit {code})")
+    for seed in WITNESS_CHAIN_SEEDS:
+        d = out / f"witness-chain-seed={seed}"
+        d.mkdir(parents=True, exist_ok=True)
+        chain = workloads.WitnessChain(seed, tiny=False, workdir=d)
+        for i in range(WITNESS_CHAIN_OPS):
+            inputs = chain.make_input(i)
+            outs = chain.run(inputs)
+            for o in outs:
+                for key in ("fast", "slow"):
+                    path = d / f"op{i}-n{o['f1'].spec.n}-{key}.bin"
+                    path.write_bytes(o[key].tobytes())
+            recs = chain.collect(inputs, outs)
+            (d / f"op{i}-records.json").write_text(json.dumps(recs, indent=2, sort_keys=True))
+            if chain.check(recs):
+                failed.append(f"witness-chain seed {seed} op {i}")
     return failed
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -609,7 +610,10 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all_ok else EXIT_ASSERTION
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="latticebump",
         description="lattice bump bilinear multiplier experiments")
@@ -634,8 +638,11 @@ def main(argv=None) -> int:
                    help="fault injection: build the partition window with this "
                         "outer radius, bypassing the (1/2, 1) guard")
     p.set_defaults(fn=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")

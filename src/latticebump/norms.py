@@ -11,8 +11,11 @@ takes f on either side, and a spectrum the caller already holds costs no
 forward transform.  Bands and windows are read on the slab of the
 spectrum's nonzeros: a band whose window is 0 there gets an exact-zero row,
 and where a single plateau covers it (``_plateau_band``) the stack's pool is
-|idft(f)| and needs no band.  Inverse transforms hold one buffer
-(``grid._centered``).
+|idft(f)| and needs no band.  At p = q = 2 discrete Plancherel, band by band,
+makes the norm a weighted l^2 of the spectrum F,
+(L^-n sum_xi omega(xi)^2 |F(xi)|^2)^(1/2) with omega^2 = sum_k kappa(xi - k
+- offset)^2 over the covering bands (``_wiener_l2``): no band stack and no
+inverse transform.  Inverse transforms hold one buffer (``grid._centered``).
 """
 
 from __future__ import annotations
@@ -222,12 +225,44 @@ def _band_windows(F: np.ndarray, spec, kappa: Window, offset):
                          for mu in bands)
 
 
+def _wiener_l2(F: np.ndarray, spec, kappa: Window, offset) -> tuple[float, bool]:
+    """The W^{2,2} norm of the function with spectrum F, and whether a single
+    plateau covers F, from one pass over the covering bands' windows.
+
+    Discrete Plancherel band by band makes the norm a weighted l^2 of the
+    spectrum, (dxi^n sum omega^2 |F|^2)^(1/2) with omega^2 = sum_k
+    |kappa(xi - k - offset)|^2, read on the slab of F's nonzeros (0 for a
+    zero F).  The plateau flag says that one band's window is exactly 1 on
+    that slab and every other band's is 0: then omega^2 is 1 there and the
+    pointwise l^2 pool of the band stack is |idft(F)| bit for bit.
+    """
+    _bands, slab, windows = _band_windows(F, spec, kappa, offset)
+    if not slab:
+        return 0.0, False
+    F_slab = F[slab]
+    omega2 = np.zeros(F_slab.shape)
+    live, plateau = 0, False
+    for w in windows:
+        if w.any():
+            live += 1
+            plateau = live == 1 and bool((w == 1).all())
+            omega2 += np.abs(w) ** 2
+    return _power_norm(np.sqrt(omega2) * F_slab, 2.0, spec.dxi**spec.n), plateau
+
+
 def _plateau_band(F: np.ndarray, spec, kappa: Window, offset) -> bool:
-    """Whether one covering band's window is exactly 1 on the slab of the
-    nonzero spectrum F and every other band's is 0 there: then the pointwise
-    l^2 pool of the band stack is |idft(F)| bit for bit."""
-    live = [w for w in _band_windows(F, spec, kappa, offset)[2] if w.any()]
-    return len(live) == 1 and bool((live[0] == 1).all())
+    """Whether a single plateau covers the nonzero spectrum F (see
+    ``_wiener_l2``)."""
+    return _wiener_l2(F, spec, kappa, offset)[1]
+
+
+def _spectrum(f: GridFunction) -> np.ndarray:
+    """The spectrum of f (``dft`` convention): a frequency-side f as it is, a
+    space-side f transformed once.  Non-finite samples on either side are
+    refused."""
+    if not np.isfinite(f.samples).all():
+        raise ValueError(f"{f.side}-side input has non-finite samples")
+    return f.samples if f.side == "frequency" else dft(f).samples
 
 
 def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
@@ -242,9 +277,7 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
     row and no transform.  Non-finite samples on either side are refused.
     """
     spec = f.spec
-    if not np.isfinite(f.samples).all():
-        raise ValueError(f"{f.side}-side input has non-finite samples")
-    F = f.samples if f.side == "frequency" else dft(f).samples
+    F = _spectrum(f)
     bands, slab, windows = _band_windows(F, spec, kappa, offset)
     stack = np.zeros((len(bands),) + spec.shape, dtype=complex)
     F_slab = F[slab]
@@ -267,8 +300,12 @@ def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,
     witnesses whose frequency support is centered off the integer lattice.
     ``f`` may be given on either side (see ``wiener_band_values``): a caller
     that holds the exact spectrum passes it and no forward transform runs.
+    At p = q = 2 the norm is the weighted l^2 of the spectrum
+    (``_wiener_l2``), and no band is transformed.
     """
     p, q = check_exponent(p), check_exponent(q)
+    if p == q == 2.0:
+        return _wiener_l2(_spectrum(f), f.spec, kappa, offset)[0]
     return _pooled_band_norm(wiener_band_values(f, kappa, offset=offset)[1], f.spec, p, q)
 
 

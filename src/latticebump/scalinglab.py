@@ -27,9 +27,10 @@ slab, transforms it once and takes |f_eps| once, for the per-cube L^2
 profile (amalgam), sup |f_eps| and the Wiener pool.  The band lattice is
 offset to xi0 and the support radius stays under the window plateau, so one
 band's window is exactly 1 on the spectrum's slab and the pool of the band
-stack is |f_eps| bit for bit (``norms._plateau_band`` checks it; where it
+stack is |f_eps| bit for bit (``norms._wiener_l2`` checks it; where it
 fails the stack is built from f_hat).  Every exponent of a space reads one
-normalised reduction.  The same f_hat gives the spectrum of the product
+normalised reduction, except the Wiener p = 2: W^{2,2} is the weighted l^2
+of f_hat, read in the same pass over the windows.  The same f_hat gives the spectrum of the product
 T_sigma(f_eps, f_eps), and T is its idft, so the same single-plateau rule
 (offset to 2 xi0) serves it: |T| gives its cube profile, the core minimum
 and its Wiener pool.  So each eps makes two inverse transforms, and its
@@ -38,13 +39,14 @@ arrays are gone before the next eps is built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bumps import BumpProfile, Window, _axis_factor, bump_eval_axes, make_bump
 from .grid import GridFunction, GridSpec, _translate_sum, idft, make_grid
-from .norms import (_cube_norms, _plateau_band, _power_norm, _power_norms, check_exponent,
+from .norms import (_cube_norms, _power_norm, _power_norms, _wiener_l2, check_exponent,
                     loglog_slope, wiener_band_values)
 from .operators import _grouped_sum
 from .transference import AMALGAM_CITATION, WIENER_CITATION
@@ -170,6 +172,19 @@ def _q_floor(base: BumpProfile) -> float:
     return float(abs(phi_half))
 
 
+@functools.lru_cache(maxsize=16)
+def _axis_constants(base: BumpProfile, box_factor: float) -> tuple[float, float]:
+    """(tail fraction, Q-floor) of one axis of the base: the |phi| l1 mass
+    outside the box [-box_factor/2, box_factor/2] (``_phi_axis_data``) and
+    ``_q_floor``.  Memoised as two scalars per (base, box_factor), so a
+    repeated family build runs no FFT; the arrays die here."""
+    x, mag = _phi_axis_data(base)
+    dx = x[1] - x[0]
+    total = 2.0 * np.trapezoid(mag, dx=dx)
+    tail = 2.0 * np.trapezoid(mag[x > box_factor / 2], dx=dx) / total
+    return float(tail), _q_floor(base)
+
+
 def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
                         s: int = 8, box_factor: float = 192.0,
                         base_radius: float = 0.3,
@@ -198,11 +213,7 @@ def make_scaling_family(xi0=0.0, epsilons=(0.5, 0.25, 0.125), n: int = 1,
         raise ValueError(f"xi0 must have {n} components")
 
     base = make_bump(n, "tensor-exp", center=(0.0,) * n, radius=base_radius)
-    x, mag = _phi_axis_data(base)
-    dx = x[1] - x[0]
-    total = 2.0 * np.trapezoid(mag, dx=dx)
-    tail = 2.0 * np.trapezoid(mag[x > box_factor / 2], dx=dx) / total
-    min_q_axis = _q_floor(base)
+    tail, min_q_axis = _axis_constants(base, box_factor)
     # |phi_nd| = prod |phi_1d(x_j)|; one global amplitude lifts the Q-floor to 1
     amplitude = (1.0 + 1e-6) / min_q_axis**n
 
@@ -240,21 +251,25 @@ def _norms(mod: np.ndarray, ghat: GridFunction, measurements, kappa: Window | No
     """The norm for each (space, r) in ``measurements`` of the function with
     spectrum ``ghat`` and space-side modulus ``mod`` = |idft(ghat)|: its
     amalgam (L^2, l^r) or Wiener W^{r,2} norm, one reduction and
-    normalisation per space.  The Wiener pool is ``mod`` when a single
-    plateau covers the spectrum."""
+    normalisation per space.  The Wiener W^{2,2} norm is the weighted l^2 of
+    the spectrum (``_wiener_l2``); the same pass over the windows tells
+    whether a single plateau covers the spectrum, and then the Wiener pool
+    of every other r is ``mod``."""
     spec = ghat.spec
     norms = {}
     for space in dict.fromkeys(space for space, _r in measurements):
+        rs = list(dict.fromkeys(r for sp, r in measurements if sp == space))
         if space == "amalgam":
-            values, weight = _cube_norms(mod, spec, 2.0), 1.0
-        elif _plateau_band(ghat.samples, spec, kappa, offset):
-            values, weight = mod, spec.h**spec.n
-        else:
-            values = _power_norm(wiener_band_values(ghat, kappa, offset=offset)[1], 2.0, axis=0)
-            weight = spec.h**spec.n
-        norms[space] = iter(_power_norms(values, [r for sp, r in measurements if sp == space],
-                                         weight))
-    return [next(norms[space]) for space, _r in measurements]
+            norms.update(zip(((space, r) for r in rs),
+                             _power_norms(_cube_norms(mod, spec, 2.0), rs)))
+            continue
+        norms[space, 2.0], plateau = _wiener_l2(ghat.samples, spec, kappa, offset)
+        rs = [r for r in rs if r != 2.0]
+        if rs:
+            pool = mod if plateau else _power_norm(
+                wiener_band_values(ghat, kappa, offset=offset)[1], 2.0, axis=0)
+            norms.update(zip(((space, r) for r in rs), _power_norms(pool, rs, spec.h**spec.n)))
+    return [norms[m] for m in measurements]
 
 
 def _product_row(fam: ScalingFamily, e: float, fh: GridFunction, products, kappa,

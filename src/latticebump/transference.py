@@ -18,7 +18,10 @@ the support pairs of the witnesses' exact spectra only, never on the N^(2n)
 grid, so n = 2 runs on working grids.
 Wiener norms read those exact spectra, and the output's grouped spectrum,
 directly: no Wiener path runs a forward transform, and the Wiener estimate
-runs no inverse transform of the output either.
+runs no inverse transform of the output either.  A witness's space samples
+f1, f2 are made on first read, which no Wiener estimate does; at all-2 each
+Wiener norm is a weighted l^2 of its spectrum (``norms._wiener_l2``), so an
+all-2 Wiener estimate runs no inverse transform at all.
 Operator norms are reported as lower bounds found by a seeded multi-start
 search on normalized ratios; the theorems' constants are never asserted, only
 family-wise ratio stability against a configured bound.
@@ -48,6 +51,7 @@ import itertools
 import math
 import numbers
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -106,17 +110,25 @@ class ExponentHypothesisError(ValueError):
 @dataclass
 class WitnessPair:
     """Test functions from the proof machinery with their theta pair (kernel g);
-    F1, F2 are set on an amalgam witness, b1, b2 on a Wiener one."""
+    F1, F2 are set on an amalgam witness, b1, b2 on a Wiener one.  The space
+    samples f1, f2 are the idft of the exact spectra, made on first read: the
+    Wiener norms read the spectra only."""
 
-    f1: GridFunction
-    f2: GridFunction
-    fhat1: GridFunction  # the exact spectra that f1, f2 are the idft of
+    fhat1: GridFunction
     fhat2: GridFunction
     theta: ThetaPair
     F1: TrigPolynomial | None = None
     F2: TrigPolynomial | None = None
     b1: Sequence | None = None
     b2: Sequence | None = None
+
+    @cached_property
+    def f1(self) -> GridFunction:
+        return idft(self.fhat1)
+
+    @cached_property
+    def f2(self) -> GridFunction:
+        return idft(self.fhat2)
 
 
 def _witness_fhat(coeffs: dict, theta: BumpProfile, spec: GridSpec) -> np.ndarray:
@@ -127,7 +139,7 @@ def _witness_fhat(coeffs: dict, theta: BumpProfile, spec: GridSpec) -> np.ndarra
 
 
 def _witness(c1: dict, c2: dict, theta: ThetaPair, spec: GridSpec, **models) -> WitnessPair:
-    """fhat_j = sum_nu c_j(nu) theta_j(. - nu) and f_j = idft(fhat_j)."""
+    """fhat_j = sum_nu c_j(nu) theta_j(. - nu); f_j = idft(fhat_j) on first read."""
     fhat = []
     for coeffs, t in ((c1, theta.theta1), (c2, theta.theta2)):
         eps = max(t.radius)
@@ -137,8 +149,7 @@ def _witness(c1: dict, c2: dict, theta: ThetaPair, spec: GridSpec, **models) -> 
             if any(abs(nu[j] + t.center[j]) + eps > spec.s / 2 for j in range(spec.n)):
                 raise ValueError(f"mode {nu} pushes the theta ball out of the frequency box")
         fhat.append(GridFunction(spec, "frequency", _witness_fhat(coeffs, t, spec)))
-    return WitnessPair(f1=idft(fhat[0]), f2=idft(fhat[1]), fhat1=fhat[0], fhat2=fhat[1],
-                       theta=theta, **models)
+    return WitnessPair(fhat1=fhat[0], fhat2=fhat[1], theta=theta, **models)
 
 
 def build_amalgam_witness(F1: TrigPolynomial, F2: TrigPolynomial,

@@ -425,6 +425,83 @@ def test_transfer_runs_n2_at_working_grid(tmp_path, space):
     assert ratio == pytest.approx(constant, rel=1e-9)
 
 
+def _plancherel_constant(spec):
+    """||g||_2 / (||F^-1 theta1||_2 ||F^-1 theta2||_2): the all-2 transfer
+    ratio of the radius-0.4 tensor bump on ``spec``."""
+    phi = make_bump(2 * spec.n, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    theta = make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    inv = [idft(freq_function(spec, lambda *xi, t=t: bump_eval_axes(t, list(xi))))
+           for t in (theta.theta1, theta.theta2)]
+    return lp_norm(theta.g, 2) / (lp_norm(inv[0], 2) * lp_norm(inv[1], 2))
+
+
+@pytest.mark.parametrize("n, grid_", [(1, "8,32"), (2, "32,32")])
+def test_all_2_wiener_transfer_makes_no_inverse_transform(tmp_path, monkeypatch, n, grid_):
+    # every Wiener norm at (2, 2) is a weighted l^2 of a spectrum and the
+    # witnesses' space samples are never read; at n = 2 on (32, 32) the
+    # family runs here in well under a second (it took about 6 s and 630 MB
+    # with a band stack per norm), and each row's ratio is the Plancherel
+    # constant
+    transforms = []
+    ifftn = np.fft.ifftn
+
+    def counted(*args, **kwargs):
+        transforms.append(args[0].shape)
+        return ifftn(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    doc = dict(_TRANSFER, n=n, space="wiener",
+               a_family={"members": 2, "radius": 1, "count": 9, "seed": 3},
+               search={"starts": 4, "steps": 60})
+    del doc["a"]
+    out = tmp_path / "o"
+    assert main(["transfer", "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(out), "--grid", grid_]) == 0
+    assert transforms == []
+    monkeypatch.undo()
+    L, s = (int(v) for v in grid_.split(","))
+    constant = _plancherel_constant(make_grid(n, L, s))
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["ratio"] == pytest.approx(constant, rel=1e-9)
+
+
+def test_wiener_transfer_off_2_2_still_pools_band_stacks(tmp_path, monkeypatch):
+    # at [2,2,1,2,2,2] both input norms are (2, 2) and read no band stack;
+    # the output norm is (1, 2), one band stack per candidate witness
+    from latticebump import norms
+    calls = []
+    band_values = norms.wiener_band_values
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].side)
+        return band_values(*args, **kwargs)
+    monkeypatch.setattr(norms, "wiener_band_values", counted)
+    doc = dict(_TRANSFER, space="wiener", exponents=[2, 2, 1, 2, 2, 2],
+               search={"starts": 2, "steps": 4})
+    out = tmp_path / "o"
+    assert main(["transfer", "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(out)]) == 0
+    assert calls == ["frequency"] * 2  # the indicator and the model witness
+
+
+def test_parser_built_once_still_refuses_flags_a_command_does_not_read(tmp_path):
+    from latticebump import cli
+    cfg = _write(tmp_path, "cfg.json", {"n": 1, "phi": "tensor-0.4", "cm": {"M": 8}})
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    assert cli._parser() is cli._parser()
+    transfer = _write(tmp_path, "transfer.json", _TRANSFER)
+    for flags in (["--no-such-flag"], ["--force-window-outer", "0.6"]):
+        with pytest.raises(SystemExit) as e:
+            main(["transfer", "--config", transfer, "--out", str(tmp_path / "o"), *flags])
+        assert e.value.code == 2
+    assert not (tmp_path / "o").exists()
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "d2")]) == 0
+    assert ((tmp_path / "d" / "report.json").read_bytes()
+            == (tmp_path / "d2" / "report.json").read_bytes())
+
+
 def test_transfer_misspelt_top_level_key_is_config_error(tmp_path, capsys):
     doc = dict(_TRANSFER)
     doc["serach"] = doc.pop("search")

@@ -9,11 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window, window_eval_axes)
 from latticebump.grid import _centered, dft, freq_function, idft, make_grid, space_function
-from latticebump.norms import (ExponentTuple, _power_norm, _power_norms, amalgam_norm,
-                               loglog_slope, lp_norm, lp_norm_torus, lq_seq_norm,
-                               mixed_norm_check, wiener_band_values, wiener_norm)
+from latticebump.norms import (ExponentTuple, _pooled_band_norm, _power_norm, _power_norms,
+                               _wiener_l2, amalgam_norm, loglog_slope, lp_norm, lp_norm_torus,
+                               lq_seq_norm, mixed_norm_check, wiener_band_values, wiener_norm)
 from latticebump.operators import sequence_from_dict, trig_poly_from_dict
-from latticebump.transference import build_wiener_witness
+from latticebump.symbols import random_lattice_coefficients
+from latticebump.transference import _T_aPhi_witness, build_wiener_witness
 
 
 def _window_at(kappa, spec, shift):
@@ -136,6 +137,55 @@ def test_wiener_refuses_non_finite_samples(spec, kappa, side, bad):
         wiener_band_values(f, kappa)
     with pytest.raises(ValueError, match=f"{side}-side input has non-finite samples"):
         wiener_norm(f, 2.0, 2.0, kappa)
+
+
+@pytest.mark.parametrize("n, L, s", [(1, 8, 32), (1, 16, 64), (2, 8, 32), (2, 16, 32)])
+@pytest.mark.parametrize("outer", [0.55, 0.6, 0.65])
+def test_wiener_2_2_norm_is_the_weighted_l2_of_the_spectrum(n, L, s, outer):
+    # discrete Plancherel band by band: the W^{2,2} norm of the band stack is
+    # (L^-n sum omega^2 |F|^2)^(1/2), omega^2 = sum_k kappa(xi - k - offset)^2,
+    # on both witness spectra and the output spectrum, each at its offset
+    spec = make_grid(n, L, s)
+    phi = make_bump(2 * n, "tensor-exp", radius=0.4)
+    cb = check_condition_B(phi)
+    theta = make_theta_pair(phi, cb.witness, cb.slack / 4, spec)
+    kappa = make_window(n, outer)
+    rng = np.random.default_rng(60 + L + n)
+    b1, b2 = (sequence_from_dict(n, {m: complex(*rng.standard_normal(2))
+                                     for m in itertools.product((-1, 0, 1), repeat=n)})
+              for _ in range(2))
+    a = random_lattice_coefficients(n, 1, 9, 61 + L)
+    w = build_wiener_witness(b1, b2, theta, spec, kappa)
+    xi0 = np.asarray(theta.xi0, dtype=float)
+    for F, offset in ((w.fhat1, xi0[:n]), (w.fhat2, xi0[n:]),
+                      (_T_aPhi_witness(a, phi, w, spec), xi0[:n] + xi0[n:])):
+        stack = wiener_band_values(F, kappa, offset=offset)[1]
+        want = _pooled_band_norm(stack, spec, 2.0, 2.0)
+        del stack
+        got = _wiener_l2(F.samples, spec, kappa, offset)[0]
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+        assert wiener_norm(F, 2.0, 2.0, kappa, offset=offset) == got
+        assert wiener_norm(idft(F), 2.0, 2.0, kappa, offset=offset) == pytest.approx(
+            got, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (2.0, 1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("side", ["space", "frequency"])
+def test_wiener_refusals_and_zero_hold_at_2_2_as_off_it(spec, kappa, p, q, side):
+    env = make_bump(1, "tensor-exp", radius=0.3)
+    for shift, bad in ((1.0, np.nan), (1.0, np.inf), (spec.s / 2 - 0.4, None)):
+        F = freq_function(spec, lambda xi: bump_eval_axes(env, [xi - shift]))
+        f = F if side == "frequency" else idft(F)
+        if bad is None:
+            with pytest.raises(ValueError, match="window margin violation"):
+                wiener_norm(f, p, q, kappa)
+            continue
+        f.samples[7] = bad
+        with pytest.raises(ValueError, match=f"{side}-side input has non-finite samples"):
+            wiener_norm(f, p, q, kappa)
+    zero = (freq_function if side == "frequency" else space_function)(
+        spec, np.zeros(spec.shape))
+    assert wiener_norm(zero, p, q, kappa) == 0.0
 
 
 def test_wiener_window_equivalence_reported(spec, rng):

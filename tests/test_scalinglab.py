@@ -531,3 +531,25 @@ def test_eps_rows_equal_the_public_norms_bitwise(family, outer, with_products, l
         assert min_core == (float(np.min(np.abs(T.samples[core])))
                             if e == fam.epsilons[-1] else None)
     assert plateau == ([False, True, True] if outer == 0.8 else [True] * len(fam.epsilons))
+
+
+def test_family_tail_and_q_floor_are_memoised_scalars(monkeypatch):
+    # the 2^17-point real FFT of the tail fraction runs once per (base,
+    # box_factor); a repeated build reads the two scalars and gives the same
+    # family
+    first = make_scaling_family(xi0=0.5, epsilons=(0.5, 0.25, 0.125), box_factor=200.0)
+    transforms = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        transforms.append(len(args[0]))
+        return rfft(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    again = make_scaling_family(xi0=0.5, epsilons=(0.5, 0.25, 0.125), box_factor=200.0)
+    assert transforms == []
+    assert again == first
+    x, mag = _phi_axis_data(first.base)
+    dx = x[1] - x[0]
+    tail = 2.0 * np.trapezoid(mag[x > 100.0], dx=dx) / (2.0 * np.trapezoid(mag, dx=dx))
+    assert first.tail_fraction == float(tail)
+    assert first.min_q_modulus == _q_floor(first.base) * first.amplitude

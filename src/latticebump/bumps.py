@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, _translate_sum
 
 __all__ = [
     "BumpProfile",
@@ -178,6 +178,19 @@ def _at_points(eval_axes, d: int, x) -> np.ndarray | complex:
 def bump_eval(b: BumpProfile, x) -> np.ndarray | complex:
     """Evaluate at a point (shape (d,)) or an array of points (shape (..., d))."""
     return _at_points(lambda axes: bump_eval_axes(b, axes), b.d, x)
+
+
+def _bump_translates(b: BumpProfile, terms, spec: GridSpec) -> np.ndarray:
+    """sum_mu c(mu) b(xi - mu) over the (mu, c) ``terms`` on the frequency
+    grid, written by ``grid._translate_sum``: a separable profile through its
+    axis factors, each computed once per (axis, shift), any other through
+    ``bump_eval_axes`` on each translate's open mesh.  Either way the samples
+    are those of ``bump_eval_axes`` at every translate."""
+    if b.separable:
+        return _translate_sum(terms, b.support_box(), spec, amplitude=b.amplitude,
+                              axis_factor=lambda j, u: _axis_factor(b, j, u))
+    return _translate_sum(terms, b.support_box(), spec,
+                          evaluate=lambda axes: bump_eval_axes(b, axes))
 
 
 @dataclass(frozen=True)

@@ -367,14 +367,15 @@ def cmd_opnorm(cfg: dict, args, out: Path) -> tuple[dict, int]:
     family = cfg.get("family", "S")
     if family not in ("S", "T_period", "T_aPhi"):
         raise ConfigError(f"unknown family {family!r} (S | T_period | T_aPhi)")
-    # the model families read no profile, space or window, T_aPhi no search
-    unread = [k for k in (("search",) if family == "T_aPhi" else ("phi", "space", "window"))
-              if k in cfg]
+    # the model families read no grid, profile, space or window, T_aPhi no search
+    unread = [k for k in (("search",) if family == "T_aPhi"
+                          else ("grid", "phi", "space", "window")) if k in cfg]
+    if family != "T_aPhi" and args.grid is not None:
+        unread.append("--grid")
     if unread:
         raise ConfigError(f"opnorm family {family} does not read {', '.join(map(repr, unread))}")
-    spec = _grid_from(cfg, args)
     seed = _seed(cfg, args)
-    a = _coeffs_from(cfg, spec.n, seed)
+    a = _coeffs_from(cfg, _dimension(cfg), seed)
     ex = _exponent_tuple(cfg.get("exponents"))
 
     if family == "S":
@@ -382,6 +383,7 @@ def cmd_opnorm(cfg: dict, args, out: Path) -> tuple[dict, int]:
     elif family == "T_period":
         est = transference.estimate_norm_T_period(a, ex.p1, ex.p2, ex.p, _search_from(cfg, seed))
     else:
+        spec = _grid_from(cfg, args)
         phi = _phi_from(cfg, spec.n)
         _cb, theta = _theta_from(phi, spec)
         space = cfg.get("space", "amalgam")

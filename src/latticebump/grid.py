@@ -144,22 +144,45 @@ def _padded_slice(axis: np.ndarray, lo: float, hi: float) -> slice:
                  min(int(np.searchsorted(axis, hi, "right")) + 1, len(axis)))
 
 
-def _translate_sum(terms, box, evaluate, spec: GridSpec) -> np.ndarray:
+def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
+                   amplitude: complex = 1.0) -> np.ndarray:
     """sum_mu c(mu) F(xi - mu) over the (mu, c) ``terms`` on the (N,)*d
-    frequency grid, d = len(mu), for F given by ``evaluate`` on an open
-    meshgrid of d per-axis coordinate arrays and zero off the closed box
-    ``box`` = (lo, hi).  Each translate is added on the grid points of
-    mu + box only, padded by one point per side: off them it is zero, which
-    would add only +-0, so the samples are those of the whole-grid loop.
+    frequency grid, d = len(mu), for F zero off the closed box ``box`` =
+    (lo, hi).  Each translate is added on the grid points of mu + box only,
+    padded by one point per side: off them it is zero, which would add only
+    +-0, so the samples are those of the whole-grid loop.
+
+    F is ``evaluate`` on an open meshgrid of d per-axis coordinate arrays,
+    or, for a separable F, ``amplitude`` times the product over the axes of
+    ``axis_factor(j, u)`` (in axis order, as ``bumps.bump_eval_axes`` takes
+    it).  The padded slice and the coordinates (the axis factor) are built
+    once per (axis, integer shift) and shared by every translate with that
+    shift: keyed by the shift, since xi - m need not be exact.
     """
     xi = spec.axis_xi()
-    out = np.zeros((spec.N,) * len(box[0]), dtype=complex)
+    d = len(box[0])
+    out = np.zeros((spec.N,) * d, dtype=complex)
+    axes = {}
+
+    def axis(j: int, m: int):
+        if (j, m) not in axes:
+            sl = _padded_slice(xi, box[0][j] + m, box[1][j] + m)
+            u = xi[sl] - m
+            axes[j, m] = sl, (u if axis_factor is None else
+                              axis_factor(j, u).reshape((-1,) + (1,) * (d - 1 - j)))
+        return axes[j, m]
+
     for mu, c in terms:
         if not np.isfinite(c):
             raise ValueError("coefficients must be finite")
-        slab = tuple(_padded_slice(xi, lo + m, hi + m) for lo, hi, m in zip(*box, mu))
-        out[slab] += c * evaluate(np.meshgrid(*(xi[sl] - m for sl, m in zip(slab, mu)),
-                                              indexing="ij", sparse=True))
+        slab, vals = zip(*(axis(j, m) for j, m in enumerate(mu)))
+        if axis_factor is None:
+            value = evaluate(np.meshgrid(*vals, indexing="ij", sparse=True))
+        else:
+            value = np.asarray(amplitude, dtype=complex)
+            for v in vals:
+                value = value * v
+        out[slab] += c * value
     return out
 
 

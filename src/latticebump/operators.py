@@ -9,9 +9,11 @@
   evaluates sigma at those pairs only, and scalinglab's products).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
   the truncated decomposition, contracted through its side factors
-  b = sum_r outer(w1_r, w2_r), each multiplier built from the series rows of
-  ``symbols._cm_rows`` at the translate: one band projection per translate
-  and term (one term for a separable Phi), never one per Fourier mode k.
+  b = sum_r outer(w1_r, w2_r): each (translate, term) multiplier is written
+  on the cutoff's support slab at the translate from the series rows of
+  ``symbols._cm_rows``, computed once per axis shift, and each side's stack
+  of band projections takes one inverse transform; never one per Fourier
+  mode k.
 * ``apply_T_period``  -- periodic bilinear operator on trig polynomials,
   computed in coefficient space.
 * ``apply_S``         -- the sequence model, an a-weighted convolution.
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Window, window_eval_axes
-from .grid import (GridFunction, GridSpec, _as_int_tuple, _centered, check_budget,
-                   dft, idft)
+from .grid import (GridFunction, GridSpec, _as_int_tuple, _padded_slice, check_budget, dft,
+                   idft)
 from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid, _cm_rows, _contract
 
 __all__ = [
@@ -170,8 +172,11 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
     The grouped double sum over the pairs that sigma can weight: fhat1 is
     zeroed at each xi1 where sigma vanishes identically, fhat2 at each such
     xi2.  A dropped pair only added +-0, so no bit changes; it could have
-    spread an inf or a NaN, so non-finite samples are refused.  Past one
-    pass over the symbol, the cost follows its support, not N^(2n).
+    spread an inf or a NaN, so non-finite samples are refused.  The rows
+    (xi1) come from one ``any`` over every symbol value, the columns (xi2)
+    from ``any`` over the selected rows only, 16 rows at a time, with no
+    N^(2n) mask; past that pass, the cost follows the symbol's support,
+    not N^(2n).
     """
     spec = sigma.spec
     if f1.spec != spec or f2.spec != spec:
@@ -179,10 +184,14 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
     if f1.side != "space" or f2.side != "space":
         raise ValueError("inputs must be space-side GridFunctions")
     size = spec.N ** spec.n
-    weighted = (sigma.samples != 0).reshape(size, size)
-    rows, cols = weighted.any(axis=1), weighted.any(axis=0)
+    samples = sigma.samples.reshape(size, size)
+    rows = samples.any(axis=1)
+    cols = np.zeros(size, dtype=bool)
+    sel = np.flatnonzero(rows)
+    for k in range(0, len(sel), 16):  # 16 selected rows at a time bound the copy
+        cols |= samples[sel[k:k + 16]].any(axis=0)
     # inf and NaN are nonzero, so a non-finite sample lies in this block
-    block = sigma.samples.reshape(size, size)[np.ix_(rows, cols)]
+    block = samples[np.ix_(rows, cols)]
     for what, x in (("symbol", block), ("f1", f1.samples), ("f2", f2.samples)):
         if not np.isfinite(x).all():
             raise ValueError(f"{what} has non-finite samples")
@@ -213,11 +222,24 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
 
     T = sum_{(mu1,mu2) in supp a} a * sum_r [m_{1,r}(D-mu1) f1] * [m_{2,r}(D-mu2) f2].
 
-    Per translate mu the rows of ``symbols._cm_rows`` at xi - mu_j (the
-    cutoff evaluated at the translate, never rolled round the box) are
-    contracted axis by axis with each factor: one band projection per
-    translate and term.  Agreement with the slow path is bounded by the
-    decomposition's recorded truncation tail.
+    Per translate mu the multiplier lives on the cutoff's support slab at
+    mu (``grid._padded_slice`` of ``d.cutoff.support_box()`` shifted by mu_j
+    per axis; the cutoff is evaluated at the translate, never rolled round
+    the box).  The rows of ``symbols._cm_rows`` are computed on that slab
+    once per distinct (axis, mu_j), shared by both sides and every
+    translate with that shift.  They are contracted axis by axis with each
+    factor on the whole axis, zero off the slab as ``_cm_rows`` gives them
+    there, so BLAS sees the shapes it would for full-axis rows: which kernel
+    sums a row can depend on the matrix shape, and a slab-shaped product
+    moves last bits.  Each side writes multiplier * fhat on the slabs of one
+    zeroed (translates, terms, N^n) stack, so a translate whose slab misses
+    the box stays an exact-zero row, and runs one inverse transform over it
+    in place.  The stack is written in FFT (ifftshifted) order and the
+    products are summed in that order, so only the output is shifted back:
+    the samples are those of one full-axis multiplier and one centred
+    transform per translate and term, and the working memory is the two
+    stacks.  Agreement with the slow path is bounded by the decomposition's
+    recorded truncation tail.
     """
     spec = f1.spec
     if f2.spec != spec:
@@ -233,22 +255,38 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
     terms = len(d.factors)
     check_budget((len(mus1) + len(mus2)) * terms * N**n, "fast-path band stack")
     xi = spec.axis_xi()
-    sp_axes = tuple(range(1, n + 1))
+    lo, hi = d.cutoff.support_box()
+    axes = {}
 
-    def bands(f: GridFunction, mus, side: int) -> dict:
-        """Per mu: the (terms, N**n) space samples of m_{side,r}(D - mu) f."""
+    def axis(j: int, c: int) -> tuple[slice, np.ndarray, np.ndarray]:
+        """The cutoff's padded slab on axis j at the shift c, its indices in
+        FFT (ifftshifted) order as one open-mesh axis, and the series rows
+        at xi - c on the whole axis (``_cm_rows`` on the slab, zero off it
+        as there); once per (axis, shift) for both sides."""
+        if (j, c) not in axes:
+            sl = _padded_slice(xi, lo[j] + c, hi[j] + c)
+            rows = np.zeros((N, 2 * d.M + 1), dtype=complex)
+            rows[sl] = _cm_rows(d, j, xi[sl] - c)
+            at = (np.arange(sl.start, sl.stop) - N // 2) % N
+            axes[j, c] = sl, at.reshape((-1,) + (1,) * (n - 1 - j)), rows
+        return axes[j, c]
+
+    def bands(f: GridFunction, mus, side: int) -> np.ndarray:
+        """The (len(mus), terms, N**n) space samples of m_{side,r}(D - mu) f,
+        in FFT order."""
         fhat = dft(f).samples
-        out = {}
-        for mu in mus:
-            rows = [_cm_rows(d, j, xi - c) for j, c in enumerate(mu)]
-            mult = np.stack([_contract(factor[side], rows) for factor in d.factors])
-            mult *= fhat
-            out[mu] = (spec.s**n * _centered(np.fft.ifftn, mult, axes=sp_axes)).reshape(terms, N**n)
-        return out
+        stack = np.zeros((len(mus), terms) + spec.shape, dtype=complex)
+        for i, mu in enumerate(mus):
+            slab, at, rows = zip(*(axis(j, c) for j, c in enumerate(mu)))
+            for r, factor in enumerate(d.factors):
+                stack[(i, r) + at] = _contract(factor[side], rows)[slab] * fhat[slab]
+        np.fft.ifftn(stack, axes=tuple(range(2, n + 2)), out=stack)
+        stack *= spec.s**n
+        return stack.reshape(len(mus), terms, N**n)
 
-    H1 = bands(f1, mus1, 0)
-    H2 = bands(f2, mus2, 1)
+    H1 = dict(zip(mus1, bands(f1, mus1, 0)))
+    H2 = dict(zip(mus2, bands(f2, mus2, 1)))
     acc = np.zeros(N**n, dtype=complex)
     for (m1, m2), val in sorted(a.items()):  # fixed order keeps reductions bit-stable
         acc += val * (H1[m1] * H2[m2]).sum(axis=0)
-    return GridFunction(spec, "space", acc.reshape(spec.shape))
+    return GridFunction(spec, "space", np.fft.fftshift(acc.reshape(spec.shape)))

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import BumpProfile, Window, _axis_factor, bump_eval_axes, make_bump
-from .grid import GridFunction, GridSpec, _translate_sum, idft, make_grid
+from .bumps import BumpProfile, Window, _axis_factor, _bump_translates, make_bump
+from .grid import GridFunction, GridSpec, idft, make_grid
 from .norms import (_cube_norms, _power_norm, _power_norms, _wiener_l2, check_exponent,
                     loglog_slope, wiener_band_values)
 from .operators import _grouped_sum
@@ -123,9 +123,8 @@ class ScalingFamily:
         support slab."""
         prof = self.scaled_profile(eps).scaled(eps ** (-self.n))
         spec = self.specs[eps]
-        return GridFunction(spec, "frequency", _translate_sum(
-            [((0,) * self.n, 1.0)], prof.support_box(), lambda axes: bump_eval_axes(prof, axes),
-            spec))
+        return GridFunction(spec, "frequency", _bump_translates(prof, [((0,) * self.n, 1.0)],
+                                                                 spec))
 
     def f(self, eps: float) -> GridFunction:
         return idft(self.f_hat(eps))

@@ -18,7 +18,8 @@ rows phi_k from ``_cm_rows`` and contracts them against the coefficients.
 The dense samplers ``synth_sigma`` and ``sigma_from_cm`` write each translate
 on its own support slab through ``grid._translate_sum``, the one writer of
 every translate sum (sigma here, the witness spectra and the scaling
-dilates): their cost follows supp sigma.
+dilates): their cost follows supp sigma, and a separable profile's axis
+factors are evaluated once per axis shift (``bumps._bump_translates``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bumps import BumpProfile, _axis_factor, bump_eval_axes, make_plateau
+from .bumps import BumpProfile, _axis_factor, _bump_translates, bump_eval_axes, make_plateau
 from .grid import GridSpec, _as_int_tuple, _translate_sum, check_budget
 
 __all__ = [
@@ -199,9 +200,8 @@ def synth_sigma(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> Sym
     """Sample sigma_{a,Phi} exactly at the frequency grid points."""
     _check_supports(a, phi, spec)
     check_symbol_budget(spec)
-    return SymbolGrid(spec, _translate_sum(((m1 + m2, v) for (m1, m2), v in a.items()),
-                                           phi.support_box(),
-                                           lambda axes: bump_eval_axes(phi, axes), spec))
+    return SymbolGrid(spec, _bump_translates(phi, ((m1 + m2, v) for (m1, m2), v in a.items()),
+                                             spec))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ class CMDecomposition:
     ``coeffs`` = sum_r outer(side1_r, side2_r).  A separable Phi gives one
     exact term; otherwise the terms come from the SVD of the
     (2M+1)^n x (2M+1)^n flattening.  The fast operator path contracts through
-    them, one band projection per term and translate.
+    them, one band projection per term and translate on the cutoff's slab.
 
     ``tail`` is sum |b| over the computed coefficients outside the stored
     |k|_inf <= M block (plus nothing beyond the computation range, where the
@@ -383,8 +383,8 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
     check_symbol_budget(spec)
     lo, hi = d.cutoff.support_box()
     return SymbolGrid(spec, _translate_sum(
-        ((m1 + m2, v) for (m1, m2), v in a.items()), (np.tile(lo, 2), np.tile(hi, 2)),
-        lambda axes: _cm_on_axes(d, [u.ravel() for u in axes]), spec))
+        ((m1 + m2, v) for (m1, m2), v in a.items()), (np.tile(lo, 2), np.tile(hi, 2)), spec,
+        evaluate=lambda axes: _cm_on_axes(d, [u.ravel() for u in axes])))
 
 
 def _cm_rows(d: CMDecomposition, axis: int, u: np.ndarray) -> np.ndarray:

@@ -55,8 +55,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bumps import BumpProfile, ThetaPair, Window, bump_eval_axes
-from .grid import GridFunction, GridSpec, _translate_sum, check_budget, idft
+from .bumps import BumpProfile, ThetaPair, Window, _bump_translates
+from .grid import GridFunction, GridSpec, check_budget, idft
 from .norms import (_pooled_band_norm, _power_norm, amalgam_norm, check_exponent,
                     ExponentTuple, lp_norm, lq_seq_norm, wiener_band_values, wiener_norm)
 from .operators import Sequence, TrigPolynomial, _grouped_sum, apply_S, apply_T_period
@@ -131,13 +131,6 @@ class WitnessPair:
         return idft(self.fhat2)
 
 
-def _witness_fhat(coeffs: dict, theta: BumpProfile, spec: GridSpec) -> np.ndarray:
-    """Samples of sum_nu c(nu) theta(xi - nu) on the frequency grid, each
-    translate written on its support slab."""
-    return _translate_sum(coeffs.items(), theta.support_box(),
-                          lambda axes: bump_eval_axes(theta, axes), spec)
-
-
 def _witness(c1: dict, c2: dict, theta: ThetaPair, spec: GridSpec, **models) -> WitnessPair:
     """fhat_j = sum_nu c_j(nu) theta_j(. - nu); f_j = idft(fhat_j) on first read."""
     fhat = []
@@ -148,7 +141,7 @@ def _witness(c1: dict, c2: dict, theta: ThetaPair, spec: GridSpec, **models) -> 
         for nu in coeffs:
             if any(abs(nu[j] + t.center[j]) + eps > spec.s / 2 for j in range(spec.n)):
                 raise ValueError(f"mode {nu} pushes the theta ball out of the frequency box")
-        fhat.append(GridFunction(spec, "frequency", _witness_fhat(coeffs, t, spec)))
+        fhat.append(GridFunction(spec, "frequency", _bump_translates(t, coeffs.items(), spec)))
     return WitnessPair(fhat1=fhat[0], fhat2=fhat[1], theta=theta, **models)
 
 
@@ -182,7 +175,7 @@ def wiener_witness_norm_identity(w: WitnessPair, j: int, p: float, q: float,
                       else (w.fhat2, w.b2, w.theta.theta2))
     xi0_j = w.theta.xi0[: spec.n] if j == 1 else w.theta.xi0[spec.n:]
     lhs = wiener_norm(fhat, p, q, kappa, offset=xi0_j)
-    theta_samples = _witness_fhat({(0,) * spec.n: 1.0 + 0j}, theta, spec)
+    theta_samples = _bump_translates(theta, [((0,) * spec.n, 1.0 + 0j)], spec)
     theta_inv = idft(GridFunction(spec, "frequency", theta_samples))
     rhs = lq_seq_norm(b.entries, q) * lp_norm(theta_inv, p)
     return lhs, rhs

@@ -653,7 +653,7 @@ def test_all_zero_coefficients_are_one_config_error_and_no_report(tmp_path, caps
     for entries in ([[[0], [0], 0.0, 0.0]], []):
         doc = _with(_TRANSFER, ("a", "entries"), entries)
         if family is not None:  # only the keys the family reads
-            unread = ("search",) if family == "T_aPhi" else ("phi", "space")
+            unread = ("search",) if family == "T_aPhi" else ("grid", "phi", "space")
             doc = dict({k: v for k, v in doc.items() if k not in unread}, family=family)
         assert "sup|a| = 0" in _config_error(tmp_path, capsys, command, doc)
         assert not (tmp_path / "o" / "report.json").exists()

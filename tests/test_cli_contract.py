@@ -30,12 +30,12 @@ _TRANSFER = _with(_with(_with(_TRANSFER, ("a_family", "members"), 1),
                         ("search", "starts"), 1), ("search", "steps"), 1)
 _SCALING = next(b for b in _BLOCKS if "scaling" in b)
 # the transfer keys an opnorm run of the model families (S, T_period) reads,
-# on one random a; T_aPhi reads phi, space and window in place of search
+# on one random a; T_aPhi reads grid, phi, space and window in place of search
 _OPNORM = dict({k: v for k, v in _TRANSFER.items()
-                if k not in ("a_family", "phi", "space", "window")},
+                if k not in ("a_family", "grid", "phi", "space", "window")},
                a={"random": {"radius": 1, "count": 9, "seed": 3}})
 _OPNORM_T_APHI = dict({k: v for k, v in _OPNORM.items() if k != "search"}, family="T_aPhi",
-                      **{k: _TRANSFER[k] for k in ("phi", "space", "window")})
+                      **{k: _TRANSFER[k] for k in ("grid", "phi", "space", "window")})
 _SYNTH = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",
           "a": {"random": {"radius": 1, "count": 9, "seed": 3}}, "cm": {"M": 8}}
 _DECOMPOSE = {"n": 1, "phi": "tensor-0.4", "cm": {"M": 16}}
@@ -189,19 +189,24 @@ def test_empty_out_flag_is_config_error(command, doc, config_out, tmp_path, monk
 
 
 # keys that no reader of the run uses were accepted and ignored: the model
-# families of opnorm read no phi, space or window, T_aPhi reads no search,
-# and a transfer with an a_family reads no a
-@pytest.mark.parametrize("command, doc, key", [
-    *(("opnorm", dict(_OPNORM, family=family, **{key: _TRANSFER[key]}), key)
-      for family in ("S", "T_period") for key in ("phi", "space", "window")),
-    ("opnorm", dict(_OPNORM_T_APHI, search=_TRANSFER["search"]), "search"),
-    ("transfer", dict(_TRANSFER, a={"entries": "garbage"}), "a"),
-], ids=[f"{family}-{key}" for family in ("S", "T_period") for key in ("phi", "space", "window")]
-    + ["T_aPhi-search", "transfer-a-and-a_family"])
-def test_key_the_run_does_not_read_is_one_config_error_and_no_report(command, doc, key,
+# families of opnorm read no grid (nor --grid), phi, space or window, T_aPhi
+# reads no search, and a transfer with an a_family reads no a
+_MODEL_UNREAD = ("grid", "phi", "space", "window")
+
+
+@pytest.mark.parametrize("command, doc, key, extra", [
+    *(("opnorm", dict(_OPNORM, family=family, **{key: _TRANSFER[key]}), key, ())
+      for family in ("S", "T_period") for key in _MODEL_UNREAD),
+    *(("opnorm", dict(_OPNORM, family=family), "--grid", ("--grid", "1000,3"))
+      for family in ("S", "T_period")),
+    ("opnorm", dict(_OPNORM_T_APHI, search=_TRANSFER["search"]), "search", ()),
+    ("transfer", dict(_TRANSFER, a={"entries": "garbage"}), "a", ()),
+], ids=[f"{family}-{key}" for family in ("S", "T_period") for key in _MODEL_UNREAD]
+    + ["S-grid-flag", "T_period-grid-flag", "T_aPhi-search", "transfer-a-and-a_family"])
+def test_key_the_run_does_not_read_is_one_config_error_and_no_report(command, doc, key, extra,
                                                                      tmp_path, capsys):
     code = main([command, "--config", _write(tmp_path, "cfg.json", doc),
-                 "--out", str(tmp_path / "o")])
+                 "--out", str(tmp_path / "o"), *extra])
     lines = capsys.readouterr().err.strip().splitlines()
     assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), lines
     assert f"'{key}'" in lines[0]

@@ -12,16 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_plateau,
                                make_theta_pair, make_window)
-from latticebump.grid import (MAX_POINTS, BudgetError, GridFunction, dft, freq_function, idft,
-                             make_grid, space_function)
+from latticebump.grid import (MAX_POINTS, BudgetError, GridFunction, _centered, dft,
+                             freq_function, idft, make_grid, space_function)
 from latticebump.operators import (AliasingWarning, TrigPolynomial,
                                    apply_S, apply_T_aPhi_fast,
                                    apply_T_period, apply_T_sigma,
                                    band_project,
                                    sequence_from_dict, trig_poly_from_dict)
-from latticebump.symbols import (CMDecomposition, cm_decompose, lattice_delta, lattice_from_dict,
-                                 random_lattice_coefficients, sigma_eval, synth_sigma,
-                                 SymbolGrid)
+from latticebump.symbols import (CMDecomposition, _cm_rows, _contract, cm_decompose,
+                                 lattice_delta, lattice_from_dict, random_lattice_coefficients,
+                                 sigma_eval, synth_sigma, SymbolGrid)
 from latticebump.norms import wiener_band_values
 from latticebump.transference import build_amalgam_witness
 from latticebump import operators, transference
@@ -449,6 +449,81 @@ def test_fast_path_cutoff_does_not_wrap_around_the_box():
     assert np.all(apply_T_aPhi_fast(a, cm_decompose(phi, M=16), f1, f2).samples == 0)
 
 
+def _per_translate_fast(a, d, f1, f2):
+    """The fast path built one translate at a time: per translate and side,
+    the full-axis series rows of ``_cm_rows`` at xi - mu_j, the multiplier
+    on the whole box and one centred inverse transform."""
+    spec = f1.spec
+    n, N = spec.n, spec.N
+    xi = spec.axis_xi()
+    terms = len(d.factors)
+    sp_axes = tuple(range(1, n + 1))
+
+    def bands(f, mus, side):
+        fhat = dft(f).samples
+        out = {}
+        for mu in mus:
+            rows = [_cm_rows(d, j, xi - c) for j, c in enumerate(mu)]
+            mult = np.stack([_contract(factor[side], rows) for factor in d.factors])
+            mult *= fhat
+            out[mu] = (spec.s**n * _centered(np.fft.ifftn, mult, axes=sp_axes)
+                       ).reshape(terms, N**n)
+        return out
+
+    H1 = bands(f1, sorted({m1 for m1, _ in a.entries}), 0)
+    H2 = bands(f2, sorted({m2 for _, m2 in a.entries}), 1)
+    acc = np.zeros(N**n, dtype=complex)
+    for (m1, m2), val in sorted(a.items()):
+        acc += val * (H1[m1] * H2[m2]).sum(axis=0)
+    return acc.reshape(spec.shape)
+
+
+def _reach_case(n, L, s, M, kind="tensor-exp", seed=70):
+    """(a, d, f1, f2): random translates out to L/4 plus the corner pair
+    (L/4, -L/4) per axis, and spectra that fill the box."""
+    spec = make_grid(n, L, s)
+    edge = (L // 4,) * n
+    a = (random_lattice_coefficients(n, L // 4, 9, seed=seed)
+         + lattice_from_dict(n, {(edge, tuple(-c for c in edge)): 1.0 - 0.5j}))
+    d = cm_decompose(make_bump(2 * n, kind, radius=0.4), M=M)
+    rng = np.random.default_rng(seed)
+    f1, f2 = (space_function(spec, rng.standard_normal(spec.shape)
+                             + 1j * rng.standard_normal(spec.shape)) for _ in range(2))
+    return a, d, f1, f2
+
+
+@pytest.mark.parametrize("case", [
+    (1, 8, 128, 16), (2, 4, 8, 8), (2, 8, 32, 16), (1, 12, 8, 16), (1, 8, 32, 16, "radial-exp"),
+    # cutoffs at 2 and 4 reach past the box [-2, 2) or lie wholly outside it
+    (1, 16, 4, 16)], ids=lambda c: "-".join(map(str, c)))
+def test_fast_path_equals_the_per_translate_construction_bitwise(case, monkeypatch):
+    a, d, f1, f2 = _reach_case(*case)
+    if case[-1] == "radial-exp":
+        assert len(d.factors) > 1
+    want = _per_translate_fast(a, d, f1, f2)
+    mus = {m for pair in a.entries for m in pair}
+    shifts = {(j, c) for mu in mus for j, c in enumerate(mu)}
+    calls = {"rows": [], "ifftn": 0}
+    cm_rows, ifftn = operators._cm_rows, np.fft.ifftn
+
+    def rows_spy(d_, axis, u):
+        calls["rows"].append(axis)
+        return cm_rows(d_, axis, u)
+
+    def ifftn_spy(*args, **kwargs):
+        calls["ifftn"] += 1
+        return ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_cm_rows", rows_spy)
+    monkeypatch.setattr(np.fft, "ifftn", ifftn_spy)
+    got = apply_T_aPhi_fast(a, d, f1, f2).samples
+    monkeypatch.undo()
+    assert np.array_equal(got, want)
+    # one row block per distinct (axis, shift), one inverse transform per side
+    assert sorted(calls["rows"]) == sorted(j for j, _c in shifts)
+    assert calls["ifftn"] == 2
+
+
 def test_T_sigma_rejects_mismatched_grids(spec, phi04):
     other = make_grid(1, 8, 16)
     sig = synth_sigma(lattice_delta(1), phi04, spec)
@@ -617,6 +692,62 @@ def test_T_sigma_rejects_non_finite_samples(spec, phi04, where, bad):
     target.samples[(0,) * target.samples.ndim] = bad
     with pytest.raises(ValueError, match=f"{where} has non-finite samples"):
         apply_T_sigma(sigma, f1, f2)
+
+
+def _support_case(n):
+    """(sigma, f1, f2, far): a radius-0.4 symbol on the witness-chain grid,
+    inputs whose spectra have no zero bin, and a symbol index whose row and
+    column lie far from every slab (their sum stays in the box)."""
+    spec = make_grid(n, 8, 32) if n == 1 else make_grid(2, 4, 8)
+    sigma = synth_sigma(random_lattice_coefficients(n, 1, 9, seed=71),
+                        make_bump(2 * n, "tensor-exp", radius=0.4), spec)
+    rng = np.random.default_rng(72)
+    f1, f2 = (space_function(spec, rng.standard_normal(spec.shape)
+                             + 1j * rng.standard_normal(spec.shape)) for _ in range(2))
+    return sigma, f1, f2, (1,) * n + (spec.N - 2,) * n
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("value", [-0.0, complex(0.0, -0.0), 1e-3 - 2e-3j],
+                         ids=["minus-zero", "minus-zero-imag", "lone-nonzero"])
+def test_T_sigma_weights_the_rows_and_columns_of_the_nonzero_samples(n, value, monkeypatch):
+    sigma, f1, f2, far = _support_case(n)
+    base = apply_T_sigma(sigma, f1, f2).samples
+    sigma.samples[far] = value
+    seen = []
+    grouped_sum = operators._grouped_sum
+    monkeypatch.setattr(operators, "_grouped_sum", lambda sigma_at, F1, F2, spec:
+                        seen.append((F1, F2)) or grouped_sum(sigma_at, F1, F2, spec))
+    got = apply_T_sigma(sigma, f1, f2).samples
+    size = sigma.spec.N ** n
+    nonzero = (sigma.samples != 0).reshape(size, size)
+    (F1, F2), = seen
+    # neither spectrum has a zero bin, so its support is the selection
+    assert np.array_equal((F1 != 0).ravel(), nonzero.any(axis=1))
+    assert np.array_equal((F2 != 0).ravel(), nonzero.any(axis=0))
+    if value == 0:
+        assert np.array_equal(got.view(np.uint64), base.view(np.uint64))
+    else:
+        assert np.max(np.abs(got - base)) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_T_sigma_refuses_a_non_finite_sample_anywhere(n, bad):
+    # the row pass reads every value, and a non-finite value is nonzero:
+    # off every slab, or in a slab row or column, it is refused
+    sigma, f1, f2, far = _support_case(n)
+    size = sigma.spec.N ** n
+    samples = sigma.samples.reshape(size, size)
+    row, col = np.argwhere(samples != 0)[0]
+    far_row, far_col = np.ravel_multi_index(far[:n], sigma.spec.shape), \
+        np.ravel_multi_index(far[n:], sigma.spec.shape)
+    for where in ((far_row, far_col), (far_row, col), (row, far_col)):
+        clean = samples[where]
+        samples[where] = bad
+        with pytest.raises(ValueError, match="symbol has non-finite samples"):
+            apply_T_sigma(sigma, f1, f2)
+        samples[where] = clean
 
 
 def _timed(fn):

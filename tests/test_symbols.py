@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from latticebump import bumps
 from latticebump.bumps import bump_eval, bump_eval_axes, make_bump, make_plateau
 from latticebump.grid import BudgetError, make_grid
 from latticebump.symbols import (CMDecomposition, _cm_on_axes, cm_decompose, cm_reconstruct,
@@ -58,6 +59,37 @@ def test_synth_sigma_equals_dense_loop_bitwise(case):
     a, phi, spec = case
     got = synth_sigma(a, phi, spec).samples
     assert np.array_equal(got.view(np.uint64), _dense_synth_sigma(a, phi, spec).samples.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["tensor-exp", "radial-exp"])
+@pytest.mark.parametrize("n, s", [(1, 8), (2, 2)])
+def test_synth_sigma_equals_dense_loop_bitwise_where_xi_minus_m_is_inexact(n, s, kind):
+    # on L = 12 the grid step 1/12 is not a binary fraction, so xi - m is
+    # rounded: the slab writer keys its axis data by the shift m
+    spec = make_grid(n, 12, s)
+    a = random_lattice_coefficients(n, 3, 12, seed=64)
+    for radius in (0.4, 0.9):
+        phi = make_bump(2 * n, kind, radius=radius)
+        got = synth_sigma(a, phi, spec).samples
+        assert np.array_equal(got.view(np.uint64),
+                              _dense_synth_sigma(a, phi, spec).samples.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, L, s", [(1, 8, 32), (2, 4, 8), (1, 12, 8)])
+def test_synth_sigma_evaluates_one_axis_factor_per_axis_shift(n, L, s, monkeypatch):
+    spec = make_grid(n, L, s)
+    phi = make_bump(2 * n, "tensor-exp", radius=0.4)
+    a = random_lattice_coefficients(n, 1, 9 * n, seed=65)
+    want = synth_sigma(a, phi, spec).samples
+    calls = []
+    axis_factor = bumps._axis_factor
+    monkeypatch.setattr(bumps, "_axis_factor", lambda b, axis, u:
+                        calls.append(axis) or axis_factor(b, axis, u))
+    got = synth_sigma(a, phi, spec).samples
+    shifts = {(j, m) for m1, m2 in a.entries for j, m in enumerate(m1 + m2)}
+    assert sorted(calls) == sorted(j for j, _m in shifts)
+    assert len(calls) < 2 * n * len(a)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n, L, s", [(1, 8, 32), (2, 4, 8)])

@@ -15,8 +15,11 @@ per output file.  ``meta.json`` holds wall-clock telemetry and is skipped;
 * the README ``scaling`` config, and its n = 2 ladder ``[1, 0.75, 0.5]``
   without verdicts (1.6 s, peak RSS 0.34 GB);
 * the benchmark ``scaling`` config at each of its 13 grid-aligned xi0;
-* ``synth``, ``decompose`` and ``opnorm`` (``S``, ``T_period``, ``T_aPhi``),
-  each ``opnorm`` config with only the keys its family reads;
+* ``synth`` on the README grid, at n = 2 on the (4, 8) grid and at n = 1
+  on L = 12, s = 8 (a grid where xi - m is not exact);
+* ``decompose`` and ``opnorm`` (``S``, ``T_period``, ``T_aPhi``), each
+  ``opnorm`` config with only the keys its family reads (``S`` and
+  ``T_period`` read no ``grid``);
 * ``selftest``;
 * the benchmark ``witness-chain`` ops 0-2 at seeds 5 and 41, run in-process
   through ``perfbench/workloads.py``: per op the raw bytes of the fast and
@@ -62,8 +65,8 @@ README_SCALING = {"n": 1, "scaling": {
     "amalgam_q": [1.0, 2.0, "inf"], "wiener_p": [1.0, 2.0, "inf"],
     "verdicts": [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]}]}}
 A = {"random": {"radius": 1, "count": 9, "seed": 3}}
-OPNORM = {"n": 1, "grid": {"L": 8, "s": 32}, "a": A, "exponents": [1, 1, 1, 1, 1, 0.5],
-          "seed": 7}
+OPNORM = {"n": 1, "a": A, "exponents": [1, 1, 1, 1, 1, 0.5], "seed": 7}
+SYNTH = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4", "a": A, "cm": {"M": 8}}
 SEARCH = {"starts": 4, "steps": 20}
 WITNESS_CHAIN_SEEDS = (5, 41)
 WITNESS_CHAIN_OPS = 3
@@ -97,13 +100,14 @@ def configs() -> list[tuple[str, str, dict | None]]:
                 README_SCALING["scaling"], epsilons=[1, 0.75, 0.5], verdicts=[])})]
     runs += [(f"scaling-bench-xi0={k / 4:g}", "scaling", _bench_scaling(k / 4))
              for k in range(-6, 7)]
-    runs += [("synth", "synth", {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",
-                                 "a": A, "cm": {"M": 8}}),
+    runs += [("synth", "synth", SYNTH),
+             ("synth-n2", "synth", dict(SYNTH, n=2, grid={"L": 4, "s": 8})),
+             ("synth-L12", "synth", dict(SYNTH, grid={"L": 12, "s": 8})),
              ("decompose", "decompose", {"n": 1, "phi": "tensor-0.4", "cm": {"M": 8}}),
              ("opnorm-S", "opnorm", dict(OPNORM, family="S", search=SEARCH)),
              ("opnorm-T_period", "opnorm", dict(OPNORM, family="T_period", search=SEARCH)),
-             ("opnorm-T_aPhi", "opnorm", dict(OPNORM, family="T_aPhi", phi="tensor-0.4",
-                                              exponents=[2, 2, 2, 2, 2, 2])),
+             ("opnorm-T_aPhi", "opnorm", dict(OPNORM, family="T_aPhi", grid=SYNTH["grid"],
+                                              phi="tensor-0.4", exponents=[2, 2, 2, 2, 2, 2])),
              ("selftest", "selftest", None)]
     return runs
 

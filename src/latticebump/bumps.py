@@ -180,17 +180,18 @@ def bump_eval(b: BumpProfile, x) -> np.ndarray | complex:
     return _at_points(lambda axes: bump_eval_axes(b, axes), b.d, x)
 
 
-def _bump_translates(b: BumpProfile, terms, spec: GridSpec) -> np.ndarray:
+def _bump_translates(b: BumpProfile, terms, spec: GridSpec, slab: bool = False):
     """sum_mu c(mu) b(xi - mu) over the (mu, c) ``terms`` on the frequency
-    grid, written by ``grid._translate_sum``: a separable profile through its
-    axis factors, each computed once per (axis, shift), any other through
+    grid, written by ``grid._translate_sum`` (on the whole grid, or with
+    ``slab`` on the translates' bounding slab): a separable profile through
+    its axis factors, each computed once per (axis, shift), any other through
     ``bump_eval_axes`` on each translate's open mesh.  Either way the samples
     are those of ``bump_eval_axes`` at every translate."""
     if b.separable:
         return _translate_sum(terms, b.support_box(), spec, amplitude=b.amplitude,
-                              axis_factor=lambda j, u: _axis_factor(b, j, u))
+                              axis_factor=lambda j, u: _axis_factor(b, j, u), slab=slab)
     return _translate_sum(terms, b.support_box(), spec,
-                          evaluate=lambda axes: bump_eval_axes(b, axes))
+                          evaluate=lambda axes: bump_eval_axes(b, axes), slab=slab)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ def _seed(cfg: dict, args) -> int:
 def _grid_from(cfg: dict, args) -> grid.GridSpec:
     n = _dimension(cfg)
     g = _section(cfg, "grid") or {}
-    if args.grid:
+    if args.grid is not None:
         try:
             L, s = (int(v) for v in args.grid.split(","))
         except ValueError as e:
@@ -307,6 +307,8 @@ def _run(args) -> int:
     p = Path(args.config)
     if not p.exists():
         raise ConfigError(f"config file not found: {args.config}")
+    if not p.is_file():  # "" is the current directory
+        raise ConfigError(f"--config must be a regular file, got {args.config!r}")
     cfg = json.loads(p.read_text())  # a JSONDecodeError is a ValueError: exit 2
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

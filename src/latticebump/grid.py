@@ -145,7 +145,7 @@ def _padded_slice(axis: np.ndarray, lo: float, hi: float) -> slice:
 
 
 def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
-                   amplitude: complex = 1.0) -> np.ndarray:
+                   amplitude: complex = 1.0, slab: bool = False):
     """sum_mu c(mu) F(xi - mu) over the (mu, c) ``terms`` on the (N,)*d
     frequency grid, d = len(mu), for F zero off the closed box ``box`` =
     (lo, hi).  Each translate is added on the grid points of mu + box only,
@@ -158,10 +158,14 @@ def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
     it).  The padded slice and the coordinates (the axis factor) are built
     once per (axis, integer shift) and shared by every translate with that
     shift: keyed by the shift, since xi - m need not be exact.
+
+    Returns the whole (N,)*d array, or with ``slab`` the pair (slices,
+    values): the bounding slab of the translates' padded slices (empty for
+    no terms) and the sum on it, the same values in the same order; off the
+    slab the sum is 0.
     """
     xi = spec.axis_xi()
     d = len(box[0])
-    out = np.zeros((spec.N,) * d, dtype=complex)
     axes = {}
 
     def axis(j: int, m: int):
@@ -172,18 +176,27 @@ def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
                               axis_factor(j, u).reshape((-1,) + (1,) * (d - 1 - j)))
         return axes[j, m]
 
+    placed = []
     for mu, c in terms:
         if not np.isfinite(c):
             raise ValueError("coefficients must be finite")
-        slab, vals = zip(*(axis(j, m) for j, m in enumerate(mu)))
+        placed.append((c, *zip(*(axis(j, m) for j, m in enumerate(mu)))))
+    origin, shape = (0,) * d, (0 if slab else spec.N,) * d
+    if slab and placed:
+        origin = tuple(min(s[j].start for _c, s, _v in placed) for j in range(d))
+        shape = tuple(max(s[j].stop for _c, s, _v in placed) - o for j, o in enumerate(origin))
+    out = np.zeros(shape, dtype=complex)
+    for c, sl, vals in placed:
         if axis_factor is None:
             value = evaluate(np.meshgrid(*vals, indexing="ij", sparse=True))
         else:
             value = np.asarray(amplitude, dtype=complex)
             for v in vals:
                 value = value * v
-        out[slab] += c * value
-    return out
+        out[tuple(slice(s.start - o, s.stop - o) for s, o in zip(sl, origin))] += c * value
+    if not slab:
+        return out
+    return tuple(slice(o, o + k) for o, k in zip(origin, shape)), out
 
 
 def space_function(spec: GridSpec, values) -> GridFunction:

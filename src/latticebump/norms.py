@@ -9,13 +9,14 @@ the amalgam norm exploits by rolling and reshaping.  The Wiener amalgam norm
 is read from band projections kappa(D - k) f, a frequency-side object: it
 takes f on either side, and a spectrum the caller already holds costs no
 forward transform.  Bands and windows are read on the slab of the
-spectrum's nonzeros: a band whose window is 0 there gets an exact-zero row,
-and where a single plateau covers it (``_plateau_band``) the stack's pool is
-|idft(f)| and needs no band.  At p = q = 2 discrete Plancherel, band by band,
-makes the norm a weighted l^2 of the spectrum F,
-(L^-n sum_xi omega(xi)^2 |F(xi)|^2)^(1/2) with omega^2 = sum_k kappa(xi - k
-- offset)^2 over the covering bands (``_wiener_l2``): no band stack and no
-inverse transform.  Inverse transforms hold one buffer (``grid._centered``).
+spectrum's nonzeros: a band whose window times the spectrum is 0 there gets
+an exact-zero row and no transform, a live band is transformed in place on
+its stack row, and where a single plateau covers the spectrum
+(``_plateau_band``) the stack's pool is |idft(f)| and needs no band.  At
+p = q = 2 discrete Plancherel, band by band, makes the norm a weighted l^2
+of the spectrum F, (L^-n sum_xi omega(xi)^2 |F(xi)|^2)^(1/2) with omega^2 =
+sum_k kappa(xi - k - offset)^2 over the covering bands (``_wiener_l2``): no
+band stack and no inverse transform.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Window, window_eval_axes
-from .grid import GridFunction, _centered, dft
+from .grid import GridFunction, dft
 from .operators import TrigPolynomial
 
 __all__ = [
@@ -272,23 +273,25 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
     A frequency-side ``f`` is the spectrum itself (``dft`` convention) and is
     used as it is; a space-side ``f`` is transformed once.  Each band's window
     is evaluated only on the bounding slab of the spectrum's exact nonzeros:
-    outside it the product with the spectrum is exactly 0 anyway, and a band
-    whose window is 0 on the whole slab keeps its place with an exact-zero
-    row and no transform.  Non-finite samples on either side are refused.
+    outside it the product with the spectrum is exactly 0 anyway.  A band
+    whose product with the spectrum is 0 on the whole slab keeps its place
+    with an exact-zero row and no transform.  Each live band is written on
+    its row in FFT (ifftshifted) order, transformed there in place and
+    shifted back: the samples of one centred transform per band, with one
+    row-sized temporary.  Non-finite samples on either side are refused.
     """
     spec = f.spec
     F = _spectrum(f)
     bands, slab, windows = _band_windows(F, spec, kappa, offset)
     stack = np.zeros((len(bands),) + spec.shape, dtype=complex)
     F_slab = F[slab]
-    # one band at a time: a batched transform would hold several
-    # stack-sized temporaries next to the stack; outside the slab the
-    # product stays 0
-    prod = np.zeros(spec.shape, dtype=complex)
-    for i, window in enumerate(windows):
-        if window.any():
-            prod[slab] = window * F_slab
-            np.multiply(spec.s**spec.n, _centered(np.fft.ifftn, prod), out=stack[i])
+    at = np.ix_(*((np.arange(sl.start, sl.stop) - spec.N // 2) % spec.N for sl in slab))
+    for row, window in zip(stack, windows):
+        band = window * F_slab
+        if band.any():
+            row[at] = band
+            np.fft.ifftn(row, out=row)
+            np.multiply(spec.s**spec.n, np.fft.fftshift(row), out=row)
     return bands, stack
 
 

@@ -172,31 +172,22 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
     The grouped double sum over the pairs that sigma can weight: fhat1 is
     zeroed at each xi1 where sigma vanishes identically, fhat2 at each such
     xi2.  A dropped pair only added +-0, so no bit changes; it could have
-    spread an inf or a NaN, so non-finite samples are refused.  The rows
-    (xi1) come from one ``any`` over every symbol value, the columns (xi2)
-    from ``any`` over the selected rows only, 16 rows at a time, with no
-    N^(2n) mask; past that pass, the cost follows the symbol's support,
-    not N^(2n).
+    spread an inf or a NaN, so non-finite samples are refused.  The rows,
+    the columns and the values checked for finiteness come from
+    ``SymbolGrid._support``: from the symbol's support slab, or, once its
+    dense samples exist, from one pass over them with no N^(2n) mask.
+    Either way the sum's cost follows the symbol's support, not N^(2n).
     """
     spec = sigma.spec
     if f1.spec != spec or f2.spec != spec:
         raise ValueError("grid spec mismatch")
     if f1.side != "space" or f2.side != "space":
         raise ValueError("inputs must be space-side GridFunctions")
-    size = spec.N ** spec.n
-    samples = sigma.samples.reshape(size, size)
-    rows = samples.any(axis=1)
-    cols = np.zeros(size, dtype=bool)
-    sel = np.flatnonzero(rows)
-    for k in range(0, len(sel), 16):  # 16 selected rows at a time bound the copy
-        cols |= samples[sel[k:k + 16]].any(axis=0)
-    # inf and NaN are nonzero, so a non-finite sample lies in this block
-    block = samples[np.ix_(rows, cols)]
+    rows, cols, block, at = sigma._support()
     for what, x in (("symbol", block), ("f1", f1.samples), ("f2", f2.samples)):
         if not np.isfinite(x).all():
             raise ValueError(f"{what} has non-finite samples")
-    return idft(_grouped_sum(lambda idx: sigma.samples[idx],
-                             np.where(rows.reshape(spec.shape), dft(f1).samples, 0),
+    return idft(_grouped_sum(at, np.where(rows.reshape(spec.shape), dft(f1).samples, 0),
                              np.where(cols.reshape(spec.shape), dft(f2).samples, 0), spec))
 
 

@@ -15,11 +15,14 @@ b = sum_r w1_r (x) w2_r over the xi1 and xi2 halves (``CMDecomposition.factors``
 Every evaluation of the truncated series, here and there, takes its per-axis
 rows phi_k from ``_cm_rows`` and contracts them against the coefficients.
 
-The dense samplers ``synth_sigma`` and ``sigma_from_cm`` write each translate
-on its own support slab through ``grid._translate_sum``, the one writer of
+The samplers ``synth_sigma`` and ``sigma_from_cm`` write each translate on
+its own support slab through ``grid._translate_sum``, the one writer of
 every translate sum (sigma here, the witness spectra and the scaling
-dilates): their cost follows supp sigma, and a separable profile's axis
-factors are evaluated once per axis shift (``bumps._bump_translates``).
+dilates), into the bounding slab of the translates only: a ``SymbolGrid``
+holds that slab and its values, and its dense (N,)^(2n) ``samples`` are made
+on first read.  Their cost follows supp sigma, not N^(2n), and a separable
+profile's axis factors are evaluated once per axis shift
+(``bumps._bump_translates``).
 """
 
 from __future__ import annotations
@@ -133,18 +136,66 @@ def random_lattice_coefficients(n: int, radius: int, count: int,
     return LatticeCoefficients(n, entries)
 
 
-@dataclass
 class SymbolGrid:
-    """Symbol samples over frequency-grid pairs (xi1, xi2), shape (N,)*(2n)."""
+    """Symbol samples over frequency-grid pairs (xi1, xi2), shape (N,)*(2n).
 
-    spec: GridSpec
-    samples: np.ndarray
+    ``synth_sigma`` and ``sigma_from_cm`` give a symbol held on its support
+    slab: 2n slices of the centred axes (the bounding slab of its translates)
+    and the values there, 0 off it, so it costs what supp sigma costs, not
+    N^(2n).  ``samples`` is the dense array, made on first read and kept;
+    from then on it is the symbol, and the slab is gone, so an in-place edit
+    of ``samples`` is what ``operators.apply_T_sigma`` sees.
+    ``SymbolGrid(spec, samples)`` holds a dense array from the start.
+    """
 
-    def __post_init__(self):
-        shape = (self.spec.N,) * (2 * self.spec.n)
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != shape:
-            raise ValueError(f"symbol shape {self.samples.shape}, expected {shape}")
+    def __init__(self, spec: GridSpec, samples=None, slab=None):
+        self.spec = spec
+        self._slab = slab  # (2n slices, values on them) until samples are read
+        self._dense = None if samples is None else np.asarray(samples, dtype=complex)
+        shape = (spec.N,) * (2 * spec.n)
+        if self._dense is not None and self._dense.shape != shape:
+            raise ValueError(f"symbol shape {self._dense.shape}, expected {shape}")
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The dense (N,)*(2n) samples (made on first read)."""
+        if self._dense is None:
+            slices, values = self._slab
+            self._dense = np.zeros((self.spec.N,) * (2 * self.spec.n), dtype=complex)
+            self._dense[slices] = values
+            self._slab = None
+        return self._dense
+
+    def _support(self):
+        """(rows, cols, block, at): the xi1 rows and the xi2 columns (flat
+        (N^n,) masks) on which sigma has a nonzero value, an array holding
+        every such value and every value where a row meets a column, and
+        ``at(idx)``, the samples at 2n per-axis index arrays on those rows
+        and columns.
+
+        A slab symbol reads them from its slab.  A dense one reads its rows
+        from one ``any`` over every value and its columns from ``any`` over
+        the selected rows, 16 at a time (no N^(2n) mask), and the block is
+        those rows by those columns; inf and NaN are nonzero, so a
+        non-finite sample lies in the block either way."""
+        n, size = self.spec.n, self.spec.N ** self.spec.n
+        if self._dense is None:
+            slices, values = self._slab
+            rows = np.zeros(self.spec.shape, dtype=bool)
+            cols = np.zeros_like(rows)
+            rows[slices[:n]] = values.any(axis=tuple(range(n, 2 * n)))
+            cols[slices[n:]] = values.any(axis=tuple(range(n)))
+            origin = tuple(sl.start for sl in slices)
+            return (rows.ravel(), cols.ravel(), values,
+                    lambda idx: values[tuple(i - o for i, o in zip(idx, origin))])
+        samples = self._dense.reshape(size, size)
+        rows = samples.any(axis=1)
+        cols = np.zeros(size, dtype=bool)
+        sel = np.flatnonzero(rows)
+        for k in range(0, len(sel), 16):  # 16 selected rows at a time bound the copy
+            cols |= samples[sel[k:k + 16]].any(axis=0)
+        dense = self._dense
+        return rows, cols, samples[np.ix_(rows, cols)], lambda idx: dense[idx]
 
     def save(self, prefix) -> None:
         """Write raw complex128 little-endian C-order data and a JSON header."""
@@ -200,8 +251,8 @@ def synth_sigma(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> Sym
     """Sample sigma_{a,Phi} exactly at the frequency grid points."""
     _check_supports(a, phi, spec)
     check_symbol_budget(spec)
-    return SymbolGrid(spec, _bump_translates(phi, ((m1 + m2, v) for (m1, m2), v in a.items()),
-                                             spec))
+    return SymbolGrid(spec, slab=_bump_translates(
+        phi, ((m1 + m2, v) for (m1, m2), v in a.items()), spec, slab=True))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +433,9 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
         raise ValueError("dimension mismatch between decomposition and grid")
     check_symbol_budget(spec)
     lo, hi = d.cutoff.support_box()
-    return SymbolGrid(spec, _translate_sum(
+    return SymbolGrid(spec, slab=_translate_sum(
         ((m1 + m2, v) for (m1, m2), v in a.items()), (np.tile(lo, 2), np.tile(hi, 2)), spec,
-        evaluate=lambda axes: _cm_on_axes(d, [u.ravel() for u in axes])))
+        evaluate=lambda axes: _cm_on_axes(d, [u.ravel() for u in axes]), slab=True))
 
 
 def _cm_rows(d: CMDecomposition, axis: int, u: np.ndarray) -> np.ndarray:

@@ -188,6 +188,32 @@ def test_empty_out_flag_is_config_error(command, doc, config_out, tmp_path, monk
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+# --grid "" was read as no --grid: the run used the config's grid
+@pytest.mark.parametrize("command, doc", [("synth", _SYNTH), ("transfer", _TRANSFER),
+                                          ("opnorm", _OPNORM_T_APHI)])
+def test_empty_grid_flag_is_config_error(command, doc, tmp_path, capsys):
+    code = main([command, "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(tmp_path / "o"), "--grid", ""])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: --grid"), lines
+    assert not (tmp_path / "o").exists()
+
+
+# a --config that named a directory, or "" (the current directory), ended in
+# an IsADirectoryError traceback
+@pytest.mark.parametrize("config", ["", "dir"])
+@pytest.mark.parametrize("command", ["synth", "transfer"])
+def test_config_that_is_not_a_regular_file_is_config_error(command, config, tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / config).mkdir()
+    assert main([command, "--config", config, "--out", "o"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: --config must be"), lines
+    assert not (tmp_path / "o").exists()
+
+
 # keys that no reader of the run uses were accepted and ignored: the model
 # families of opnorm read no grid (nor --grid), phi, space or window, T_aPhi
 # reads no search, and a transfer with an a_family reads no a

@@ -442,6 +442,35 @@ def test_band_whose_window_is_zero_on_the_slab_is_an_exact_zero_row(monkeypatch)
     assert np.array_equal(stack[0], spec.s * _centered(np.fft.ifftn, mult * F))
 
 
+def test_band_stack_transforms_only_the_bands_its_spectrum_reaches(monkeypatch):
+    # four scattered bins span a slab that most covering bands' windows
+    # touch, but each bin lies in the support of at most four of them: only
+    # a band whose window meets a nonzero bin is transformed, the others
+    # keep an exact-zero row
+    spec = make_grid(2, 8, 16)
+    kappa = make_window(2, 0.6)
+    F = np.zeros(spec.shape, dtype=complex)
+    for (u, v), c in {(-2.5, 0.25): 1.0, (0.0, 1.5): 2.0 - 1j, (1.5, -2.0): 0.5j,
+                      (2.375, 2.5): -1.0}.items():
+        F[spec.N // 2 + int(u * spec.L), spec.N // 2 + int(v * spec.L)] = c
+    transforms = []
+    ifftn = np.fft.ifftn
+
+    def counted(*args, **kwargs):
+        transforms.append(args[0].shape)
+        return ifftn(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    bands, stack = wiener_band_values(freq_function(spec, F), kappa)
+    monkeypatch.undo()
+    live = [bool((_window_at(kappa, spec, np.asarray(mu, float)) * F).any()) for mu in bands]
+    assert len(bands) == 36 and sum(live) <= 12
+    assert transforms == [spec.shape] * sum(live)
+    for mu, band, on in zip(bands, stack, live):
+        mult = _window_at(kappa, spec, np.asarray(mu, float))
+        assert np.array_equal(band, spec.s**2 * _centered(np.fft.ifftn, mult * F))
+        assert band.any() == on
+
+
 def test_spectrum_side_band_stack_is_the_full_window_product_bitwise():
     # an exact witness spectrum is 0 off its theta balls: the window is
     # evaluated on the bounding slab of its nonzeros only, and no bit moves

@@ -681,6 +681,28 @@ def test_T_sigma_peak_memory_follows_the_symbol_support():
     assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_synth_and_T_sigma_never_hold_the_dense_symbol():
+    # the witness-chain grid: one (N,)^(2n) symbol array is 16 MiB, of which
+    # the 9 translates touch 529 values; synth_sigma writes their slab only,
+    # and apply_T_sigma reads the slab
+    spec = make_grid(1, 8, 128)
+    a = random_lattice_coefficients(1, 1, 9, seed=49)
+    phi = make_bump(2, "tensor-exp", radius=0.4)
+    rng = np.random.default_rng(50)
+    f1, f2 = (space_function(spec, rng.standard_normal(spec.N) + 1j * rng.standard_normal(spec.N))
+              for _ in range(2))
+    dense = 16 * spec.N ** (2 * spec.n)
+    tracemalloc.start()
+    try:
+        out = apply_T_sigma(synth_sigma(a, phi, spec), f1, f2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dense / 16, f"peak {peak / 2**20:.2f} MiB"
+    ref = apply_T_sigma(SymbolGrid(spec, synth_sigma(a, phi, spec).samples), f1, f2)
+    assert np.array_equal(out.samples.view(np.uint64), ref.samples.view(np.uint64))
+
+
 @pytest.mark.parametrize("where", ["symbol", "f1", "f2"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_T_sigma_rejects_non_finite_samples(spec, phi04, where, bad):

@@ -11,7 +11,8 @@ per output file.  ``meta.json`` holds wall-clock telemetry and is skipped;
   under a full search: amalgam at ``[1,1,1,1,1,0.5]`` (4.7 s) and Wiener at
   ``[1,1,0.5,2,2,2]`` (0.4 s);
 * an n = 2 Wiener ``transfer`` on the (8, 32) grid, 2 members, 4 starts
-  (0.3 s);
+  (0.3 s), at all-2 and at ``[1,1,0.5,2,2,2]`` (0.2 s; its Wiener norms
+  pool ``wiener_band_values`` stacks, which skip the bands of zero product);
 * the README ``scaling`` config, and its n = 2 ladder ``[1, 0.75, 0.5]``
   without verdicts (1.6 s, peak RSS 0.34 GB);
 * the benchmark ``scaling`` config at each of its 13 grid-aligned xi0;
@@ -23,8 +24,11 @@ per output file.  ``meta.json`` holds wall-clock telemetry and is skipped;
 * ``selftest``;
 * the benchmark ``witness-chain`` ops 0-2 at seeds 5 and 41, run in-process
   through ``perfbench/workloads.py``: per op the raw bytes of the fast and
-  the slow bilinear arrays of each grid (``op0-n1-fast.bin``, ...) and its
-  output records (``op0-records.json``).
+  the slow bilinear arrays of each grid (``op0-n1-fast.bin``, ...), its
+  output records (``op0-records.json``) and every field of each grid's
+  amalgam and Wiener factorization checks (``op0-checks.json``, which holds
+  the coefficient recovery and the lower-bound gap read from the band
+  stack).
 
 With ``--against DIR`` (the OUT of another checkout), it then prints, for
 each JSON or CSV file whose bytes differ, the largest relative difference
@@ -43,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -64,6 +69,9 @@ README_SCALING = {"n": 1, "scaling": {
     "epsilons": [0.5, 0.25, 0.125], "box_factor": 192, "s": 8,
     "amalgam_q": [1.0, 2.0, "inf"], "wiener_p": [1.0, 2.0, "inf"],
     "verdicts": [{"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]}]}}
+N2_WIENER = dict(README_TRANSFER, n=2, space="wiener",
+                 a_family=dict(README_TRANSFER["a_family"], members=2),
+                 search=dict(README_TRANSFER["search"], starts=4))
 A = {"random": {"radius": 1, "count": 9, "seed": 3}}
 OPNORM = {"n": 1, "a": A, "exponents": [1, 1, 1, 1, 1, 0.5], "seed": 7}
 SYNTH = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4", "a": A, "cm": {"M": 8}}
@@ -91,10 +99,9 @@ def configs() -> list[tuple[str, str, dict | None]]:
              dict(README_TRANSFER, exponents=[1, 1, 1, 1, 1, 0.5])),
             ("transfer-wiener-lp", "transfer",
              dict(README_TRANSFER, space="wiener", exponents=[1, 1, 0.5, 2, 2, 2])),
-            ("transfer-wiener-n2", "transfer", dict(
-                README_TRANSFER, n=2, space="wiener",
-                a_family=dict(README_TRANSFER["a_family"], members=2),
-                search=dict(README_TRANSFER["search"], starts=4))),
+            ("transfer-wiener-n2", "transfer", N2_WIENER),
+            ("transfer-wiener-n2-lp", "transfer",
+             dict(N2_WIENER, exponents=[1, 1, 0.5, 2, 2, 2])),
             ("scaling-readme", "scaling", README_SCALING),
             ("scaling-n2", "scaling", {"n": 2, "scaling": dict(
                 README_SCALING["scaling"], epsilons=[1, 0.75, 0.5], verdicts=[])})]
@@ -138,6 +145,9 @@ def run_all(out: Path) -> list[str]:
                 for key in ("fast", "slow"):
                     path = d / f"op{i}-n{o['f1'].spec.n}-{key}.bin"
                     path.write_bytes(o[key].tobytes())
+            checks = [{"n": o["f1"].spec.n, "amalgam": dataclasses.asdict(o["amalgam"]),
+                       "wiener": dataclasses.asdict(o["wiener"])} for o in outs]
+            (d / f"op{i}-checks.json").write_text(json.dumps(checks, indent=2, sort_keys=True))
             recs = chain.collect(inputs, outs)
             (d / f"op{i}-records.json").write_text(json.dumps(recs, indent=2, sort_keys=True))
             if chain.check(recs):

@@ -180,18 +180,18 @@ def bump_eval(b: BumpProfile, x) -> np.ndarray | complex:
     return _at_points(lambda axes: bump_eval_axes(b, axes), b.d, x)
 
 
-def _bump_translates(b: BumpProfile, terms, spec: GridSpec, slab: bool = False):
+def _bump_translates(b: BumpProfile, terms, spec: GridSpec):
     """sum_mu c(mu) b(xi - mu) over the (mu, c) ``terms`` on the frequency
-    grid, written by ``grid._translate_sum`` (on the whole grid, or with
-    ``slab`` on the translates' bounding slab): a separable profile through
-    its axis factors, each computed once per (axis, shift), any other through
-    ``bump_eval_axes`` on each translate's open mesh.  Either way the samples
-    are those of ``bump_eval_axes`` at every translate."""
+    grid, as the (slices, values) slab that ``grid._translate_sum`` writes:
+    a separable profile through its axis factors, each computed once per
+    (axis, shift), any other through ``bump_eval_axes`` on each translate's
+    open mesh.  Either way the samples are those of ``bump_eval_axes`` at
+    every translate."""
     if b.separable:
         return _translate_sum(terms, b.support_box(), spec, amplitude=b.amplitude,
-                              axis_factor=lambda j, u: _axis_factor(b, j, u), slab=slab)
+                              axis_factor=lambda j, u: _axis_factor(b, j, u))
     return _translate_sum(terms, b.support_box(), spec,
-                          evaluate=lambda axes: bump_eval_axes(b, axes), slab=slab)
+                          evaluate=lambda axes: bump_eval_axes(b, axes))
 
 
 @dataclass(frozen=True)

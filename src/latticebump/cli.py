@@ -369,9 +369,14 @@ def cmd_opnorm(cfg: dict, args, out: Path) -> tuple[dict, int]:
     family = cfg.get("family", "S")
     if family not in ("S", "T_period", "T_aPhi"):
         raise ConfigError(f"unknown family {family!r} (S | T_period | T_aPhi)")
-    # the model families read no grid, profile, space or window, T_aPhi no search
+    # the model families read no grid, profile, space, window or stability
+    # bound, S no torus, T_aPhi no search
     unread = [k for k in (("search",) if family == "T_aPhi"
                           else ("grid", "phi", "space", "window")) if k in cfg]
+    search = cfg["search"] if isinstance(cfg.get("search"), dict) else {}
+    unread += [f"search.{k}" for k in {"S": ("stability_bound", "torus_points"),
+                                       "T_period": ("stability_bound",)}.get(family, ())
+               if k in search]
     if family != "T_aPhi" and args.grid is not None:
         unread.append("--grid")
     if unread:

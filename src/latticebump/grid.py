@@ -145,12 +145,15 @@ def _padded_slice(axis: np.ndarray, lo: float, hi: float) -> slice:
 
 
 def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
-                   amplitude: complex = 1.0, slab: bool = False):
+                   amplitude: complex = 1.0):
     """sum_mu c(mu) F(xi - mu) over the (mu, c) ``terms`` on the (N,)*d
     frequency grid, d = len(mu), for F zero off the closed box ``box`` =
-    (lo, hi).  Each translate is added on the grid points of mu + box only,
-    padded by one point per side: off them it is zero, which would add only
-    +-0, so the samples are those of the whole-grid loop.
+    (lo, hi), as the pair (slices, values): the bounding slab of the
+    translates' padded slices (empty for no terms) and the sum on it, 0 off
+    it (``_embed`` makes the whole array).  Each translate is added on the
+    grid points of mu + box only, padded by one point per side: off them it
+    is zero, which would add only +-0, so the values are those of the
+    whole-grid loop.
 
     F is ``evaluate`` on an open meshgrid of d per-axis coordinate arrays,
     or, for a separable F, ``amplitude`` times the product over the axes of
@@ -158,11 +161,6 @@ def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
     it).  The padded slice and the coordinates (the axis factor) are built
     once per (axis, integer shift) and shared by every translate with that
     shift: keyed by the shift, since xi - m need not be exact.
-
-    Returns the whole (N,)*d array, or with ``slab`` the pair (slices,
-    values): the bounding slab of the translates' padded slices (empty for
-    no terms) and the sum on it, the same values in the same order; off the
-    slab the sum is 0.
     """
     xi = spec.axis_xi()
     d = len(box[0])
@@ -181,8 +179,8 @@ def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
         if not np.isfinite(c):
             raise ValueError("coefficients must be finite")
         placed.append((c, *zip(*(axis(j, m) for j, m in enumerate(mu)))))
-    origin, shape = (0,) * d, (0 if slab else spec.N,) * d
-    if slab and placed:
+    origin, shape = (0,) * d, (0,) * d
+    if placed:
         origin = tuple(min(s[j].start for _c, s, _v in placed) for j in range(d))
         shape = tuple(max(s[j].stop for _c, s, _v in placed) - o for j, o in enumerate(origin))
     out = np.zeros(shape, dtype=complex)
@@ -194,9 +192,36 @@ def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
             for v in vals:
                 value = value * v
         out[tuple(slice(s.start - o, s.stop - o) for s, o in zip(sl, origin))] += c * value
-    if not slab:
-        return out
     return tuple(slice(o, o + k) for o, k in zip(origin, shape)), out
+
+
+def _embed(slab, shape: tuple[int, ...]) -> np.ndarray:
+    """The ``shape`` array that holds the (slices, values) ``slab``, 0 off it."""
+    slices, values = slab
+    out = np.zeros(shape, dtype=values.dtype)
+    out[slices] = values
+    return out
+
+
+def _axis_spans(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Per axis, the first and last index of a line on which a nonempty
+    ``mask`` holds somewhere."""
+    spans = []
+    for j in range(mask.ndim):
+        line = mask.any(axis=tuple(k for k in range(mask.ndim) if k != j))
+        nz = np.flatnonzero(line)
+        spans.append((int(nz[0]), int(nz[-1])))
+    return spans
+
+
+def _nonzero_slab(a: np.ndarray):
+    """(slices, values): the bounding slab of the entries of ``a`` that are
+    not 0, inf and NaN included (empty if none), and a copy of ``a`` on it."""
+    nonzero = a != 0
+    if not nonzero.any():
+        return (slice(0, 0),) * a.ndim, np.zeros((0,) * a.ndim, dtype=a.dtype)
+    slices = tuple(slice(lo, hi + 1) for lo, hi in _axis_spans(nonzero))
+    return slices, a[slices].copy()
 
 
 def space_function(spec: GridSpec, values) -> GridFunction:

@@ -11,8 +11,8 @@ takes f on either side, and a spectrum the caller already holds costs no
 forward transform.  Bands and windows are read on the slab of the
 spectrum's nonzeros: a band whose window times the spectrum is 0 there gets
 an exact-zero row and no transform, a live band is transformed in place on
-its stack row, and where a single plateau covers the spectrum
-(``_plateau_band``) the stack's pool is |idft(f)| and needs no band.  At
+its stack row, and where a single plateau covers the spectrum the stack's
+pool is |idft(f)| and needs no band (``_wiener_l2`` tells).  At
 p = q = 2 discrete Plancherel, band by band, makes the norm a weighted l^2
 of the spectrum F, (L^-n sum_xi omega(xi)^2 |F(xi)|^2)^(1/2) with omega^2 =
 sum_k kappa(xi - k - offset)^2 over the covering bands (``_wiener_l2``): no
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Window, window_eval_axes
-from .grid import GridFunction, dft
+from .grid import GridFunction, _axis_spans, _nonzero_slab, dft
 from .operators import TrigPolynomial
 
 __all__ = [
@@ -187,28 +187,17 @@ def _cube_norms(samples: np.ndarray, spec, p: float) -> np.ndarray:
     return _power_norm(blocks, p, weight=spec.h**spec.n, axis=1)
 
 
-def _axis_spans(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Per axis, the first and last index of a line on which a nonempty
-    ``mask`` holds somewhere."""
-    spans = []
-    for j in range(mask.ndim):
-        line = mask.any(axis=tuple(k for k in range(mask.ndim) if k != j))
-        nz = np.flatnonzero(line)
-        spans.append((int(nz[0]), int(nz[-1])))
-    return spans
-
-
 def _band_windows(F: np.ndarray, spec, kappa: Window, offset):
-    """(bands, slab, windows): the minimal covering set of bands of the box of
-    F's entries above SUPPORT_TOL of the peak, the bounding slab of F's exact
-    nonzeros (empty for a zero F), and each band's window kappa(xi - mu -
-    offset) on that slab, yielded one at a time."""
+    """(bands, (slab, values), windows): the minimal covering set of bands of
+    the box of F's entries above SUPPORT_TOL of the peak, the bounding slab
+    of F's exact nonzeros and F on it (``grid._nonzero_slab``; empty for a
+    zero F), and each band's window kappa(xi - mu - offset) on that slab,
+    yielded one at a time."""
     off = np.zeros(spec.n) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
-    nonzero = F != 0
-    if not nonzero.any():
-        return [], (), iter(())
-    slab = tuple(slice(a, b + 1) for a, b in _axis_spans(nonzero))
-    mags = np.abs(F[slab])
+    slab, F_slab = _nonzero_slab(F)
+    if not F_slab.size:
+        return [], (slab, F_slab), iter(())
+    mags = np.abs(F_slab)
     xi = spec.axis_xi()
     box = [(xi[sl.start + a], xi[sl.start + b])
            for sl, (a, b) in zip(slab, _axis_spans(mags > SUPPORT_TOL * mags.max()))]
@@ -222,8 +211,9 @@ def _band_windows(F: np.ndarray, spec, kappa: Window, offset):
                              "the frequency box")
     bands = list(itertools.product(*ranges))
     axes = np.meshgrid(*(xi[sl] for sl in slab), indexing="ij", sparse=True)
-    return bands, slab, (window_eval_axes(kappa, [ax - (m + c) for ax, m, c in zip(axes, mu, off)])
-                         for mu in bands)
+    return bands, (slab, F_slab), (
+        window_eval_axes(kappa, [ax - (m + c) for ax, m, c in zip(axes, mu, off)])
+        for mu in bands)
 
 
 def _wiener_l2(F: np.ndarray, spec, kappa: Window, offset) -> tuple[float, bool]:
@@ -237,10 +227,9 @@ def _wiener_l2(F: np.ndarray, spec, kappa: Window, offset) -> tuple[float, bool]
     that slab and every other band's is 0: then omega^2 is 1 there and the
     pointwise l^2 pool of the band stack is |idft(F)| bit for bit.
     """
-    _bands, slab, windows = _band_windows(F, spec, kappa, offset)
-    if not slab:
+    _bands, (_slab, F_slab), windows = _band_windows(F, spec, kappa, offset)
+    if not F_slab.size:
         return 0.0, False
-    F_slab = F[slab]
     omega2 = np.zeros(F_slab.shape)
     live, plateau = 0, False
     for w in windows:
@@ -249,12 +238,6 @@ def _wiener_l2(F: np.ndarray, spec, kappa: Window, offset) -> tuple[float, bool]
             plateau = live == 1 and bool((w == 1).all())
             omega2 += np.abs(w) ** 2
     return _power_norm(np.sqrt(omega2) * F_slab, 2.0, spec.dxi**spec.n), plateau
-
-
-def _plateau_band(F: np.ndarray, spec, kappa: Window, offset) -> bool:
-    """Whether a single plateau covers the nonzero spectrum F (see
-    ``_wiener_l2``)."""
-    return _wiener_l2(F, spec, kappa, offset)[1]
 
 
 def _spectrum(f: GridFunction) -> np.ndarray:
@@ -282,9 +265,8 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
     """
     spec = f.spec
     F = _spectrum(f)
-    bands, slab, windows = _band_windows(F, spec, kappa, offset)
+    bands, (slab, F_slab), windows = _band_windows(F, spec, kappa, offset)
     stack = np.zeros((len(bands),) + spec.shape, dtype=complex)
-    F_slab = F[slab]
     at = np.ix_(*((np.arange(sl.start, sl.stop) - spec.N // 2) % spec.N for sl in slab))
     for row, window in zip(stack, windows):
         band = window * F_slab

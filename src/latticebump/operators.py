@@ -3,7 +3,8 @@
 * ``apply_T_sigma``   -- bilinear multiplier on the grid, the slow reference:
   T(x) = (1/L)^(2n) sum_{xi1,xi2} sigma fhat1 fhat2 e^{2pi i x.(xi1+xi2)},
   evaluated over the support pairs of the two spectra that sigma can weight
-  (its nonzero xi1 rows and xi2 columns), grouped by the output frequency
+  (the nonzero xi1 rows and xi2 columns of its support slab, read without
+  forming the N^(2n) symbol), grouped by the output frequency
   zeta = xi1+xi2 (``_grouped_sum``, which returns T's spectrum; T is its
   ``idft``.  It also serves the witness path of transference, which
   evaluates sigma at those pairs only, and scalinglab's products).
@@ -173,10 +174,9 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
     zeroed at each xi1 where sigma vanishes identically, fhat2 at each such
     xi2.  A dropped pair only added +-0, so no bit changes; it could have
     spread an inf or a NaN, so non-finite samples are refused.  The rows,
-    the columns and the values checked for finiteness come from
-    ``SymbolGrid._support``: from the symbol's support slab, or, once its
-    dense samples exist, from one pass over them with no N^(2n) mask.
-    Either way the sum's cost follows the symbol's support, not N^(2n).
+    the columns and the values checked for finiteness come from the
+    symbol's support slab (``SymbolGrid._support``), so the sum's cost
+    follows the symbol's support, not N^(2n), and no dense symbol is made.
     """
     spec = sigma.spec
     if f1.spec != spec or f2.spec != spec:

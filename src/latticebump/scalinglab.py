@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import BumpProfile, Window, _axis_factor, _bump_translates, make_bump
-from .grid import GridFunction, GridSpec, idft, make_grid
+from .grid import GridFunction, GridSpec, _embed, idft, make_grid
 from .norms import (_cube_norms, _power_norm, _power_norms, _wiener_l2, check_exponent,
                     loglog_slope, wiener_band_values)
 from .operators import _grouped_sum
@@ -120,11 +120,11 @@ class ScalingFamily:
     def f_hat(self, eps: float) -> GridFunction:
         """Frequency samples eps^{-n} phihat(eps^{-1}(xi - xi0)): the one
         translate (0, 1) of the scaled profile times eps^{-n}, written on its
-        support slab."""
+        support slab and embedded in the whole grid."""
         prof = self.scaled_profile(eps).scaled(eps ** (-self.n))
         spec = self.specs[eps]
-        return GridFunction(spec, "frequency", _bump_translates(prof, [((0,) * self.n, 1.0)],
-                                                                 spec))
+        slab = _bump_translates(prof, [((0,) * self.n, 1.0)], spec)
+        return GridFunction(spec, "frequency", _embed(slab, spec.shape))
 
     def f(self, eps: float) -> GridFunction:
         return idft(self.f_hat(eps))

@@ -18,11 +18,11 @@ rows phi_k from ``_cm_rows`` and contracts them against the coefficients.
 The samplers ``synth_sigma`` and ``sigma_from_cm`` write each translate on
 its own support slab through ``grid._translate_sum``, the one writer of
 every translate sum (sigma here, the witness spectra and the scaling
-dilates), into the bounding slab of the translates only: a ``SymbolGrid``
-holds that slab and its values, and its dense (N,)^(2n) ``samples`` are made
-on first read.  Their cost follows supp sigma, not N^(2n), and a separable
-profile's axis factors are evaluated once per axis shift
-(``bumps._bump_translates``).
+dilates), and a ``SymbolGrid`` holds sigma as that slab only: its support
+is the union of the translate boxes.  Their cost follows supp sigma, not
+N^(2n), and a separable profile's axis factors are evaluated once per axis
+shift (``bumps._bump_translates``); the dense (N,)^(2n) array exists only
+as the read-only copy each read of ``SymbolGrid.samples`` makes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .bumps import BumpProfile, _axis_factor, _bump_translates, bump_eval_axes, make_plateau
-from .grid import GridSpec, _as_int_tuple, _translate_sum, check_budget
+from .grid import (GridSpec, _as_int_tuple, _embed, _nonzero_slab, _translate_sum,
+                   check_budget)
 
 __all__ = [
     "LatticeCoefficients",
@@ -137,75 +138,58 @@ def random_lattice_coefficients(n: int, radius: int, count: int,
 
 
 class SymbolGrid:
-    """Symbol samples over frequency-grid pairs (xi1, xi2), shape (N,)*(2n).
-
-    ``synth_sigma`` and ``sigma_from_cm`` give a symbol held on its support
-    slab: 2n slices of the centred axes (the bounding slab of its translates)
-    and the values there, 0 off it, so it costs what supp sigma costs, not
-    N^(2n).  ``samples`` is the dense array, made on first read and kept;
-    from then on it is the symbol, and the slab is gone, so an in-place edit
-    of ``samples`` is what ``operators.apply_T_sigma`` sees.
-    ``SymbolGrid(spec, samples)`` holds a dense array from the start.
+    """Symbol samples over frequency-grid pairs (xi1, xi2), shape (N,)*(2n),
+    held as their support slab only: 2n slices of the centred axes and the
+    values there, 0 off it, so a symbol costs what supp sigma costs.  The
+    samplers give the bounding slab of their translates (``slab``);
+    ``SymbolGrid(spec, samples)`` keeps that of a dense array's nonzero
+    entries (``grid._nonzero_slab``).  ``samples`` is a new read-only dense
+    array on every read: an edit goes into a copy and a new ``SymbolGrid``.
     """
 
     def __init__(self, spec: GridSpec, samples=None, slab=None):
         self.spec = spec
-        self._slab = slab  # (2n slices, values on them) until samples are read
-        self._dense = None if samples is None else np.asarray(samples, dtype=complex)
-        shape = (spec.N,) * (2 * spec.n)
-        if self._dense is not None and self._dense.shape != shape:
-            raise ValueError(f"symbol shape {self._dense.shape}, expected {shape}")
+        if slab is None:
+            samples = np.asarray(samples, dtype=complex)
+            shape = (spec.N,) * (2 * spec.n)
+            if samples.shape != shape:
+                raise ValueError(f"symbol shape {samples.shape}, expected {shape}")
+            slab = _nonzero_slab(samples)
+        self._slab = slab  # (2n slices, values on them)
 
     @property
     def samples(self) -> np.ndarray:
-        """The dense (N,)*(2n) samples (made on first read)."""
-        if self._dense is None:
-            slices, values = self._slab
-            self._dense = np.zeros((self.spec.N,) * (2 * self.spec.n), dtype=complex)
-            self._dense[slices] = values
-            self._slab = None
-        return self._dense
+        """The dense (N,)*(2n) samples, a new read-only array on every read."""
+        dense = _embed(self._slab, (self.spec.N,) * (2 * self.spec.n))
+        dense.flags.writeable = False
+        return dense
 
     def _support(self):
-        """(rows, cols, block, at): the xi1 rows and the xi2 columns (flat
-        (N^n,) masks) on which sigma has a nonzero value, an array holding
-        every such value and every value where a row meets a column, and
-        ``at(idx)``, the samples at 2n per-axis index arrays on those rows
-        and columns.
-
-        A slab symbol reads them from its slab.  A dense one reads its rows
-        from one ``any`` over every value and its columns from ``any`` over
-        the selected rows, 16 at a time (no N^(2n) mask), and the block is
-        those rows by those columns; inf and NaN are nonzero, so a
-        non-finite sample lies in the block either way."""
-        n, size = self.spec.n, self.spec.N ** self.spec.n
-        if self._dense is None:
-            slices, values = self._slab
-            rows = np.zeros(self.spec.shape, dtype=bool)
-            cols = np.zeros_like(rows)
-            rows[slices[:n]] = values.any(axis=tuple(range(n, 2 * n)))
-            cols[slices[n:]] = values.any(axis=tuple(range(n)))
-            origin = tuple(sl.start for sl in slices)
-            return (rows.ravel(), cols.ravel(), values,
-                    lambda idx: values[tuple(i - o for i, o in zip(idx, origin))])
-        samples = self._dense.reshape(size, size)
-        rows = samples.any(axis=1)
-        cols = np.zeros(size, dtype=bool)
-        sel = np.flatnonzero(rows)
-        for k in range(0, len(sel), 16):  # 16 selected rows at a time bound the copy
-            cols |= samples[sel[k:k + 16]].any(axis=0)
-        dense = self._dense
-        return rows, cols, samples[np.ix_(rows, cols)], lambda idx: dense[idx]
+        """(rows, cols, block, at) from the support slab: the xi1 rows and
+        the xi2 columns (flat (N^n,) masks) on which sigma has a nonzero
+        value, an array holding every such value and every value where a
+        row meets a column (the slab's values), and ``at(idx)``, the samples
+        at 2n per-axis index arrays on those rows and columns.  inf and NaN
+        are nonzero, so a non-finite sample lies in the block."""
+        n = self.spec.n
+        slices, values = self._slab
+        rows = np.zeros(self.spec.shape, dtype=bool)
+        cols = np.zeros_like(rows)
+        rows[slices[:n]] = values.any(axis=tuple(range(n, 2 * n)))
+        cols[slices[n:]] = values.any(axis=tuple(range(n)))
+        origin = tuple(sl.start for sl in slices)
+        return (rows.ravel(), cols.ravel(), values,
+                lambda idx: values[tuple(i - o for i, o in zip(idx, origin))])
 
     def save(self, prefix) -> None:
         """Write raw complex128 little-endian C-order data and a JSON header."""
         prefix = Path(prefix)
-        data = np.ascontiguousarray(self.samples.astype("<c16"))
+        data = self.samples.astype("<c16", copy=False)
         prefix.with_suffix(".bin").write_bytes(data.tobytes())
         header = {
             "dtype": "complex128-le",
             "order": "C",
-            "shape": list(self.samples.shape),
+            "shape": list(data.shape),
             "grid": {"n": self.spec.n, "L": self.spec.L, "s": self.spec.s},
             "layout": "centered: index i -> frequency (i - N/2)/L per axis",
         }
@@ -218,7 +202,7 @@ class SymbolGrid:
         g = header["grid"]
         spec = GridSpec(n=g["n"], L=g["L"], s=g["s"])
         data = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<c16")
-        return cls(spec, data.reshape(header["shape"]).astype(complex))
+        return cls(spec, data.reshape(header["shape"]))
 
 
 def _check_supports(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> None:
@@ -252,7 +236,7 @@ def synth_sigma(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> Sym
     _check_supports(a, phi, spec)
     check_symbol_budget(spec)
     return SymbolGrid(spec, slab=_bump_translates(
-        phi, ((m1 + m2, v) for (m1, m2), v in a.items()), spec, slab=True))
+        phi, ((m1 + m2, v) for (m1, m2), v in a.items()), spec))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +419,7 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
     lo, hi = d.cutoff.support_box()
     return SymbolGrid(spec, slab=_translate_sum(
         ((m1 + m2, v) for (m1, m2), v in a.items()), (np.tile(lo, 2), np.tile(hi, 2)), spec,
-        evaluate=lambda axes: _cm_on_axes(d, [u.ravel() for u in axes]), slab=True))
+        evaluate=lambda axes: _cm_on_axes(d, [u.ravel() for u in axes])))
 
 
 def _cm_rows(d: CMDecomposition, axis: int, u: np.ndarray) -> np.ndarray:

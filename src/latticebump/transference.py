@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .bumps import BumpProfile, ThetaPair, Window, _bump_translates
-from .grid import GridFunction, GridSpec, check_budget, idft
+from .grid import GridFunction, GridSpec, _embed, check_budget, idft
 from .norms import (_pooled_band_norm, _power_norm, amalgam_norm, check_exponent,
                     ExponentTuple, lp_norm, lq_seq_norm, wiener_band_values, wiener_norm)
 from .operators import Sequence, TrigPolynomial, _grouped_sum, apply_S, apply_T_period
@@ -141,7 +141,8 @@ def _witness(c1: dict, c2: dict, theta: ThetaPair, spec: GridSpec, **models) -> 
         for nu in coeffs:
             if any(abs(nu[j] + t.center[j]) + eps > spec.s / 2 for j in range(spec.n)):
                 raise ValueError(f"mode {nu} pushes the theta ball out of the frequency box")
-        fhat.append(GridFunction(spec, "frequency", _bump_translates(t, coeffs.items(), spec)))
+        fhat.append(GridFunction(spec, "frequency",
+                                 _embed(_bump_translates(t, coeffs.items(), spec), spec.shape)))
     return WitnessPair(fhat1=fhat[0], fhat2=fhat[1], theta=theta, **models)
 
 
@@ -175,7 +176,7 @@ def wiener_witness_norm_identity(w: WitnessPair, j: int, p: float, q: float,
                       else (w.fhat2, w.b2, w.theta.theta2))
     xi0_j = w.theta.xi0[: spec.n] if j == 1 else w.theta.xi0[spec.n:]
     lhs = wiener_norm(fhat, p, q, kappa, offset=xi0_j)
-    theta_samples = _bump_translates(theta, [((0,) * spec.n, 1.0 + 0j)], spec)
+    theta_samples = _embed(_bump_translates(theta, [((0,) * spec.n, 1.0 + 0j)], spec), spec.shape)
     theta_inv = idft(GridFunction(spec, "frequency", theta_samples))
     rhs = lq_seq_norm(b.entries, q) * lp_norm(theta_inv, p)
     return lhs, rhs

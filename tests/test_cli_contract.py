@@ -30,10 +30,12 @@ _TRANSFER = _with(_with(_with(_TRANSFER, ("a_family", "members"), 1),
                         ("search", "starts"), 1), ("search", "steps"), 1)
 _SCALING = next(b for b in _BLOCKS if "scaling" in b)
 # the transfer keys an opnorm run of the model families (S, T_period) reads,
-# on one random a; T_aPhi reads grid, phi, space and window in place of search
+# on one random a, with only the search keys both read; T_aPhi reads grid,
+# phi, space and window in place of search
 _OPNORM = dict({k: v for k, v in _TRANSFER.items()
                 if k not in ("a_family", "grid", "phi", "space", "window")},
-               a={"random": {"radius": 1, "count": 9, "seed": 3}})
+               a={"random": {"radius": 1, "count": 9, "seed": 3}},
+               search={k: _TRANSFER["search"][k] for k in ("starts", "steps")})
 _OPNORM_T_APHI = dict({k: v for k, v in _OPNORM.items() if k != "search"}, family="T_aPhi",
                       **{k: _TRANSFER[k] for k in ("grid", "phi", "space", "window")})
 _SYNTH = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",
@@ -215,9 +217,12 @@ def test_config_that_is_not_a_regular_file_is_config_error(command, config, tmp_
 
 
 # keys that no reader of the run uses were accepted and ignored: the model
-# families of opnorm read no grid (nor --grid), phi, space or window, T_aPhi
-# reads no search, and a transfer with an a_family reads no a
+# families of opnorm read no grid (nor --grid), phi, space, window or
+# search.stability_bound, S no search.torus_points, T_aPhi reads no search,
+# and a transfer with an a_family reads no a
 _MODEL_UNREAD = ("grid", "phi", "space", "window")
+_SEARCH_UNREAD = [("S", "stability_bound", 77), ("T_period", "stability_bound", 77),
+                  ("S", "torus_points", 999)]
 
 
 @pytest.mark.parametrize("command, doc, key, extra", [
@@ -225,10 +230,14 @@ _MODEL_UNREAD = ("grid", "phi", "space", "window")
       for family in ("S", "T_period") for key in _MODEL_UNREAD),
     *(("opnorm", dict(_OPNORM, family=family), "--grid", ("--grid", "1000,3"))
       for family in ("S", "T_period")),
+    *(("opnorm", _with(dict(_OPNORM, family=family), ("search", key), value),
+       f"search.{key}", ()) for family, key, value in _SEARCH_UNREAD),
     ("opnorm", dict(_OPNORM_T_APHI, search=_TRANSFER["search"]), "search", ()),
     ("transfer", dict(_TRANSFER, a={"entries": "garbage"}), "a", ()),
 ], ids=[f"{family}-{key}" for family in ("S", "T_period") for key in _MODEL_UNREAD]
-    + ["S-grid-flag", "T_period-grid-flag", "T_aPhi-search", "transfer-a-and-a_family"])
+    + ["S-grid-flag", "T_period-grid-flag"]
+    + [f"{family}-search-{key}" for family, key, _v in _SEARCH_UNREAD]
+    + ["T_aPhi-search", "transfer-a-and-a_family"])
 def test_key_the_run_does_not_read_is_one_config_error_and_no_report(command, doc, key, extra,
                                                                      tmp_path, capsys):
     code = main([command, "--config", _write(tmp_path, "cfg.json", doc),

@@ -1,5 +1,6 @@
 import ctypes
 import glob
+import json
 import os
 import time
 import tracemalloc
@@ -25,6 +26,7 @@ from latticebump.symbols import (CMDecomposition, _cm_rows, _contract, cm_decomp
 from latticebump.norms import wiener_band_values
 from latticebump.transference import build_amalgam_witness
 from latticebump import operators, transference
+from latticebump.cli import main
 
 from test_symbols import _dense_synth_sigma
 
@@ -710,8 +712,13 @@ def test_T_sigma_rejects_non_finite_samples(spec, phi04, where, bad):
     # inf or a NaN: they are refused instead
     sigma = synth_sigma(lattice_delta(1), phi04, spec)
     f1, f2 = _band_limited(spec, 51), _band_limited(spec, 52)
-    target = {"symbol": sigma, "f1": f1, "f2": f2}[where]
-    target.samples[(0,) * target.samples.ndim] = bad
+    if where == "symbol":  # the samples are read-only: edit a copy
+        edited = sigma.samples.copy()
+        edited[(0,) * edited.ndim] = bad
+        sigma = SymbolGrid(spec, edited)
+    else:
+        target = {"f1": f1, "f2": f2}[where]
+        target.samples[(0,) * target.samples.ndim] = bad
     with pytest.raises(ValueError, match=f"{where} has non-finite samples"):
         apply_T_sigma(sigma, f1, f2)
 
@@ -735,14 +742,15 @@ def _support_case(n):
 def test_T_sigma_weights_the_rows_and_columns_of_the_nonzero_samples(n, value, monkeypatch):
     sigma, f1, f2, far = _support_case(n)
     base = apply_T_sigma(sigma, f1, f2).samples
-    sigma.samples[far] = value
+    edited = sigma.samples.copy()
+    edited[far] = value
     seen = []
     grouped_sum = operators._grouped_sum
     monkeypatch.setattr(operators, "_grouped_sum", lambda sigma_at, F1, F2, spec:
                         seen.append((F1, F2)) or grouped_sum(sigma_at, F1, F2, spec))
-    got = apply_T_sigma(sigma, f1, f2).samples
+    got = apply_T_sigma(SymbolGrid(sigma.spec, edited), f1, f2).samples
     size = sigma.spec.N ** n
-    nonzero = (sigma.samples != 0).reshape(size, size)
+    nonzero = (edited != 0).reshape(size, size)
     (F1, F2), = seen
     # neither spectrum has a zero bin, so its support is the selection
     assert np.array_equal((F1 != 0).ravel(), nonzero.any(axis=1))
@@ -756,20 +764,51 @@ def test_T_sigma_weights_the_rows_and_columns_of_the_nonzero_samples(n, value, m
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_T_sigma_refuses_a_non_finite_sample_anywhere(n, bad):
-    # the row pass reads every value, and a non-finite value is nonzero:
-    # off every slab, or in a slab row or column, it is refused
+    # a non-finite value is nonzero, so the support slab of the edited
+    # samples holds it: off every translate's slab, or in a slab row or
+    # column, it is refused
     sigma, f1, f2, far = _support_case(n)
     size = sigma.spec.N ** n
-    samples = sigma.samples.reshape(size, size)
-    row, col = np.argwhere(samples != 0)[0]
+    clean = sigma.samples
+    row, col = np.argwhere(clean.reshape(size, size) != 0)[0]
     far_row, far_col = np.ravel_multi_index(far[:n], sigma.spec.shape), \
         np.ravel_multi_index(far[n:], sigma.spec.shape)
     for where in ((far_row, far_col), (far_row, col), (row, far_col)):
-        clean = samples[where]
-        samples[where] = bad
+        edited = clean.copy()
+        edited.reshape(size, size)[where] = bad
         with pytest.raises(ValueError, match="symbol has non-finite samples"):
-            apply_T_sigma(sigma, f1, f2)
-        samples[where] = clean
+            apply_T_sigma(SymbolGrid(sigma.spec, edited), f1, f2)
+
+
+def test_symbol_samples_are_a_new_read_only_array_on_every_read(spec, phi04):
+    # an in-place edit of the dense samples could never reach the symbol:
+    # it raises instead of being lost
+    for sigma in (synth_sigma(lattice_delta(1), phi04, spec),
+                  SymbolGrid(spec, np.ones((spec.N, spec.N), complex))):
+        first = sigma.samples
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 7.0
+        assert sigma.samples is not first
+        assert np.array_equal(sigma.samples, first)
+
+
+def test_synth_round_trip_through_load_keeps_T_sigma_bitwise_at_n2(tmp_path):
+    cfg = {"n": 2, "grid": {"L": 4, "s": 8}, "phi": "tensor-0.4",
+           "a": {"random": {"radius": 1, "count": 9, "seed": 3}}, "cm": {"M": 8}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "o")]) == 0
+    spec = make_grid(2, 4, 8)
+    sigma = synth_sigma(random_lattice_coefficients(2, 1, 9, seed=3),
+                        make_bump(4, "tensor-exp", radius=0.4), spec)
+    back = SymbolGrid.load(tmp_path / "o" / "sigma")
+    assert back.spec == spec
+    rng = np.random.default_rng(73)
+    f1, f2 = (space_function(spec, rng.standard_normal(spec.shape)
+                             + 1j * rng.standard_normal(spec.shape)) for _ in range(2))
+    want = apply_T_sigma(sigma, f1, f2).samples
+    got = apply_T_sigma(back, f1, f2).samples
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _timed(fn):

@@ -9,7 +9,7 @@ from latticebump.grid import GridFunction, _padded_slice, idft
 from latticebump.norms import (amalgam_norm, loglog_slope, lp_norm, wiener_band_values,
                                wiener_norm)
 from latticebump.operators import AliasingWarning, _grouped_sum
-from latticebump.norms import _plateau_band
+from latticebump.norms import _wiener_l2
 from latticebump.scalinglab import (ScalingFamily, _eps_row, _phi_axis_data, _q_floor,
                                     _scaling_pass,
                                     amalgam_scaling_slope, bilinear_product_scaling,
@@ -510,7 +510,7 @@ def test_eps_rows_equal_the_public_norms_bitwise(family, outer, with_products, l
         norms, product_norms, min_core, sup = _eps_row(fam, e, ladders, products, kappa, ONE)
         fh = fam.f_hat(e)
         f = idft(fh)
-        plateau.append(_plateau_band(fh.samples, fh.spec, kappa, fam.xi0))
+        plateau.append(_wiener_l2(fh.samples, fh.spec, kappa, fam.xi0)[1])
         assert norms == [amalgam_norm(f, 2.0, r) if space == "amalgam"
                          else wiener_norm(fh, r, 2.0, kappa, offset=fam.xi0)
                          for space, r in ladders]

@@ -33,7 +33,9 @@ per output file.  ``meta.json`` holds wall-clock telemetry and is skipped;
 With ``--against DIR`` (the OUT of another checkout), it then prints, for
 each JSON or CSV file whose bytes differ, the largest relative difference
 over its numeric fields, and names every other file that differs or is
-missing on one side.  It uses the standard library, ``latticebump`` and
+missing on one side (``compare``); any such line makes the exit status 1,
+as a failed config does, so a byte-identical claim is checked by the exit
+status alone.  It uses the standard library, ``latticebump`` and
 this checkout's ``perfbench/workloads.py``, imported read-only; the
 ``latticebump`` on the import path is the one digested.  The times above
 are single runs on a 2-core Xeon with one BLAS thread; the witness chain
@@ -214,30 +216,41 @@ def max_relative_difference(a: Path, b: Path) -> tuple[float, str] | None:
     return worst
 
 
+def compare(out: Path, against: Path) -> list[str]:
+    """One line per file that differs between two OUT directories or exists
+    in only one of them (``meta.json`` aside); none when they match byte for
+    byte.  A differing JSON or CSV file names its largest relative numeric
+    difference."""
+    lines = []
+    for rel in sorted(set(outputs(out)) | set(outputs(against))):
+        a, b = against / rel, out / rel
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{rel.parent} {rel.name} only in {'out' if b.is_file() else 'against'}")
+        elif a.read_bytes() != b.read_bytes():
+            worst = max_relative_difference(a, b) if rel.suffix in (".json", ".csv") else None
+            what = "differs" if worst is None else f"max_rel {worst[0]:.3e} at {worst[1]}"
+            lines.append(f"{rel.parent} {rel.name} {what}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", type=Path, help="directory to run the configs into")
     ap.add_argument("--against", type=Path, help="an OUT of another checkout to compare with")
     args = ap.parse_args(argv)
     failed = run_all(args.out)
-    files = outputs(args.out)
-    for rel in files:
+    for rel in outputs(args.out):
         digest = hashlib.sha256((args.out / rel).read_bytes()).hexdigest()
         print(f"{rel.parent} {rel.name} {digest}")
     for name in failed:
         print(f"FAILED {name}")
+    differ = []
     if args.against is not None:
         print(f"# against {args.against}")
-        for rel in sorted(set(files) | set(outputs(args.against))):
-            a, b = args.against / rel, args.out / rel
-            if not (a.is_file() and b.is_file()):
-                print(f"{rel.parent} {rel.name} only in {'out' if b.is_file() else 'against'}")
-            elif a.read_bytes() != b.read_bytes():
-                worst = (max_relative_difference(a, b)
-                         if rel.suffix in (".json", ".csv") else None)
-                what = "differs" if worst is None else f"max_rel {worst[0]:.3e} at {worst[1]}"
-                print(f"{rel.parent} {rel.name} {what}")
-    return 1 if failed else 0
+        differ = compare(args.out, args.against)
+        for line in differ:
+            print(line)
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

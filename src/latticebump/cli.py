@@ -87,10 +87,10 @@ def _section(doc: dict, key: str, where: str | None = None) -> dict | None:
 
 
 def _integer(v, where: str) -> int:
-    """One integer from a config; a non-integral number or a boolean is an
-    error, not truncated or read as 0/1."""
+    """One integer from a config; a non-integral number, a boolean or a string
+    is an error, not truncated, read as 0/1 or parsed."""
     try:
-        if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+        if isinstance(v, (bool, str)) or isinstance(v, float) and not v.is_integer():
             raise ValueError
         return int(v)
     except (TypeError, ValueError, OverflowError) as e:
@@ -106,9 +106,9 @@ def _dimension(cfg: dict) -> int:
 
 
 def _number(v, where: str) -> float:
-    """One finite number from a config (not a boolean)."""
+    """One finite number from a config (not a boolean or a string)."""
     try:
-        x = math.nan if isinstance(v, bool) else float(v)
+        x = math.nan if isinstance(v, (bool, str)) else float(v)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{where}: expected a finite number, got {v!r}") from e
     if not math.isfinite(x):
@@ -269,9 +269,10 @@ def _search_from(cfg: dict, seed: int) -> transference.SearchParams:
 
 
 def _exponent(v) -> float:
-    """One exponent from a config: a positive number, or "inf" (or null)."""
+    """One exponent from a config: a positive number, or "inf" (or null); no
+    other string."""
     try:
-        if isinstance(v, bool):
+        if isinstance(v, bool) or isinstance(v, str) and v != "inf":
             raise TypeError
         return norms.check_exponent(math.inf if v in ("inf", None) else float(v))
     except (TypeError, ValueError) as e:
@@ -370,8 +371,9 @@ def cmd_opnorm(cfg: dict, args, out: Path) -> tuple[dict, int]:
     if family not in ("S", "T_period", "T_aPhi"):
         raise ConfigError(f"unknown family {family!r} (S | T_period | T_aPhi)")
     # the model families read no grid, profile, space, window or stability
-    # bound, S no torus, T_aPhi no search
-    unread = [k for k in (("search",) if family == "T_aPhi"
+    # bound, S no torus, T_aPhi no search and, in amalgam space, no window
+    amalgam = cfg.get("space", "amalgam") == "amalgam"
+    unread = [k for k in (("search",) + ("window",) * amalgam if family == "T_aPhi"
                           else ("grid", "phi", "space", "window")) if k in cfg]
     search = cfg["search"] if isinstance(cfg.get("search"), dict) else {}
     unread += [f"search.{k}" for k in {"S": ("stability_bound", "torus_points"),
@@ -407,6 +409,9 @@ def cmd_transfer(cfg: dict, args, out: Path) -> tuple[dict, int]:
     phi = _phi_from(cfg, spec.n)
     ex = _exponent_tuple(cfg.get("exponents"))
     space = cfg.get("space", "amalgam")
+    if space == "wiener" and "torus_points" in (_section(cfg, "search") or {}):
+        raise ConfigError("a wiener transfer runs the S model: it does not read "
+                          "'search.torus_points'")
     params = _search_from(cfg, seed)
     family = _family_from(cfg, spec.n, seed)
 
@@ -442,6 +447,11 @@ def cmd_scaling(cfg: dict, args, out: Path) -> tuple[dict, int]:
         # compares the growth in r of its output against that in r1 and r2
         verdict_specs.append((space, (ex.q1, ex.q2, ex.q) if space == "amalgam"
                               else (ex.p1, ex.p2, ex.p)))
+    spaces = (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p"))
+    table = {space: [(r, _exponent(r)) for r in _list(sc, key, [1.0, 2.0, "inf"], "scaling")]
+             for space, key, _name in spaces}
+    if "window" in cfg and not table["wiener"] and all(v[0] != "wiener" for v in verdict_specs):
+        raise ConfigError("a scaling run with no Wiener row or verdict does not read 'window'")
     eps = tuple(_number(e, "scaling epsilons")
                 for e in _list(sc, "epsilons", [0.5, 0.25, 0.125], "scaling"))
     if len(eps) < 3:
@@ -463,9 +473,6 @@ def cmd_scaling(cfg: dict, args, out: Path) -> tuple[dict, int]:
     report: dict = {"seed": seed, "tail_fraction": fam.tail_fraction,
                     "min_q_modulus": fam.min_q_modulus, "slopes": {}}
 
-    spaces = (("amalgam", "amalgam_q", "q"), ("wiener", "wiener_p", "p"))
-    table = {space: [(r, _exponent(r)) for r in _list(sc, key, [1.0, 2.0, "inf"], "scaling")]
-             for space, key, _name in spaces}
     # one pass over the eps ladder serves the slope table, the verdicts'
     # input slopes and their output norms (one T_1(f_eps, f_eps) per eps)
     fits, products = scalinglab._scaling_pass(

@@ -14,6 +14,7 @@ Riemann sums on the box/torus and is exactly invertible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,8 +33,8 @@ __all__ = [
     "poisson_check",
 ]
 
-# memory budget, in values, of every large array: grids, symbols, cm coefficient
-# blocks and quadratures, the T_period torus and its phase matrices
+# memory budget, in values, of every large array: grids, dense symbols, translate
+# slabs, support pairs, cm blocks, quadratures, the T_period torus and phase matrices
 MAX_POINTS = 2**24
 
 
@@ -150,7 +151,8 @@ def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
     frequency grid, d = len(mu), for F zero off the closed box ``box`` =
     (lo, hi), as the pair (slices, values): the bounding slab of the
     translates' padded slices (empty for no terms) and the sum on it, 0 off
-    it (``_embed`` makes the whole array).  Each translate is added on the
+    it (``_embed`` makes the whole array; a slab over MAX_POINTS values is
+    refused before it is allocated).  Each translate is added on the
     grid points of mu + box only, padded by one point per side: off them it
     is zero, which would add only +-0, so the values are those of the
     whole-grid loop.
@@ -183,6 +185,7 @@ def _translate_sum(terms, box, spec: GridSpec, evaluate=None, axis_factor=None,
     if placed:
         origin = tuple(min(s[j].start for _c, s, _v in placed) for j in range(d))
         shape = tuple(max(s[j].stop for _c, s, _v in placed) - o for j, o in enumerate(origin))
+    check_budget(math.prod(shape), "translate slab")
     out = np.zeros(shape, dtype=complex)
     for c, sl, vals in placed:
         if axis_factor is None:

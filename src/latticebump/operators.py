@@ -2,19 +2,14 @@
 
 * ``apply_T_sigma``   -- bilinear multiplier on the grid, the slow reference:
   T(x) = (1/L)^(2n) sum_{xi1,xi2} sigma fhat1 fhat2 e^{2pi i x.(xi1+xi2)},
-  evaluated over the support pairs of the two spectra that sigma can weight
-  (the nonzero xi1 rows and xi2 columns of its support slab, read without
-  forming the N^(2n) symbol), grouped by the output frequency
-  zeta = xi1+xi2 (``_grouped_sum``, which returns T's spectrum; T is its
-  ``idft``.  It also serves the witness path of transference, which
-  evaluates sigma at those pairs only, and scalinglab's products).
+  summed over the support pairs of the two spectra that sigma can weight,
+  read from its support slab, grouped by the output frequency
+  zeta = xi1+xi2 (``_grouped_sum``, which returns T's spectrum and also
+  serves the witness path of transference and scalinglab's products).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
-  the truncated decomposition, contracted through its side factors
-  b = sum_r outer(w1_r, w2_r): each (translate, term) multiplier is written
-  on the cutoff's support slab at the translate from the series rows of
-  ``symbols._cm_rows``, computed once per axis shift, and each side's stack
-  of band projections takes one inverse transform; never one per Fourier
-  mode k.
+  the truncated decomposition's side factors b = sum_r outer(w1_r, w2_r):
+  one inverse transform per side over its stack of band projections, never
+  one per Fourier mode k.
 * ``apply_T_period``  -- periodic bilinear operator on trig polynomials,
   computed in coefficient space.
 * ``apply_S``         -- the sequence model, an a-weighted convolution.
@@ -131,7 +126,8 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> Gr
     The double sum runs over the support pairs only: ``sigma_at(idx)`` gives
     the symbol at the 2n per-axis frequency indices ``idx`` (those of xi1,
     then those of xi2), which broadcast to one row per nonzero F1 entry and
-    one column per nonzero F2 entry.  Exact zeros only add +-0 to the
+    one column per nonzero F2 entry (over MAX_POINTS such pairs are refused
+    before they are built).  Exact zeros only add +-0 to the
     sequential bincount sums, so skipping them changes no bit.  Output
     frequencies are grouped per axis modulo the box into G; the folded share
     of the mass is checked against ALIAS_TOL.  The spectrum is L^n * G: a
@@ -143,6 +139,7 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> Gr
     i2 = i1 if F2 is F1 else np.flatnonzero(F2 != 0)
     u1 = tuple(u[:, None] for u in np.unravel_index(i1, spec.shape))
     u2 = tuple(u[None, :] for u in np.unravel_index(i2, spec.shape))
+    check_budget(len(i1) * len(i2), "support pairs")
     W = sigma_at(u1 + u2) * np.outer(F1.ravel()[i1], F2.ravel()[i2]) * spec.dxi ** (2 * n)
 
     flat_idx = 0
@@ -213,24 +210,14 @@ def apply_T_aPhi_fast(a: LatticeCoefficients, d: CMDecomposition,
 
     T = sum_{(mu1,mu2) in supp a} a * sum_r [m_{1,r}(D-mu1) f1] * [m_{2,r}(D-mu2) f2].
 
-    Per translate mu the multiplier lives on the cutoff's support slab at
-    mu (``grid._padded_slice`` of ``d.cutoff.support_box()`` shifted by mu_j
-    per axis; the cutoff is evaluated at the translate, never rolled round
-    the box).  The rows of ``symbols._cm_rows`` are computed on that slab
-    once per distinct (axis, mu_j), shared by both sides and every
-    translate with that shift.  They are contracted axis by axis with each
-    factor on the whole axis, zero off the slab as ``_cm_rows`` gives them
-    there, so BLAS sees the shapes it would for full-axis rows: which kernel
-    sums a row can depend on the matrix shape, and a slab-shaped product
-    moves last bits.  Each side writes multiplier * fhat on the slabs of one
-    zeroed (translates, terms, N^n) stack, so a translate whose slab misses
-    the box stays an exact-zero row, and runs one inverse transform over it
-    in place.  The stack is written in FFT (ifftshifted) order and the
-    products are summed in that order, so only the output is shifted back:
-    the samples are those of one full-axis multiplier and one centred
-    transform per translate and term, and the working memory is the two
-    stacks.  Agreement with the slow path is bounded by the decomposition's
-    recorded truncation tail.
+    Each multiplier is written on the cutoff's support slab at its translate
+    (the cutoff is evaluated there, never rolled round the box), from the
+    rows of ``symbols._cm_rows`` computed once per (axis, shift) and
+    contracted on the whole axis, zero off the slab: a slab-shaped product
+    could sum in another order.  Each side's (translates, terms) stack of
+    multiplier * fhat, in FFT order, takes one in-place inverse transform,
+    and only the output is shifted back.  Agreement with the slow path is
+    bounded by the decomposition's recorded truncation tail.
     """
     spec = f1.spec
     if f2.spec != spec:

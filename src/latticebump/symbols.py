@@ -22,7 +22,8 @@ dilates), and a ``SymbolGrid`` holds sigma as that slab only: its support
 is the union of the translate boxes.  Their cost follows supp sigma, not
 N^(2n), and a separable profile's axis factors are evaluated once per axis
 shift (``bumps._bump_translates``); the dense (N,)^(2n) array exists only
-as the read-only copy each read of ``SymbolGrid.samples`` makes.
+as the read-only copy each read of ``SymbolGrid.samples`` makes, the one
+place the N^(2n) symbol-grid budget applies.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "lattice_delta",
     "lattice_from_dict",
     "random_lattice_coefficients",
-    "check_symbol_budget",
     "sigma_eval",
     "synth_sigma",
     "cm_decompose",
@@ -139,28 +139,34 @@ def random_lattice_coefficients(n: int, radius: int, count: int,
 
 class SymbolGrid:
     """Symbol samples over frequency-grid pairs (xi1, xi2), shape (N,)*(2n),
-    held as their support slab only: 2n slices of the centred axes and the
-    values there, 0 off it, so a symbol costs what supp sigma costs.  The
-    samplers give the bounding slab of their translates (``slab``);
-    ``SymbolGrid(spec, samples)`` keeps that of a dense array's nonzero
-    entries (``grid._nonzero_slab``).  ``samples`` is a new read-only dense
-    array on every read: an edit goes into a copy and a new ``SymbolGrid``.
+    held as their support slab ``slab``: 2n slices of the centred axes and
+    the values there, 0 off it, so a symbol costs what supp sigma costs.
+    ``from_dense`` keeps the bounding slab of a dense array's nonzero
+    entries.  ``samples`` is a new read-only dense array on every read: an
+    edit goes into a copy and ``from_dense``.
     """
 
-    def __init__(self, spec: GridSpec, samples=None, slab=None):
+    def __init__(self, spec: GridSpec, slab):
         self.spec = spec
-        if slab is None:
-            samples = np.asarray(samples, dtype=complex)
-            shape = (spec.N,) * (2 * spec.n)
-            if samples.shape != shape:
-                raise ValueError(f"symbol shape {samples.shape}, expected {shape}")
-            slab = _nonzero_slab(samples)
         self._slab = slab  # (2n slices, values on them)
+
+    @classmethod
+    def from_dense(cls, spec: GridSpec, samples) -> "SymbolGrid":
+        """The symbol of the dense (N,)*(2n) ``samples``."""
+        samples = np.asarray(samples, dtype=complex)
+        shape = (spec.N,) * (2 * spec.n)
+        if samples.shape != shape:
+            raise ValueError(f"symbol shape {samples.shape}, expected {shape}")
+        return cls(spec, _nonzero_slab(samples))
 
     @property
     def samples(self) -> np.ndarray:
-        """The dense (N,)*(2n) samples, a new read-only array on every read."""
-        dense = _embed(self._slab, (self.spec.N,) * (2 * self.spec.n))
+        """The dense (N,)*(2n) samples, a new read-only array on every read;
+        BudgetError, before it is built, if it holds more than MAX_POINTS
+        values."""
+        n, N = self.spec.n, self.spec.N
+        check_budget(N ** (2 * n), "symbol grid")
+        dense = _embed(self._slab, (N,) * (2 * n))
         dense.flags.writeable = False
         return dense
 
@@ -202,7 +208,7 @@ class SymbolGrid:
         g = header["grid"]
         spec = GridSpec(n=g["n"], L=g["L"], s=g["s"])
         data = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<c16")
-        return cls(spec, data.reshape(header["shape"]))
+        return cls.from_dense(spec, data.reshape(header["shape"]))
 
 
 def _check_supports(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> None:
@@ -217,11 +223,6 @@ def _check_supports(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) ->
         raise ValueError(f"Phi support radius {max(phi.radius)} must be < L/2 = {spec.L / 2}")
 
 
-def check_symbol_budget(spec: GridSpec) -> None:
-    """Raise BudgetError if the (N,)*(2n) symbol grid exceeds MAX_POINTS values."""
-    check_budget(spec.N ** (2 * spec.n), "symbol grid")
-
-
 def sigma_eval(a: LatticeCoefficients, phi: BumpProfile, axes: list[np.ndarray]) -> np.ndarray:
     """sigma_{a,Phi} on 2n per-axis coordinate arrays (xi1 axes, then xi2
     axes) that broadcast against each other; the result has their shape."""
@@ -232,10 +233,11 @@ def sigma_eval(a: LatticeCoefficients, phi: BumpProfile, axes: list[np.ndarray])
 
 
 def synth_sigma(a: LatticeCoefficients, phi: BumpProfile, spec: GridSpec) -> SymbolGrid:
-    """Sample sigma_{a,Phi} exactly at the frequency grid points."""
+    """Sample sigma_{a,Phi} exactly at the frequency grid points, on the
+    bounding slab of its translates: no N^(2n) array is built, so only
+    ``samples`` is bound by the symbol-grid budget."""
     _check_supports(a, phi, spec)
-    check_symbol_budget(spec)
-    return SymbolGrid(spec, slab=_bump_translates(
+    return SymbolGrid(spec, _bump_translates(
         phi, ((m1 + m2, v) for (m1, m2), v in a.items()), spec))
 
 
@@ -415,9 +417,8 @@ def sigma_from_cm(a: LatticeCoefficients, d: CMDecomposition,
     """
     if spec.n != d.n:
         raise ValueError("dimension mismatch between decomposition and grid")
-    check_symbol_budget(spec)
     lo, hi = d.cutoff.support_box()
-    return SymbolGrid(spec, slab=_translate_sum(
+    return SymbolGrid(spec, _translate_sum(
         ((m1 + m2, v) for (m1, m2), v in a.items()), (np.tile(lo, 2), np.tile(hi, 2)), spec,
         evaluate=lambda axes: _cm_on_axes(d, [u.ravel() for u in axes])))
 

@@ -666,17 +666,15 @@ def _estimate_model(a: LatticeCoefficients, exponents, family: str,
     io = {m: i for i, m in enumerate(outs)}
     triples = np.array([(i1[m1], i2[m2], io[tuple(x + y for x, y in zip(m1, m2))])
                         for m1, m2 in a.entries]).T
-    if P:
-        u = np.arange(P) / P
-        pts = np.stack([g.ravel() for g in np.meshgrid(*(u,) * a.n, indexing="ij")], axis=-1)
+    if P:  # e^{2 pi i m.k/P} at the torus point k/P is roots[m.k mod P], an exact index
+        roots = np.exp(2j * np.pi * np.arange(P) / P)
+        pts = np.indices((P,) * a.n).reshape(a.n, -1)
     E = []
     for modes in (box1, box2, outs):
         if P:
             check_budget(len(modes) * P ** a.n, "torus phase matrix")
-            dots = pts @ np.asarray(modes, dtype=float).T  # (P^n, len(modes))
-            phases = np.multiply(2j * np.pi, dots, out=np.empty(dots.shape, dtype=complex))
-            del dots  # one complex buffer at the peak, not three arrays
-        E.append(np.exp(phases, out=phases).T if P else np.eye(len(modes), dtype=complex))
+            k = np.asarray(modes) @ pts  # (len(modes), P^n)
+        E.append(roots[np.remainder(k, P, out=k)] if P else np.eye(len(modes), dtype=complex))
     model = _Model(index=triples, coef=np.array([v / anorm for v in a.entries.values()]),
                    sizes=(len(box1), len(box2), len(outs)), E=tuple(E),
                    exponents=exponents, weight=float(P) ** (-a.n) if P else 1.0)

@@ -410,7 +410,7 @@ def test_transfer_runs_n2_at_working_grid(tmp_path, space):
     # all-2 exponents its ratio is the n = 2 Plancherel constant
     # ||g||_2 / (||F^-1 theta1||_2 ||F^-1 theta2||_2)
     doc = dict(_TRANSFER, n=2, space=space, a={"random": {"radius": 1, "count": 9, "seed": 4}},
-               search={"starts": 2, "steps": 2, "torus_points": 16})
+               search={"starts": 2, "steps": 2})
     out = tmp_path / "o"
     assert main(["transfer", "--config", _write(tmp_path, "cfg.json", doc),
                  "--out", str(out), "--grid", "8,32"]) == 0
@@ -593,8 +593,11 @@ def test_unknown_key_in_any_block_is_config_error(tmp_path, capsys, command, doc
     ("synth", {"n": 1, "phi": "tensor-0.4", "a": {"entries": [[[0], [0], 1, 0]]},
                "cm": {"M": 8.5}}),
     ("scaling", _with(_SCALING, ("scaling", "s"), 8.5)),
+    ("transfer", _with(_TRANSFER, ("n",), "1")),
+    ("transfer", _with(_TRANSFER, ("search", "starts"), "3")),
+    ("transfer", _with(_TRANSFER, ("grid", "L"), "8")),
 ], ids=["search-starts", "grid-L", "n", "seed", "a-random-count", "a-family-members",
-        "cm-M", "scaling-s"])
+        "cm-M", "scaling-s", "n-string", "search-starts-string", "grid-L-string"])
 def test_non_integral_integer_field_is_config_error(tmp_path, capsys, command, doc):
     assert _exit_code(tmp_path, capsys, command, doc) == 2
 
@@ -628,8 +631,13 @@ _SYNTH = {"n": 1, "phi": "tensor-0.4", "a": {"entries": [[[0], [0], 1.0, 0.0]]},
     ("synth", _with(_SYNTH, ("cm", "K"), "nan")),
     ("synth", _with(_SYNTH, ("cm", "K"), float("nan"))),
     ("synth", _with(_SYNTH, ("cm", "K"), 1.0)),
+    ("synth", _with(_SYNTH, ("cm", "K"), "4")),
+    ("scaling", _with(_SCALING, ("scaling", "epsilons"), ["0.5", 0.25, 0.125])),
+    ("transfer", _with(_TRANSFER, ("window", "outer"), "0.6")),
+    ("transfer", _with(_TRANSFER, ("exponents",), ["2", 2, 2, 2, 2, 2])),
 ], ids=["epsilons-x", "entry-three-items", "entry-re-x", "entry-index-length",
-        "entry-index-non-integral", "cm-K-nan-string", "cm-K-NaN", "cm-K-too-small"])
+        "entry-index-non-integral", "cm-K-nan-string", "cm-K-NaN", "cm-K-too-small",
+        "cm-K-string", "epsilons-string", "window-outer-string", "exponent-string"])
 def test_bad_float_field_or_entry_row_is_config_error(tmp_path, capsys, command, doc):
     assert _exit_code(tmp_path, capsys, command, doc) == 2
 

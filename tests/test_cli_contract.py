@@ -31,13 +31,13 @@ _TRANSFER = _with(_with(_with(_TRANSFER, ("a_family", "members"), 1),
 _SCALING = next(b for b in _BLOCKS if "scaling" in b)
 # the transfer keys an opnorm run of the model families (S, T_period) reads,
 # on one random a, with only the search keys both read; T_aPhi reads grid,
-# phi, space and window in place of search
+# phi and space in place of search (and window only in Wiener space)
 _OPNORM = dict({k: v for k, v in _TRANSFER.items()
                 if k not in ("a_family", "grid", "phi", "space", "window")},
                a={"random": {"radius": 1, "count": 9, "seed": 3}},
                search={k: _TRANSFER["search"][k] for k in ("starts", "steps")})
 _OPNORM_T_APHI = dict({k: v for k, v in _OPNORM.items() if k != "search"}, family="T_aPhi",
-                      **{k: _TRANSFER[k] for k in ("grid", "phi", "space", "window")})
+                      **{k: _TRANSFER[k] for k in ("grid", "phi", "space")})
 _SYNTH = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4",
           "a": {"random": {"radius": 1, "count": 9, "seed": 3}}, "cm": {"M": 8}}
 _DECOMPOSE = {"n": 1, "phi": "tensor-0.4", "cm": {"M": 16}}
@@ -218,8 +218,10 @@ def test_config_that_is_not_a_regular_file_is_config_error(command, config, tmp_
 
 # keys that no reader of the run uses were accepted and ignored: the model
 # families of opnorm read no grid (nor --grid), phi, space, window or
-# search.stability_bound, S no search.torus_points, T_aPhi reads no search,
-# and a transfer with an a_family reads no a
+# search.stability_bound, S no search.torus_points, T_aPhi reads no search
+# and in amalgam space no window, a transfer with an a_family reads no a and
+# in Wiener space (the S model) no search.torus_points, and a scaling run
+# with no Wiener row or verdict reads no window
 _MODEL_UNREAD = ("grid", "phi", "space", "window")
 _SEARCH_UNREAD = [("S", "stability_bound", 77), ("T_period", "stability_bound", 77),
                   ("S", "torus_points", 999)]
@@ -233,11 +235,17 @@ _SEARCH_UNREAD = [("S", "stability_bound", 77), ("T_period", "stability_bound", 
     *(("opnorm", _with(dict(_OPNORM, family=family), ("search", key), value),
        f"search.{key}", ()) for family, key, value in _SEARCH_UNREAD),
     ("opnorm", dict(_OPNORM_T_APHI, search=_TRANSFER["search"]), "search", ()),
+    ("opnorm", dict(_OPNORM_T_APHI, window=_TRANSFER["window"]), "window", ()),
     ("transfer", dict(_TRANSFER, a={"entries": "garbage"}), "a", ()),
+    ("transfer", _with(dict(_TRANSFER, space="wiener"), ("search", "torus_points"), 64),
+     "search.torus_points", ()),
+    ("scaling", dict(_with(_SCALING, ("scaling", "wiener_p"), []), window={"outer": 0.6}),
+     "window", ()),
 ], ids=[f"{family}-{key}" for family in ("S", "T_period") for key in _MODEL_UNREAD]
     + ["S-grid-flag", "T_period-grid-flag"]
     + [f"{family}-search-{key}" for family, key, _v in _SEARCH_UNREAD]
-    + ["T_aPhi-search", "transfer-a-and-a_family"])
+    + ["T_aPhi-search", "T_aPhi-amalgam-window", "transfer-a-and-a_family",
+       "transfer-wiener-search-torus_points", "scaling-no-wiener-window"])
 def test_key_the_run_does_not_read_is_one_config_error_and_no_report(command, doc, key, extra,
                                                                      tmp_path, capsys):
     code = main([command, "--config", _write(tmp_path, "cfg.json", doc),

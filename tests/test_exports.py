@@ -10,7 +10,7 @@ import latticebump
 
 MODULES = ("grid", "bumps", "symbols", "operators", "norms", "transference", "scalinglab")
 # names retired because no command, benchmark workload or report read them
-RETIRED = ("_multiplier_samples", "apply_linear_mult", "_plateau_band")
+RETIRED = ("_multiplier_samples", "apply_linear_mult", "_plateau_band", "check_symbol_budget")
 RETIRED_FIELDS = {("transference", "WitnessPair"): ("provenance", "g", "m"),
                   ("transference", "FactorizationCheck"): ("lhs_max", "rhs_max"),
                   ("scalinglab", "ProductScaling"): ("smallest_eps",),

@@ -25,7 +25,7 @@ from latticebump.symbols import (CMDecomposition, _cm_rows, _contract, cm_decomp
                                  sigma_eval, synth_sigma, SymbolGrid)
 from latticebump.norms import wiener_band_values
 from latticebump.transference import build_amalgam_witness
-from latticebump import operators, transference
+from latticebump import grid, operators, transference
 from latticebump.cli import main
 
 from test_symbols import _dense_synth_sigma
@@ -126,7 +126,7 @@ def test_T_period_coefficients_equal_S(rng):
 
 
 def test_T_sigma_constant_symbol_is_product(spec):
-    one = SymbolGrid(spec, np.ones((spec.N, spec.N), complex))
+    one = SymbolGrid.from_dense(spec, np.ones((spec.N, spec.N), complex))
     f1, f2 = _band_limited(spec, 5), _band_limited(spec, 6)
     out = apply_T_sigma(one, f1, f2)
     prod = f1.samples * f2.samples
@@ -134,7 +134,7 @@ def test_T_sigma_constant_symbol_is_product(spec):
 
 
 def test_T_sigma_zero_symbol(spec):
-    zero = SymbolGrid(spec, np.zeros((spec.N, spec.N), complex))
+    zero = SymbolGrid.from_dense(spec, np.zeros((spec.N, spec.N), complex))
     f1, f2 = _band_limited(spec, 7), _band_limited(spec, 8)
     assert np.all(apply_T_sigma(zero, f1, f2).samples == 0)
 
@@ -143,7 +143,7 @@ def test_T_sigma_separable_matches_linear_composition(spec):
     m1 = make_bump(1, "tensor-exp", radius=3.0)
     m2 = make_plateau(1, 2.0, 4.0)
     xi = spec.axis_xi()
-    sep = SymbolGrid(spec, np.outer(bump_eval_axes(m1, [xi]), bump_eval_axes(m2, [xi])))
+    sep = SymbolGrid.from_dense(spec, np.outer(bump_eval_axes(m1, [xi]), bump_eval_axes(m2, [xi])))
     f1, f2 = _band_limited(spec, 9), _band_limited(spec, 10)
     lhs = apply_T_sigma(sep, f1, f2).samples
     rhs = _linear_mult(m1, f1).samples * _linear_mult(m2, f2).samples
@@ -160,7 +160,7 @@ def test_T_sigma_bilinear(spec, phi04):
 
 
 def test_T_sigma_warns_on_aliasing(spec):
-    one = SymbolGrid(spec, np.ones((spec.N, spec.N), complex))
+    one = SymbolGrid.from_dense(spec, np.ones((spec.N, spec.N), complex))
     f = _band_limited(spec, 14, frac=1.5)  # too wide: products fold
     with pytest.warns(AliasingWarning):
         apply_T_sigma(one, f, f)
@@ -193,7 +193,7 @@ def _dense_T_sigma(sigma, f1, f2, alias_tol=1e-12):
     return N**n * np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(G)))
 
 
-def _witness_inputs(n, L, s, seed):
+def _witness(n, L, s, seed):
     spec = make_grid(n, L, s)
     phi = make_bump(2 * n, "tensor-exp", radius=0.4)
     cb = check_condition_B(phi)
@@ -203,7 +203,11 @@ def _witness_inputs(n, L, s, seed):
     F1, F2 = (TrigPolynomial(n, {tuple(c - 1 for c in m): complex(*rng.standard_normal(2))
                                  for m in modes}) for _ in range(2))
     w = build_amalgam_witness(F1, F2, theta, spec)
-    a = random_lattice_coefficients(n, 1, 9, seed=seed)
+    return spec, phi, random_lattice_coefficients(n, 1, 9, seed=seed), w
+
+
+def _witness_inputs(n, L, s, seed):
+    spec, phi, a, w = _witness(n, L, s, seed)
     return spec, phi, a, w.f1, w.f2
 
 
@@ -230,7 +234,7 @@ def test_T_sigma_equals_dense_reference_bitwise(spec, phi04):
 
 
 def test_T_sigma_equals_dense_reference_when_aliasing(spec):
-    one = SymbolGrid(spec, np.ones((spec.N, spec.N), complex))
+    one = SymbolGrid.from_dense(spec, np.ones((spec.N, spec.N), complex))
     f = _band_limited(spec, 14, frac=1.5)
     with pytest.warns(AliasingWarning):
         ref = _dense_T_sigma(one, f, f)
@@ -701,7 +705,7 @@ def test_synth_and_T_sigma_never_hold_the_dense_symbol():
     finally:
         tracemalloc.stop()
     assert peak <= dense / 16, f"peak {peak / 2**20:.2f} MiB"
-    ref = apply_T_sigma(SymbolGrid(spec, synth_sigma(a, phi, spec).samples), f1, f2)
+    ref = apply_T_sigma(SymbolGrid.from_dense(spec, synth_sigma(a, phi, spec).samples), f1, f2)
     assert np.array_equal(out.samples.view(np.uint64), ref.samples.view(np.uint64))
 
 
@@ -715,7 +719,7 @@ def test_T_sigma_rejects_non_finite_samples(spec, phi04, where, bad):
     if where == "symbol":  # the samples are read-only: edit a copy
         edited = sigma.samples.copy()
         edited[(0,) * edited.ndim] = bad
-        sigma = SymbolGrid(spec, edited)
+        sigma = SymbolGrid.from_dense(spec, edited)
     else:
         target = {"f1": f1, "f2": f2}[where]
         target.samples[(0,) * target.samples.ndim] = bad
@@ -748,7 +752,7 @@ def test_T_sigma_weights_the_rows_and_columns_of_the_nonzero_samples(n, value, m
     grouped_sum = operators._grouped_sum
     monkeypatch.setattr(operators, "_grouped_sum", lambda sigma_at, F1, F2, spec:
                         seen.append((F1, F2)) or grouped_sum(sigma_at, F1, F2, spec))
-    got = apply_T_sigma(SymbolGrid(sigma.spec, edited), f1, f2).samples
+    got = apply_T_sigma(SymbolGrid.from_dense(sigma.spec, edited), f1, f2).samples
     size = sigma.spec.N ** n
     nonzero = (edited != 0).reshape(size, size)
     (F1, F2), = seen
@@ -777,14 +781,14 @@ def test_T_sigma_refuses_a_non_finite_sample_anywhere(n, bad):
         edited = clean.copy()
         edited.reshape(size, size)[where] = bad
         with pytest.raises(ValueError, match="symbol has non-finite samples"):
-            apply_T_sigma(SymbolGrid(sigma.spec, edited), f1, f2)
+            apply_T_sigma(SymbolGrid.from_dense(sigma.spec, edited), f1, f2)
 
 
 def test_symbol_samples_are_a_new_read_only_array_on_every_read(spec, phi04):
     # an in-place edit of the dense samples could never reach the symbol:
     # it raises instead of being lost
     for sigma in (synth_sigma(lattice_delta(1), phi04, spec),
-                  SymbolGrid(spec, np.ones((spec.N, spec.N), complex))):
+                  SymbolGrid.from_dense(spec, np.ones((spec.N, spec.N), complex))):
         first = sigma.samples
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0] = 7.0
@@ -809,6 +813,53 @@ def test_synth_round_trip_through_load_keeps_T_sigma_bitwise_at_n2(tmp_path):
     want = apply_T_sigma(sigma, f1, f2).samples
     got = apply_T_sigma(back, f1, f2).samples
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_slow_reference_runs_n2_at_a_working_grid_as_the_witness_path():
+    # make_grid(2, 8, 32): the dense symbol would hold 2^32 values, which
+    # only SymbolGrid.samples builds; the translates' slab is (25,)^4
+    spec, phi, a, w = _witness(2, 8, 32, 48)
+    tracemalloc.start()
+    try:
+        sigma = synth_sigma(a, phi, spec)
+        slow = apply_T_sigma(sigma, w.f1, w.f2).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    ref = idft(transference._T_aPhi_witness(a, phi, w, spec)).samples
+    assert np.max(np.abs(slow - ref)) <= 1e-12 * np.max(np.abs(ref))
+    with pytest.raises(BudgetError, match="symbol grid"):
+        sigma.samples
+
+
+def test_fast_path_n2_working_grid_within_the_tail_of_the_slow_reference():
+    spec, phi, a, w = _witness(2, 8, 32, 48)
+    slow = apply_T_sigma(synth_sigma(a, phi, spec), w.f1, w.f2).samples
+    d = cm_decompose(phi, M=16)
+    fast = apply_T_aPhi_fast(a, d, w.f1, w.f2).samples
+    l1 = [spec.dxi ** spec.n * np.sum(np.abs(dft(f).samples)) for f in (w.f1, w.f2)]
+    assert np.max(np.abs(fast - slow)) <= d.tail * a.sup_norm() * 4 * l1[0] * l1[1]
+
+
+def test_translate_slab_and_support_pairs_are_refused_before_they_are_allocated(monkeypatch):
+    spec, phi, a, _w = _witness(2, 8, 32, 48)
+    slab = synth_sigma(a, phi, spec)._slab[1]
+    F = np.zeros(spec.shape, complex)
+    F[:40, :40] = 1.0
+    pairs = np.count_nonzero(F) ** 2
+    for refused, call, what in (
+            (slab.size, lambda: synth_sigma(a, phi, spec), "translate slab"),
+            (pairs, lambda: operators._grouped_sum(lambda idx: 1.0, F, F, spec), "support pairs")):
+        monkeypatch.setattr(grid, "MAX_POINTS", refused - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=what):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * refused, what
 
 
 def _timed(fn):

@@ -26,7 +26,7 @@ def _dense_synth_sigma(a, phi, spec):
     """Reference oracle: every translate of Phi evaluated on the whole
     (N,)*(2n) grid and added there, the loop the support slabs replace."""
     axes = np.meshgrid(*(spec.axis_xi(),) * (2 * spec.n), indexing="ij", sparse=True)
-    return SymbolGrid(spec, sigma_eval(a, phi, axes))
+    return SymbolGrid.from_dense(spec, sigma_eval(a, phi, axes))
 
 
 def _dense_sigma_from_cm(a, d, spec):

@@ -28,14 +28,18 @@ per output file.  ``meta.json`` holds wall-clock telemetry and is skipped;
   output records (``op0-records.json``) and every field of each grid's
   amalgam and Wiener factorization checks (``op0-checks.json``, which holds
   the coefficient recovery and the lower-bound gap read from the band
-  stack).
+  stack);
+* the slow reference at n = 2 on the (8, 32) grid, whose dense symbol
+  would hold 2^32 values: the raw bytes of ``apply_T_sigma(synth_sigma(a,
+  phi, make_grid(2, 8, 32)), f1, f2)`` for one seeded amalgam witness
+  (``slow-reference-n2/T.bin``, 0.1 s).
 
 With ``--against DIR`` (the OUT of another checkout), it then prints, for
 each JSON or CSV file whose bytes differ, the largest relative difference
 over its numeric fields, and names every other file that differs or is
 missing on one side (``compare``); any such line makes the exit status 1,
 as a failed config does, so a byte-identical claim is checked by the exit
-status alone.  It uses the standard library, ``latticebump`` and
+status alone.  It uses the standard library, numpy, ``latticebump`` and
 this checkout's ``perfbench/workloads.py``, imported read-only; the
 ``latticebump`` on the import path is the one digested.  The times above
 are single runs on a 2-core Xeon with one BLAS thread; the witness chain
@@ -51,12 +55,15 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
 
-from latticebump import cli
+import numpy as np
+
+from latticebump import cli, grid, operators, symbols, transference
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's witness-chain workload)
@@ -80,6 +87,7 @@ SYNTH = {"n": 1, "grid": {"L": 8, "s": 32}, "phi": "tensor-0.4", "a": A, "cm": {
 SEARCH = {"starts": 4, "steps": 20}
 WITNESS_CHAIN_SEEDS = (5, 41)
 WITNESS_CHAIN_OPS = 3
+SLOW_N2_SEED = 7
 
 
 def _bench_scaling(xi0: float) -> dict:
@@ -154,7 +162,23 @@ def run_all(out: Path) -> list[str]:
             (d / f"op{i}-records.json").write_text(json.dumps(recs, indent=2, sort_keys=True))
             if chain.check(recs):
                 failed.append(f"witness-chain seed {seed} op {i}")
+    slow_reference_n2(out / "slow-reference-n2")
     return failed
+
+
+def slow_reference_n2(d: Path) -> None:
+    """Write ``T.bin``: the slow reference on the (8, 32) grid at n = 2 for a
+    seeded radius-1 a and an amalgam witness on seeded 9-mode F1, F2."""
+    spec, phi = grid.make_grid(2, 8, 32), workloads._phi(2)
+    rng = np.random.default_rng(SLOW_N2_SEED)
+    F1, F2 = (operators.TrigPolynomial(2, {m: complex(*rng.standard_normal(2))
+                                           for m in itertools.product((-1, 0, 1), repeat=2)})
+              for _ in range(2))
+    w = transference.build_amalgam_witness(F1, F2, workloads._theta(phi, spec), spec)
+    a = symbols.random_lattice_coefficients(2, 1, 9, seed=SLOW_N2_SEED)
+    T = operators.apply_T_sigma(symbols.synth_sigma(a, phi, spec), w.f1, w.f2)
+    d.mkdir(parents=True, exist_ok=True)
+    (d / "T.bin").write_bytes(T.samples.tobytes())
 
 
 def outputs(out: Path) -> list[Path]:

@@ -462,13 +462,14 @@ def cmd_scaling(cfg: dict, args, out: Path) -> tuple[dict, int]:
         box_factor=_number(sc.get("box_factor", 192.0), "scaling box_factor"),
         base_radius=_number(sc.get("base_radius", 0.3), "scaling base_radius"))
     kappa = _window_from(cfg, fam.n)
-    # a verdict's product has its spectrum at 2*xi0, and its norms need the
-    # window around that inside the frequency box too
-    reach = 2 * (max(map(abs, fam.xi0)) + fam.epsilons[0] * max(fam.base.radius)) + kappa.outer
+    # a verdict's product has its spectrum at 2*xi0, and a Wiener verdict's
+    # norms need the window around that inside the frequency box too
+    reach = 2 * (max(map(abs, fam.xi0)) + fam.epsilons[0] * max(fam.base.radius)) + (
+        kappa.outer if any(space == "wiener" for space, _rs in verdict_specs) else 0.0)
     if verdict_specs and reach > fam.s / 2:
-        raise ConfigError(f"scaling xi0 {fam.xi0}: the verdict products' spectrum and window "
-                          f"reach {reach:g}, outside the frequency box [-{fam.s / 2:g}, "
-                          f"{fam.s / 2:g}]")
+        raise ConfigError(f"scaling xi0 {fam.xi0}: the verdict products' spectrum (and a "
+                          f"Wiener verdict's window) reach {reach:g}, outside the frequency "
+                          f"box [-{fam.s / 2:g}, {fam.s / 2:g}]")
 
     report: dict = {"seed": seed, "tail_fraction": fam.tail_fraction,
                     "min_q_modulus": fam.min_q_modulus, "slopes": {}}

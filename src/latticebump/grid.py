@@ -14,6 +14,7 @@ Riemann sums on the box/torus and is exactly invertible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -243,13 +244,42 @@ def freq_function(spec: GridSpec, values) -> GridFunction:
     return GridFunction(spec, "frequency", arr)
 
 
-def _centered(transform, a: np.ndarray, axes=None) -> np.ndarray:
+def _whole(a: np.ndarray):
+    """The whole-array slab (slices, values) of ``a``."""
+    return tuple(slice(0, k) for k in a.shape), a
+
+
+def _centered(transform, slab, shape: tuple[int, ...], axes=None) -> np.ndarray:
     """``transform`` (``np.fft.fftn`` or ``np.fft.ifftn``) over ``axes`` (all
-    by default) of centred-order samples, in one buffer: one shifted copy in,
-    transformed in place, one shifted copy out."""
-    buf = np.fft.ifftshift(np.asarray(a, dtype=complex), axes=axes)
+    by default) of the centred ``shape`` array with the (slices, values)
+    ``slab`` (a dense array is its ``_whole`` slab), in one buffer: the
+    values are copied into it in FFT order, at most two runs per axis,
+    transformed in place and shifted back in place, axis by axis.  Only data
+    moves, so the bits are those of ``fftshift(transform(ifftshift(a)))``."""
+    along = range(len(shape)) if axes is None else axes
+    runs = []
+    for j, sl in enumerate(slab[0]):
+        N, h = shape[j], shape[j] // 2 if j in along else 0  # index i sits at (i - h) % N
+        runs.append([(slice((a - h) % N, (a - h) % N + b - a), slice(a - sl.start, b - sl.start))
+                     for a, b in ((sl.start, min(sl.stop, h)), (max(sl.start, h), sl.stop))
+                     if a < b])
+    buf = np.zeros(shape, dtype=complex)
+    for run in itertools.product(*runs):
+        buf[tuple(dst for dst, _src in run)] = slab[1][tuple(src for _dst, src in run)]
     transform(buf, axes=axes, out=buf)
-    return np.fft.fftshift(buf, axes=axes)
+    for j in along:  # roll by h = N // 2; numpy buffers the overlap of an odd N
+        N, h, lead = shape[j], shape[j] // 2, (slice(None),) * j
+        tail = buf[lead + (slice(N - h, N),)].copy()
+        buf[lead + (slice(h, N),)] = buf[lead + (slice(0, N - h),)]
+        buf[lead + (slice(0, h),)] = tail
+    return buf
+
+
+def _idft_samples(slab, spec: GridSpec) -> np.ndarray:
+    """The samples of ``idft`` of the spectrum with (slices, values) ``slab``."""
+    out = _centered(np.fft.ifftn, slab, spec.shape)
+    out *= float(spec.s) ** spec.n
+    return out
 
 
 def dft(f: GridFunction) -> GridFunction:
@@ -259,7 +289,7 @@ def dft(f: GridFunction) -> GridFunction:
     """
     if f.side != "space":
         raise ValueError("dft expects a space-side GridFunction")
-    out = _centered(np.fft.fftn, f.samples)
+    out = _centered(np.fft.fftn, _whole(f.samples), f.spec.shape)
     out *= f.spec.h**f.spec.n
     return GridFunction(f.spec, "frequency", out)
 
@@ -268,9 +298,7 @@ def idft(F: GridFunction) -> GridFunction:
     """Inverse transform: f(x_i) = (1/L)^n * sum_k F(xi_k) e^{+2pi i x_i.xi_k}."""
     if F.side != "frequency":
         raise ValueError("idft expects a frequency-side GridFunction")
-    out = _centered(np.fft.ifftn, F.samples)
-    out *= float(F.spec.s) ** F.spec.n
-    return GridFunction(F.spec, "space", out)
+    return GridFunction(F.spec, "space", _idft_samples(_whole(F.samples), F.spec))
 
 
 def poisson_check(f: GridFunction, xi, x, M: int) -> tuple[complex, complex]:

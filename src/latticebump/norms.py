@@ -8,11 +8,11 @@ cube's samples form one contiguous cyclic block of s points per axis, which
 the amalgam norm exploits by rolling and reshaping.  The Wiener amalgam norm
 is read from band projections kappa(D - k) f, a frequency-side object: it
 takes f on either side, and a spectrum the caller already holds costs no
-forward transform.  Bands and windows are read on the slab of the
-spectrum's nonzeros: a band whose window times the spectrum is 0 there gets
-an exact-zero row and no transform, a live band is transformed in place on
-its stack row, and where a single plateau covers the spectrum the stack's
-pool is |idft(f)| and needs no band (``_wiener_l2`` tells).  At
+forward transform.  Bands and windows are read from a spectrum slab, on
+the slab of its nonzeros: a band whose window times the spectrum is 0 there
+gets an exact-zero row and no transform, a live band is transformed from
+its slab, and where a single plateau covers the spectrum the stack's pool
+is |idft(f)| and needs no band (``_wiener_l2`` tells).  At
 p = q = 2 discrete Plancherel, band by band, makes the norm a weighted l^2
 of the spectrum F, (L^-n sum_xi omega(xi)^2 |F(xi)|^2)^(1/2) with omega^2 =
 sum_k kappa(xi - k - offset)^2 over the covering bands (``_wiener_l2``): no
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Window, window_eval_axes
-from .grid import GridFunction, _axis_spans, _nonzero_slab, dft
+from .grid import GridFunction, _axis_spans, _idft_samples, _nonzero_slab, _whole, dft
 from .operators import TrigPolynomial
 
 __all__ = [
@@ -187,14 +187,15 @@ def _cube_norms(samples: np.ndarray, spec, p: float) -> np.ndarray:
     return _power_norm(blocks, p, weight=spec.h**spec.n, axis=1)
 
 
-def _band_windows(F: np.ndarray, spec, kappa: Window, offset):
-    """(bands, (slab, values), windows): the minimal covering set of bands of
-    the box of F's entries above SUPPORT_TOL of the peak, the bounding slab
-    of F's exact nonzeros and F on it (``grid._nonzero_slab``; empty for a
-    zero F), and each band's window kappa(xi - mu - offset) on that slab,
-    yielded one at a time."""
+def _band_windows(slab, spec, kappa: Window, offset):
+    """(bands, (slab, values), windows) of the spectrum with (slices, values)
+    ``slab`` (a dense one is its ``grid._whole`` slab): the minimal covering
+    bands of the box of its entries above SUPPORT_TOL of the peak, its
+    nonzero slab (``grid._nonzero_slab``, offset by the slab's origin; empty
+    for 0) and each band's window kappa(xi - mu - offset) there, lazily."""
     off = np.zeros(spec.n) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
-    slab, F_slab = _nonzero_slab(F)
+    local, F_slab = _nonzero_slab(slab[1])
+    slab = tuple(slice(o.start + sl.start, o.start + sl.stop) for o, sl in zip(slab[0], local))
     if not F_slab.size:
         return [], (slab, F_slab), iter(())
     mags = np.abs(F_slab)
@@ -216,9 +217,10 @@ def _band_windows(F: np.ndarray, spec, kappa: Window, offset):
         for mu in bands)
 
 
-def _wiener_l2(F: np.ndarray, spec, kappa: Window, offset) -> tuple[float, bool]:
-    """The W^{2,2} norm of the function with spectrum F, and whether a single
-    plateau covers F, from one pass over the covering bands' windows.
+def _wiener_l2(slab, spec, kappa: Window, offset) -> tuple[float, bool]:
+    """The W^{2,2} norm of the function whose spectrum F has the (slices,
+    values) ``slab``, and whether a single plateau covers F, from one pass
+    over the covering bands' windows (``_band_windows``).
 
     Discrete Plancherel band by band makes the norm a weighted l^2 of the
     spectrum, (dxi^n sum omega^2 |F|^2)^(1/2) with omega^2 = sum_k
@@ -227,7 +229,7 @@ def _wiener_l2(F: np.ndarray, spec, kappa: Window, offset) -> tuple[float, bool]
     that slab and every other band's is 0: then omega^2 is 1 there and the
     pointwise l^2 pool of the band stack is |idft(F)| bit for bit.
     """
-    _bands, (_slab, F_slab), windows = _band_windows(F, spec, kappa, offset)
+    _bands, (_slab, F_slab), windows = _band_windows(slab, spec, kappa, offset)
     if not F_slab.size:
         return 0.0, False
     omega2 = np.zeros(F_slab.shape)
@@ -258,22 +260,18 @@ def wiener_band_values(f: GridFunction, kappa: Window, offset=None):
     is evaluated only on the bounding slab of the spectrum's exact nonzeros:
     outside it the product with the spectrum is exactly 0 anyway.  A band
     whose product with the spectrum is 0 on the whole slab keeps its place
-    with an exact-zero row and no transform.  Each live band is written on
-    its row in FFT (ifftshifted) order, transformed there in place and
-    shifted back: the samples of one centred transform per band, with one
-    row-sized temporary.  Non-finite samples on either side are refused.
+    with an exact-zero row and no transform; a live band's row is the
+    inverse transform of its slab (``grid._idft_samples``).  Non-finite
+    samples on either side are refused.
     """
     spec = f.spec
     F = _spectrum(f)
-    bands, (slab, F_slab), windows = _band_windows(F, spec, kappa, offset)
+    bands, (slab, F_slab), windows = _band_windows(_whole(F), spec, kappa, offset)
     stack = np.zeros((len(bands),) + spec.shape, dtype=complex)
-    at = np.ix_(*((np.arange(sl.start, sl.stop) - spec.N // 2) % spec.N for sl in slab))
     for row, window in zip(stack, windows):
         band = window * F_slab
         if band.any():
-            row[at] = band
-            np.fft.ifftn(row, out=row)
-            np.multiply(spec.s**spec.n, np.fft.fftshift(row), out=row)
+            row[...] = _idft_samples((slab, band), spec)
     return bands, stack
 
 
@@ -290,7 +288,7 @@ def wiener_norm(f: GridFunction, p: float, q: float, kappa: Window,
     """
     p, q = check_exponent(p), check_exponent(q)
     if p == q == 2.0:
-        return _wiener_l2(_spectrum(f), f.spec, kappa, offset)[0]
+        return _wiener_l2(_whole(_spectrum(f)), f.spec, kappa, offset)[0]
     return _pooled_band_norm(wiener_band_values(f, kappa, offset=offset)[1], f.spec, p, q)
 
 

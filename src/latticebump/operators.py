@@ -4,8 +4,9 @@
   T(x) = (1/L)^(2n) sum_{xi1,xi2} sigma fhat1 fhat2 e^{2pi i x.(xi1+xi2)},
   summed over the support pairs of the two spectra that sigma can weight,
   read from its support slab, grouped by the output frequency
-  zeta = xi1+xi2 (``_grouped_sum``, which returns T's spectrum and also
-  serves the witness path of transference and scalinglab's products).
+  zeta = xi1+xi2 (``_grouped_sum``, which takes the spectra as slabs and
+  returns T's spectrum as its slab, and also serves the witness path of
+  transference and scalinglab's products).
 * ``apply_T_aPhi_fast`` -- the same operator for lattice-bump symbols through
   the truncated decomposition's side factors b = sum_r outer(w1_r, w2_r):
   one inverse transform per side over its stack of band projections, never
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Window, window_eval_axes
-from .grid import (GridFunction, GridSpec, _as_int_tuple, _padded_slice, check_budget, dft,
-                   idft)
+from .grid import (GridFunction, GridSpec, _as_int_tuple, _idft_samples, _padded_slice, _whole,
+                   check_budget, dft, idft)
 from .symbols import CMDecomposition, LatticeCoefficients, SymbolGrid, _cm_rows, _contract
 
 __all__ = [
@@ -118,39 +119,40 @@ def apply_T_period(a: LatticeCoefficients, F1: TrigPolynomial,
     return TrigPolynomial(a.n, s.entries)
 
 
-def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> GridFunction:
-    """The spectrum, in the ``dft`` convention, of
-    T = (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)}; T itself
-    is its ``idft``.
+def _grouped_sum(sigma_at, slab1, slab2, spec: GridSpec):
+    """The spectrum slab, in the ``dft`` convention, of
+    T = (1/L)^(2n) sum_{xi1,xi2} sigma F1 F2 e^{2pi i x.(xi1+xi2)} for the
+    (slices, values) slabs of F1 and F2: the bounding box of the folded
+    output indices (empty for no pairs) and L^n G on it.  T is its inverse
+    transform (``grid._idft_samples``); ``_embed`` makes the whole spectrum.
 
-    The double sum runs over the support pairs only: ``sigma_at(idx)`` gives
-    the symbol at the 2n per-axis frequency indices ``idx`` (those of xi1,
-    then those of xi2), which broadcast to one row per nonzero F1 entry and
-    one column per nonzero F2 entry (over MAX_POINTS such pairs are refused
-    before they are built).  Exact zeros only add +-0 to the
-    sequential bincount sums, so skipping them changes no bit.  Output
-    frequencies are grouped per axis modulo the box into G; the folded share
-    of the mass is checked against ALIAS_TOL.  The spectrum is L^n * G: a
-    caller that reads only the spectrum runs no transform, and one that reads
-    T's samples calls ``idft``, so every caller sees the same T bit for bit.
-    """
+    The sum runs over the support pairs only, in the grid's C order:
+    ``sigma_at(idx)`` gives the symbol at the 2n per-axis frequency indices
+    ``idx`` (xi1's, then xi2's), broadcast to one row per nonzero F1 entry
+    and one column per nonzero F2 entry (over MAX_POINTS pairs are refused
+    before they are built).  Output frequencies fold per axis modulo the
+    box into G, one sequential bincount per part, so each bin sums the
+    weights of the whole-grid sum in its order; the folded share of the
+    mass is checked against ALIAS_TOL."""
     n, N = spec.n, spec.N
-    i1 = np.flatnonzero(F1 != 0)
-    i2 = i1 if F2 is F1 else np.flatnonzero(F2 != 0)
-    u1 = tuple(u[:, None] for u in np.unravel_index(i1, spec.shape))
-    u2 = tuple(u[None, :] for u in np.unravel_index(i2, spec.shape))
-    check_budget(len(i1) * len(i2), "support pairs")
-    W = sigma_at(u1 + u2) * np.outer(F1.ravel()[i1], F2.ravel()[i2]) * spec.dxi ** (2 * n)
-
-    flat_idx = 0
-    outside = np.zeros(W.shape, dtype=bool)
-    for v1, v2 in zip(u1, u2):
-        m = v1 + v2  # in [0, 2N-2], frequency (m - N)/L
-        outside |= (m < N // 2) | (m >= N + N // 2)
-        flat_idx = flat_idx * N + (m - N // 2) % N
-    flat_idx = flat_idx.ravel()
-    G = (np.bincount(flat_idx, weights=W.real.ravel(), minlength=N**n)
-         + 1j * np.bincount(flat_idx, weights=W.imag.ravel(), minlength=N**n))
+    (u1, v1), (u2, v2) = (
+        ([u + sl.start for u, sl in zip(np.unravel_index(i, values.shape), slices)],
+         values.ravel()[i]) for slices, values in (slab1, slab2) for i in [np.flatnonzero(values)])
+    u1, u2 = tuple(u[:, None] for u in u1), tuple(u[None, :] for u in u2)
+    check_budget(len(v1) * len(v2), "support pairs")
+    W = sigma_at(u1 + u2) * np.outer(v1, v2) * spec.dxi ** (2 * n)
+    if not W.size:
+        return (slice(0, 0),) * n, np.zeros((0,) * n, dtype=complex)
+    outside, folded = False, []
+    for a, b in zip(u1, u2):
+        m = a + b  # in [0, 2N-2], frequency (m - N)/L
+        outside = outside | (m < N // 2) | (m >= N + N // 2)
+        folded.append((m - N // 2) % N)
+    lo = [int(k.min()) for k in folded]
+    shape = tuple(int(k.max()) + 1 - low for k, low in zip(folded, lo))
+    flat_idx = np.ravel_multi_index([k - low for k, low in zip(folded, lo)], shape).ravel()
+    G = (np.bincount(flat_idx, weights=W.real.ravel(), minlength=np.prod(shape))
+         + 1j * np.bincount(flat_idx, weights=W.imag.ravel(), minlength=np.prod(shape)))
 
     total = float(np.sum(np.abs(W)))
     if total > 0:
@@ -158,10 +160,7 @@ def _grouped_sum(sigma_at, F1: np.ndarray, F2: np.ndarray, spec: GridSpec) -> Gr
         if frac > ALIAS_TOL:
             warnings.warn(f"bilinear output folded {frac:.2e} of its mass back "
                           f"into the frequency box", AliasingWarning, stacklevel=3)
-
-    G = G.reshape(spec.shape)
-    G *= spec.L**n
-    return GridFunction(spec, "frequency", G)
+    return tuple(slice(low, low + k) for low, k in zip(lo, shape)), G.reshape(shape) * spec.L**n
 
 
 def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> GridFunction:
@@ -184,8 +183,9 @@ def apply_T_sigma(sigma: SymbolGrid, f1: GridFunction, f2: GridFunction) -> Grid
     for what, x in (("symbol", block), ("f1", f1.samples), ("f2", f2.samples)):
         if not np.isfinite(x).all():
             raise ValueError(f"{what} has non-finite samples")
-    return idft(_grouped_sum(at, np.where(rows.reshape(spec.shape), dft(f1).samples, 0),
-                             np.where(cols.reshape(spec.shape), dft(f2).samples, 0), spec))
+    return GridFunction(spec, "space", _idft_samples(_grouped_sum(
+        at, _whole(np.where(rows.reshape(spec.shape), dft(f1).samples, 0)),
+        _whole(np.where(cols.reshape(spec.shape), dft(f2).samples, 0)), spec), spec))
 
 
 def band_project(kappa: Window, mu, f: GridFunction, offset=None) -> GridFunction:

@@ -22,19 +22,21 @@ norms grow like eps^{-n/q} whatever the inner p, Wiener norms like
 eps^{-n/p} whatever the outer q), so it is fixed at 2 in one place,
 ``_norms``.  Every measurement runs in one eps-major pass
 (``_scaling_pass``, behind ``scaling_slopes``, ``bilinear_product_scaling``
-and the ``scaling`` command): each eps builds f_hat once, on its support
-slab, transforms it once and takes |f_eps| once, for the per-cube L^2
-profile (amalgam), sup |f_eps| and the Wiener pool.  The band lattice is
-offset to xi0 and the support radius stays under the window plateau, so one
-band's window is exactly 1 on the spectrum's slab and the pool of the band
-stack is |f_eps| bit for bit (``norms._wiener_l2`` checks it; where it
-fails the stack is built from f_hat).  Every exponent of a space reads one
-normalised reduction, except the Wiener p = 2: W^{2,2} is the weighted l^2
-of f_hat, read in the same pass over the windows.  The same f_hat gives the spectrum of the product
-T_sigma(f_eps, f_eps), and T is its idft, so the same single-plateau rule
-(offset to 2 xi0) serves it: |T| gives its cube profile, the core minimum
-and its Wiener pool.  So each eps makes two inverse transforms, and its
-arrays are gone before the next eps is built.
+and the ``scaling`` command) that holds every spectrum as its support slab
+until it is transformed: f_hat's from ``bumps._bump_translates``
+(``ScalingFamily.f_hat_slab``; ``f_hat`` embeds it), that of the product
+T_sigma(f_eps, f_eps) from ``operators._grouped_sum``.  Each eps transforms
+each slab once (``grid._idft_samples``) and takes its modulus once, for the
+per-cube L^2 profile (amalgam), sup |f_eps|, the core minimum of |T| and the
+Wiener pool: the band lattice is offset to xi0 (2 xi0 for T) and the
+support radius stays under the window plateau, so one band's window is
+exactly 1 on the slab and the pool of the band stack is the modulus bit for
+bit (``norms._wiener_l2`` reads the slab and checks it; where it fails the
+stack is built from the embedded spectrum).  Every exponent of a space
+reads one normalised reduction, except the Wiener p = 2: W^{2,2} is the
+weighted l^2 of the slab, read in the same pass over the windows.  So each
+eps makes two inverse transforms, their buffers are its only whole-grid
+spectra, and its arrays are gone before the next eps is built.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import BumpProfile, Window, _axis_factor, _bump_translates, make_bump
-from .grid import GridFunction, GridSpec, _embed, idft, make_grid
+from .grid import GridFunction, GridSpec, _embed, _idft_samples, idft, make_grid
 from .norms import (_cube_norms, _power_norm, _power_norms, _wiener_l2, check_exponent,
                     loglog_slope, wiener_band_values)
 from .operators import _grouped_sum
@@ -117,14 +119,16 @@ class ScalingFamily:
             inner=None if self.base.inner is None
             else tuple(eps * r for r in self.base.inner))
 
-    def f_hat(self, eps: float) -> GridFunction:
-        """Frequency samples eps^{-n} phihat(eps^{-1}(xi - xi0)): the one
-        translate (0, 1) of the scaled profile times eps^{-n}, written on its
-        support slab and embedded in the whole grid."""
+    def f_hat_slab(self, eps: float):
+        """The support slab (slices, values) of eps^{-n} phihat(eps^{-1}(xi - xi0)):
+        the one translate (0, 1) of the scaled profile times eps^{-n}."""
         prof = self.scaled_profile(eps).scaled(eps ** (-self.n))
+        return _bump_translates(prof, [((0,) * self.n, 1.0)], self.specs[eps])
+
+    def f_hat(self, eps: float) -> GridFunction:
+        """The frequency samples of f_eps: ``f_hat_slab`` on the whole grid."""
         spec = self.specs[eps]
-        slab = _bump_translates(prof, [((0,) * self.n, 1.0)], spec)
-        return GridFunction(spec, "frequency", _embed(slab, spec.shape))
+        return GridFunction(spec, "frequency", _embed(self.f_hat_slab(eps), spec.shape))
 
     def f(self, eps: float) -> GridFunction:
         return idft(self.f_hat(eps))
@@ -245,16 +249,13 @@ def _check_space(space: str, kappa: Window | None) -> None:
         raise ValueError("wiener measurement needs a window")
 
 
-def _norms(mod: np.ndarray, ghat: GridFunction, measurements, kappa: Window | None,
+def _norms(mod: np.ndarray, slab, spec: GridSpec, measurements, kappa: Window | None,
            offset) -> list[float]:
-    """The norm for each (space, r) in ``measurements`` of the function with
-    spectrum ``ghat`` and space-side modulus ``mod`` = |idft(ghat)|: its
-    amalgam (L^2, l^r) or Wiener W^{r,2} norm, one reduction and
-    normalisation per space.  The Wiener W^{2,2} norm is the weighted l^2 of
-    the spectrum (``_wiener_l2``); the same pass over the windows tells
-    whether a single plateau covers the spectrum, and then the Wiener pool
-    of every other r is ``mod``."""
-    spec = ghat.spec
+    """The amalgam (L^2, l^r) or Wiener W^{r,2} norm for each (space, r) in
+    ``measurements`` of the function with spectrum slab ``slab`` and modulus
+    ``mod``, one reduction per space.  W^{2,2} is the weighted l^2 of the
+    slab (``_wiener_l2``), which also tells whether a single plateau covers
+    it: then the Wiener pool of every other r is ``mod``, else the stack's."""
     norms = {}
     for space in dict.fromkeys(space for space, _r in measurements):
         rs = list(dict.fromkeys(r for sp, r in measurements if sp == space))
@@ -262,43 +263,38 @@ def _norms(mod: np.ndarray, ghat: GridFunction, measurements, kappa: Window | No
             norms.update(zip(((space, r) for r in rs),
                              _power_norms(_cube_norms(mod, spec, 2.0), rs)))
             continue
-        norms[space, 2.0], plateau = _wiener_l2(ghat.samples, spec, kappa, offset)
+        norms[space, 2.0], plateau = _wiener_l2(slab, spec, kappa, offset)
         rs = [r for r in rs if r != 2.0]
         if rs:
-            pool = mod if plateau else _power_norm(
-                wiener_band_values(ghat, kappa, offset=offset)[1], 2.0, axis=0)
+            pool = mod if plateau else _power_norm(wiener_band_values(
+                GridFunction(spec, "frequency", _embed(slab, spec.shape)), kappa,
+                offset=offset)[1], 2.0, axis=0)
             norms.update(zip(((space, r) for r in rs), _power_norms(pool, rs, spec.h**spec.n)))
     return [norms[m] for m in measurements]
 
 
-def _product_row(fam: ScalingFamily, e: float, fh: GridFunction, products, kappa,
-                 sigma_fn) -> tuple[list[float], float | None]:
-    """The (space, r) norms of T_sigma(f_eps, f_eps), formed from the
-    spectrum ``fh`` of f_eps, and min |T| on the core box |x| <= 1/(2 eps) at
-    the smallest eps."""
-    spec = fam.specs[e]
-    xi = spec.axis_xi()
-    T_hat = _grouped_sum(
-        lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)), dtype=complex),
-        fh.samples, fh.samples, spec)
-    mod = np.abs(idft(T_hat).samples)
-    min_core = None
-    if e == fam.epsilons[-1]:
-        min_core = float(np.min(mod[np.abs(spec.axis_x()) <= 1.0 / (2 * e)]))
-    # the product's spectrum is centred at 2 * xi0
-    return _norms(mod, T_hat, products, kappa, 2 * np.asarray(fam.xi0)), min_core
-
-
 def _eps_row(fam: ScalingFamily, e: float, ladders, products, kappa, sigma_fn):
     """One eps of the pass: (ladder norms, product norms, min |T| on the core
-    box, sup |f_eps|).  f_eps is transformed once and its modulus taken once;
-    every array of the eps dies before it returns."""
-    fh = fam.f_hat(e)
-    product_norms, min_core = (_product_row(fam, e, fh, products, kappa, sigma_fn)
-                               if products else ([], None))
-    mod = np.abs(idft(fh).samples)
-    return (_norms(mod, fh, ladders, kappa, fam.xi0), product_norms, min_core,
-            float(mod.max()))
+    box |x| <= 1/(2 eps) at the smallest eps, sup |f_eps|).  T_sigma(f_eps,
+    f_eps) is formed from f_hat's slab; T and f_eps are each transformed
+    from their slab and their modulus taken once, all gone on return."""
+    spec, slab = fam.specs[e], fam.f_hat_slab(e)
+    product_norms, min_core = [], None
+    if products:
+        xi = spec.axis_xi()
+        T_slab = _grouped_sum(lambda idx: np.asarray(sigma_fn(*(xi[i] for i in idx)),
+                                                     dtype=complex), slab, slab, spec)
+        mod = np.abs(_idft_samples(T_slab, spec))
+        if e == fam.epsilons[-1]:
+            x = spec.axis_x()
+            min_core = float(np.min(mod[np.searchsorted(x, -1.0 / (2 * e)):
+                                        np.searchsorted(x, 1.0 / (2 * e), "right")]))
+        # the product's spectrum is centred at 2 * xi0
+        product_norms = _norms(mod, T_slab, spec, products, kappa, 2 * np.asarray(fam.xi0))
+        del mod
+    mod = np.abs(_idft_samples(slab, spec))
+    return _norms(mod, slab, spec, ladders, kappa, fam.xi0), product_norms, min_core, float(
+        np.max(mod))
 
 
 def _scaling_pass(fam: ScalingFamily, slopes, products, kappa: Window | None = None,
@@ -309,11 +305,8 @@ def _scaling_pass(fam: ScalingFamily, slopes, products, kappa: Window | None = N
     ``slopes`` lists the (space, r) norms of f_eps fitted against
     log(1/eps), a repeated pair fitted once; ``products`` lists the
     (space, r) norms of T_sigma(f_eps, f_eps) for the vectorized symbol
-    ``sigma_fn``.  Each eps builds f_hat and its inverse transform once,
-    reduces f_eps once per slope space, takes sup |f_eps| from that same
-    array and forms and reduces the product once per space.  Returns the
-    SlopeFits keyed by (space, r), r a float (``check_exponent``), and one
-    ProductScaling per product measurement.
+    ``sigma_fn``, one ``_eps_row`` per eps.  Returns the SlopeFits keyed by
+    (space, r), r a float (``check_exponent``), and one ProductScaling each.
     """
     ladders = list(dict.fromkeys((space, check_exponent(r)) for space, r in slopes))
     products = [(space, check_exponent(r)) for space, r in products]

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .bumps import BumpProfile, ThetaPair, Window, _bump_translates
-from .grid import GridFunction, GridSpec, _embed, check_budget, idft
+from .grid import GridFunction, GridSpec, _embed, _whole, check_budget, idft
 from .norms import (_pooled_band_norm, _power_norm, amalgam_norm, check_exponent,
                     ExponentTuple, lp_norm, lq_seq_norm, wiener_band_values, wiener_norm)
 from .operators import Sequence, TrigPolynomial, _grouped_sum, apply_S, apply_T_period
@@ -210,8 +210,9 @@ def _T_aPhi_witness(a: LatticeCoefficients, phi: BumpProfile, w: WitnessPair,
     if w.fhat1.spec != spec:
         raise ValueError("grid spec mismatch")
     xi = spec.axis_xi()
-    return _grouped_sum(lambda idx: sigma_eval(a, phi, [xi[i] for i in idx]),
-                        w.fhat1.samples, w.fhat2.samples, spec)
+    slab = _grouped_sum(lambda idx: sigma_eval(a, phi, [xi[i] for i in idx]),
+                        _whole(w.fhat1.samples), _whole(w.fhat2.samples), spec)
+    return GridFunction(spec, "frequency", _embed(slab, spec.shape))
 
 
 def _trig_values(tp: TrigPolynomial, spec: GridSpec) -> np.ndarray:
@@ -439,13 +440,12 @@ class _Model:
 def _contract(coef: np.ndarray, i_v: np.ndarray, i_other: np.ndarray, io: np.ndarray,
               other: np.ndarray, m: int, n_out: int) -> np.ndarray:
     """A contracted with each row of ``other``: (rows, m, n_out), entry t of
-    A at (i_v[t], i_other[t], io[t]).  Row by row, so no row's bits depend on
-    another."""
-    rows = len(other)
-    w = (coef * other[:, i_other]).ravel()
-    flat = ((np.arange(rows)[:, None] * m + i_v) * n_out + io).ravel()
-    return (np.bincount(flat, w.real, rows * m * n_out)
-            + 1j * np.bincount(flat, w.imag, rows * m * n_out)).reshape(rows, m, n_out)
+    A at (i_v[t], i_other[t], io[t]).  The output index is the sum of two
+    distinct input indices, so a cell (i_v, io) holds at most one entry: a
+    scatter, -0.0 written as +0.0 as a sum from 0.0 would, row by row."""
+    out = np.zeros((len(other), m, n_out), dtype=complex)
+    out[:, i_v, io] = coef * other[:, i_other] + 0.0
+    return out
 
 
 def _vector_pass(model: _Model, V: np.ndarray, other: np.ndarray, t: np.ndarray,

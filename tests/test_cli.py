@@ -228,27 +228,27 @@ def test_scaling_forms_one_product_per_eps(tmp_path, monkeypatch):
 
 
 def test_scaling_builds_and_transforms_each_dilate_once(tmp_path, monkeypatch):
-    # one f_hat and one inverse transform of it per eps serve both slope
+    # one f_hat slab and one inverse transform of it per eps serve both slope
     # tables, the verdicts' input slopes and their products; the only other
-    # inverse transform of the eps is that of the product's spectrum
+    # inverse transform of the eps is that of the product's spectrum slab
     from latticebump import scalinglab
     dilates, spectra, transforms = [], [], []
-    f_hat, idft_ = scalinglab.ScalingFamily.f_hat, scalinglab.idft
+    f_hat_slab, idft_ = scalinglab.ScalingFamily.f_hat_slab, scalinglab._idft_samples
 
     def counted_f_hat(self, eps):
         dilates.append(eps)
-        spectra.append(f_hat(self, eps))
-        return spectra[-1]
+        spectra.append((self.specs[eps].L, f_hat_slab(self, eps)))
+        return spectra[-1][1]
 
-    def counted_idft(g):
-        transforms.append((g.spec.L, "f" if any(g is fh for fh in spectra) else "T"))
-        return idft_(g)
-    monkeypatch.setattr(scalinglab.ScalingFamily, "f_hat", counted_f_hat)
-    monkeypatch.setattr(scalinglab, "idft", counted_idft)
+    def counted_idft(slab, spec):
+        transforms.append((spec.L, "f" if any(slab is fh for _L, fh in spectra) else "T"))
+        return idft_(slab, spec)
+    monkeypatch.setattr(scalinglab.ScalingFamily, "f_hat_slab", counted_f_hat)
+    monkeypatch.setattr(scalinglab, "_idft_samples", counted_idft)
     cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert dilates == BENCH_EPSILONS
-    assert sorted(transforms) == sorted((fh.spec.L, kind) for fh in spectra for kind in "fT")
+    assert sorted(transforms) == sorted((L, kind) for L, _fh in spectra for kind in "fT")
 
 
 def test_scaling_makes_no_forward_transform(tmp_path, monkeypatch):
@@ -265,6 +265,19 @@ def test_scaling_makes_no_forward_transform(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "cfg.json", BENCH_SCALING)
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert calls == []
+
+
+def test_scaling_reach_check_adds_the_window_for_a_wiener_verdict_only(tmp_path, capsys):
+    # at xi0 1.75 the products' spectrum, 2 * (1.75 +- 0.15), lies in the
+    # box [-4, 4]; only a Wiener verdict reads the window (outer 0.6) there
+    amalgam = {"space": "amalgam", "exponents": [2, 2, 2, 2, 2, 0.5]}
+    wiener = {"space": "wiener", "exponents": ["inf", "inf", 1, 2, 2, 2]}
+    doc = _with(_with(_readme_scaling(), ("scaling", "xi0"), 1.75), ("scaling", "wiener_p"), [])
+    for verdicts, code in (([amalgam], 0), ([wiener], 2), ([amalgam, wiener], 2)):
+        cfg = _write(tmp_path, "cfg.json", _with(doc, ("scaling", "verdicts"), verdicts))
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert ("reach 4.4," in err) == (code == 2)
 
 
 def test_scaling_n2_scalar_xi0_reaches_the_grid_budget(tmp_path, capsys):

@@ -130,7 +130,7 @@ def test_bad_value_is_one_config_error_line(command, doc):
     ("decompose", _with(_DECOMPOSE, ("cm", "K"), 1e10)),
     ("decompose", dict(_DECOMPOSE, n=0)),
     ("scaling", _with(_SCALING, ("scaling", "xi0"), 1e300)),
-    ("scaling", _with(_SCALING, ("scaling", "xi0"), 1.75)),
+    ("scaling", _with(_SCALING, ("scaling", "xi0"), 1.875)),
     ("opnorm", dict(_OPNORM, family="T_period", a={"random": {"radius": 300, "count": 9}})),
 ], ids=["family-radius-neg", "opnorm-a-random-radius-neg", "family-members-0",
         "decompose-cm-M-neg", "search-stability-bound-0.5", "exponent-true",

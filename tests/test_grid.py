@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from latticebump.bumps import bump_eval_axes, make_bump
-from latticebump.grid import (GridSpec, _centered, dft, freq_function, idft, make_grid,
-                              poisson_check, space_function)
+from latticebump.bumps import _bump_translates, bump_eval_axes, make_bump
+from latticebump.grid import (GridFunction, GridSpec, _centered, _embed, _idft_samples, _whole,
+                              dft, freq_function, idft, make_grid, poisson_check,
+                              space_function)
 
 from conftest import BUMP_INTEGRAL
 
@@ -54,18 +55,51 @@ def test_axis_xi_is_built_once_and_read_only():
 @pytest.mark.parametrize("shape, axes", [((3072 * 2**k,), None) for k in range(6)]
                          + [((96, 160), None), ((3, 64, 48), (1, 2)), ((64, 5), (0,))]
                          + [((n,), None) for n in (1, 96, 256, 1024)]
-                         + [((n, n), None) for n in (32, 48, 64, 256)])
+                         + [((n, n), None) for n in (32, 48, 64, 256)]
+                         + [((5,), None), ((7, 9), None), ((63, 5), (0,))])
 def test_centered_ifftn_in_one_buffer_is_the_shifted_transform_bitwise(shape, axes):
     # both directions: dft and idft share the one-buffer helper
     rng = np.random.default_rng(len(shape) * 7919 + shape[-1])
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     before = a.copy()
     for transform in (np.fft.ifftn, np.fft.fftn):
-        got = _centered(transform, a, axes=axes)
+        got = _centered(transform, _whole(a), a.shape, axes=axes)
         shifted = np.fft.fftshift(transform(np.fft.ifftshift(a, axes=axes), axes=axes),
                                   axes=axes)
         assert got.tobytes() == shifted.tobytes()
         assert a.tobytes() == before.tobytes()  # the input is not touched
+
+
+def _slab_case(n, L, s, where):
+    """A (slices, values) spectrum slab on make_grid(n, L, s): random values
+    on a box across the grid centre, a padded translate slab (a bump whose
+    padded slice is clipped at the low end of the frequency box, plus one
+    far translate), or random values on the whole grid."""
+    spec = make_grid(n, L, s)
+    rng = np.random.default_rng(n * 1000 + L * 10 + s)
+    N = spec.N
+    if where == "translate":
+        bump = make_bump(n, "tensor-exp", center=(-s / 2 + 0.3,) * n, radius=0.3)
+        return spec, _bump_translates(bump, [((0,) * n, 1.0), ((s // 2,) * n, 0.5j)], spec)
+    box = [slice(0, N)] * n if where == "whole" else [slice(N // 2 - 5, N // 2 + 3),
+                                                      slice(N // 2 - 1, N // 2 + 6)][:n]
+    shape = tuple(b.stop - b.start for b in box)
+    return spec, (tuple(box), rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("n, L, s", [(1, 8, 16), (1, 12, 8), (2, 4, 8), (2, 6, 8)])
+@pytest.mark.parametrize("where", ["centre", "translate", "whole"])
+def test_slab_inverse_transform_is_the_idft_of_the_embedded_slab_bitwise(n, L, s, where):
+    # the slab is copied straight into the FFT-order buffer: the bits are
+    # those of the shifted transform of the whole array it stands for
+    spec, slab = _slab_case(n, L, s, where)
+    assert slab[1].shape != spec.shape or where == "whole"
+    dense = _embed(slab, spec.shape)
+    got = _idft_samples(slab, spec)
+    assert got.tobytes() == idft(GridFunction(spec, "frequency", dense)).samples.tobytes()
+    want = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(dense)))
+    want *= float(spec.s) ** spec.n
+    assert got.tobytes() == want.tobytes()
 
 
 def test_dft_of_zero_is_zero(spec):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_theta_pair,
                                make_window, window_eval_axes)
-from latticebump.grid import _centered, dft, freq_function, idft, make_grid, space_function
+from latticebump.grid import _centered, _whole, dft, freq_function, idft, make_grid, space_function
 from latticebump.norms import (ExponentTuple, _pooled_band_norm, _power_norm, _power_norms,
                                _wiener_l2, amalgam_norm, loglog_slope, lp_norm, lp_norm_torus,
                                lq_seq_norm, mixed_norm_check, wiener_band_values, wiener_norm)
@@ -162,7 +162,7 @@ def test_wiener_2_2_norm_is_the_weighted_l2_of_the_spectrum(n, L, s, outer):
         stack = wiener_band_values(F, kappa, offset=offset)[1]
         want = _pooled_band_norm(stack, spec, 2.0, 2.0)
         del stack
-        got = _wiener_l2(F.samples, spec, kappa, offset)[0]
+        got = _wiener_l2(_whole(F.samples), spec, kappa, offset)[0]
         assert got == pytest.approx(want, rel=1e-14, abs=0)
         assert wiener_norm(F, 2.0, 2.0, kappa, offset=offset) == got
         assert wiener_norm(idft(F), 2.0, 2.0, kappa, offset=offset) == pytest.approx(
@@ -415,7 +415,8 @@ def test_wiener_band_stack_is_built_band_by_band():
     F = dft(f1).samples
     pieces = np.stack([_window_at(kappa, spec, np.asarray(mu, float) + offset) * F
                        for mu in bands])
-    assert np.array_equal(stack, spec.s**2 * _centered(np.fft.ifftn, pieces, axes=(1, 2)))
+    assert np.array_equal(stack, spec.s**2 * _centered(np.fft.ifftn, _whole(pieces), pieces.shape,
+                                                        axes=(1, 2)))
     assert peak <= 2 * stack.nbytes
 
 
@@ -439,7 +440,8 @@ def test_band_whose_window_is_zero_on_the_slab_is_an_exact_zero_row(monkeypatch)
     assert len(transforms) == 1
     assert stack[1].tobytes() == np.zeros(spec.shape, dtype=complex).tobytes()
     mult = _window_at(kappa, spec, np.zeros(1))
-    assert np.array_equal(stack[0], spec.s * _centered(np.fft.ifftn, mult * F))
+    assert np.array_equal(stack[0],
+                          spec.s * _centered(np.fft.ifftn, _whole(mult * F), spec.shape))
 
 
 def test_band_stack_transforms_only_the_bands_its_spectrum_reaches(monkeypatch):
@@ -467,7 +469,8 @@ def test_band_stack_transforms_only_the_bands_its_spectrum_reaches(monkeypatch):
     assert transforms == [spec.shape] * sum(live)
     for mu, band, on in zip(bands, stack, live):
         mult = _window_at(kappa, spec, np.asarray(mu, float))
-        assert np.array_equal(band, spec.s**2 * _centered(np.fft.ifftn, mult * F))
+        assert np.array_equal(band,
+                              spec.s**2 * _centered(np.fft.ifftn, _whole(mult * F), spec.shape))
         assert band.any() == on
 
 
@@ -487,7 +490,8 @@ def test_spectrum_side_band_stack_is_the_full_window_product_bitwise():
     assert np.ptp(rows) < spec.N // 4 and np.ptp(cols) < spec.N // 4
     for mu, band in zip(bands, stack):
         mult = _window_at(kappa, spec, np.asarray(mu, float) + offset)
-        assert np.array_equal(band, spec.s**2 * _centered(np.fft.ifftn, mult * fhat.samples))
+        assert np.array_equal(band, spec.s**2 * _centered(
+            np.fft.ifftn, _whole(mult * fhat.samples), spec.shape))
 
 
 @pytest.mark.parametrize("ulps", [[0, 0, 0, 0, 0, 0], [0, 2, 1, 0, 2, 1], [2, 0, 0, 1, 0, 0]])

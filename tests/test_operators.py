@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from latticebump.bumps import (bump_eval_axes, check_condition_B, make_bump, make_plateau,
                                make_theta_pair, make_window)
-from latticebump.grid import (MAX_POINTS, BudgetError, GridFunction, _centered, dft,
-                             freq_function, idft, make_grid, space_function)
+from latticebump.grid import (MAX_POINTS, BudgetError, GridFunction, _centered, _embed,
+                             _idft_samples, _nonzero_slab, _whole, dft, freq_function, idft,
+                             make_grid, space_function)
 from latticebump.operators import (AliasingWarning, TrigPolynomial,
                                    apply_S, apply_T_aPhi_fast,
                                    apply_T_period, apply_T_sigma,
@@ -270,8 +271,63 @@ def test_T_sigma_is_the_idft_of_the_grouped_spectrum(n, L, s, monkeypatch):
         return spectra[-1]
     monkeypatch.setattr(operators, "_grouped_sum", kept)
     T = apply_T_sigma(synth_sigma(a, phi, spec), f1, f2)
-    assert spectra[0].side == "frequency"
-    assert np.array_equal(T.samples, idft(spectra[0]).samples)
+    assert T.samples.tobytes() == _idft_samples(spectra[0], spec).tobytes()
+    dense = GridFunction(spec, "frequency", _embed(spectra[0], spec.shape))
+    assert T.samples.tobytes() == idft(dense).samples.tobytes()
+
+
+def _dense_grouped_sum(sigma_at, F1, F2, spec):
+    """The grouped spectrum L^n G on the whole grid, one bincount per part
+    over all N^n bins: the bitwise oracle of the slab form."""
+    n, N = spec.n, spec.N
+    i1, i2 = np.flatnonzero(F1 != 0), np.flatnonzero(F2 != 0)
+    u1 = tuple(u[:, None] for u in np.unravel_index(i1, spec.shape))
+    u2 = tuple(u[None, :] for u in np.unravel_index(i2, spec.shape))
+    W = sigma_at(u1 + u2) * np.outer(F1.ravel()[i1], F2.ravel()[i2]) * spec.dxi ** (2 * n)
+    flat_idx = 0
+    for v1, v2 in zip(u1, u2):
+        flat_idx = flat_idx * N + (v1 + v2 - N // 2) % N
+    flat_idx = np.broadcast_to(flat_idx, W.shape).ravel()
+    G = (np.bincount(flat_idx, weights=W.real.ravel(), minlength=N**n)
+         + 1j * np.bincount(flat_idx, weights=W.imag.ravel(), minlength=N**n))
+    return G.reshape(spec.shape) * spec.L**n
+
+
+def _sigma_at(spec):
+    xi = spec.axis_xi()
+    return lambda idx: np.cos(sum(xi[i] for i in idx)) + 1j * np.sin(3.0 * xi[idx[0]])
+
+
+@pytest.mark.parametrize("n, L, s", [(1, 8, 32), (1, 12, 8), (2, 4, 8), (2, 6, 8)])
+@pytest.mark.parametrize("case", ["witness", "folded", "zero"])
+def test_grouped_sum_slab_is_the_dense_grouped_sum_bitwise(n, L, s, case):
+    # the slab's bins sum the same weights in the same order as the whole
+    # grid's: embedded, the slab is the dense spectrum bit for bit, -0 too
+    if case == "witness":
+        spec, _phi, _a, w = _witness(n, L, s, 46)
+        F1, F2 = w.fhat1.samples, w.fhat2.samples
+    else:
+        spec = make_grid(n, L, s)
+        N = spec.N
+        rng = np.random.default_rng(47)
+        F1, F2 = (np.zeros(spec.shape, dtype=complex) for _ in range(2))
+        if case == "folded":  # sums past the top of the box fold round every axis
+            hi = (slice(N // 2 + N // 4 - 2, N // 2 + N // 4 + 4),) * n
+            for F in (F1, F2):
+                F[hi] = rng.standard_normal(F[hi].shape) + 1j * rng.standard_normal(F[hi].shape)
+    slabs = [_nonzero_slab(F) for F in (F1, F2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = operators._grouped_sum(_sigma_at(spec), *slabs, spec)
+        whole = operators._grouped_sum(_sigma_at(spec), _whole(F1), _whole(F2), spec)
+    assert [w.category for w in caught] == [AliasingWarning] * 2 * (case == "folded")
+    want = _dense_grouped_sum(_sigma_at(spec), F1, F2, spec)
+    for slab in (got, whole):
+        assert _embed(slab, spec.shape).tobytes() == want.tobytes()
+    if case == "folded":
+        assert all(sl == slice(0, spec.N) for sl in got[0])
+    if case == "zero":
+        assert got[1].size == 0
 
 
 @pytest.mark.parametrize("n, L, s", [(1, 8, 32), (1, 8, 128), (2, 4, 8), (1, 12, 8), (2, 6, 8)])
@@ -472,8 +528,8 @@ def _per_translate_fast(a, d, f1, f2):
             rows = [_cm_rows(d, j, xi - c) for j, c in enumerate(mu)]
             mult = np.stack([_contract(factor[side], rows) for factor in d.factors])
             mult *= fhat
-            out[mu] = (spec.s**n * _centered(np.fft.ifftn, mult, axes=sp_axes)
-                       ).reshape(terms, N**n)
+            out[mu] = (spec.s**n * _centered(np.fft.ifftn, _whole(mult), mult.shape,
+                                             axes=sp_axes)).reshape(terms, N**n)
         return out
 
     H1 = bands(f1, sorted({m1 for m1, _ in a.entries}), 0)
@@ -755,7 +811,7 @@ def test_T_sigma_weights_the_rows_and_columns_of_the_nonzero_samples(n, value, m
     got = apply_T_sigma(SymbolGrid.from_dense(sigma.spec, edited), f1, f2).samples
     size = sigma.spec.N ** n
     nonzero = (edited != 0).reshape(size, size)
-    (F1, F2), = seen
+    ((_sl1, F1), (_sl2, F2)), = seen
     # neither spectrum has a zero bin, so its support is the selection
     assert np.array_equal((F1 != 0).ravel(), nonzero.any(axis=1))
     assert np.array_equal((F2 != 0).ravel(), nonzero.any(axis=0))
@@ -850,7 +906,8 @@ def test_translate_slab_and_support_pairs_are_refused_before_they_are_allocated(
     pairs = np.count_nonzero(F) ** 2
     for refused, call, what in (
             (slab.size, lambda: synth_sigma(a, phi, spec), "translate slab"),
-            (pairs, lambda: operators._grouped_sum(lambda idx: 1.0, F, F, spec), "support pairs")):
+            (pairs, lambda: operators._grouped_sum(lambda idx: 1.0, _whole(F), _whole(F), spec),
+             "support pairs")):
         monkeypatch.setattr(grid, "MAX_POINTS", refused - 1)
         tracemalloc.start()
         try:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from latticebump.bumps import _axis_factor, make_bump, make_window
-from latticebump.grid import GridFunction, _padded_slice, idft
+from latticebump.grid import GridFunction, _embed, _padded_slice, _whole, idft
 from latticebump.norms import (amalgam_norm, loglog_slope, lp_norm, wiener_band_values,
                                wiener_norm)
 from latticebump.operators import AliasingWarning, _grouped_sum
@@ -389,8 +389,9 @@ def test_product_norms_equal_the_companion_2_norms_of_the_product_bitwise(ladder
     for e in ladder.epsilons:
         spec, fh = ladder.specs[e], ladder.f_hat(e).samples
         xi = spec.axis_xi()
-        T_hat = _grouped_sum(
-            lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex), fh, fh, spec)
+        T_hat = GridFunction(spec, "frequency", _embed(_grouped_sum(
+            lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex), _whole(fh),
+            _whole(fh), spec), spec.shape))
         products.append((idft(T_hat), T_hat))
     for (space, r), ps in zip(wanted, batch):
         assert ps.norms == tuple(amalgam_norm(T, 2.0, r) if space == "amalgam"
@@ -429,14 +430,15 @@ def test_spectrum_side_band_stack_stays_under_its_memory_bound(ladder, kap):
 
 
 def test_product_scaling_builds_one_dilate_per_eps(ladder, kap, monkeypatch):
-    # one f_hat per eps serves both factors and the sup of the degenerate check
+    # one f_hat slab per eps serves both factors and the sup of the
+    # degenerate check
     calls = []
-    f_hat = ScalingFamily.f_hat
+    f_hat_slab = ScalingFamily.f_hat_slab
 
     def counted(self, eps):
         calls.append(eps)
-        return f_hat(self, eps)
-    monkeypatch.setattr(ScalingFamily, "f_hat", counted)
+        return f_hat_slab(self, eps)
+    monkeypatch.setattr(ScalingFamily, "f_hat_slab", counted)
     bilinear_product_scaling(ladder, ONE, [("amalgam", 0.5), ("wiener", 1.0)], kappa=kap)
     assert calls == list(ladder.epsilons)
 
@@ -510,7 +512,7 @@ def test_eps_rows_equal_the_public_norms_bitwise(family, outer, with_products, l
         norms, product_norms, min_core, sup = _eps_row(fam, e, ladders, products, kappa, ONE)
         fh = fam.f_hat(e)
         f = idft(fh)
-        plateau.append(_wiener_l2(fh.samples, fh.spec, kappa, fam.xi0)[1])
+        plateau.append(_wiener_l2(_whole(fh.samples), fh.spec, kappa, fam.xi0)[1])
         assert norms == [amalgam_norm(f, 2.0, r) if space == "amalgam"
                          else wiener_norm(fh, r, 2.0, kappa, offset=fam.xi0)
                          for space, r in ladders]
@@ -519,9 +521,9 @@ def test_eps_rows_equal_the_public_norms_bitwise(family, outer, with_products, l
             continue
         spec = fh.spec
         xi = spec.axis_xi()
-        T_hat = _grouped_sum(
+        T_hat = GridFunction(spec, "frequency", _embed(_grouped_sum(
             lambda idx: np.asarray(ONE(*(xi[i] for i in idx)), dtype=complex),
-            fh.samples, fh.samples, spec)
+            _whole(fh.samples), _whole(fh.samples), spec), spec.shape))
         T = idft(T_hat)
         assert product_norms == [
             amalgam_norm(T, 2.0, r) if space == "amalgam"

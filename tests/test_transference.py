@@ -1111,3 +1111,43 @@ def test_witness_chains_2d_at_working_grid():
     wchk = verify_wiener_factorization(a, phi, ww, kappa2, spec2)
     assert wchk.residual <= 1e-6
     assert wchk.band_residual <= 1e-6
+
+
+def _bincount_contract(coef, i_v, i_other, io, other, m, n_out):
+    """The model contraction as two sequential bincounts, one per part: the
+    bitwise oracle of the scatter in ``transference._contract``."""
+    rows = len(other)
+    w = (coef * other[:, i_other]).ravel()
+    flat = ((np.arange(rows)[:, None] * m + i_v) * n_out + io).ravel()
+    return (np.bincount(flat, w.real, rows * m * n_out)
+            + 1j * np.bincount(flat, w.imag, rows * m * n_out)).reshape(rows, m, n_out)
+
+
+@pytest.mark.parametrize("n, ex", [(1, (2.0, 2.0, 2.0)), (1, (1.0, 1.0, 0.5)),
+                                   (2, (2.0, 1.0, 2.0))])
+@pytest.mark.parametrize("family", ["S", "T_period"])
+def test_model_contraction_scatter_is_the_bincount_sum_bitwise(monkeypatch, n, ex, family):
+    # the output index is m1 + m2 and the pairs are distinct, so each cell
+    # (i_v, output) holds at most one entry; -0.0 products come out as +0.0
+    models, search = [], transference._search
+    monkeypatch.setattr(transference, "_search", lambda model, *args: models.append(model)
+                        or search(model, *args))
+    estimate = estimate_norm_S if family == "S" else estimate_norm_T_period
+    estimate(random_lattice_coefficients(n, 1, 9, seed=90 + n), *ex,
+             SearchParams(starts=1, steps=1, torus_points=16))
+    model, = models
+    rng = np.random.default_rng(91)
+    coef = model.coef.copy()
+    coef[:2] = [-0.0, complex(0.0, -0.0)]
+    for vi in (0, 1):
+        i_v, i_other, io = model.index[[vi, 1 - vi, 2]]
+        other = rng.standard_normal((4, model.sizes[1 - vi])) + 1j * rng.standard_normal(
+            (4, model.sizes[1 - vi]))
+        other[0] = -0.0
+        other[1, i_other[:3]] = [0.0, -0.0, complex(-0.0, 0.0)]
+        for c in (model.coef, coef):
+            got = transference._contract(c, i_v, i_other, io, other, model.sizes[vi],
+                                         model.sizes[2])
+            want = _bincount_contract(c, i_v, i_other, io, other, model.sizes[vi],
+                                      model.sizes[2])
+            assert got.tobytes() == want.tobytes()

@@ -16,6 +16,10 @@ per output file.  ``meta.json`` holds wall-clock telemetry and is skipped;
 * the README ``scaling`` config, and its n = 2 ladder ``[1, 0.75, 0.5]``
   without verdicts (1.6 s, peak RSS 0.34 GB);
 * the benchmark ``scaling`` config at each of its 13 grid-aligned xi0;
+* ``scaling-fallback``: eps ``[1, 0.5, 0.25]``, xi0 0.5, amalgam q 2, Wiener
+  p 1 and 2 and the benchmark's Wiener verdict, whose product spectrum at
+  eps = 1 outgrows the window plateau, so its Wiener norms pool one
+  ``wiener_band_values`` stack (L = 192) instead of |T|;
 * ``synth`` on the README grid, at n = 2 on the (4, 8) grid and at n = 1
   on L = 12, s = 8 (a grid where xi - m is not exact);
 * ``decompose`` and ``opnorm`` (``S``, ``T_period``, ``T_aPhi``), each
@@ -114,7 +118,10 @@ def configs() -> list[tuple[str, str, dict | None]]:
              dict(N2_WIENER, exponents=[1, 1, 0.5, 2, 2, 2])),
             ("scaling-readme", "scaling", README_SCALING),
             ("scaling-n2", "scaling", {"n": 2, "scaling": dict(
-                README_SCALING["scaling"], epsilons=[1, 0.75, 0.5], verdicts=[])})]
+                README_SCALING["scaling"], epsilons=[1, 0.75, 0.5], verdicts=[])}),
+            ("scaling-fallback", "scaling", {"n": 1, "scaling": {
+                "epsilons": [1, 0.5, 0.25], "xi0": 0.5, "amalgam_q": [2], "wiener_p": [1, 2],
+                "verdicts": _bench_scaling(0.0)["scaling"]["verdicts"][1:]}})]
     runs += [(f"scaling-bench-xi0={k / 4:g}", "scaling", _bench_scaling(k / 4))
              for k in range(-6, 7)]
     runs += [("synth", "synth", SYNTH),
